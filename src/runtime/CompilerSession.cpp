@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
-#include <thread>
 #include <unordered_map>
 
 using namespace unit;
@@ -146,20 +145,41 @@ CompileOptions CompilerSession::optionsWithSeed(const CompileOptions &Base,
 // The unified surface
 //===----------------------------------------------------------------------===//
 
-KernelReport CompilerSession::compileKeyed(const CompileRequest &Request,
-                                           const std::string &Key,
-                                           bool *ComputedHere) {
-  double T0 = steadyNowSeconds();
+/// What the resolve step decided for one request.
+struct CompilerSession::Resolution {
+  /// MustCompute for a cold miss (the caller owns Ticket) and for Bypass
+  /// (no cache entry, so Ticket and Fut stay empty).
+  KernelCache::ResolveKind Kind = KernelCache::ResolveKind::MustCompute;
+  std::shared_future<KernelReport> Fut;
+  KernelCache::ComputeTicket Ticket;
+  /// The cache_resolve span: what the compile and join_resume spans
+  /// parent to, whichever thread they run on.
+  obs::SpanContext Ctx;
+};
+
+/// What the cold-compile body produced; exactly one of Report (when Error
+/// is empty) and Error is meaningful.
+struct CompilerSession::ColdResult {
+  KernelReport Report;
+  std::exception_ptr Error;
+  /// A local tune ran and succeeded (false when a peer served the report
+  /// or the backend threw).
+  bool Computed = false;
+};
+
+CompilerSession::Resolution
+CompilerSession::resolve(const CompileRequest &Request, const std::string &Key,
+                         double T0, const JobCallback &Finish) {
+  Resolution R;
+  obs::Span Span("cache_resolve");
+  R.Ctx = obs::currentSpan();
   switch (Request.Options.Policy) {
-  case CachePolicy::Bypass: {
-    if (ComputedHere)
-      *ComputedHere = true;
-    obs::Span Codegen("codegen");
-    KernelReport Report = Request.Work.compileWith(
-        *Request.Backend, tuningPool(), optionsWithSeed(Request.Options, Key));
-    ColdLatencyHist.record(steadyNowSeconds() - T0);
-    return Report;
-  }
+  case CachePolicy::Bypass:
+    // Never touches the cache: always a fresh compile with no entry to
+    // publish through.
+    FreshDispatchesCount.fetch_add(1);
+    Span.annotate("outcome", "bypass");
+    return R;
   case CachePolicy::Refresh:
     // Ready entries are dropped and recompiled; an in-flight compile is
     // left alone (it is fresh enough, and erasing it would break the
@@ -169,52 +189,116 @@ KernelReport CompilerSession::compileKeyed(const CompileRequest &Request,
   case CachePolicy::Default:
     break;
   }
-  bool Fetched = false;
-  bool RanCompute = false;
-  KernelReport Report = Cache.getOrCompute(
-      Key,
-      [&] {
-        // The single-flight winner probes the fleet before tuning: a
-        // same-fingerprint peer that already tuned this key hands the
-        // report over in milliseconds. Refresh skips the probe — it
-        // asked for a fresh local tune.
-        if (Request.Options.Policy == CachePolicy::Default)
-          if (ColdMissFetcher Fetch = missFetcher()) {
-            std::optional<KernelReport> Remote;
-            {
-              obs::Span PeerFetch("peer_fetch");
-              Remote = Fetch(Key);
-              PeerFetch.annotate("hit", Remote ? 1 : 0);
-            }
-            if (Remote) {
-              Fetched = true;
-              recordTransferWinner(Key, *Remote);
-              return *Remote;
-            }
-          }
-        KernelReport Fresh;
-        {
-          obs::Span Codegen("codegen");
-          Fresh = Request.Work.compileWith(*Request.Backend, tuningPool(),
-                                           optionsWithSeed(Request.Options,
-                                                           Key));
-        }
-        recordTransferWinner(Key, Fresh);
+  // Registered only when the resolve joins an in-flight compile; fires on
+  // the winner's thread once the entry resolves. A job with a Finish
+  // callback owns one InFlight count, released here; the span must close
+  // before jobFinished(): the decrement to zero releases stop()'s
+  // quiesce() wait, after which the trace recorder is torn down.
+  KernelCache::Waiter OnJoin = [this, Finish, Ctx = R.Ctx,
+                                T0](const KernelReport *Report,
+                                    std::exception_ptr Error) {
+    {
+      obs::Span Resume("join_resume", Ctx);
+      if (Finish)
+        Finish(Report, Error, /*Computed=*/false);
+      JoinLatencyHist.record(steadyNowSeconds() - T0);
+    }
+    if (Finish)
+      jobFinished();
+  };
+  R.Kind = Cache.resolveThen(Key, std::move(OnJoin), &R.Fut, &R.Ticket);
+  switch (R.Kind) {
+  case KernelCache::ResolveKind::Ready:
+    InlineReadyHitsCount.fetch_add(1);
+    WarmLatencyHist.record(steadyNowSeconds() - T0);
+    Span.annotate("outcome", "hit");
+    break;
+  case KernelCache::ResolveKind::Joined:
+    ContinuationJoinsCount.fetch_add(1);
+    Span.annotate("outcome", "join");
+    break;
+  case KernelCache::ResolveKind::MustCompute:
+    FreshDispatchesCount.fetch_add(1);
+    Span.annotate("outcome", "miss");
+    break;
+  }
+  return R;
+}
+
+CompilerSession::ColdResult
+CompilerSession::compileCold(const CompileRequest &Request,
+                             const std::string &Key,
+                             KernelCache::ComputeTicket &Ticket, double T0,
+                             std::atomic<size_t> *FreshCounter) {
+  ColdResult Out;
+  // The fleet probe comes first: a same-fingerprint peer that already
+  // tuned this key hands the report over in milliseconds. Only Default
+  // asks; Refresh wants a local tune and Bypass has no entry to fill.
+  std::optional<KernelReport> Remote;
+  if (Request.Options.Policy == CachePolicy::Default)
+    if (ColdMissFetcher Fetch = missFetcher()) {
+      obs::Span PeerFetch("peer_fetch");
+      Remote = Fetch(Key);
+      PeerFetch.annotate("hit", Remote ? 1 : 0);
+    }
+  if (Remote) {
+    Out.Report = std::move(*Remote);
+  } else {
+    // The library itself aborts rather than throws, but user-registered
+    // backends may throw; failing the ticket keeps the key retryable.
+    try {
+      obs::Span Codegen("codegen");
+      Out.Report = Request.Work.compileWith(*Request.Backend, tuningPool(),
+                                            optionsWithSeed(Request.Options,
+                                                            Key));
+      Out.Computed = true;
+      // Counted before the result is published: the counter lives on the
+      // frame of a caller (compileModel) that returns once every future
+      // is ready.
+      if (FreshCounter)
+        FreshCounter->fetch_add(1);
+    } catch (...) {
+      Out.Error = std::current_exception();
+    }
+  }
+  if (Ticket) {
+    if (Out.Error) {
+      Cache.fail(Key, Ticket, Out.Error);
+    } else {
+      recordTransferWinner(Key, Out.Report);
+      {
+        obs::Span Fulfill("fulfill");
+        Cache.fulfill(Key, Ticket, Out.Report);
+      }
+      // Peer-served reports never announce, so the fleet cannot echo.
+      if (Out.Computed)
         if (CompileObserver Notify = compileObserver())
-          Notify(Key, Fresh);
-        return Fresh;
-      },
-      &RanCompute);
-  // A peer-served entry is a cache hit from the caller's point of view —
-  // no tuner ran here — even though the compute lambda executed.
+          Notify(Key, Out.Report);
+    }
+  }
+  // Any cold body is the cold path, a peer-served miss included.
+  ColdLatencyHist.record(steadyNowSeconds() - T0);
+  return Out;
+}
+
+KernelReport CompilerSession::compileKeyed(const CompileRequest &Request,
+                                           const std::string &Key,
+                                           bool *ComputedHere) {
+  double T0 = steadyNowSeconds();
   if (ComputedHere)
-    *ComputedHere = RanCompute && !Fetched;
-  // Latency accounting: any run of the compute lambda is the cold path
-  // (a peer-served miss is still a miss); ready hits and single-flight
-  // joins of another caller's compile are warm.
-  (RanCompute ? ColdLatencyHist : WarmLatencyHist)
-      .record(steadyNowSeconds() - T0);
-  return Report;
+    *ComputedHere = false;
+  Resolution R = resolve(Request, Key, T0, /*Finish=*/nullptr);
+  // Ready hits return at once; a join waits on this caller-owned thread
+  // (the continuation records its latency on the winner's thread).
+  if (R.Kind != KernelCache::ResolveKind::MustCompute)
+    return R.Fut.get();
+  obs::Span CompileSpan("compile", R.Ctx);
+  ColdResult Cold = compileCold(Request, Key, R.Ticket, T0, nullptr);
+  if (Cold.Error)
+    std::rethrow_exception(Cold.Error);
+  if (ComputedHere)
+    *ComputedHere = Cold.Computed;
+  return std::move(Cold.Report);
 }
 
 KernelReport CompilerSession::compile(const CompileRequest &Request,
@@ -223,13 +307,7 @@ KernelReport CompilerSession::compile(const CompileRequest &Request,
 }
 
 CompileJob CompilerSession::compileAsync(CompileRequest Request) {
-  return compileAsyncCounted(std::move(Request), nullptr);
-}
-
-CompileJob
-CompilerSession::compileAsyncCounted(CompileRequest Request,
-                                     std::atomic<size_t> *FreshCounter) {
-  return dispatchAsync(std::move(Request), nullptr, FreshCounter);
+  return dispatchAsync(std::move(Request), nullptr, nullptr);
 }
 
 CompileJob CompilerSession::compileAsyncThen(CompileRequest Request,
@@ -248,173 +326,59 @@ void CompilerSession::jobFinished() {
   }
 }
 
-CompileJob CompilerSession::dispatchAsync(
-    CompileRequest Request,
-    std::function<void(const KernelReport *, std::exception_ptr, bool)>
-        Finish,
-    std::atomic<size_t> *FreshCounter) {
+CompileJob CompilerSession::dispatchAsync(CompileRequest Request,
+                                          JobCallback Finish,
+                                          std::atomic<size_t> *FreshCounter) {
   std::string Key = Request.cacheKey();
-
-  if (Request.Options.Policy != CachePolicy::Bypass) {
-    double T0 = steadyNowSeconds();
-    // One span covers the resolve decision; the submitter's context
-    // (this span when tracing is on) is what pool tasks and continuation
-    // callbacks parent to — the cross-thread links of the request tree.
-    obs::Span Resolve("cache_resolve");
-    obs::SpanContext SubmitCtx = obs::currentSpan();
-
-    if (Request.Options.Policy == CachePolicy::Refresh)
-      // Ready entries are dropped and recompiled; an in-flight compile is
-      // left alone (it is fresh enough, and erasing it would break the
-      // single-flight invariant its winner relies on).
-      Cache.eraseReady(Key);
-
-    // Count the job before resolving: a registered continuation may fire
-    // (and decrement) the instant the cache lock is released.
-    InFlight.fetch_add(1);
-    std::shared_future<KernelReport> Fut;
-    KernelCache::ComputeTicket Ticket;
-    // Registered only when the resolve joins an in-flight compile; fires
-    // on the winner's thread, parented to the submitter's span. The
-    // jobFinished guard mirrors the Joined case below: future-only joins
-    // already balanced InFlight inline.
-    KernelCache::Waiter Continuation =
-        [this, Finish, SubmitCtx, T0](const KernelReport *Report,
-                                      std::exception_ptr Error) {
-          // The span must close before jobFinished(): the decrement to
-          // zero releases stop()'s quiesce() wait, after which the trace
-          // recorder is torn down — a span still open here would record
-          // into freed memory.
-          {
-            obs::Span Resume("join_resume", SubmitCtx);
-            if (Finish)
-              Finish(Report, Error, /*Computed=*/false);
-            JoinLatencyHist.record(steadyNowSeconds() - T0);
-          }
-          if (Finish)
-            jobFinished();
-        };
-    switch (Cache.resolveThen(Key, std::move(Continuation), &Fut, &Ticket)) {
-    case KernelCache::ResolveKind::Ready: {
-      // Warm hit: resolve inline on the submitting thread. A whole warm
-      // model's worth of joins costs zero pool tasks.
-      InlineReadyHitsCount.fetch_add(1);
-      Resolve.annotate("outcome", "hit");
-      if (Finish)
-        Finish(&Fut.get(), nullptr, /*Computed=*/false);
-      WarmLatencyHist.record(steadyNowSeconds() - T0);
-      jobFinished();
-      return CompileJob(std::move(Key), std::move(Fut));
-    }
-    case KernelCache::ResolveKind::Joined:
-      // In-flight join: the winner's drain fires the continuation; no
-      // thread — pool or otherwise — blocks waiting for it.
-      ContinuationJoinsCount.fetch_add(1);
-      Resolve.annotate("outcome", "join");
-      if (!Finish)
-        jobFinished(); // Future-only join: nothing left pending here.
-      return CompileJob(std::move(Key), std::move(Fut));
-    case KernelCache::ResolveKind::MustCompute:
-      break;
-    }
-
-    // Winner: run the compile on a pool worker; fulfill()/fail() publish
-    // the result and drain every waiter that joined meanwhile.
-    FreshDispatchesCount.fetch_add(1);
-    Resolve.annotate("outcome", "miss");
-    Pool->submit([this, Request = std::move(Request), Key,
-                  Ticket = std::move(Ticket),
-                  Finish = std::move(Finish), FreshCounter, SubmitCtx,
-                  T0]() mutable {
-      // Every span in this task must close before the jobFinished() at
-      // the bottom: the decrement to zero releases stop()'s quiesce()
-      // wait, after which the trace recorder is torn down — a span still
-      // open past it would record into freed memory.
-      {
-        obs::Span CompileSpan("compile", SubmitCtx);
-        // Fleet probe first (same contract as the blocking path): a report
-        // fetched from a same-fingerprint peer fulfills the entry — every
-        // joined waiter resolves, Computed stays false, FreshCounter is
-        // untouched, and the observer never fires (no echo back to peers).
-        bool ServedByPeer = false;
-        if (Request.Options.Policy == CachePolicy::Default)
-          if (ColdMissFetcher Fetch = missFetcher()) {
-            std::optional<KernelReport> Remote;
-            {
-              obs::Span PeerFetch("peer_fetch");
-              Remote = Fetch(Key);
-              PeerFetch.annotate("hit", Remote ? 1 : 0);
-            }
-            if (Remote) {
-              recordTransferWinner(Key, *Remote);
-              {
-                obs::Span Fulfill("fulfill");
-                Cache.fulfill(Key, Ticket, *Remote);
-              }
-              if (Finish)
-                Finish(&*Remote, nullptr, /*Computed=*/false);
-              ColdLatencyHist.record(steadyNowSeconds() - T0);
-              ServedByPeer = true;
-            }
-          }
-        if (!ServedByPeer) {
-          KernelReport Report;
-          std::exception_ptr Error;
-          try {
-            obs::Span Codegen("codegen");
-            Report = Request.Work.compileWith(*Request.Backend, tuningPool(),
-                                              optionsWithSeed(Request.Options,
-                                                              Key));
-          } catch (...) {
-            Error = std::current_exception();
-          }
-          if (!Error) {
-            if (FreshCounter)
-              FreshCounter->fetch_add(1);
-            recordTransferWinner(Key, Report);
-            {
-              obs::Span Fulfill("fulfill");
-              Cache.fulfill(Key, Ticket, Report);
-            }
-            if (CompileObserver Notify = compileObserver())
-              Notify(Key, Report);
-          } else {
-            Cache.fail(Key, Ticket, Error);
-          }
-          if (Finish)
-            Finish(Error ? nullptr : &Report, Error, /*Computed=*/!Error);
-          ColdLatencyHist.record(steadyNowSeconds() - T0);
-        }
-      }
-      jobFinished();
-    });
-    return CompileJob(std::move(Key), std::move(Fut));
+  double T0 = steadyNowSeconds();
+  // Count the job before resolving: a registered continuation may fire
+  // (and decrement) the instant the cache lock is released.
+  InFlight.fetch_add(1);
+  Resolution R = resolve(Request, Key, T0, Finish);
+  switch (R.Kind) {
+  case KernelCache::ResolveKind::Ready:
+    // Warm hit: resolve inline on the submitting thread. A whole warm
+    // model's worth of joins costs zero pool tasks.
+    if (Finish)
+      Finish(&R.Fut.get(), nullptr, /*Computed=*/false);
+    jobFinished();
+    return CompileJob(std::move(Key), std::move(R.Fut));
+  case KernelCache::ResolveKind::Joined:
+    // In-flight join: the winner's drain fires the continuation; no
+    // thread, pool or otherwise, blocks waiting for it.
+    if (!Finish)
+      jobFinished(); // Future-only join: nothing left pending here.
+    return CompileJob(std::move(Key), std::move(R.Fut));
+  case KernelCache::ResolveKind::MustCompute:
+    break;
   }
 
-  // Bypass: never touches the cache; a private promise backs the job.
-  FreshDispatchesCount.fetch_add(1);
-  auto Done = std::make_shared<std::promise<KernelReport>>();
-  std::shared_future<KernelReport> Fut = Done->get_future().share();
-  InFlight.fetch_add(1);
-  Pool->submit([this, Request = std::move(Request), Done,
-                Finish = std::move(Finish), FreshCounter]() mutable {
-    KernelReport Report;
-    std::exception_ptr Error;
-    try {
-      Report = Request.Work.compileWith(*Request.Backend, tuningPool(),
-                                        Request.Options);
-    } catch (...) {
-      Error = std::current_exception();
+  // A miss runs the cold body on a pool worker. A Bypass job has no cache
+  // entry, so a private promise backs its future.
+  std::shared_ptr<std::promise<KernelReport>> Done;
+  if (!R.Ticket) {
+    Done = std::make_shared<std::promise<KernelReport>>();
+    R.Fut = Done->get_future().share();
+  }
+  std::shared_future<KernelReport> Fut = R.Fut;
+  Pool->submit([this, Request = std::move(Request), Key, R = std::move(R),
+                Done, Finish = std::move(Finish), FreshCounter,
+                T0]() mutable {
+    // Every span in this task closes before the jobFinished() at the
+    // bottom, for the teardown reason given in resolve().
+    {
+      obs::Span CompileSpan("compile", R.Ctx);
+      ColdResult Cold = compileCold(Request, Key, R.Ticket, T0, FreshCounter);
+      if (Done) {
+        if (Cold.Error)
+          Done->set_exception(Cold.Error);
+        else
+          Done->set_value(Cold.Report);
+      }
+      if (Finish)
+        Finish(Cold.Error ? nullptr : &Cold.Report, Cold.Error,
+               Cold.Computed);
     }
-    if (!Error) {
-      if (FreshCounter)
-        FreshCounter->fetch_add(1);
-      Done->set_value(Report);
-    } else {
-      Done->set_exception(Error);
-    }
-    if (Finish)
-      Finish(Error ? nullptr : &Report, Error, /*Computed=*/!Error);
     jobFinished();
   });
   return CompileJob(std::move(Key), std::move(Fut));
@@ -449,7 +413,8 @@ CompilerSession::compileAllAsyncCounted(std::vector<CompileRequest> Requests,
   });
   std::vector<CompileJob> Jobs(Requests.size());
   for (size_t Slot : Order)
-    Jobs[Slot] = compileAsyncCounted(std::move(Requests[Slot]), FreshCounter);
+    Jobs[Slot] =
+        dispatchAsync(std::move(Requests[Slot]), nullptr, FreshCounter);
   return Jobs;
 }
 

@@ -74,22 +74,23 @@ struct SessionConfig {
   KernelCache::ClockFn CacheClock;
 };
 
-/// Counters describing how the session's async continuation engine has
-/// been resolving jobs. All monotonic over the session's lifetime.
+/// Counters describing how the session has been resolving requests. The
+/// three resolution counters count every resolution, blocking and async
+/// alike. All monotonic over the session's lifetime.
 struct SessionStats {
   /// Async joins that blocked a pool worker on another job's future. The
   /// continuation engine never does this — the counter exists so tests
   /// and operators can assert it stays 0; any future code path that
   /// reintroduces a blocking join must bump it.
   uint64_t ParkedJoins = 0;
-  /// Async joins resolved by registering a continuation on an in-flight
-  /// cache entry (drained by the winner; zero pool threads consumed).
+  /// Joins of an in-flight compile. Each registers a continuation the
+  /// winner drains; a blocking caller also waits on its own thread.
   uint64_t ContinuationJoins = 0;
-  /// Async submissions served by a ready cache entry — the callback fired
-  /// inline on the submitting thread, no pool task spawned.
+  /// Requests served by a ready cache entry, resolved inline on the
+  /// calling thread with no pool task.
   uint64_t InlineReadyHits = 0;
-  /// Async submissions that won their key and dispatched a fresh compile
-  /// to the pool (plus Bypass jobs, which always compile).
+  /// Requests that won their key (or were Bypass) and so ran the cold
+  /// body: on a pool worker for async jobs, inline for blocking calls.
   uint64_t FreshDispatches = 0;
   /// Cold compiles whose tuner search was seeded from the cached winner
   /// of a near-isomorphic key (transfer tuning, docs/TUNING.md). Seeding
@@ -124,6 +125,17 @@ public:
   /// cache hits, joins, or peer-fetched entries). See setCompileObserver.
   using CompileObserver =
       std::function<void(const std::string &Key, const KernelReport &Report)>;
+  /// Completion callback for compileAsyncThen: exactly one of \p Report
+  /// and \p Error is non-null/non-empty; \p Computed mirrors compile()'s
+  /// ComputedHere (true only when the job ran the compile itself).
+  /// Invoked on whichever thread resolves the job: the *submitting*
+  /// thread (ready cache hits fire before compileAsyncThen returns), the
+  /// winner's completing thread (single-flight joins, drained as
+  /// continuations), or a pool worker (fresh compiles). Never invoked
+  /// while the session holds an internal lock. Keep it short and never
+  /// call back into blocking session APIs from inside it.
+  using JobCallback = std::function<void(
+      const KernelReport *Report, std::exception_ptr Error, bool Computed)>;
 
 private:
   SessionConfig Config;
@@ -171,7 +183,32 @@ private:
   /// The pool handed to tuners, or null when candidate-parallelism is off.
   ThreadPool *tuningPool() { return Config.ParallelCandidates ? Pool.get() : nullptr; }
 
-  /// Runs \p Request synchronously under \p Key (already derived).
+  struct Resolution;
+  struct ColdResult;
+
+  /// The one resolve step every entry point runs first: the Refresh
+  /// erase, the Bypass short-cut, the cache_resolve span, the
+  /// hit/join/miss counters and the warm histogram. A join registers a
+  /// continuation that records the join latency and, for async jobs,
+  /// fires \p Finish and releases the job's InFlight count; blocking
+  /// callers pass a null \p Finish and wait on the future themselves.
+  Resolution resolve(const CompileRequest &Request, const std::string &Key,
+                     double T0, const JobCallback &Finish);
+
+  /// The one cold-compile body, run by whoever owns a miss: the peer
+  /// probe (Default policy), transfer-seeded codegen, then for cached
+  /// policies the transfer-index record, the fulfill/fail that publishes
+  /// the entry through \p Ticket and the observer; always the cold
+  /// histogram. Bypass passes an empty \p Ticket. \p FreshCounter, when
+  /// set, counts a successful local compile. Never throws: a backend
+  /// error comes back in ColdResult::Error.
+  ColdResult compileCold(const CompileRequest &Request, const std::string &Key,
+                         KernelCache::ComputeTicket &Ticket, double T0,
+                         std::atomic<size_t> *FreshCounter);
+
+  /// The blocking entry point under \p Key (already derived): resolve,
+  /// then wait for a join on this thread or run a miss's cold body inline
+  /// — no thread hop. Shared by compile() and sequential compileModel().
   KernelReport compileKeyed(const CompileRequest &Request,
                             const std::string &Key,
                             bool *ComputedHere = nullptr);
@@ -192,23 +229,15 @@ private:
   void recordTransferWinner(const std::string &Key,
                             const KernelReport &Report);
 
-  /// compileAsync with an optional \p FreshCounter incremented iff the
-  /// submitted job runs the compile itself (not a cache join) — the
+  /// The async entry point behind compileAsync, compileAsyncThen and
+  /// compileAllAsync: the same resolve step, but it never blocks a pool
+  /// thread — ready hits fire \p Finish inline on the submitting thread,
+  /// joins ride the continuation the winner drains, and only a miss (key
+  /// winner, or Bypass) submits a pool task running the cold body.
+  /// \p Finish may be null (future-only callers). \p FreshCounter, when
+  /// set, is incremented iff the job ran the compile itself: the
   /// race-free accounting compileModel aggregates into FreshCompiles.
-  CompileJob compileAsyncCounted(CompileRequest Request,
-                                 std::atomic<size_t> *FreshCounter);
-
-  /// The continuation engine behind every async entry point. Resolves
-  /// \p Request against the cache without ever blocking a pool thread:
-  /// ready hits fire \p Finish inline on the submitting thread, joins of
-  /// an in-flight compile register a continuation the winner drains, and
-  /// only a fresh compile (key winner, or Bypass) submits a pool task.
-  /// \p Finish may be null (future-only callers); \p FreshCounter as in
-  /// compileAsyncCounted.
-  CompileJob dispatchAsync(CompileRequest Request,
-                           std::function<void(const KernelReport *,
-                                              std::exception_ptr, bool)>
-                               Finish,
+  CompileJob dispatchAsync(CompileRequest Request, JobCallback Finish,
                            std::atomic<size_t> *FreshCounter);
 
   /// Marks one async job finished: decrements InFlight and, when it was
@@ -333,18 +362,6 @@ public:
   /// ready or in-flight cache entry is joined without a pool round-trip.
   /// CompileJob::get() rethrows any exception the backend raised.
   CompileJob compileAsync(CompileRequest Request);
-
-  /// Completion callback for compileAsyncThen: exactly one of \p Report
-  /// and \p Error is non-null/non-empty; \p Computed mirrors compile()'s
-  /// ComputedHere (true only when the job ran the compile itself).
-  /// Invoked on whichever thread resolves the job: the *submitting*
-  /// thread (ready cache hits fire before compileAsyncThen returns), the
-  /// winner's completing thread (single-flight joins, drained as
-  /// continuations), or a pool worker (fresh compiles). Never invoked
-  /// while the session holds an internal lock. Keep it short and never
-  /// call back into blocking session APIs from inside it.
-  using JobCallback = std::function<void(
-      const KernelReport *Report, std::exception_ptr Error, bool Computed)>;
 
   /// compileAsync plus a completion hook: \p OnDone fires exactly once
   /// when the job resolves, including for cache hits and single-flight

@@ -16,13 +16,17 @@
 /// concurrently, one compiles and the other waits on the same future — a
 /// model with repeated shapes never tunes a shape twice.
 ///
-/// Joins come in two flavors. The blocking one (getOrCompute) parks the
-/// calling thread on the winner's future — fine for caller-owned threads.
-/// The continuation one (resolveThen) registers a Waiter callback on the
-/// in-flight entry instead; the winner drains every registered waiter when
-/// it completes, on the success and failure paths alike. A join therefore
-/// never has to occupy a thread, which is what lets a session pool keep
-/// tuning while thousands of tickets fan into the same few compiles.
+/// resolveThen is the one resolve primitive: it classifies a key as ready,
+/// joined (a Waiter callback is registered on the in-flight entry) or
+/// must-compute (the caller becomes the winner and resolves a
+/// ComputeTicket via fulfill/fail). The winner drains every registered
+/// waiter when it completes, on the success and failure paths alike, so
+/// a join never has to occupy a thread. CompilerSession routes blocking
+/// and async compiles alike through it: a blocking caller waits on the
+/// entry's future on its own thread, an async one just walks away. That
+/// is what lets a session pool keep tuning while thousands of tickets fan
+/// into the same few compiles. getOrCompute wraps the same primitive for
+/// callers that own their thread and a plain compile function.
 ///
 /// The cache is bounded (optionally) by an LRU entry cap and/or an LRU
 /// byte cap over the resident-byte accounting, expires (optionally) by

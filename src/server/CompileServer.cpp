@@ -67,6 +67,28 @@ void logSlowCompile(double ThresholdMillis, double Seconds,
                    : "(none)");
 }
 
+/// The message a failed compile's error frame carries, blocking reply or
+/// async notification alike.
+std::string failureMessage(std::exception_ptr Error) {
+  try {
+    std::rethrow_exception(Error);
+  } catch (const std::exception &E) {
+    return std::string("compile failed: ") + E.what();
+  } catch (...) {
+    return "compile failed: unknown error";
+  }
+}
+
+/// An error frame echoing \p Request's id. Callers count the error.
+Json errorFrame(const Json &Request, const std::string &Message) {
+  Json J = Json::object();
+  J.set("type", "error");
+  if (const Json *Id = Request.get("id"))
+    J.set("id", *Id);
+  J.set("message", Message);
+  return J;
+}
+
 } // namespace
 
 CompileServer::CompileServer(ServerConfig ConfigIn)
@@ -477,18 +499,15 @@ void CompileServer::serveConnection(Connection &Conn) {
     std::optional<Json> Request = Json::parse(Payload, &ParseErr);
     if (Request) {
       ReqSpan.annotate("type", Request->str("type").c_str());
-      // Exception barrier: compiles can throw (user-registered backends,
-      // bad_alloc under memory pressure — KernelCache deliberately
-      // propagates them so the key stays retryable). One request's
-      // failure must become one error response, never std::terminate
-      // for the whole shared daemon.
+      // Exception barrier: compile handlers answer their own failures
+      // (finishCompile), but anything else that throws (bad_alloc under
+      // memory pressure, say) must become one error response, never
+      // std::terminate for the whole shared daemon.
       try {
         Response = handleRequest(Conn, *Request, CloseAfter, AnnounceTicketId);
-      } catch (const std::exception &E) {
-        Response = errorResponse(*Request,
-                                 std::string("compile failed: ") + E.what());
       } catch (...) {
-        Response = errorResponse(*Request, "compile failed: unknown error");
+        Response =
+            errorResponse(*Request, failureMessage(std::current_exception()));
       }
     } else {
       Response = errorResponse(Json(), "malformed JSON: " + ParseErr);
@@ -560,12 +579,7 @@ Json CompileServer::errorResponse(const Json &Request,
     std::lock_guard<std::mutex> Lock(StatsMu);
     ++Lifetime.Errors;
   }
-  Json J = Json::object();
-  J.set("type", "error");
-  if (const Json *Id = Request.get("id"))
-    J.set("id", *Id);
-  J.set("message", Message);
-  return J;
+  return errorFrame(Request, Message);
 }
 
 Json CompileServer::handleRequest(Connection &Conn, const Json &Request,
@@ -689,20 +703,37 @@ int CompileServer::effectiveBudget(const std::string &ClientName,
   return Effective;
 }
 
-void CompileServer::recordServed(Connection &Conn, double Seconds,
-                                 uint64_t Layers, uint64_t FromCache,
-                                 uint64_t FreshKernels, bool IsCompile) {
+std::string CompileServer::finishCompile(Connection &Conn, double SubmitSeconds,
+                                        CachePolicy Policy, uint64_t Ticket,
+                                        const KernelReport *Report,
+                                        uint64_t Layers, uint64_t FromCache,
+                                        uint64_t Fresh,
+                                        std::exception_ptr Error) {
+  double Seconds = steadyNowSeconds() - SubmitSeconds;
+  // Dirty-flag for the persist thread: fresh kernels changed the cache
+  // (Bypass writes nothing). A failure ticks too: a failed compile_model
+  // may have cached the layers before the failing one, and a spurious
+  // tick costs one redundant save at most.
+  if (Policy != CachePolicy::Bypass && (Fresh > 0 || Error))
+    CompilesSinceSave.fetch_add(1);
+  // Single-kernel requests pass their report; compile_model passes none.
+  const char *Kind = Error    ? "error"
+                     : Report ? (Fresh > 0 ? "cold" : "warm")
+                              : (Fresh > 0 ? "model" : "model-warm");
+  logSlowCompile(Config.SlowCompileMillis, Seconds, Conn.ClientName, Ticket,
+                 Kind, Report);
   std::lock_guard<std::mutex> Lock(StatsMu);
+  if (Error)
+    ++Lifetime.Errors;
   ClientStats &C = clientSlotLocked(Conn.ClientName);
   ++C.Requests;
-  if (IsCompile) {
-    ++C.CompileRequests;
-    C.LayersRequested += Layers;
-    C.LayersFromCache += FromCache;
-    Lifetime.CompiledKernels += FreshKernels;
-  }
+  ++C.CompileRequests;
+  C.LayersRequested += Layers;
+  C.LayersFromCache += FromCache;
+  Lifetime.CompiledKernels += Fresh;
   C.TotalSeconds += Seconds;
   C.MaxSeconds = std::max(C.MaxSeconds, Seconds);
+  return Error ? failureMessage(Error) : std::string();
 }
 
 bool CompileServer::parseCompileRequest(Connection &Conn, const Json &Request,
@@ -774,23 +805,25 @@ Json CompileServer::handleCompile(Connection &Conn, const Json &Request) {
   // account exactly one compiled layer between them.
   double T0 = steadyNowSeconds();
   bool Computed = false;
-  KernelReport Report = Session->compile(*Compile, &Computed);
-  double Seconds = steadyNowSeconds() - T0;
-  logSlowCompile(Config.SlowCompileMillis, Seconds, Conn.ClientName,
-                 /*Ticket=*/0, Computed ? "cold" : "warm", &Report);
-  bool Cached = !Computed;
-  // Dirty-flag for the persist thread — only compiles that actually
-  // inserted into the cache count (Bypass computes but writes nothing).
-  if (Computed && Compile->Options.Policy != CachePolicy::Bypass)
-    CompilesSinceSave.fetch_add(1);
-  recordServed(Conn, Seconds, /*Layers=*/1, /*FromCache=*/Cached ? 1 : 0,
-               /*FreshKernels=*/Computed ? 1 : 0, /*IsCompile=*/true);
+  KernelReport Report;
+  std::exception_ptr Error;
+  try {
+    Report = Session->compile(*Compile, &Computed);
+  } catch (...) {
+    Error = std::current_exception();
+  }
+  std::string Failure = finishCompile(
+      Conn, T0, Compile->Options.Policy, /*Ticket=*/0,
+      Error ? nullptr : &Report, /*Layers=*/1,
+      /*FromCache=*/!Error && !Computed, Computed, Error);
+  if (Error)
+    return errorFrame(Request, Failure);
 
   Json J = Json::object();
   J.set("type", "result");
   if (const Json *Id = Request.get("id"))
     J.set("id", *Id);
-  J.set("cached", Cached);
+  J.set("cached", !Computed);
   J.set("report", toJson(Report));
   return J;
 }
@@ -849,37 +882,17 @@ void CompileServer::finishTicket(Connection &Conn, uint64_t Ticket,
                                  double SubmitSeconds, CachePolicy Policy,
                                  const KernelReport *Report,
                                  std::exception_ptr Error, bool Computed) {
-  std::string Payload;
-  if (Report) {
-    Payload = makeResultNotification(Ticket, /*Cached=*/!Computed, *Report)
-                  .dump();
-  } else {
-    std::string Message = "compile failed: unknown error";
-    if (Error) {
-      try {
-        std::rethrow_exception(Error);
-      } catch (const std::exception &E) {
-        Message = std::string("compile failed: ") + E.what();
-      } catch (...) {
-      }
-    }
-    Payload = makeErrorNotification(Ticket, Message).dump();
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Lifetime.Errors;
-  }
-
   // The work happened whether or not anyone still wants the answer, so
   // the accounting is unconditional; only delivery is gated on the
   // ticket's fate.
-  if (Computed && Policy != CachePolicy::Bypass)
-    CompilesSinceSave.fetch_add(1);
-  double WallSeconds = steadyNowSeconds() - SubmitSeconds;
-  logSlowCompile(Config.SlowCompileMillis, WallSeconds, Conn.ClientName,
-                 Ticket,
-                 !Report ? "error" : (Computed ? "cold" : "warm"), Report);
-  recordServed(Conn, WallSeconds, /*Layers=*/1,
-               /*FromCache=*/(Report && !Computed) ? 1 : 0,
-               /*FreshKernels=*/Computed ? 1 : 0, /*IsCompile=*/true);
+  std::string Failure = finishCompile(Conn, SubmitSeconds, Policy, Ticket,
+                                      Report, /*Layers=*/1,
+                                      /*FromCache=*/Report && !Computed,
+                                      Computed, Error);
+  std::string Payload =
+      Report ? makeResultNotification(Ticket, /*Cached=*/!Computed, *Report)
+                   .dump()
+             : makeErrorNotification(Ticket, Failure).dump();
 
   bool Deliver = false;
   {
@@ -1007,28 +1020,19 @@ Json CompileServer::handleCompileModel(Connection &Conn, const Json &Request) {
 
   double T0 = steadyNowSeconds();
   ModelCompileResult Result;
+  std::exception_ptr Error;
   try {
     Result = Session->compileModel(M, *Target, Options);
   } catch (...) {
-    // Layers compiled before the failing one are already in the cache;
-    // a conservative dirty tick keeps the persist thread from skipping
-    // them if the daemon later dies ungracefully.
-    if (Options.Policy != CachePolicy::Bypass)
-      CompilesSinceSave.fetch_add(1);
-    throw; // serveConnection's barrier turns this into an error reply.
+    Error = std::current_exception();
   }
-  double Seconds = steadyNowSeconds() - T0;
-  // Dirty-flag for the persist thread: only kernels this call actually
-  // compiled changed the cache (race-free FreshCompiles, not the probed
-  // hit count — and Bypass writes nothing).
-  if (Options.Policy != CachePolicy::Bypass && Result.FreshCompiles > 0)
-    CompilesSinceSave.fetch_add(1);
-  logSlowCompile(Config.SlowCompileMillis, Seconds, Conn.ClientName,
-                 /*Ticket=*/0,
-                 Result.FreshCompiles > 0 ? "model" : "model-warm",
-                 /*Report=*/nullptr);
-  recordServed(Conn, Seconds, Result.Layers.size(), Result.CacheHitLayers,
-               /*FreshKernels=*/Result.FreshCompiles, /*IsCompile=*/true);
+  // FreshCompiles is race-free (from the compiles themselves), unlike
+  // the probed hit count.
+  std::string Failure = finishCompile(
+      Conn, T0, Options.Policy, /*Ticket=*/0, /*Report=*/nullptr,
+      M.Convs.size(), Result.CacheHitLayers, Result.FreshCompiles, Error);
+  if (Error)
+    return errorFrame(Request, Failure);
 
   Json Layers = Json::array();
   for (const KernelReport &R : Result.Layers)

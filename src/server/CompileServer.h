@@ -261,10 +261,11 @@ private:
   /// Dispatches one request; returns the response message and sets
   /// \p CloseAfter for shutdown and \p AnnounceTicket for compile_async
   /// (the ticket whose deferred notification becomes deliverable once
-  /// the response is on the wire). Compile paths may throw (backends and
-  /// bad_alloc propagate through the cache by design) — serveConnection
-  /// wraps the call in an exception barrier that turns the failure into
-  /// an error response instead of terminating the daemon.
+  /// the response is on the wire). Compile handlers turn a failed
+  /// compile into an error reply through finishCompile; serveConnection
+  /// still wraps the call in an exception barrier, so anything else that
+  /// throws (bad_alloc, say) becomes an error response instead of
+  /// terminating the daemon.
   Json handleRequest(Connection &Conn, const Json &Request, bool &CloseAfter,
                      uint64_t &AnnounceTicket);
   Json handleHello(Connection &Conn, const Json &Request);
@@ -310,9 +311,10 @@ private:
   /// submitted reply.
   void announceTicket(Connection &Conn, uint64_t Ticket);
 
-  /// The completion hook for one streaming job: delivers (or defers) the
-  /// notification, does the stats/persistence accounting, and signals the
-  /// connection drain. Runs on a session pool worker.
+  /// The completion hook for one streaming job: runs finishCompile,
+  /// delivers (or defers) the notification, and signals the connection
+  /// drain. Runs on whichever thread resolves the job (see
+  /// CompilerSession::JobCallback).
   void finishTicket(Connection &Conn, uint64_t Ticket, double SubmitSeconds,
                     CachePolicy Policy, const KernelReport *Report,
                     std::exception_ptr Error, bool Computed);
@@ -330,9 +332,18 @@ private:
   ClientStats &clientSlotLocked(const std::string &ClientName);
 
   Json errorResponse(const Json &Request, const std::string &Message);
-  void recordServed(Connection &Conn, double Seconds, uint64_t Layers,
-                    uint64_t FromCache, uint64_t FreshKernels,
-                    bool IsCompile);
+
+  /// The one completion path every compile request shares (compile,
+  /// compile_model, and each compile_async ticket): the persist thread's
+  /// dirty tick, the slow-compile digest, the per-client served row and,
+  /// when \p Error is set, the error count. \p Ticket is 0 on blocking
+  /// paths; \p Report is null for compile_model and on failure. Returns
+  /// the failure's error-frame message, empty on success.
+  std::string finishCompile(Connection &Conn, double SubmitSeconds,
+                            CachePolicy Policy, uint64_t Ticket,
+                            const KernelReport *Report, uint64_t Layers,
+                            uint64_t FromCache, uint64_t Fresh,
+                            std::exception_ptr Error);
 
   ServerConfig Config;
   std::shared_ptr<CompilerSession> Session;

@@ -429,19 +429,6 @@ TunedKernel unit::tuneCpu(const ComputeOpRef &Op, const MatchResult &Match,
   return Best;
 }
 
-TunedKernel unit::tuneCpu(const ComputeOpRef &Op, const MatchResult &Match,
-                          const CpuMachine &Machine, ThreadPool *Pool,
-                          int MaxCandidates) {
-  TunerOptions Opts;
-  Opts.MaxCandidates = MaxCandidates;
-  return tuneCpu(Op, Match, Machine, Pool, Opts);
-}
-
-TunedKernel unit::tuneCpu(const ComputeOpRef &Op, const MatchResult &Match,
-                          const CpuMachine &Machine, int MaxCandidates) {
-  return tuneCpu(Op, Match, Machine, /*Pool=*/nullptr, MaxCandidates);
-}
-
 TunedKernel unit::tuneGpu(const ComputeOpRef &Op, const MatchResult &Match,
                           const GpuMachine &Machine, ThreadPool *Pool,
                           const TunerOptions &Opts) {
@@ -464,19 +451,6 @@ TunedKernel unit::tuneGpu(const ComputeOpRef &Op, const MatchResult &Match,
       Opts, Pool);
   annotateSearch(Search, Best, Opts);
   return Best;
-}
-
-TunedKernel unit::tuneGpu(const ComputeOpRef &Op, const MatchResult &Match,
-                          const GpuMachine &Machine, ThreadPool *Pool,
-                          int MaxCandidates) {
-  TunerOptions Opts;
-  Opts.MaxCandidates = MaxCandidates;
-  return tuneGpu(Op, Match, Machine, Pool, Opts);
-}
-
-TunedKernel unit::tuneGpu(const ComputeOpRef &Op, const MatchResult &Match,
-                          const GpuMachine &Machine, int MaxCandidates) {
-  return tuneGpu(Op, Match, Machine, /*Pool=*/nullptr, MaxCandidates);
 }
 
 CpuAblation unit::cpuAblation(const ComputeOpRef &Op,

@@ -85,36 +85,21 @@ struct TunerOptions {
   int SeedCandidate = -1;
 };
 
-/// Searches the CPU pair list (optionally truncated to \p MaxCandidates).
+/// The one search entry point per engine. Candidates are built and scored
+/// concurrently on \p Pool when it is non-null, but the winner is chosen
+/// by an index-stable argmin, so the result (plan, stats, telemetry) is
+/// bit-identical to the sequential search regardless of thread timing.
+/// With \p Opts defaulted (no cap, no pruning, no seed) this is the
+/// exhaustive search. With pruning on, winner fields stay bit-identical
+/// (sequential or pool-parallel) while the scored subset may differ run to
+/// run under a pool: threads race the running best, and a stale best only
+/// prunes *less*, never wrongly.
 TunedKernel tuneCpu(const ComputeOpRef &Op, const MatchResult &Match,
-                    const CpuMachine &Machine, int MaxCandidates = -1);
-
-/// Searches the GPU config list.
+                    const CpuMachine &Machine, ThreadPool *Pool = nullptr,
+                    const TunerOptions &Opts = {});
 TunedKernel tuneGpu(const ComputeOpRef &Op, const MatchResult &Match,
-                    const GpuMachine &Machine, int MaxCandidates = -1);
-
-/// Pool-accelerated variants: candidates are built and scored concurrently
-/// on \p Pool (when non-null), but the winner is chosen by an index-stable
-/// argmin, so the result — plan, stats, telemetry — is bit-identical to the
-/// sequential search regardless of thread timing.
-TunedKernel tuneCpu(const ComputeOpRef &Op, const MatchResult &Match,
-                    const CpuMachine &Machine, ThreadPool *Pool,
-                    int MaxCandidates = -1);
-TunedKernel tuneGpu(const ComputeOpRef &Op, const MatchResult &Match,
-                    const GpuMachine &Machine, ThreadPool *Pool,
-                    int MaxCandidates = -1);
-
-/// Full-option search entry points. With Prune off and no seed these are
-/// exactly the legacy searches above (which forward here). With pruning
-/// on, winner fields stay bit-identical — sequential or pool-parallel —
-/// while the scored subset may differ run to run under a pool (threads
-/// race the running best; a stale best only prunes *less*, never wrongly).
-TunedKernel tuneCpu(const ComputeOpRef &Op, const MatchResult &Match,
-                    const CpuMachine &Machine, ThreadPool *Pool,
-                    const TunerOptions &Opts);
-TunedKernel tuneGpu(const ComputeOpRef &Op, const MatchResult &Match,
-                    const GpuMachine &Machine, ThreadPool *Pool,
-                    const TunerOptions &Opts);
+                    const GpuMachine &Machine, ThreadPool *Pool = nullptr,
+                    const TunerOptions &Opts = {});
 
 /// Monotone process-wide count of tuner searches run so far (tuneCpu +
 /// tuneGpu). The persistence tests assert a warm-from-disk model compile

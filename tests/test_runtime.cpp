@@ -18,6 +18,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <future>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -523,6 +525,30 @@ TEST(CompileAsync, SixtyFourContinuationsOnTwoThreadsNeverPark) {
   EXPECT_EQ(Stats.ContinuationJoins + Stats.InlineReadyHits, 63u);
 }
 
+TEST(CompileAsync, ParallelModelCountsEveryFreshCompileBeforeReturning) {
+  // A slow observer holds each pool worker's task open after its result
+  // is published (tasks the joining thread drains itself stay fast), so
+  // compileModel sees every future ready while workers are still running.
+  // Its FreshCompiles counter must already be complete then: it lives on
+  // compileModel's frame.
+  SessionConfig C;
+  C.Threads = 2;
+  CompilerSession Session(C);
+  std::thread::id Caller = std::this_thread::get_id();
+  Session.setCompileObserver(
+      [Caller](const std::string &, const KernelReport &) {
+        if (std::this_thread::get_id() != Caller)
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      });
+  auto Backend = std::make_shared<ProbeBackend>("freshcount");
+  Backend->SleepMillis = 2; // Long enough for the workers to take tasks.
+  ModelCompileResult R = Session.compileModel(makeResnet18(), *Backend);
+  Session.quiesce();
+  EXPECT_GT(R.DistinctShapes, 1u);
+  EXPECT_EQ(R.FreshCompiles, R.DistinctShapes);
+  EXPECT_EQ(static_cast<size_t>(Backend->Compiles.load()), R.DistinctShapes);
+}
+
 TEST(CompileAsync, FailureDrainsEveryRegisteredWaiter) {
   SessionConfig C;
   C.Threads = 2;
@@ -612,6 +638,214 @@ TEST(CachePolicy, RefreshRecompilesAndReinserts) {
   // And the refreshed entry serves later default requests.
   Session.compile({Workload::conv2d(L), Backend});
   EXPECT_EQ(Backend->Compiles.load(), 2);
+}
+
+//===----------------------------------------------------------------------===//
+// Blocking / async parity
+//===----------------------------------------------------------------------===//
+
+/// The real x86 backend behind two test levers: the first compile after
+/// GateNext is set parks on Gate (holding its winner in flight), and Throw
+/// fails every compile. Keys, tuning, transfer seeds and candidate counts
+/// are the real ones.
+class ParityBackend : public TargetBackend {
+public:
+  TargetBackendRef Real = TargetRegistry::instance().get("x86");
+  std::shared_future<void> Gate;
+  mutable std::atomic<bool> GateNext{false};
+  mutable std::atomic<bool> Started{false};
+  bool Throw = false;
+
+  const std::string &id() const override { return Real->id(); }
+  std::string cacheSalt() const override { return Real->cacheSalt(); }
+  const QuantScheme &scheme() const override { return Real->scheme(); }
+  std::string convKey(const ConvLayer &L) const override {
+    return Real->convKey(L);
+  }
+  KernelReport compileConv(const ConvLayer &L, ThreadPool *Pool,
+                           const CompileOptions &Options) const override {
+    if (GateNext.exchange(false)) {
+      Started.store(true);
+      Gate.wait();
+    }
+    if (Throw)
+      throw std::runtime_error("parity backend failure");
+    return Real->compileConv(L, Pool, Options);
+  }
+  KernelReport compileOp(const ComputeOpRef &Op, ThreadPool *Pool,
+                         const CompileOptions &Options) const override {
+    return Real->compileOp(Op, Pool, Options);
+  }
+};
+
+enum class ParityCase { ReadyHit, InFlightJoin, Miss, PeerServed, Throwing };
+
+/// What one measured request did, as seen from outside the session.
+struct ParityObservation {
+  bool Threw = false;
+  KernelReport Report;
+  bool Computed = false;
+  uint64_t Seeds = 0;  ///< SessionStats::TransferSeeds delta.
+  uint64_t Scored = 0; ///< tunerCandidatesScored() delta.
+  uint64_t Cold = 0, Warm = 0, Join = 0; ///< Latency histogram growth.
+};
+
+/// Sets up \p Case in a fresh session, then resolves one \p Policy request
+/// for the target layer through compile() or compileAsyncThen().
+ParityObservation observeParity(CachePolicy Policy, ParityCase Case,
+                                bool Async) {
+  SessionConfig C;
+  C.Threads = 2;
+  C.ParallelCandidates = false; // Keeps the scored count deterministic.
+  CompilerSession Session(C);
+  auto Backend = std::make_shared<ParityBackend>();
+  ConvLayer Target{"t", 32, 14, 14, 64, 3, 3, 1, 1, 1, false};
+  ConvLayer Neighbor{"n", 32, 14, 14, 48, 3, 3, 1, 1, 1, false};
+  // A near-isomorphic winner in the transfer index: a cold tune of the
+  // target gets a seed from it.
+  Session.compile({Workload::conv2d(Neighbor), Backend});
+
+  std::promise<void> Gate;
+  switch (Case) {
+  case ParityCase::ReadyHit:
+    Session.compile({Workload::conv2d(Target), Backend});
+    break;
+  case ParityCase::InFlightJoin:
+    Backend->Gate = Gate.get_future().share();
+    Backend->GateNext.store(true);
+    Session.compileAsync({Workload::conv2d(Target), Backend});
+    while (!Backend->Started.load())
+      std::this_thread::yield();
+    break;
+  case ParityCase::Miss:
+    break;
+  case ParityCase::PeerServed: {
+    KernelReport Peer;
+    Peer.Seconds = 1e-3;
+    Peer.Tensorized = true;
+    Peer.BestCandidateIndex = 2;
+    Peer.CandidatesTried = 7;
+    Peer.IntrinsicName = "peer";
+    Session.setColdMissFetcher(
+        [Peer](const std::string &) { return std::optional(Peer); });
+    break;
+  }
+  case ParityCase::Throwing:
+    Backend->Throw = true;
+    break;
+  }
+
+  CompileOptions Options;
+  Options.Policy = Policy;
+  CompileRequest Request(Workload::conv2d(Target), Backend, Options);
+  uint64_t Seeds0 = Session.sessionStats().TransferSeeds;
+  uint64_t Scored0 = tunerCandidatesScored();
+  CompilerSession::LatencySnapshots L0 = Session.latencySnapshots();
+  uint64_t Hits0 = Session.cache().stats().Hits;
+
+  ParityObservation Obs;
+  auto Resolve = [&] {
+    if (Async) {
+      Session.compileAsyncThen(Request, [&](const KernelReport *Report,
+                                            std::exception_ptr,
+                                            bool Computed) {
+        Obs.Threw = !Report;
+        if (Report)
+          Obs.Report = *Report;
+        Obs.Computed = Computed;
+      });
+      return;
+    }
+    try {
+      Obs.Report = Session.compile(Request, &Obs.Computed);
+    } catch (const std::runtime_error &) {
+      Obs.Threw = true;
+    }
+  };
+  // A blocking join holds its caller until the gate opens, so the request
+  // runs on its own thread and the gate opens once the join registered
+  // (Bypass never touches the cache, so it never joins).
+  std::thread Caller(Resolve);
+  if (Case == ParityCase::InFlightJoin) {
+    if (Policy != CachePolicy::Bypass)
+      while (Session.cache().stats().Hits == Hits0)
+        std::this_thread::yield();
+    Gate.set_value();
+  }
+  Caller.join();
+  Session.quiesce();
+
+  CompilerSession::LatencySnapshots L1 = Session.latencySnapshots();
+  Obs.Seeds = Session.sessionStats().TransferSeeds - Seeds0;
+  Obs.Scored = tunerCandidatesScored() - Scored0;
+  Obs.Cold = L1.Cold.Count - L0.Cold.Count;
+  Obs.Warm = L1.Warm.Count - L0.Warm.Count;
+  Obs.Join = L1.Join.Count - L0.Join.Count;
+  return Obs;
+}
+
+TEST(CompileParity, BlockingAndAsyncResolveEveryCaseAlike) {
+  for (CachePolicy Policy :
+       {CachePolicy::Default, CachePolicy::Refresh, CachePolicy::Bypass})
+    for (ParityCase Case :
+         {ParityCase::ReadyHit, ParityCase::InFlightJoin, ParityCase::Miss,
+          ParityCase::PeerServed, ParityCase::Throwing}) {
+      const char *PolicyNames[] = {"default", "bypass", "refresh"};
+      const char *CaseNames[] = {"ready-hit", "in-flight-join", "miss",
+                                 "peer-served", "throwing"};
+      SCOPED_TRACE(std::string(PolicyNames[static_cast<int>(Policy)]) + ", " +
+                   CaseNames[static_cast<int>(Case)]);
+      ParityObservation B = observeParity(Policy, Case, /*Async=*/false);
+      ParityObservation A = observeParity(Policy, Case, /*Async=*/true);
+      EXPECT_EQ(B.Threw, A.Threw);
+      EXPECT_EQ(B.Report.Seconds, A.Report.Seconds);
+      EXPECT_EQ(B.Report.Tensorized, A.Report.Tensorized);
+      EXPECT_EQ(B.Report.BestCandidateIndex, A.Report.BestCandidateIndex);
+      EXPECT_EQ(B.Report.CandidatesTried, A.Report.CandidatesTried);
+      EXPECT_EQ(B.Report.IntrinsicName, A.Report.IntrinsicName);
+      EXPECT_EQ(B.Computed, A.Computed);
+      EXPECT_EQ(B.Seeds, A.Seeds);
+      EXPECT_EQ(B.Scored, A.Scored);
+      EXPECT_EQ(B.Cold, A.Cold);
+      EXPECT_EQ(B.Warm, A.Warm);
+      EXPECT_EQ(B.Join, A.Join);
+      // One histogram sample per request; the join window also holds
+      // the gated winner's cold sample.
+      EXPECT_EQ(B.Cold + B.Warm + B.Join,
+                Case == ParityCase::InFlightJoin ? 2u : 1u);
+    }
+}
+
+TEST(CompileParity, CasesExerciseWhatTheyName) {
+  ParityObservation Miss =
+      observeParity(CachePolicy::Default, ParityCase::Miss, false);
+  EXPECT_TRUE(Miss.Computed);
+  EXPECT_EQ(Miss.Seeds, 1u) << "the neighbor should seed the cold tune";
+  EXPECT_EQ(Miss.Cold, 1u);
+  ParityObservation Hit =
+      observeParity(CachePolicy::Default, ParityCase::ReadyHit, false);
+  EXPECT_FALSE(Hit.Computed);
+  EXPECT_EQ(Hit.Scored, 0u);
+  EXPECT_EQ(Hit.Warm, 1u);
+  ParityObservation Join =
+      observeParity(CachePolicy::Default, ParityCase::InFlightJoin, false);
+  EXPECT_FALSE(Join.Computed);
+  EXPECT_EQ(Join.Join, 1u);
+  ParityObservation Peer =
+      observeParity(CachePolicy::Default, ParityCase::PeerServed, false);
+  EXPECT_FALSE(Peer.Computed);
+  EXPECT_EQ(Peer.Report.IntrinsicName, "peer");
+  EXPECT_EQ(Peer.Scored, 0u);
+  EXPECT_EQ(Peer.Cold, 1u);
+  ParityObservation Fail =
+      observeParity(CachePolicy::Default, ParityCase::Throwing, false);
+  EXPECT_TRUE(Fail.Threw);
+  EXPECT_EQ(Fail.Cold, 1u);
+  // Bypass tunes like a miss, transfer seed included.
+  ParityObservation Bypass =
+      observeParity(CachePolicy::Bypass, ParityCase::ReadyHit, true);
+  EXPECT_TRUE(Bypass.Computed);
+  EXPECT_EQ(Bypass.Seeds, 1u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -144,7 +144,9 @@ TEST(TuneCpu, BestIsNoWorseThanDefault) {
 TEST(TuneCpu, MaxCandidatesTruncates) {
   OpFixture F = makeConv2D(16, 16, 16, 32, 3, 3);
   CpuMachine Machine = CpuMachine::cascadeLake();
-  TunedKernel T = tuneCpu(F.Op, matchVnni(F.Op), Machine, 3);
+  TunerOptions Opts;
+  Opts.MaxCandidates = 3;
+  TunedKernel T = tuneCpu(F.Op, matchVnni(F.Op), Machine, nullptr, Opts);
   EXPECT_EQ(T.CandidatesTried, 3);
 }
 
