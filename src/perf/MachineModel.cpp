@@ -7,11 +7,15 @@
 using namespace unit;
 
 namespace {
-/// Appends one double in exact hex-float form.
-void appendParam(std::string &Out, double V) {
-  char Buf[40];
-  std::snprintf(Buf, sizeof(Buf), ",%a", V);
-  Out += Buf;
+/// The name, then every field-table parameter in exact hex-float form.
+template <typename MachineT> std::string fingerprint(const MachineT &M) {
+  std::string Out = M.Name;
+  for (const MachineField<MachineT> &F : MachineT::fields()) {
+    char Buf[40];
+    std::snprintf(Buf, sizeof(Buf), ",%a", F.get(M));
+    Out += Buf;
+  }
+  return Out;
 }
 } // namespace
 
@@ -54,15 +58,26 @@ CpuMachine CpuMachine::graviton2() {
   return M;
 }
 
+const std::vector<MachineField<CpuMachine>> &CpuMachine::fields() {
+  static const std::vector<MachineField<CpuMachine>> Fields = {
+      {"freq_ghz", &CpuMachine::FreqGHz},
+      {"cores", &CpuMachine::Cores},
+      {"load_ports_per_cycle", &CpuMachine::LoadPortsPerCycle},
+      {"fork_join_cycles", &CpuMachine::ForkJoinCycles},
+      {"per_chunk_sched_cycles", &CpuMachine::PerChunkSchedCycles},
+      {"icache_body_budget_bytes", &CpuMachine::ICacheBodyBudgetBytes},
+      {"residue_branch_penalty", &CpuMachine::ResidueBranchPenalty},
+      {"dram_bytes_per_cycle", &CpuMachine::DramBytesPerCycle},
+      {"l2_bytes_per_core", &CpuMachine::L2BytesPerCore},
+      {"simd_vector_bytes", &CpuMachine::SimdVectorBytes},
+      {"simd_pipes", &CpuMachine::SimdPipes},
+      {"widening_factor_no_dot", &CpuMachine::WideningFactorNoDot},
+  };
+  return Fields;
+}
+
 std::string CpuMachine::cacheFingerprint() const {
-  std::string Out = Name;
-  for (double V :
-       {FreqGHz, static_cast<double>(Cores), LoadPortsPerCycle,
-        ForkJoinCycles, PerChunkSchedCycles, ICacheBodyBudgetBytes,
-        ResidueBranchPenalty, DramBytesPerCycle, L2BytesPerCore,
-        SimdVectorBytes, SimdPipes, WideningFactorNoDot})
-    appendParam(Out, V);
-  return Out;
+  return fingerprint(*this);
 }
 
 GpuMachine GpuMachine::v100() {
@@ -88,14 +103,26 @@ GpuMachine GpuMachine::v100() {
   return M;
 }
 
+const std::vector<MachineField<GpuMachine>> &GpuMachine::fields() {
+  static const std::vector<MachineField<GpuMachine>> Fields = {
+      {"freq_ghz", &GpuMachine::FreqGHz},
+      {"sms", &GpuMachine::SMs},
+      {"wmma_per_cycle_per_sm", &GpuMachine::WmmaPerCyclePerSM},
+      {"warp_issue_cycles", &GpuMachine::WarpIssueCycles},
+      {"fma_per_cycle_per_sm", &GpuMachine::FmaPerCyclePerSM},
+      {"kernel_launch_micros", &GpuMachine::KernelLaunchMicros},
+      {"sync_base_cycles", &GpuMachine::SyncBaseCycles},
+      {"sync_per_segment_cycles", &GpuMachine::SyncPerSegmentCycles},
+      {"regs_per_accum_tile", &GpuMachine::RegsPerAccumTile},
+      {"regs_base", &GpuMachine::RegsBase},
+      {"reg_budget_per_warp", &GpuMachine::RegBudgetPerWarp},
+      {"dram_bytes_per_cycle", &GpuMachine::DramBytesPerCycle},
+      {"warps_for_peak_bandwidth", &GpuMachine::WarpsForPeakBandwidth},
+      {"shared_bytes_per_sm", &GpuMachine::SharedBytesPerSM},
+  };
+  return Fields;
+}
+
 std::string GpuMachine::cacheFingerprint() const {
-  std::string Out = Name;
-  for (double V :
-       {FreqGHz, static_cast<double>(SMs), WmmaPerCyclePerSM,
-        WarpIssueCycles, FmaPerCyclePerSM, KernelLaunchMicros,
-        SyncBaseCycles, SyncPerSegmentCycles, RegsPerAccumTile, RegsBase,
-        RegBudgetPerWarp, DramBytesPerCycle, WarpsForPeakBandwidth,
-        SharedBytesPerSM})
-    appendParam(Out, V);
-  return Out;
+  return fingerprint(*this);
 }

@@ -22,8 +22,35 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace unit {
+
+/// One machine parameter as spec files, machine overlays and cache
+/// fingerprints see it: its snake_case key and the member it names. A
+/// parameter is either a finite positive real (Real set) or a positive
+/// integer count such as cores or SMs (Count set).
+template <typename MachineT> struct MachineField {
+  const char *Key;
+  double MachineT::*Real = nullptr;
+  int MachineT::*Count = nullptr;
+
+  MachineField(const char *Key, double MachineT::*Real)
+      : Key(Key), Real(Real) {}
+  MachineField(const char *Key, int MachineT::*Count)
+      : Key(Key), Count(Count) {}
+
+  double get(const MachineT &M) const {
+    return Real ? M.*Real : static_cast<double>(M.*Count);
+  }
+  /// Callers validate \p V first; a count field takes an integral value.
+  void set(MachineT &M, double V) const {
+    if (Real)
+      M.*Real = V;
+    else
+      M.*Count = static_cast<int>(V);
+  }
+};
 
 /// A multicore CPU with SIMD/tensorized execution units.
 struct CpuMachine {
@@ -51,6 +78,11 @@ struct CpuMachine {
   /// AWS m6g.8xlarge: Graviton2 (Neoverse N1), 32 cores at 2.3 GHz,
   /// 128-bit NEON with the DOT extension.
   static CpuMachine graviton2();
+
+  /// Every parameter except Name, in declaration order. Adding a member
+  /// means adding its row here; the spec-file codec, machine overlays and
+  /// cacheFingerprint all walk this list.
+  static const std::vector<MachineField<CpuMachine>> &fields();
 
   /// Exact serialization of every latency-relevant parameter (name
   /// included). Kernel-cache salts use this so two machines that share a
@@ -84,6 +116,9 @@ struct GpuMachine {
 
   /// AWS p3.2xlarge: Tesla V100-SXM2, 80 SMs at 1.53 GHz.
   static GpuMachine v100();
+
+  /// Every parameter except Name; see CpuMachine::fields.
+  static const std::vector<MachineField<GpuMachine>> &fields();
 
   /// Exact parameter serialization; see CpuMachine::cacheFingerprint.
   std::string cacheFingerprint() const;

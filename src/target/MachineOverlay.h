@@ -14,19 +14,20 @@
 /// fingerprint rejects kernels tuned under the factory constants. Nothing
 /// downstream needs to know a refit happened.
 ///
-/// Overlay schema (written by tools/unit_refit, hand-editable):
+/// Overlay schema (written by tools/unit_refit, hand-editable; a worked
+/// example is in docs/TUNING.md):
 ///
 ///   { "version": 1,
-///     "refit": [
-///       { "target": "x86",
-///         "cpu": { "fork_join_cycles": 1400, "dram_bytes_per_cycle": 42 } },
-///       { "target": "nvgpu",
-///         "gpu": { "dram_bytes_per_cycle": 580 } } ] }
+///     "refit": [ { "target": ID, "cpu": PARTIAL-MACHINE-BLOCK }, ... ] }
 ///
-/// Field names mirror perf/MachineModel.h in snake_case; absent fields
-/// keep their registered values. The block ("cpu" / "gpu") must match the
-/// target's engine. Application is all-or-nothing: every entry is
-/// validated against the registry before any spec is replaced.
+/// with "gpu" in place of "cpu" for GPU targets. The block is a *partial*
+/// spec-file machine block, read by parseMachineBlock (target/SpecFile.h):
+/// any subset of the rows of CpuMachine::fields / GpuMachine::fields
+/// (perf/MachineModel.h), and no "name". Absent fields keep their
+/// registered values. The block must match the target's engine. Errors
+/// name the JSON path ("refit[0].cpu.freq_ghz"). Application is
+/// all-or-nothing: every entry is validated against the registry before
+/// any spec is replaced.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,7 +46,8 @@ namespace unit {
 /// the process-wide machineOverlayActive() flag.
 bool applyMachineOverlayText(const std::string &Text, std::string *Err);
 
-/// Reads \p Path and applies it via applyMachineOverlayText.
+/// Reads \p Path (size-capped at MaxSpecFileBytes, like spec files) and
+/// applies it via applyMachineOverlayText.
 bool applyMachineOverlayFile(const std::string &Path, std::string *Err);
 
 /// True once any overlay has been applied in this process. Surfaced as

@@ -12,7 +12,6 @@
 
 #include <cmath>
 #include <fstream>
-#include <sstream>
 #include <unordered_set>
 #include <vector>
 
@@ -115,8 +114,8 @@ bool readString(const Json &Obj, const std::string &Path, const char *Key,
 }
 
 /// Rejects members of \p Obj outside \p Known — a typo'd machine
-/// parameter silently keeping a default would defeat the all-or-nothing
-/// contract (same stance as MachineOverlay).
+/// parameter silently keeping a default (or, in a machine overlay, its
+/// registered value) would defeat the all-or-nothing contract.
 bool checkKnownKeys(const Json &Obj, const std::string &Path,
                     const std::vector<std::string> &Known, std::string *Err) {
   for (const auto &Member : Obj.members()) {
@@ -133,129 +132,13 @@ bool checkKnownKeys(const Json &Obj, const std::string &Path,
   return true;
 }
 
-//===----------------------------------------------------------------------===//
-// Machine blocks — snake_case keys mirroring perf/MachineModel.h in
-// declaration (and cacheFingerprint) order, plus "name". Every field is
-// required: a defaulted machine constant would silently misprice every
-// kernel compiled under the spec.
-//===----------------------------------------------------------------------===//
-
-bool parseCpuBlock(const Json &Block, CpuMachine &M, std::string *Err) {
-  if (!checkKnownKeys(Block, "cpu",
-                      {"name", "freq_ghz", "cores", "load_ports_per_cycle",
-                       "fork_join_cycles", "per_chunk_sched_cycles",
-                       "icache_body_budget_bytes", "residue_branch_penalty",
-                       "dram_bytes_per_cycle", "l2_bytes_per_core",
-                       "simd_vector_bytes", "simd_pipes",
-                       "widening_factor_no_dot"},
-                      Err))
-    return false;
-  int64_t Cores = 0;
-  if (!readString(Block, "cpu", "name", M.Name, Err) ||
-      !readPositiveDouble(Block, "cpu", "freq_ghz", M.FreqGHz, Err) ||
-      !readPositiveInt(Block, "cpu", "cores", 1 << 20, Cores, Err) ||
-      !readPositiveDouble(Block, "cpu", "load_ports_per_cycle",
-                          M.LoadPortsPerCycle, Err) ||
-      !readPositiveDouble(Block, "cpu", "fork_join_cycles", M.ForkJoinCycles,
-                          Err) ||
-      !readPositiveDouble(Block, "cpu", "per_chunk_sched_cycles",
-                          M.PerChunkSchedCycles, Err) ||
-      !readPositiveDouble(Block, "cpu", "icache_body_budget_bytes",
-                          M.ICacheBodyBudgetBytes, Err) ||
-      !readPositiveDouble(Block, "cpu", "residue_branch_penalty",
-                          M.ResidueBranchPenalty, Err) ||
-      !readPositiveDouble(Block, "cpu", "dram_bytes_per_cycle",
-                          M.DramBytesPerCycle, Err) ||
-      !readPositiveDouble(Block, "cpu", "l2_bytes_per_core", M.L2BytesPerCore,
-                          Err) ||
-      !readPositiveDouble(Block, "cpu", "simd_vector_bytes",
-                          M.SimdVectorBytes, Err) ||
-      !readPositiveDouble(Block, "cpu", "simd_pipes", M.SimdPipes, Err) ||
-      !readPositiveDouble(Block, "cpu", "widening_factor_no_dot",
-                          M.WideningFactorNoDot, Err))
-    return false;
-  M.Cores = static_cast<int>(Cores);
-  return true;
-}
-
-bool parseGpuBlock(const Json &Block, GpuMachine &M, std::string *Err) {
-  if (!checkKnownKeys(Block, "gpu",
-                      {"name", "freq_ghz", "sms", "wmma_per_cycle_per_sm",
-                       "warp_issue_cycles", "fma_per_cycle_per_sm",
-                       "kernel_launch_micros", "sync_base_cycles",
-                       "sync_per_segment_cycles", "regs_per_accum_tile",
-                       "regs_base", "reg_budget_per_warp",
-                       "dram_bytes_per_cycle", "warps_for_peak_bandwidth",
-                       "shared_bytes_per_sm"},
-                      Err))
-    return false;
-  int64_t SMs = 0;
-  if (!readString(Block, "gpu", "name", M.Name, Err) ||
-      !readPositiveDouble(Block, "gpu", "freq_ghz", M.FreqGHz, Err) ||
-      !readPositiveInt(Block, "gpu", "sms", 1 << 20, SMs, Err) ||
-      !readPositiveDouble(Block, "gpu", "wmma_per_cycle_per_sm",
-                          M.WmmaPerCyclePerSM, Err) ||
-      !readPositiveDouble(Block, "gpu", "warp_issue_cycles",
-                          M.WarpIssueCycles, Err) ||
-      !readPositiveDouble(Block, "gpu", "fma_per_cycle_per_sm",
-                          M.FmaPerCyclePerSM, Err) ||
-      !readPositiveDouble(Block, "gpu", "kernel_launch_micros",
-                          M.KernelLaunchMicros, Err) ||
-      !readPositiveDouble(Block, "gpu", "sync_base_cycles", M.SyncBaseCycles,
-                          Err) ||
-      !readPositiveDouble(Block, "gpu", "sync_per_segment_cycles",
-                          M.SyncPerSegmentCycles, Err) ||
-      !readPositiveDouble(Block, "gpu", "regs_per_accum_tile",
-                          M.RegsPerAccumTile, Err) ||
-      !readPositiveDouble(Block, "gpu", "regs_base", M.RegsBase, Err) ||
-      !readPositiveDouble(Block, "gpu", "reg_budget_per_warp",
-                          M.RegBudgetPerWarp, Err) ||
-      !readPositiveDouble(Block, "gpu", "dram_bytes_per_cycle",
-                          M.DramBytesPerCycle, Err) ||
-      !readPositiveDouble(Block, "gpu", "warps_for_peak_bandwidth",
-                          M.WarpsForPeakBandwidth, Err) ||
-      !readPositiveDouble(Block, "gpu", "shared_bytes_per_sm",
-                          M.SharedBytesPerSM, Err))
-    return false;
-  M.SMs = static_cast<int>(SMs);
-  return true;
-}
-
-Json cpuBlockJson(const CpuMachine &M) {
+/// The machine-block writer: "name", then every field-table row in
+/// order. parseMachineBlock is its inverse.
+template <typename MachineT> Json machineBlockJson(const MachineT &M) {
   Json J = Json::object();
   J.set("name", M.Name);
-  J.set("freq_ghz", M.FreqGHz);
-  J.set("cores", M.Cores);
-  J.set("load_ports_per_cycle", M.LoadPortsPerCycle);
-  J.set("fork_join_cycles", M.ForkJoinCycles);
-  J.set("per_chunk_sched_cycles", M.PerChunkSchedCycles);
-  J.set("icache_body_budget_bytes", M.ICacheBodyBudgetBytes);
-  J.set("residue_branch_penalty", M.ResidueBranchPenalty);
-  J.set("dram_bytes_per_cycle", M.DramBytesPerCycle);
-  J.set("l2_bytes_per_core", M.L2BytesPerCore);
-  J.set("simd_vector_bytes", M.SimdVectorBytes);
-  J.set("simd_pipes", M.SimdPipes);
-  J.set("widening_factor_no_dot", M.WideningFactorNoDot);
-  return J;
-}
-
-Json gpuBlockJson(const GpuMachine &M) {
-  Json J = Json::object();
-  J.set("name", M.Name);
-  J.set("freq_ghz", M.FreqGHz);
-  J.set("sms", M.SMs);
-  J.set("wmma_per_cycle_per_sm", M.WmmaPerCyclePerSM);
-  J.set("warp_issue_cycles", M.WarpIssueCycles);
-  J.set("fma_per_cycle_per_sm", M.FmaPerCyclePerSM);
-  J.set("kernel_launch_micros", M.KernelLaunchMicros);
-  J.set("sync_base_cycles", M.SyncBaseCycles);
-  J.set("sync_per_segment_cycles", M.SyncPerSegmentCycles);
-  J.set("regs_per_accum_tile", M.RegsPerAccumTile);
-  J.set("regs_base", M.RegsBase);
-  J.set("reg_budget_per_warp", M.RegBudgetPerWarp);
-  J.set("dram_bytes_per_cycle", M.DramBytesPerCycle);
-  J.set("warps_for_peak_bandwidth", M.WarpsForPeakBandwidth);
-  J.set("shared_bytes_per_sm", M.SharedBytesPerSM);
+  for (const MachineField<MachineT> &F : MachineT::fields())
+    J.set(F.Key, F.get(M));
   return J;
 }
 
@@ -413,10 +296,10 @@ Json serializeSpec(const TargetSpec &Spec) {
   Scheme.set("reduce_multiple", Spec.Scheme.ReduceMultiple);
   Doc.set("scheme", std::move(Scheme));
   if (Spec.Engine == TargetSpec::EngineKind::CpuDot) {
-    Doc.set("cpu", cpuBlockJson(Spec.Cpu));
+    Doc.set("cpu", machineBlockJson(Spec.Cpu));
     Doc.set("conv3d", Spec.SupportsConv3d);
   } else {
-    Doc.set("gpu", gpuBlockJson(Spec.Gpu));
+    Doc.set("gpu", machineBlockJson(Spec.Gpu));
   }
   Json Intrs = Json::array();
   for (const TensorIntrinsicRef &I : Spec.Intrinsics)
@@ -496,7 +379,7 @@ bool parseSpec(const Json &Doc, TargetSpec &Out, std::string *Err) {
     if (!Cpu || !Cpu->isObject())
       return fail(Err, "spec field 'cpu' must be an object (engine is "
                        "\"cpu-dot\")");
-    if (!parseCpuBlock(*Cpu, Spec.Cpu, Err))
+    if (!parseMachineBlock(*Cpu, "cpu", /*Partial=*/false, Spec.Cpu, Err))
       return false;
     const Json *Conv3d = Doc.get("conv3d");
     if (Conv3d && !Conv3d->isBool())
@@ -512,7 +395,7 @@ bool parseSpec(const Json &Doc, TargetSpec &Out, std::string *Err) {
     if (!Gpu || !Gpu->isObject())
       return fail(Err, "spec field 'gpu' must be an object (engine is "
                        "\"gpu-implicit-gemm\")");
-    if (!parseGpuBlock(*Gpu, Spec.Gpu, Err))
+    if (!parseMachineBlock(*Gpu, "gpu", /*Partial=*/false, Spec.Gpu, Err))
       return false;
     Spec.SupportsConv3d = false;
   }
@@ -549,18 +432,57 @@ bool parseSpecText(const std::string &Text, TargetSpec &Out,
   return parseSpec(*Doc, Out, Err);
 }
 
+template <typename MachineT>
+bool parseMachineBlock(const Json &Block, const std::string &Path,
+                       bool Partial, MachineT &M, std::string *Err) {
+  std::vector<std::string> Known;
+  if (!Partial)
+    Known.push_back("name");
+  for (const MachineField<MachineT> &F : MachineT::fields())
+    Known.push_back(F.Key);
+  if (!checkKnownKeys(Block, Path, Known, Err))
+    return false;
+  if (!Partial && !readString(Block, Path, "name", M.Name, Err))
+    return false;
+  for (const MachineField<MachineT> &F : MachineT::fields()) {
+    if (Partial && !Block.get(F.Key))
+      continue;
+    double Real = 0;
+    int64_t Count = 0;
+    if (F.Real ? !readPositiveDouble(Block, Path, F.Key, Real, Err)
+               : !readPositiveInt(Block, Path, F.Key, 1 << 20, Count, Err))
+      return false;
+    F.set(M, F.Real ? Real : static_cast<double>(Count));
+  }
+  return true;
+}
+
+template bool parseMachineBlock(const Json &, const std::string &, bool,
+                                CpuMachine &, std::string *);
+template bool parseMachineBlock(const Json &, const std::string &, bool,
+                                GpuMachine &, std::string *);
+
+bool readCappedFile(const std::string &Path, const char *What,
+                    std::string &Text, std::string *Err) {
+  std::ifstream In(Path, std::ios::binary);
+  // One byte past the cap is enough to know the file is over it.
+  Text.resize(MaxSpecFileBytes + 1);
+  In.read(&Text[0], static_cast<std::streamsize>(Text.size()));
+  if (!In.is_open() || In.bad())
+    return fail(Err, std::string("cannot read ") + What + " file '" + Path +
+                         "'");
+  Text.resize(static_cast<size_t>(In.gcount()));
+  if (Text.size() > MaxSpecFileBytes)
+    return fail(Err, std::string(What) + " file '" + Path + "' is over the " +
+                         std::to_string(MaxSpecFileBytes) + "-byte limit");
+  return true;
+}
+
 bool loadSpecFile(const std::string &Path, TargetSpec &Out,
                   std::string *Err) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return fail(Err, "cannot read spec file '" + Path + "'");
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  std::string Text = Buf.str();
-  if (Text.size() > MaxSpecFileBytes)
-    return fail(Err, "spec file '" + Path + "' is " +
-                         std::to_string(Text.size()) + " bytes, over the " +
-                         std::to_string(MaxSpecFileBytes) + "-byte limit");
+  std::string Text;
+  if (!readCappedFile(Path, "spec", Text, Err))
+    return false;
   if (!parseSpecText(Text, Out, Err)) {
     if (Err)
       *Err = "spec file '" + Path + "': " + *Err;

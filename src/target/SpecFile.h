@@ -7,8 +7,9 @@
 /// \file
 /// The ACT thesis made operational: a compiler backend is *data*. This
 /// header defines a JSON file format for TargetSpec — target id, engine
-/// kind, quantization scheme, machine-model parameters, and the intrinsic
-/// set — so a new backend is a file dropped next to the daemon
+/// kind, quantization scheme, machine-model parameters (the rows of
+/// CpuMachine::fields / GpuMachine::fields), and the intrinsic set — so
+/// a new backend is a file dropped next to the daemon
 /// (`unit_serve --target-spec my-npu.json`) or a `register_target` wire
 /// message, with zero rebuilds. Parsed with the server's own Json
 /// (server/Protocol.h); no new dependency.
@@ -68,8 +69,28 @@ bool parseSpec(const Json &Doc, TargetSpec &Out, std::string *Err);
 bool parseSpecText(const std::string &Text, TargetSpec &Out,
                    std::string *Err);
 
+/// Reads \p Path into \p Text, refusing a file over MaxSpecFileBytes
+/// without reading past the cap. Spec files and machine overlays are both
+/// untrusted input and both come through here; \p What ("spec",
+/// "overlay") names the document in errors.
+bool readCappedFile(const std::string &Path, const char *What,
+                    std::string &Text, std::string *Err);
+
 /// Reads and parses \p Path (size-capped at MaxSpecFileBytes).
 bool loadSpecFile(const std::string &Path, TargetSpec &Out, std::string *Err);
+
+/// Reads the machine block \p Block, found at JSON path \p Path ("cpu",
+/// "refit[0].gpu"), into \p M by walking MachineT::fields()
+/// (perf/MachineModel.h). A full block — a spec file's — needs "name" and
+/// every field: a defaulted machine constant would silently misprice every
+/// kernel compiled under the spec. A partial block — a machine overlay's —
+/// takes any subset of the fields and no "name"; absent fields keep their
+/// values in \p M. Unknown keys are errors either way, and every error
+/// names the JSON path. \p M is unspecified on failure. Instantiated for
+/// CpuMachine and GpuMachine.
+template <typename MachineT>
+bool parseMachineBlock(const Json &Block, const std::string &Path,
+                       bool Partial, MachineT &M, std::string *Err);
 
 /// loadSpecFile + TargetRegistry::registerSpec with SpecSource::File —
 /// the `unit_serve --target-spec` entry point. Returns the materialized

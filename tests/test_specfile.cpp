@@ -16,6 +16,7 @@
 #include "server/CompileClient.h"
 #include "server/CompileServer.h"
 #include "target/BuiltinSpecs.h"
+#include "target/MachineOverlay.h"
 #include "target/SpecFile.h"
 #include "target/TargetRegistry.h"
 
@@ -217,6 +218,76 @@ TEST(SpecFile, BuiltinSpecHashesArePinned) {
         << "cache tuned under the old hash starts cold, and peer daemons "
         << "on the old spec stop exchanging kernels with this build";
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The machine-field table (CpuMachine::fields / GpuMachine::fields) is the
+// one list the spec codec, machine overlays and cache fingerprints walk,
+// so every row must reach all three.
+//===----------------------------------------------------------------------===//
+
+/// Checks MachineT's field table against the builtin spec \p TargetId,
+/// whose machine is the \p Block ("cpu" / "gpu") member \p Machine.
+template <typename MachineT>
+void checkFieldTable(const std::string &TargetId, const char *Block,
+                     MachineT TargetSpec::*Machine) {
+  const std::vector<MachineField<MachineT>> &Fields = MachineT::fields();
+  for (size_t I = 0; I < Fields.size(); ++I)
+    for (size_t J = I + 1; J < Fields.size(); ++J) {
+      EXPECT_STRNE(Fields[I].Key, Fields[J].Key);
+      bool SameMember = Fields[I].Real ? Fields[I].Real == Fields[J].Real
+                                       : Fields[I].Count == Fields[J].Count;
+      EXPECT_FALSE(SameMember) << Fields[I].Key << " and " << Fields[J].Key
+                               << " name the same member";
+    }
+
+  TargetRegistry &Registry = TargetRegistry::instance();
+  const TargetSpec Factory = Registry.specFor(TargetId);
+  auto OverlaySetting = [&](const char *Key, double Value) {
+    Json Values = Json::object();
+    Values.set(Key, Value);
+    Json Entry = Json::object();
+    Entry.set("target", TargetId);
+    Entry.set(Block, std::move(Values));
+    Json Doc = Json::object();
+    Doc.set("version", 1);
+    Doc.set("refit", Json::array().push(std::move(Entry)));
+    return Doc.dump();
+  };
+  for (const MachineField<MachineT> &F : Fields) {
+    SCOPED_TRACE(F.Key);
+    double Old = F.get(Factory.*Machine);
+    double New = F.Count ? Old + 1 : Old * 2;
+    TargetSpec Changed = Factory;
+    F.set(Changed.*Machine, New);
+    // The field is in the fingerprint, so it salts every cache key...
+    EXPECT_NE(Changed.hash(), Factory.hash());
+
+    // ...it survives the file codec exactly...
+    TargetSpec Parsed;
+    std::string Err;
+    ASSERT_TRUE(parseSpec(serializeSpec(Changed), Parsed, &Err)) << Err;
+    EXPECT_EQ(F.get(Parsed.*Machine), New);
+    EXPECT_EQ(Parsed.hash(), Changed.hash());
+
+    // ...and a one-field overlay block changes it and nothing else.
+    ASSERT_TRUE(applyMachineOverlayText(OverlaySetting(F.Key, New), &Err))
+        << Err;
+    const TargetSpec Refit = Registry.specFor(TargetId);
+    EXPECT_EQ((Refit.*Machine).Name, (Factory.*Machine).Name);
+    for (const MachineField<MachineT> &G : Fields)
+      EXPECT_EQ(G.get(Refit.*Machine), G.get(Changed.*Machine)) << G.Key;
+    EXPECT_EQ(Refit.hash(), Changed.hash());
+
+    ASSERT_TRUE(applyMachineOverlayText(OverlaySetting(F.Key, Old), &Err))
+        << Err;
+    ASSERT_EQ(Registry.specFor(TargetId).hash(), Factory.hash());
+  }
+}
+
+TEST(MachineFields, EveryRowReachesHashCodecAndOverlay) {
+  checkFieldTable<CpuMachine>("x86", "cpu", &TargetSpec::Cpu);
+  checkFieldTable<GpuMachine>("nvgpu", "gpu", &TargetSpec::Gpu);
 }
 
 //===----------------------------------------------------------------------===//

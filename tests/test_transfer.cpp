@@ -27,6 +27,7 @@
 #include "runtime/Workload.h"
 #include "support/ThreadPool.h"
 #include "target/MachineOverlay.h"
+#include "target/SpecFile.h"
 #include "target/TargetRegistry.h"
 #include "tuner/Tuner.h"
 
@@ -35,6 +36,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <random>
 #include <set>
 #include <string>
@@ -359,28 +361,72 @@ TEST(TransferTuning, WarmSessionTunesOnlyTheNewShapes) {
 //===----------------------------------------------------------------------===//
 
 TEST(MachineOverlay, RejectsMalformedDocumentsUntouched) {
-  std::string Err;
+  // Each rejected document, and what its error must name: the JSON path
+  // of the offending field wherever there is one.
+  const std::pair<const char *, const char *> Cases[] = {
+      {"not json", "parse error"},
+      {"{\"version\":2,\"refit\":[]}", "'version'"},
+      {"{\"version\":1,\"refit\":[{\"target\":\"no-such-target\","
+       "\"cpu\":{}}]}",
+       "refit[0].target"},
+      // GPU block on a CPU target.
+      {"{\"version\":1,\"refit\":[{\"target\":\"x86\",\"gpu\":{}}]}",
+       "refit[0].gpu"},
+      // Typo'd field name must be an error, not a silent no-op.
+      {"{\"version\":1,\"refit\":[{\"target\":\"x86\","
+       "\"cpu\":{\"dram_bytes_per_cycel\":10}}]}",
+       "refit[0].cpu.dram_bytes_per_cycel"},
+      // Non-positive values are measurement bugs.
+      {"{\"version\":1,\"refit\":[{\"target\":\"x86\","
+       "\"cpu\":{\"freq_ghz\":0}}]}",
+       "refit[0].cpu.freq_ghz"},
+      // An overlay block is a partial machine block: it refits constants
+      // and cannot rename the machine.
+      {"{\"version\":1,\"refit\":[{\"target\":\"x86\","
+       "\"cpu\":{\"name\":\"renamed\"}}]}",
+       "refit[0].cpu.name"},
+      // Counts are positive integers, at most 2^20.
+      {"{\"version\":1,\"refit\":[{\"target\":\"x86\","
+       "\"cpu\":{\"cores\":23.5}}]}",
+       "refit[0].cpu.cores"},
+      {"{\"version\":1,\"refit\":[{\"target\":\"x86\","
+       "\"cpu\":{\"cores\":1048577}}]}",
+       "refit[0].cpu.cores"},
+      // A valid first entry does not land when a later one is rejected.
+      {"{\"version\":1,\"refit\":[{\"target\":\"x86\","
+       "\"cpu\":{\"fork_join_cycles\":10}},{\"target\":\"nvgpu\","
+       "\"gpu\":{\"sms\":-1}}]}",
+       "refit[1].gpu.sms"},
+  };
+  TargetRegistry &Registry = TargetRegistry::instance();
+  std::string OldX86 = Registry.specFor("x86").hash();
+  std::string OldGpu = Registry.specFor("nvgpu").hash();
+  for (const auto &[Doc, Path] : Cases) {
+    SCOPED_TRACE(Doc);
+    std::string Err;
+    EXPECT_FALSE(applyMachineOverlayText(Doc, &Err));
+    EXPECT_NE(Err.find(Path), std::string::npos) << "error was: " << Err;
+  }
+  EXPECT_EQ(Registry.specFor("x86").hash(), OldX86);
+  EXPECT_EQ(Registry.specFor("nvgpu").hash(), OldGpu);
+}
+
+TEST(MachineOverlay, OversizeFileRejectedUntouched) {
+  // A valid overlay padded past the spec-file cap: only the cap rejects it.
+  std::string Path = testing::TempDir() + "unit_overlay_over_cap.json";
+  std::string Text = "{\"version\":1,\"refit\":[{\"target\":\"x86\","
+                     "\"cpu\":{\"fork_join_cycles\":10}}]}";
+  Text.resize(MaxSpecFileBytes + 1, ' ');
+  {
+    std::ofstream Out(Path, std::ios::binary);
+    Out << Text;
+  }
   std::string OldHash = TargetRegistry::instance().specFor("x86").hash();
-  EXPECT_FALSE(applyMachineOverlayText("not json", &Err));
-  EXPECT_FALSE(applyMachineOverlayText("{\"version\":2,\"refit\":[]}", &Err));
-  EXPECT_FALSE(applyMachineOverlayText(
-      "{\"version\":1,\"refit\":[{\"target\":\"no-such-target\","
-      "\"cpu\":{}}]}",
-      &Err));
-  // GPU block on a CPU target.
-  EXPECT_FALSE(applyMachineOverlayText(
-      "{\"version\":1,\"refit\":[{\"target\":\"x86\",\"gpu\":{}}]}", &Err));
-  // Typo'd field name must be an error, not a silent no-op.
-  EXPECT_FALSE(applyMachineOverlayText(
-      "{\"version\":1,\"refit\":[{\"target\":\"x86\","
-      "\"cpu\":{\"dram_bytes_per_cycel\":10}}]}",
-      &Err));
-  // Non-positive values are measurement bugs.
-  EXPECT_FALSE(applyMachineOverlayText(
-      "{\"version\":1,\"refit\":[{\"target\":\"x86\","
-      "\"cpu\":{\"freq_ghz\":0}}]}",
-      &Err));
+  std::string Err;
+  EXPECT_FALSE(applyMachineOverlayFile(Path, &Err));
+  EXPECT_NE(Err.find("byte limit"), std::string::npos) << Err;
   EXPECT_EQ(TargetRegistry::instance().specFor("x86").hash(), OldHash);
+  std::remove(Path.c_str());
 }
 
 TEST(MachineOverlay, RefitMovesSpecHashAndCacheKeys) {
