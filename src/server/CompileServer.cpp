@@ -19,8 +19,11 @@
 #include <cstdio>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include <fcntl.h>
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/file.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -281,13 +284,13 @@ void CompileServer::stop() {
   }
   ::unlink(Config.SocketPath.c_str());
 
-  // 2. Unblock idle connections (threads parked in readFrame see EOF);
+  // 2. Unblock idle connections (threads parked in poll() see EOF);
   //    a thread mid-request keeps its write side and delivers its
   //    response before noticing Stopping. Connection fds stay open until
   //    their threads are joined (only the reaper above and this function
-  //    ever close them — and the reaper cannot run concurrently with
-  //    this, the accept loop is already joined), so shutdown() can never
-  //    hit a recycled descriptor.
+  //    ever destroy a Connection — and the reaper cannot run concurrently
+  //    with this, the accept loop is already joined), so shutdown() can
+  //    never hit a recycled descriptor.
   std::vector<std::unique_ptr<Connection>> ToJoin;
   {
     std::lock_guard<std::mutex> Lock(ConnMu);
@@ -296,11 +299,10 @@ void CompileServer::stop() {
         ::shutdown(Conn->Fd, SHUT_RD);
     ToJoin.swap(Connections);
   }
-  for (const auto &Conn : ToJoin) {
+  for (const auto &Conn : ToJoin)
     if (Conn->Thread.joinable())
       Conn->Thread.join();
-    ::close(Conn->Fd);
-  }
+  ToJoin.clear();
 
   // 3. Drain async jobs still in the session pool (prefetches etc.).
   Session->quiesce();
@@ -419,10 +421,11 @@ void CompileServer::acceptLoop(int ListenerFd, bool RequireAuth) {
       requestShutdown();
       break;
     }
-    // Bound response writes: a client that stops reading while a large
-    // response is mid-write must not pin this connection's thread —
-    // stop() joins every handler, so an unbounded write would turn one
-    // stalled client into a daemon that cannot shut down.
+    // Bound writes: only the connection thread writes this socket, so a
+    // client that stops reading stalls that thread alone — completion
+    // threads just queue into its outbox. The timeout bounds even that:
+    // stop() joins every connection thread, so an unbounded write would
+    // turn one stalled client into a daemon that cannot shut down.
     timeval SendTimeout;
     SendTimeout.tv_sec = 30;
     SendTimeout.tv_usec = 0;
@@ -440,6 +443,9 @@ void CompileServer::acceptLoop(int ListenerFd, bool RequireAuth) {
     }
     auto Conn = std::make_unique<Connection>();
     Conn->Fd = Fd;
+    Conn->WakeFd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+    if (Conn->WakeFd < 0)
+      continue; // Out of fds: ~Connection closes Fd, the client sees EOF.
     Conn->NeedsAuth = RequireAuth;
     Conn->ClientName = "(anonymous)";
     {
@@ -459,7 +465,6 @@ void CompileServer::reapFinishedConnections() {
     if ((*It)->Done.load()) {
       if ((*It)->Thread.joinable())
         (*It)->Thread.join();
-      ::close((*It)->Fd);
       It = Connections.erase(It);
     } else {
       ++It;
@@ -467,33 +472,65 @@ void CompileServer::reapFinishedConnections() {
   }
 }
 
+CompileServer::Connection::~Connection() {
+  ::close(Fd);
+  if (WakeFd >= 0)
+    ::close(WakeFd);
+}
+
 void CompileServer::serveConnection(Connection &Conn) {
   // TCP connections earn their first request frame: challenge, proof,
   // auth_ok — or an error frame and EOF. The secret itself never crosses
   // the wire (fabric/Handshake.h).
-  if (Conn.NeedsAuth && !runAuthChallenge(Conn.Fd, Config.Secret)) {
+  Conn.Authed = !Conn.NeedsAuth || runAuthChallenge(Conn.Fd, Config.Secret);
+  if (!Conn.Authed)
     AuthFailures.fetch_add(1);
-    ::shutdown(Conn.Fd, SHUT_RDWR);
-    Conn.Done.store(true);
-    return;
-  }
-  Conn.Authed = true;
+  // One loop serves and then drains. While Reading, it waits on the
+  // socket and the wake fd; afterwards (EOF, shutdown, a dead peer, or
+  // stop()) only on the wake fd, until every completion callback — each
+  // holds a reference to this Connection — has fired and its frame is
+  // flushed (or, with the peer gone, discarded). So a pipelined client
+  // never hangs on a vanished ticket, and the Connection outlives its
+  // last callback.
   std::string Payload;
-  while (!Stopping.load()) {
-    FrameStatus Status = readFrame(Conn.Fd, Payload);
-    if (Status != FrameStatus::Ok)
+  bool Reading = Conn.Authed;
+  for (;;) {
+    Reading = Reading && !Stopping.load();
+    bool Idle;
+    {
+      std::lock_guard<std::mutex> Lock(Conn.TicketMu);
+      Idle = Conn.UnresolvedJobs == 0 && Conn.Outbox.empty();
+    }
+    if (!Reading && Idle)
       break;
+    // With no job pending, only this thread can queue a frame, so an idle
+    // connection skips poll() and waits in read() alone: the blocking
+    // request/response path costs no extra syscall. An interrupted poll()
+    // leaves every revents zero and just loops.
+    pollfd Fds[2] = {{Conn.WakeFd, POLLIN, 0},
+                     {Conn.Fd, POLLIN, static_cast<short>(Idle ? POLLIN : 0)}};
+    if (!Idle)
+      ::poll(Fds, Reading ? 2 : 1, -1);
+    if (Fds[0].revents & POLLIN) {
+      eventfd_t Signals;
+      eventfd_read(Conn.WakeFd, &Signals);
+      Reading = flushOutbox(Conn) && Reading;
+    }
+    if (!Reading || Fds[1].revents == 0)
+      continue;
+    Reading = readFrame(Conn.Fd, Payload) == FrameStatus::Ok;
+    if (!Reading)
+      continue;
     {
       std::lock_guard<std::mutex> Lock(StatsMu);
       ++Lifetime.Requests;
     }
     // Root span of the request tree: opened before dispatch so every
     // handler span (admission, cache_resolve, ...) parents under it, and
-    // scoped to the iteration so the announce write is covered too.
+    // scoped to the iteration so the reply's flush is covered too.
     double FrameT0 = steadyNowSeconds();
     obs::Span ReqSpan("request");
     bool CloseAfter = false;
-    uint64_t AnnounceTicketId = 0;
     Json Response;
     std::string ParseErr;
     std::optional<Json> Request = Json::parse(Payload, &ParseErr);
@@ -504,7 +541,7 @@ void CompileServer::serveConnection(Connection &Conn) {
       // memory pressure, say) must become one error response, never
       // std::terminate for the whole shared daemon.
       try {
-        Response = handleRequest(Conn, *Request, CloseAfter, AnnounceTicketId);
+        Response = handleRequest(Conn, *Request, CloseAfter);
       } catch (...) {
         Response =
             errorResponse(*Request, failureMessage(std::current_exception()));
@@ -512,46 +549,11 @@ void CompileServer::serveConnection(Connection &Conn) {
     } else {
       Response = errorResponse(Json(), "malformed JSON: " + ParseErr);
     }
-    std::string Dump = Response.dump();
-    if (Dump.size() > MaxFrameBytes) {
-      // A silently dropped connection reads as a crashed daemon; tell
-      // the client its request produced an unshippable response
-      // instead. Built minimal on purpose: echoing the request id here
-      // could make the fallback itself oversize (ids are arbitrary
-      // client JSON).
-      if (Response.str("type") != "error") {
-        std::lock_guard<std::mutex> Lock(StatsMu);
-        ++Lifetime.Errors;
-      }
-      Json TooBig = Json::object();
-      TooBig.set("type", "error");
-      TooBig.set("message", "response exceeds the frame limit; request "
-                            "less at once (split the model, or drop "
-                            "'detail')");
-      Dump = TooBig.dump();
-    }
-    if (!writeToConnection(Conn, Dump))
-      break;
+    if (!Response.isNull())
+      queueReply(Conn, Response);
+    Reading = flushOutbox(Conn) && !CloseAfter;
     // Read-to-reply-written: what a synchronous client actually waited.
     FrameLatencyHist.record(steadyNowSeconds() - FrameT0);
-    // Only after the submitted reply is on the wire may this ticket's
-    // notification go out — the client must learn the ticket number
-    // before the result that carries it.
-    if (AnnounceTicketId != 0)
-      announceTicket(Conn, AnnounceTicketId);
-    if (CloseAfter)
-      break;
-  }
-  // Drain streaming work before retiring: completion callbacks hold a
-  // reference to this Connection, so it must outlive the last of them —
-  // and this wait is also what delivers (or, with the peer gone, cleanly
-  // discards) every pending ticket on shutdown: the read side may be
-  // closed, but the write side stays up until the table is empty, so a
-  // pipelined client never hangs on a vanished ticket.
-  {
-    std::unique_lock<std::mutex> Lock(Conn.TicketMu);
-    Conn.TicketCv.wait(Lock, [&Conn] { return Conn.UnresolvedJobs == 0; });
-    Conn.Tickets.clear();
   }
   // Tell the peer we are done *now* (EOF on its next read): the fd is
   // close()d only by whoever joins this thread (the accept loop's
@@ -563,10 +565,54 @@ void CompileServer::serveConnection(Connection &Conn) {
   Conn.Done.store(true);
 }
 
-bool CompileServer::writeToConnection(Connection &Conn,
-                                      const std::string &Payload) {
-  std::lock_guard<std::mutex> Lock(Conn.WriteMu);
-  return writeFrame(Conn.Fd, Payload);
+void CompileServer::queueReply(Connection &Conn, const Json &Reply) {
+  std::string Dump = Reply.dump();
+  if (Dump.size() > MaxFrameBytes) {
+    // A silently dropped connection reads as a crashed daemon; tell the
+    // client its request produced an unshippable response instead.
+    // Built minimal on purpose: echoing the request id here could make
+    // the fallback itself oversize (ids are arbitrary client JSON).
+    if (Reply.str("type") != "error") {
+      std::lock_guard<std::mutex> Lock(StatsMu);
+      ++Lifetime.Errors;
+    }
+    Json TooBig = Json::object();
+    TooBig.set("type", "error");
+    TooBig.set("message", "response exceeds the frame limit; request "
+                          "less at once (split the model, or drop "
+                          "'detail')");
+    Dump = TooBig.dump();
+  }
+  std::lock_guard<std::mutex> Lock(Conn.TicketMu);
+  appendFrame(Conn.Outbox, Dump);
+}
+
+bool CompileServer::flushOutbox(Connection &Conn) {
+  std::string Bytes;
+  for (;;) {
+    size_t Notifications;
+    {
+      std::lock_guard<std::mutex> Lock(Conn.TicketMu);
+      if (Conn.Outbox.empty())
+        return true;
+      Bytes.swap(Conn.Outbox);
+      Notifications = std::exchange(Conn.QueuedNotifications, 0);
+    }
+    // Written outside the lock: completion threads keep queueing while a
+    // slow reader holds this write. A batch that carries result
+    // notifications is a notification_write span, whichever flush —
+    // a wake's, or a reply's — sends it.
+    std::optional<obs::Span> Write;
+    if (Notifications > 0)
+      Write.emplace("notification_write");
+    if (!writeAll(Conn.Fd, Bytes)) {
+      // A failed write may have left half a frame on the wire; nothing
+      // sent after it could be parsed, so end the stream.
+      ::shutdown(Conn.Fd, SHUT_RDWR);
+      return false;
+    }
+    Bytes.clear();
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -583,14 +629,14 @@ Json CompileServer::errorResponse(const Json &Request,
 }
 
 Json CompileServer::handleRequest(Connection &Conn, const Json &Request,
-                                  bool &CloseAfter, uint64_t &AnnounceTicket) {
+                                  bool &CloseAfter) {
   const std::string Type = Request.str("type");
   if (Type == "hello")
     return handleHello(Conn, Request);
   if (Type == "compile")
     return handleCompile(Conn, Request);
   if (Type == "compile_async")
-    return handleCompileAsync(Conn, Request, AnnounceTicket);
+    return handleCompileAsync(Conn, Request);
   if (Type == "cancel")
     return handleCancel(Conn, Request);
   if (Type == "poll")
@@ -828,8 +874,7 @@ Json CompileServer::handleCompile(Connection &Conn, const Json &Request) {
   return J;
 }
 
-Json CompileServer::handleCompileAsync(Connection &Conn, const Json &Request,
-                                       uint64_t &AnnounceTicket) {
+Json CompileServer::handleCompileAsync(Connection &Conn, const Json &Request) {
   // Parse + ticket issue + session submit; the dispatch's cache_resolve
   // span parents here, and the pool-side compile span links back through
   // the context the session captures at submit.
@@ -844,7 +889,7 @@ Json CompileServer::handleCompileAsync(Connection &Conn, const Json &Request,
     std::lock_guard<std::mutex> Lock(Conn.TicketMu);
     if (Conn.Tickets.size() < MaxPendingTicketsPerConnection) {
       Ticket = Conn.NextTicket++;
-      Conn.Tickets.emplace(Ticket, TicketState{});
+      Conn.Tickets.insert(Ticket);
       ++Conn.UnresolvedJobs;
     }
   }
@@ -856,9 +901,16 @@ Json CompileServer::handleCompileAsync(Connection &Conn, const Json &Request,
   TicketsIssued.fetch_add(1);
   Adm.annotate("ticket", Ticket);
 
-  // The callback may fire before this handler returns (a warm hit is a
-  // near-immediate pool task); delivery still waits for the announce
-  // below, so the wire order is always submitted-then-result.
+  // Queued before the job starts: the outbox is FIFO, so this ticket's
+  // result — even a warm hit, whose callback fires inline below — always
+  // reaches the wire after the submitted reply that names it.
+  Json J = Json::object();
+  J.set("type", "submitted");
+  if (const Json *Id = Request.get("id"))
+    J.set("id", *Id);
+  J.set("ticket", Ticket);
+  queueReply(Conn, J);
+
   double T0 = steadyNowSeconds();
   CachePolicy Policy = Compile->Options.Policy;
   Session->compileAsyncThen(
@@ -868,14 +920,7 @@ Json CompileServer::handleCompileAsync(Connection &Conn, const Json &Request,
                                         bool Computed) {
         finishTicket(Conn, Ticket, T0, Policy, Report, Error, Computed);
       });
-
-  Json J = Json::object();
-  J.set("type", "submitted");
-  if (const Json *Id = Request.get("id"))
-    J.set("id", *Id);
-  J.set("ticket", Ticket);
-  AnnounceTicket = Ticket;
-  return J;
+  return Json(); // Already queued.
 }
 
 void CompileServer::finishTicket(Connection &Conn, uint64_t Ticket,
@@ -894,60 +939,25 @@ void CompileServer::finishTicket(Connection &Conn, uint64_t Ticket,
                    .dump()
              : makeErrorNotification(Ticket, Failure).dump();
 
-  bool Deliver = false;
-  {
-    std::lock_guard<std::mutex> Lock(Conn.TicketMu);
-    auto It = Conn.Tickets.find(Ticket);
-    if (It != Conn.Tickets.end()) {
-      if (It->second.Announced) {
-        Conn.Tickets.erase(It);
-        Deliver = true;
-      } else {
-        // Resolved before the submitted reply went out: park the frame;
-        // announceTicket flushes it. (Cancelled tickets are already out
-        // of the table — their result is simply dropped.)
-        It->second.Deferred = std::move(Payload);
-      }
-    }
-  }
-  if (Deliver) {
-    // Counted before the write: a client holding the pushed result must
-    // never read a stats snapshot that has not counted it yet. (A failed
-    // write — peer gone — still counts as a push.)
+  std::lock_guard<std::mutex> Lock(Conn.TicketMu);
+  bool WasEmpty = Conn.Outbox.empty();
+  // Cancelled tickets are already out of the table: their result is
+  // simply dropped.
+  if (Conn.Tickets.erase(Ticket) != 0) {
+    // Counted when queued, under the lock the flush takes: a client
+    // holding the pushed result never reads a stats snapshot that has
+    // not counted it yet. (A frame the peer never reads still counts.)
     NotificationsDelivered.fetch_add(1);
-    obs::Span Write("notification_write");
-    Write.annotate("ticket", Ticket);
-    writeToConnection(Conn, Payload);
+    appendFrame(Conn.Outbox, Payload);
+    ++Conn.QueuedNotifications;
   }
-
-  {
-    std::lock_guard<std::mutex> Lock(Conn.TicketMu);
-    --Conn.UnresolvedJobs;
-    // Notify while still holding TicketMu: the moment the drain can see
-    // zero it may retire the Connection, so an unlocked notify here
-    // would touch a freed condition variable.
-    Conn.TicketCv.notify_all();
-  }
-}
-
-void CompileServer::announceTicket(Connection &Conn, uint64_t Ticket) {
-  std::string Payload;
-  {
-    std::lock_guard<std::mutex> Lock(Conn.TicketMu);
-    auto It = Conn.Tickets.find(Ticket);
-    if (It == Conn.Tickets.end())
-      return; // Cancelled between reply and announce (defensive).
-    if (It->second.Deferred.empty()) {
-      It->second.Announced = true; // Job still running; callback delivers.
-      return;
-    }
-    Payload = std::move(It->second.Deferred);
-    Conn.Tickets.erase(It);
-  }
-  NotificationsDelivered.fetch_add(1); // Before the write; see finishTicket.
-  obs::Span Write("notification_write");
-  Write.annotate("ticket", Ticket);
-  writeToConnection(Conn, Payload);
+  // Wake for the first frame of a batch, and for the last job (the drain
+  // waits for it). Still under TicketMu: the moment the drain can see
+  // zero it may retire the Connection and close the wake fd, whose
+  // number may then be reused, so an unlocked write could signal a
+  // stranger.
+  if (--Conn.UnresolvedJobs == 0 || (WasEmpty && !Conn.Outbox.empty()))
+    eventfd_write(Conn.WakeFd, 1);
 }
 
 Json CompileServer::handleCancel(Connection &Conn, const Json &Request) {

@@ -20,12 +20,14 @@
 ///
 /// Streaming: compile_async answers with a ticket immediately and the
 /// result is pushed later as a notification, so one connection pipelines
-/// many compiles. Each connection keeps a ticket table and a frame-level
-/// write mutex that multiplexes notifications (written by session pool
-/// workers as jobs resolve, in completion order) with ordinary replies
-/// (written by the connection thread). Delivery of a ticket's
-/// notification is deferred until its submitted reply has hit the wire,
-/// so a client never learns a result before the ticket that names it;
+/// many compiles. One writer per connection: every outbound frame — the
+/// connection thread's replies and the notifications that completion
+/// threads (pool workers, or a cold winner draining its joiners) produce
+/// in completion order — is appended to the connection's FIFO outbox,
+/// and only the connection thread writes the outbox to the socket. A
+/// client that stops reading therefore stalls its own connection thread
+/// and nothing else. The submitted reply is queued before the job starts,
+/// so the FIFO alone puts every result behind the ticket that names it;
 /// cancel drops a pending ticket's delivery (the underlying cache entry,
 /// shared with other clients, always completes); poll reports liveness.
 ///
@@ -56,6 +58,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -196,19 +199,17 @@ private:
     double MaxSeconds = 0;
   };
 
-  /// One pending (or resolved-but-unannounced) compile_async ticket.
-  struct TicketState {
-    /// True once the submitted reply naming this ticket has been written.
-    /// A job that resolves earlier parks its payload in Deferred instead
-    /// of writing — the client must never see a result for a ticket it
-    /// has not been told about.
-    bool Announced = false;
-    /// The notification frame of a job that resolved pre-announce.
-    std::string Deferred;
-  };
-
   struct Connection {
+    /// Closes Fd and WakeFd; only the reaper and stop() destroy a
+    /// Connection, after joining its thread.
+    ~Connection();
+
+    /// Written only by the connection thread (serveConnection).
     int Fd = -1;
+    /// An eventfd that completion threads signal, under TicketMu, when
+    /// they queue a frame into an empty Outbox or resolve the last
+    /// pending job; the connection thread polls it beside Fd.
+    int WakeFd = -1;
     /// TCP connections must pass the shared-secret challenge before
     /// their first request frame; Unix connections skip it (filesystem
     /// permissions on the socket path are their gate).
@@ -224,22 +225,24 @@ private:
     std::thread Thread;
     std::atomic<bool> Done{false};
 
-    /// One frame at a time on Fd: the connection thread's replies and the
-    /// pool workers' pushed notifications interleave at frame granularity
-    /// behind this, never mid-frame.
-    std::mutex WriteMu;
-
-    /// Ticket table (guarded by TicketMu). A ticket lives here from
-    /// compile_async until its notification is delivered or it is
-    /// cancelled; UnresolvedJobs counts completion callbacks not yet
-    /// fired (cancelled tickets included — the session job still runs),
-    /// and TicketCv wakes the drain that keeps this Connection alive
-    /// until the last callback referencing it has finished.
+    /// Guards everything below. Tickets holds the pending compile_async
+    /// tickets: one lives here from compile_async until its notification
+    /// is queued or it is cancelled. UnresolvedJobs counts completion
+    /// callbacks not yet fired (cancelled tickets included — the session
+    /// job still runs); the drain keeps this Connection alive until it
+    /// reads zero.
     std::mutex TicketMu;
-    std::condition_variable TicketCv;
     uint64_t NextTicket = 1;
-    std::map<uint64_t, TicketState> Tickets;
+    std::set<uint64_t> Tickets;
     size_t UnresolvedJobs = 0;
+    /// Already-framed bytes waiting for the connection thread, in the
+    /// order they were queued. The connection thread reads a new request
+    /// only after a full flush, so this never holds more than one
+    /// notification per pending ticket (at most
+    /// MaxPendingTicketsPerConnection) plus one reply.
+    std::string Outbox;
+    /// Result notifications among the Outbox frames (trace accounting).
+    size_t QueuedNotifications = 0;
   };
 
   /// One accept loop per listener: the Unix socket and (when configured)
@@ -258,20 +261,17 @@ private:
   /// persist thread — the one place the signaling sequence lives.
   void requestShutdown();
 
-  /// Dispatches one request; returns the response message and sets
-  /// \p CloseAfter for shutdown and \p AnnounceTicket for compile_async
-  /// (the ticket whose deferred notification becomes deliverable once
-  /// the response is on the wire). Compile handlers turn a failed
-  /// compile into an error reply through finishCompile; serveConnection
-  /// still wraps the call in an exception barrier, so anything else that
+  /// Dispatches one request; returns the response message (null when the
+  /// handler queued its reply itself, as compile_async does) and sets
+  /// \p CloseAfter for shutdown. Compile handlers turn a failed compile
+  /// into an error reply through finishCompile; serveConnection still
+  /// wraps the call in an exception barrier, so anything else that
   /// throws (bad_alloc, say) becomes an error response instead of
   /// terminating the daemon.
-  Json handleRequest(Connection &Conn, const Json &Request, bool &CloseAfter,
-                     uint64_t &AnnounceTicket);
+  Json handleRequest(Connection &Conn, const Json &Request, bool &CloseAfter);
   Json handleHello(Connection &Conn, const Json &Request);
   Json handleCompile(Connection &Conn, const Json &Request);
-  Json handleCompileAsync(Connection &Conn, const Json &Request,
-                          uint64_t &AnnounceTicket);
+  Json handleCompileAsync(Connection &Conn, const Json &Request);
   Json handleCancel(Connection &Conn, const Json &Request);
   Json handlePoll(Connection &Conn, const Json &Request);
   Json handleCompileModel(Connection &Conn, const Json &Request);
@@ -301,20 +301,20 @@ private:
                            std::optional<CompileRequest> &Out,
                            Json &ErrorReply);
 
-  /// Writes one frame to \p Conn under its write mutex. A false return
-  /// means the peer is gone; callers drop the frame (the read loop will
-  /// notice on its side).
-  bool writeToConnection(Connection &Conn, const std::string &Payload);
+  /// Queues \p Reply into the outbox, replaced by a minimal error frame
+  /// when it exceeds MaxFrameBytes. Connection thread only.
+  void queueReply(Connection &Conn, const Json &Reply);
 
-  /// Marks \p Ticket announced and delivers its notification if the job
-  /// already resolved. Called by serveConnection right after writing the
-  /// submitted reply.
-  void announceTicket(Connection &Conn, uint64_t Ticket);
+  /// Writes the outbox to Conn.Fd until it is empty. On a write error
+  /// (peer gone, or the send timeout) shuts the socket down, so later
+  /// flushes fail fast and discard, and returns false. Connection thread
+  /// only.
+  bool flushOutbox(Connection &Conn);
 
   /// The completion hook for one streaming job: runs finishCompile,
-  /// delivers (or defers) the notification, and signals the connection
-  /// drain. Runs on whichever thread resolves the job (see
-  /// CompilerSession::JobCallback).
+  /// queues the notification unless the ticket was cancelled, and wakes
+  /// the connection thread. Runs on whichever thread resolves the job
+  /// (see CompilerSession::JobCallback) and never touches the socket.
   void finishTicket(Connection &Conn, uint64_t Ticket, double SubmitSeconds,
                     CachePolicy Policy, const KernelReport *Report,
                     std::exception_ptr Error, bool Computed);

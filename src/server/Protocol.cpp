@@ -391,27 +391,6 @@ std::optional<Json> Json::parse(const std::string &Text, std::string *Err) {
 
 namespace {
 
-bool writeAll(int Fd, const char *Data, size_t Len) {
-  while (Len > 0) {
-    // MSG_NOSIGNAL: a peer closing mid-write must surface as an error
-    // return, not SIGPIPE — clients and embedding hosts do not install
-    // the signal handling the daemon does. Non-socket fds (pipes,
-    // socketpair stand-ins in tests) reject send() with ENOTSOCK; fall
-    // back to write() for them.
-    ssize_t N = ::send(Fd, Data, Len, MSG_NOSIGNAL);
-    if (N < 0 && errno == ENOTSOCK)
-      N = ::write(Fd, Data, Len);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Data += N;
-    Len -= static_cast<size_t>(N);
-  }
-  return true;
-}
-
 /// Returns bytes read (== Len), 0 on clean EOF at the *first* byte, or -1
 /// on error / mid-buffer EOF.
 ssize_t readAll(int Fd, char *Data, size_t Len) {
@@ -432,22 +411,44 @@ ssize_t readAll(int Fd, char *Data, size_t Len) {
 
 } // namespace
 
-bool unit::writeFrame(int Fd, const std::string &Payload) {
+bool unit::appendFrame(std::string &Out, const std::string &Payload) {
   if (Payload.size() > MaxFrameBytes)
     return false;
   uint32_t Len = static_cast<uint32_t>(Payload.size());
+  const char Header[4] = {static_cast<char>(Len >> 24),
+                          static_cast<char>(Len >> 16),
+                          static_cast<char>(Len >> 8), static_cast<char>(Len)};
+  Out.append(Header, 4).append(Payload);
+  return true;
+}
+
+bool unit::writeAll(int Fd, const std::string &Bytes) {
+  for (size_t Sent = 0; Sent < Bytes.size();) {
+    // MSG_NOSIGNAL: a peer closing mid-write must surface as an error
+    // return, not SIGPIPE — clients and embedding hosts do not install
+    // the signal handling the daemon does. Non-socket fds (pipes,
+    // socketpair stand-ins in tests) reject send() with ENOTSOCK; fall
+    // back to write() for them.
+    const char *Data = Bytes.data() + Sent;
+    ssize_t N = ::send(Fd, Data, Bytes.size() - Sent, MSG_NOSIGNAL);
+    if (N < 0 && errno == ENOTSOCK)
+      N = ::write(Fd, Data, Bytes.size() - Sent);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N < 0)
+      return false;
+    Sent += static_cast<size_t>(N);
+  }
+  return true;
+}
+
+bool unit::writeFrame(int Fd, const std::string &Payload) {
   // One contiguous buffer, one write loop: a separate 4-byte header write
   // costs an extra TCP segment (and a Nagle/delayed-ACK stall for small
   // frames) once frames cross real network links instead of a local
   // Unix socket.
   std::string Frame;
-  Frame.reserve(4 + Payload.size());
-  Frame.push_back(static_cast<char>(Len >> 24));
-  Frame.push_back(static_cast<char>(Len >> 16));
-  Frame.push_back(static_cast<char>(Len >> 8));
-  Frame.push_back(static_cast<char>(Len));
-  Frame.append(Payload);
-  return writeAll(Fd, Frame.data(), Frame.size());
+  return appendFrame(Frame, Payload) && writeAll(Fd, Frame);
 }
 
 FrameStatus unit::readFrame(int Fd, std::string &Payload) {
@@ -457,10 +458,9 @@ FrameStatus unit::readFrame(int Fd, std::string &Payload) {
     return FrameStatus::Eof;
   if (N < 0)
     return FrameStatus::Error;
-  uint32_t Len = (static_cast<uint32_t>(static_cast<unsigned char>(Header[0])) << 24) |
-                 (static_cast<uint32_t>(static_cast<unsigned char>(Header[1])) << 16) |
-                 (static_cast<uint32_t>(static_cast<unsigned char>(Header[2])) << 8) |
-                 static_cast<uint32_t>(static_cast<unsigned char>(Header[3]));
+  uint32_t Len = 0; // Big-endian, as appendFrame writes it.
+  for (char Byte : Header)
+    Len = (Len << 8) | static_cast<unsigned char>(Byte);
   if (Len > MaxFrameBytes)
     return FrameStatus::Error;
   Payload.resize(Len);

@@ -12,8 +12,9 @@
 ///
 ///   - Json: a minimal self-contained JSON value (parse / dump), kept
 ///     dependency-free on purpose (the container bakes in no JSON lib);
-///   - frame I/O over a socket fd (writeFrame / readFrame, EINTR-safe,
-///     bounded by MaxFrameBytes so a corrupt length prefix cannot OOM);
+///   - frame I/O over a socket fd (appendFrame / writeAll / writeFrame /
+///     readFrame, EINTR-safe, bounded by MaxFrameBytes so a corrupt
+///     length prefix cannot OOM);
 ///   - schema codecs between protocol JSON and the runtime types
 ///     (ConvLayer, Conv3dLayer, Model, KernelReport, CompileOptions).
 ///
@@ -182,8 +183,16 @@ private:
 // Frame I/O
 //===----------------------------------------------------------------------===//
 
-/// Writes one length-prefixed frame. Returns false on I/O error or when
-/// \p Payload exceeds MaxFrameBytes.
+/// The one frame encoder: appends \p Payload's length prefix and bytes to
+/// \p Out. Returns false, appending nothing, when \p Payload exceeds
+/// MaxFrameBytes.
+bool appendFrame(std::string &Out, const std::string &Payload);
+
+/// Writes every byte of \p Bytes to \p Fd (EINTR-safe; a vanished peer is
+/// an error return, never SIGPIPE). Returns false on I/O error.
+bool writeAll(int Fd, const std::string &Bytes);
+
+/// appendFrame + writeAll: one frame in one write loop.
 bool writeFrame(int Fd, const std::string &Payload);
 
 enum class FrameStatus {

@@ -35,7 +35,9 @@
 #include <thread>
 #include <vector>
 
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -1420,6 +1422,236 @@ TEST_F(ServerTest, StreamingErrorsAnswerWithErrorFramesAndServerSurvives) {
 }
 
 //===----------------------------------------------------------------------===//
+// One writer per connection: stalled readers and wire order
+//===----------------------------------------------------------------------===//
+
+/// A compile_async request frame for \p L, as a raw client would send it.
+Json compileAsyncRequest(const ConvLayer &L, CachePolicy Policy,
+                         int64_t Id = 0) {
+  Json J = Json::object();
+  J.set("type", "compile_async");
+  if (Id != 0)
+    J.set("id", Id);
+  J.set("target", "x86");
+  J.set("workload", toJson(L));
+  Json Options = Json::object();
+  Options.set("policy", cachePolicyName(Policy));
+  J.set("options", std::move(Options));
+  return J;
+}
+
+/// Sends \p Bytes on \p Fd without ever blocking: returns once all are
+/// sent or the socket has stayed full for \p StallMillis — that is, once
+/// the server has stopped reading this connection. Returns bytes sent.
+size_t sendUntilStalled(int Fd, const std::string &Bytes, int StallMillis) {
+  size_t Sent = 0;
+  while (Sent < Bytes.size()) {
+    pollfd P = {Fd, POLLOUT, 0};
+    if (::poll(&P, 1, StallMillis) <= 0)
+      break;
+    ssize_t N = ::send(Fd, Bytes.data() + Sent, Bytes.size() - Sent,
+                       MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (N < 0 && errno != EAGAIN && errno != EINTR)
+      break;
+    if (N > 0)
+      Sent += static_cast<size_t>(N);
+  }
+  return Sent;
+}
+
+/// A client that pipelines compile_async and never reads stalls only its
+/// own connection. Its joins wait on one gated key ahead of a
+/// well-behaved client's join; when the gate opens, the winner's thread
+/// fires every joiner's continuation. Those continuations may only queue
+/// the stalled client's notifications: one that wrote to the full socket
+/// would hold the winner's thread, and the joiner behind it, for the
+/// 30 s send timeout.
+TEST_F(ServerTest, StalledReaderDoesNotHoldJoinersOfTheSameKey) {
+  startServer();
+  std::promise<void> Gate;
+  std::vector<ConvLayer> Gated = syntheticLayers(1, 96);
+  GatedCompiles Blocked(Server->session(), Gate.get_future().share(), Gated,
+                        /*SecondsBase=*/600.0);
+
+  // 4000 pipelined joins, about 800 KiB of requests. The unread replies
+  // fill the server's socket buffer (208 KiB by default, charged per
+  // frame sent) after a few hundred of them: the server's connection
+  // thread blocks in a write and stops reading, so the burst stalls part
+  // way, with every join the server did read issued on the gated key.
+  int Stalled = robustness::rawConnect(SocketPath);
+  ASSERT_GE(Stalled, 0);
+  std::string Burst;
+  for (int I = 0; I < 4000; ++I)
+    appendFrame(Burst, compileAsyncRequest(Gated[0], CachePolicy::Default)
+                           .dump());
+  EXPECT_LT(sendUntilStalled(Stalled, Burst, /*StallMillis=*/500),
+            Burst.size());
+
+  // The server has stopped reading once the issued count holds still.
+  auto Monitor = makeClient("monitor");
+  auto IssuedTickets = [&Monitor] {
+    std::optional<Json> Stats = Monitor->stats(false);
+    return Stats ? Stats->get("streaming")->integer("tickets_issued") : -1;
+  };
+  int64_t Issued = -1;
+  for (int64_t Seen = IssuedTickets(); Seen != Issued;) {
+    Issued = Seen;
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    Seen = IssuedTickets();
+  }
+  EXPECT_GE(Issued, 100);
+
+  // The well-behaved client joins last, behind every stalled join.
+  auto Good = makeClient("well-behaved");
+  std::string Err;
+  std::optional<CompileClient::AsyncHandle> H =
+      Good->submitConv("x86", Gated[0], {}, &Err);
+  ASSERT_TRUE(H.has_value()) << Err;
+  Gate.set_value();
+  std::string WaitErr;
+  std::future<std::optional<CompileClient::CompileResult>> Waited =
+      std::async(std::launch::async, [&] { return Good->wait(*H, &WaitErr); });
+  EXPECT_EQ(Waited.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready)
+      << "a stalled reader held the well-behaved client for over 5 s";
+
+  // Hang up before stop(): the server's blocked write then fails at once
+  // instead of running out its send timeout.
+  ::close(Stalled);
+  std::optional<CompileClient::CompileResult> R = Waited.get();
+  ASSERT_TRUE(R.has_value()) << WaitErr;
+  EXPECT_EQ(R->Report.Seconds, 600.0);
+  Blocked.join();
+
+  // Every stalled ticket still counted its notification when it queued.
+  std::optional<Json> Stats = Monitor->stats(false, &Err);
+  ASSERT_TRUE(Stats.has_value()) << Err;
+  EXPECT_EQ(Stats->get("streaming")->integer("notifications_delivered"),
+            Stats->get("streaming")->integer("tickets_issued"));
+}
+
+/// The pool-worker path: Bypass compiles always run on a worker, which
+/// fires the completion callback. Two stalled readers on a two-worker
+/// pool must not take both workers with them.
+TEST_F(ServerTest, StalledReadersDoNotHoldPoolWorkers) {
+  ServerConfig Config;
+  Config.SessionCfg.Threads = 2;
+  startServer(std::move(Config));
+  ConvLayer L = syntheticLayers(1, 16)[0];
+
+  std::string Burst;
+  for (int I = 0; I < 4000; ++I)
+    appendFrame(Burst, compileAsyncRequest(L, CachePolicy::Bypass).dump());
+  int Stalled[2];
+  for (int &Fd : Stalled) {
+    Fd = robustness::rawConnect(SocketPath);
+    ASSERT_GE(Fd, 0);
+    EXPECT_LT(sendUntilStalled(Fd, Burst, /*StallMillis=*/500), Burst.size());
+  }
+
+  auto Good = makeClient("well-behaved");
+  CompileOptions Bypass;
+  Bypass.Policy = CachePolicy::Bypass;
+  std::string Err;
+  std::optional<CompileClient::AsyncHandle> H =
+      Good->submitConv("x86", L, Bypass, &Err);
+  ASSERT_TRUE(H.has_value()) << Err;
+  std::string WaitErr;
+  std::future<std::optional<CompileClient::CompileResult>> Waited =
+      std::async(std::launch::async, [&] { return Good->wait(*H, &WaitErr); });
+  EXPECT_EQ(Waited.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready)
+      << "a stalled reader held the well-behaved client for over 5 s";
+
+  for (int Fd : Stalled)
+    ::close(Fd);
+  std::optional<CompileClient::CompileResult> R = Waited.get();
+  ASSERT_TRUE(R.has_value()) << WaitErr;
+  EXPECT_FALSE(R->Cached);
+}
+
+/// The wire order a raw reader sees on one pipelined connection: warm
+/// hits (resolved inline, on the connection thread), cold misses (pool
+/// workers), gated joins (the winner's thread) and polls, all in one
+/// burst. Replies come back in request order, and every result comes
+/// after the submitted reply that names its ticket. CompileClient parks
+/// early notifications, so only a raw reader can see a reordering.
+TEST_F(ServerTest, PipelinedFramesKeepRequestOrderAndTicketOrder) {
+  startServer();
+  std::promise<void> Gate;
+  std::vector<ConvLayer> Gated = syntheticLayers(1, 112);
+  GatedCompiles Blocked(Server->session(), Gate.get_future().share(), Gated,
+                        /*SecondsBase=*/700.0);
+  std::vector<ConvLayer> Warm = syntheticLayers(3, 16);
+  std::vector<ConvLayer> Cold = syntheticLayers(6, 400);
+  auto Warmer = makeClient("warmer");
+  std::string Err;
+  for (const ConvLayer &W : Warm)
+    ASSERT_TRUE(Warmer->compileConv("x86", W, {}, &Err).has_value()) << Err;
+
+  // Tickets are issued from 1 in submission order, so the burst can poll
+  // the ticket it has just submitted.
+  std::string Burst;
+  std::vector<std::string> ReplyTypes; // Index = request id - 1.
+  uint64_t Tickets = 0;
+  auto Submit = [&](const ConvLayer &Layer) {
+    ReplyTypes.push_back("submitted");
+    Json J = compileAsyncRequest(Layer, CachePolicy::Default,
+                                 static_cast<int64_t>(ReplyTypes.size()));
+    appendFrame(Burst, J.dump());
+    ++Tickets;
+  };
+  for (size_t I = 0; I < Cold.size(); ++I) {
+    Submit(Warm[I % Warm.size()]);
+    Submit(Cold[I]);
+    if (I % 2 == 0)
+      Submit(Gated[0]);
+    ReplyTypes.push_back("ticket_status");
+    Json Poll = Json::object();
+    Poll.set("type", "poll");
+    Poll.set("id", static_cast<int64_t>(ReplyTypes.size()));
+    Poll.set("ticket", Tickets);
+    appendFrame(Burst, Poll.dump());
+  }
+
+  int Fd = robustness::rawConnect(SocketPath);
+  ASSERT_GE(Fd, 0);
+  timeval Timeout = {30, 0}; // A lost frame fails the test, not hangs it.
+  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
+  ASSERT_TRUE(writeAll(Fd, Burst));
+
+  size_t Replies = 0;
+  std::set<uint64_t> Submitted, Resolved;
+  auto ReadOne = [&] {
+    std::string Payload;
+    ASSERT_EQ(readFrame(Fd, Payload), FrameStatus::Ok);
+    std::optional<Json> Frame = Json::parse(Payload);
+    ASSERT_TRUE(Frame.has_value()) << Payload;
+    if (isNotification(*Frame)) {
+      uint64_t T = static_cast<uint64_t>(Frame->integer("ticket"));
+      EXPECT_TRUE(Submitted.count(T)) << "result before submitted " << T;
+      EXPECT_TRUE(Resolved.insert(T).second) << "second result for " << T;
+      EXPECT_EQ(Frame->get("error"), nullptr) << Payload;
+      return;
+    }
+    ASSERT_LT(Replies, ReplyTypes.size()) << Payload;
+    EXPECT_EQ(Frame->integer("id"), static_cast<int64_t>(Replies + 1));
+    EXPECT_EQ(Frame->str("type"), ReplyTypes[Replies]) << Payload;
+    if (Frame->str("type") == "submitted")
+      Submitted.insert(static_cast<uint64_t>(Frame->integer("ticket")));
+    ++Replies;
+  };
+  while (Replies < ReplyTypes.size() && !HasFatalFailure())
+    ReadOne();
+  Gate.set_value();
+  while (Resolved.size() < Tickets && !HasFatalFailure())
+    ReadOne();
+  EXPECT_EQ(Submitted.size(), Tickets);
+  ::close(Fd);
+  Blocked.join();
+}
+
+//===----------------------------------------------------------------------===//
 // Engine-as-client (RemoteCpuEngine)
 //===----------------------------------------------------------------------===//
 
@@ -2022,6 +2254,66 @@ TEST_F(ServerTest, TraceDisabledServerStillServesMetrics) {
   ASSERT_TRUE(Dump.has_value()) << Err;
   EXPECT_FALSE(Dump->boolean("enabled", true));
   EXPECT_EQ(Dump->get("trace")->get("traceEvents")->items().size(), 0u);
+}
+
+/// The stats reply's key set, pinned to docs/SERVER.md ("stats" and
+/// "Fabric observability"): dashboards parse these names, so adding,
+/// renaming or dropping one must show up here and in the docs together.
+TEST_F(ServerTest, StatsKeySetMatchesTheDocumentedContract) {
+  startServer();
+  auto Client = makeClient("golden", /*Budget=*/8);
+  std::string Err;
+  ASSERT_TRUE(
+      Client->compileConv("x86", makeResnet18().Convs[1], {}, &Err).has_value())
+      << Err;
+  std::optional<Json> Stats = Client->stats(/*Detail=*/true, &Err);
+  ASSERT_TRUE(Stats.has_value()) << Err;
+
+  using Keys = std::set<std::string>;
+  auto KeysOf = [](const Json *J) {
+    Keys Out;
+    if (J)
+      for (const auto &Member : J->members())
+        Out.insert(Member.first);
+    return Out;
+  };
+  EXPECT_EQ(KeysOf(&*Stats),
+            (Keys{"type", "id", "uptime_seconds", "build", "pid",
+                  "connections", "requests", "compiled_kernels", "errors",
+                  "tuner_invocations", "inflight_jobs", "tuner", "session",
+                  "streaming", "fabric", "cache", "clients", "entries"}));
+  EXPECT_EQ(KeysOf(Stats->get("tuner")),
+            (Keys{"invocations", "candidates_scored", "pruned_candidates",
+                  "transfer_seeds", "refit_active"}));
+  EXPECT_EQ(KeysOf(Stats->get("session")),
+            (Keys{"parked_joins", "continuation_joins", "inline_ready_hits",
+                  "fresh_dispatches"}));
+  EXPECT_EQ(KeysOf(Stats->get("streaming")),
+            (Keys{"tickets_issued", "notifications_delivered",
+                  "tickets_cancelled"}));
+  EXPECT_EQ(KeysOf(Stats->get("fabric")),
+            (Keys{"tcp_listen", "tcp_port", "auth_failures",
+                  "peers_configured", "peers_connected", "entries_pushed",
+                  "entries_fetched", "fetch_hits", "fetch_misses",
+                  "fetches_served", "pushes_served", "entries_served",
+                  "entries_accepted"}));
+  EXPECT_EQ(KeysOf(Stats->get("cache")),
+            (Keys{"entries", "bytes", "capacity", "hits", "misses",
+                  "evictions"}));
+  // A budgeted client that has compiled carries the two optional fields.
+  const Json *Rows = Stats->get("clients");
+  ASSERT_TRUE(Rows && Rows->isArray());
+  const Json *Row = nullptr;
+  for (const Json &R : Rows->items())
+    if (R.str("client") == "golden")
+      Row = &R;
+  EXPECT_EQ(KeysOf(Row),
+            (Keys{"client", "requests", "compile_requests",
+                  "layers_requested", "layers_from_cache", "max_candidates",
+                  "total_seconds", "max_seconds", "mean_seconds"}));
+  const Json *Entries = Stats->get("entries");
+  ASSERT_TRUE(Entries && !Entries->items().empty());
+  EXPECT_EQ(KeysOf(&Entries->items()[0]), (Keys{"key", "bytes", "ready"}));
 }
 
 TEST_F(ServerTest, StatsHammerDeliveredNeverReadsAheadOfIssued) {
