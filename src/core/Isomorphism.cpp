@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <unordered_map>
 
 using namespace unit;
 
@@ -404,53 +405,62 @@ IsoResult unit::matchCompute(const ComputeOp &Instr, const ComputeOp &Op) {
 // Structural distance (transfer tuning, docs/TUNING.md)
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Splits a canonical key into comparison units: maximal digit runs,
-/// maximal identifier runs ([A-Za-z_@%$.]+ covers dtype names and the
-/// positional @N/%N ids' sigils merged with their digits handled as two
-/// tokens), and single punctuation characters. Comparing token-wise makes
-/// one changed extent cost one edit regardless of its digit count.
-std::vector<std::string> tokenizeKey(const std::string &S) {
-  std::vector<std::string> Tokens;
+std::vector<std::string_view> unit::structuralTokens(std::string_view Key) {
+  std::vector<std::string_view> Tokens;
   size_t I = 0;
   auto IsDigit = [](char C) { return C >= '0' && C <= '9'; };
   auto IsIdent = [](char C) {
     return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
   };
-  while (I < S.size()) {
+  while (I < Key.size()) {
     size_t Start = I;
-    if (IsDigit(S[I])) {
-      while (I < S.size() && IsDigit(S[I]))
+    if (IsDigit(Key[I])) {
+      while (I < Key.size() && IsDigit(Key[I]))
         ++I;
-    } else if (IsIdent(S[I])) {
-      while (I < S.size() && IsIdent(S[I]))
+    } else if (IsIdent(Key[I])) {
+      while (I < Key.size() && IsIdent(Key[I]))
         ++I;
     } else {
       ++I;
     }
-    Tokens.emplace_back(S, Start, I - Start);
+    Tokens.push_back(Key.substr(Start, I - Start));
   }
   return Tokens;
 }
-
-} // namespace
 
 size_t unit::structuralDistance(const std::string &A, const std::string &B,
                                 size_t Cutoff) {
   if (A == B)
     return 0;
-  std::vector<std::string> TA = tokenizeKey(A);
-  std::vector<std::string> TB = tokenizeKey(B);
-  size_t N = TA.size(), M = TB.size();
+  // Intern both token streams against one local table, so equal tokens
+  // get equal ids, and compare the ids.
+  std::unordered_map<std::string_view, uint32_t> Ids;
+  auto Intern = [&Ids](std::string_view Key) {
+    std::vector<uint32_t> Out;
+    for (std::string_view Tok : structuralTokens(Key))
+      Out.push_back(
+          Ids.emplace(Tok, static_cast<uint32_t>(Ids.size())).first->second);
+    return Out;
+  };
+  return structuralDistance(Intern(A), Intern(B), Cutoff);
+}
+
+size_t unit::structuralDistance(const std::vector<uint32_t> &A,
+                                const std::vector<uint32_t> &B,
+                                size_t Cutoff) {
+  if (A == B)
+    return 0;
+  size_t N = A.size(), M = B.size();
   // Length difference is a lower bound on the edit distance.
   size_t Diff = N > M ? N - M : M - N;
   if (Diff > Cutoff)
     return Cutoff + 1;
 
   // Banded Levenshtein: cells more than Cutoff off the diagonal can never
-  // come back under the cutoff, so only a 2*Cutoff+1 band per row is
-  // computed. Two rolling rows; cells outside the band read as "over".
+  // come back under the cutoff, so only the 2*Cutoff+1 band of each row
+  // is computed, over two rolling rows that start all "over". The band
+  // only moves right, so a cell right of the previous row's band still
+  // reads "over"; the one stale cell left of this row's band is reset.
   const size_t Over = Cutoff + 1;
   std::vector<size_t> Prev(M + 1, Over), Cur(M + 1, Over);
   for (size_t J = 0; J <= M && J <= Cutoff; ++J)
@@ -458,19 +468,20 @@ size_t unit::structuralDistance(const std::string &A, const std::string &B,
   for (size_t I = 1; I <= N; ++I) {
     size_t Lo = I > Cutoff ? I - Cutoff : 0;
     size_t Hi = std::min(M, I + Cutoff);
-    std::fill(Cur.begin(), Cur.end(), Over);
-    if (Lo == 0)
-      Cur[0] = I;
     size_t RowMin = Over;
+    if (Lo == 0) {
+      Cur[0] = I;
+      RowMin = I;
+    } else {
+      Cur[Lo - 1] = Over;
+    }
     for (size_t J = std::max<size_t>(1, Lo); J <= Hi; ++J) {
-      size_t Sub = Prev[J - 1] + (TA[I - 1] == TB[J - 1] ? 0 : 1);
+      size_t Sub = Prev[J - 1] + (A[I - 1] == B[J - 1] ? 0 : 1);
       size_t Del = Prev[J] + 1;
       size_t Ins = Cur[J - 1] + 1;
       Cur[J] = std::min({Sub, Del, Ins, Over});
       RowMin = std::min(RowMin, Cur[J]);
     }
-    if (Lo == 0)
-      RowMin = std::min(RowMin, Cur[0]);
     if (RowMin >= Over)
       return Over; // Every band cell already exceeds the cutoff.
     std::swap(Prev, Cur);

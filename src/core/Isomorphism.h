@@ -18,7 +18,9 @@
 
 #include "ir/ComputeOp.h"
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace unit {
@@ -74,6 +76,21 @@ std::string canonicalComputeKey(const ComputeOp &Op);
 /// new key's search (docs/TUNING.md).
 size_t structuralDistance(const std::string &A, const std::string &B,
                           size_t Cutoff);
+
+/// structuralDistance over keys already split by structuralTokens and
+/// interned: equal tokens carry equal ids. The string overload interns
+/// both keys and calls this one, so the two always agree; callers that
+/// compare one key against many (the transfer index,
+/// runtime/TransferIndex.h) tokenize and intern each key once instead of
+/// once per comparison.
+size_t structuralDistance(const std::vector<uint32_t> &A,
+                          const std::vector<uint32_t> &B, size_t Cutoff);
+
+/// The comparison units of structuralDistance, as views into \p Key:
+/// maximal digit runs, maximal identifier runs ([A-Za-z_]+), and single
+/// punctuation characters, so one changed extent costs one edit whatever
+/// its digit count.
+std::vector<std::string_view> structuralTokens(std::string_view Key);
 
 } // namespace unit
 

@@ -2,7 +2,6 @@
 
 #include "runtime/CompilerSession.h"
 
-#include "core/Isomorphism.h"
 #include "obs/Trace.h"
 #include "support/Time.h"
 #include "tuner/TuningSpace.h"
@@ -65,74 +64,11 @@ CompilerSession::resetShared(SessionConfig Config) {
 // Transfer tuning (docs/TUNING.md)
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Splits a cache key at its `target|spechash|kind|` prefix. Returns
-/// false for keys without three '|' separators (no backend produces
-/// those, but a malformed key must never seed anything).
-bool splitTransferKey(const std::string &Key, std::string &Group,
-                      std::string &Body) {
-  size_t Pos = 0;
-  for (int Sep = 0; Sep < 3; ++Sep) {
-    Pos = Key.find('|', Pos);
-    if (Pos == std::string::npos)
-      return false;
-    ++Pos;
-  }
-  Group = Key.substr(0, Pos);
-  Body = Key.substr(Pos);
-  return true;
-}
-
-/// Per-group entry cap: the index is an accelerator, not a cache — a
-/// runaway key population must not grow it without bound.
-constexpr size_t TransferGroupCap = 512;
-
-} // namespace
-
-int CompilerSession::transferSeedFor(const std::string &Key) {
-  std::string Group, Body;
-  if (!splitTransferKey(Key, Group, Body))
-    return -1;
-  // A quarter-ish of the serialization may differ and still count as
-  // "near": generous, because a wrong-but-in-range seed only costs one
-  // extra scored candidate — it can never change the winner.
-  size_t Cutoff = std::max<size_t>(8, Body.size() / 10);
-  std::lock_guard<std::mutex> Lock(TransferMu);
-  auto It = TransferIndex.find(Group);
-  if (It == TransferIndex.end())
-    return -1;
-  size_t BestDistance = Cutoff + 1;
-  int BestSeed = -1;
-  for (const auto &[NeighborBody, Winner] : It->second) {
-    size_t D = structuralDistance(Body, NeighborBody, Cutoff);
-    if (D < BestDistance) { // Strict: ties keep the first in body order.
-      BestDistance = D;
-      BestSeed = Winner;
-    }
-  }
-  return BestDistance <= Cutoff ? BestSeed : -1;
-}
-
-void CompilerSession::recordTransferWinner(const std::string &Key,
-                                           const KernelReport &Report) {
-  if (Report.BestCandidateIndex < 0)
-    return; // Fallback report — no candidate space to seed from.
-  std::string Group, Body;
-  if (!splitTransferKey(Key, Group, Body))
-    return;
-  std::lock_guard<std::mutex> Lock(TransferMu);
-  std::map<std::string, int> &G = TransferIndex[Group];
-  if (G.size() >= TransferGroupCap && !G.count(Body))
-    return;
-  G[Body] = Report.BestCandidateIndex;
-}
-
 CompileOptions CompilerSession::optionsWithSeed(const CompileOptions &Base,
                                                 const std::string &Key) {
   CompileOptions Opts = Base;
   if (Opts.SeedCandidate < 0) {
-    int Seed = transferSeedFor(Key);
+    int Seed = Transfer.nearest(Key);
     if (Seed >= 0) {
       Opts.SeedCandidate = Seed;
       TransferSeedsCount.fetch_add(1);
@@ -265,7 +201,7 @@ CompilerSession::compileCold(const CompileRequest &Request,
     if (Out.Error) {
       Cache.fail(Key, Ticket, Out.Error);
     } else {
-      recordTransferWinner(Key, Out.Report);
+      Transfer.record(Key, Out.Report.BestCandidateIndex);
       {
         obs::Span Fulfill("fulfill");
         Cache.fulfill(Key, Ticket, Out.Report);

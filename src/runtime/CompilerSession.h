@@ -37,18 +37,17 @@
 #include "obs/Histogram.h"
 #include "runtime/CompileRequest.h"
 #include "runtime/KernelCache.h"
+#include "runtime/TransferIndex.h"
 #include "support/ThreadPool.h"
 #include "target/TargetRegistry.h"
 
 #include <atomic>
 #include <condition_variable>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace unit {
@@ -162,14 +161,13 @@ private:
   std::atomic<uint64_t> InlineReadyHitsCount{0};
   std::atomic<uint64_t> FreshDispatchesCount{0};
   std::atomic<uint64_t> TransferSeedsCount{0};
-  /// Transfer-tuning index: cache key -> winning candidate index, grouped
-  /// by the key's `target|spechash|kind|` prefix so seeds never cross a
-  /// backend or workload family. Inner std::map keeps deterministic
-  /// iteration (nearest-neighbor ties break by body order, not hash
-  /// order). Touched only on cold compiles — warm hits never take the
-  /// lock. Declared before Pool: workers record winners into it.
-  std::mutex TransferMu;
-  std::unordered_map<std::string, std::map<std::string, int>> TransferIndex;
+  /// Transfer-tuning index (runtime/TransferIndex.h): cache key ->
+  /// winning candidate index, grouped by the key's `target|spechash|kind|`
+  /// prefix. Touched only on cold compiles: the nearest-neighbor scan
+  /// takes its shared lock, so concurrent cold compiles scan together,
+  /// and recording a winner takes the exclusive one. Declared before
+  /// Pool: workers record winners into it.
+  TransferIndex Transfer;
   /// Submit-to-resolve latency histograms (docs/OBSERVABILITY.md), split
   /// by how the request resolved: fresh compile (cold, including
   /// peer-fetched misses), ready cache hit (warm), continuation join.
@@ -219,15 +217,6 @@ private:
   /// distance cutoff. Called only on cold compile paths.
   CompileOptions optionsWithSeed(const CompileOptions &Base,
                                  const std::string &Key);
-
-  /// Candidate-space index the transfer index suggests for \p Key, or -1.
-  int transferSeedFor(const std::string &Key);
-
-  /// Feeds \p Key's winning candidate into the transfer index (no-op for
-  /// fallback reports with no winner). Called after fresh compiles and
-  /// peer-fetched reports — every report that proves a winner for a key.
-  void recordTransferWinner(const std::string &Key,
-                            const KernelReport &Report);
 
   /// The async entry point behind compileAsync, compileAsyncThen and
   /// compileAllAsync: the same resolve step, but it never blocks a pool

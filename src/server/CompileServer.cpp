@@ -50,6 +50,10 @@ constexpr size_t MaxClientBuckets = 1024;
 /// and immediately closed (the client sees EOF).
 constexpr size_t MaxConnections = 256;
 
+/// How long a write to a client may go without progress before the
+/// connection is given up.
+constexpr int SendTimeoutSeconds = 30;
+
 /// One line per compile slower than the operator's --slow-compile-ms
 /// threshold: enough of a digest to find the request in a trace dump
 /// without grepping for it. Ticket 0 marks the blocking compile path.
@@ -284,19 +288,23 @@ void CompileServer::stop() {
   }
   ::unlink(Config.SocketPath.c_str());
 
-  // 2. Unblock idle connections (threads parked in poll() see EOF);
-  //    a thread mid-request keeps its write side and delivers its
-  //    response before noticing Stopping. Connection fds stay open until
-  //    their threads are joined (only the reaper above and this function
-  //    ever destroy a Connection — and the reaper cannot run concurrently
-  //    with this, the accept loop is already joined), so shutdown() can
-  //    never hit a recycled descriptor.
+  // 2. Unblock idle connections (threads parked in poll() see EOF) and
+  //    wake every connection thread: one waiting for its client to make
+  //    room for a frame abandons the write instead of waiting out the
+  //    send timeout, while a reply the socket has room for is still
+  //    delivered. Connection fds stay open until their threads are
+  //    joined (only the reaper above and this function ever destroy a
+  //    Connection — and the reaper cannot run concurrently with this,
+  //    the accept loop is already joined), so shutdown() and the wake
+  //    can never hit a recycled descriptor.
   std::vector<std::unique_ptr<Connection>> ToJoin;
   {
     std::lock_guard<std::mutex> Lock(ConnMu);
     for (const auto &Conn : Connections)
-      if (!Conn->Done.load())
+      if (!Conn->Done.load()) {
         ::shutdown(Conn->Fd, SHUT_RD);
+        eventfd_write(Conn->WakeFd, 1);
+      }
     ToJoin.swap(Connections);
   }
   for (const auto &Conn : ToJoin)
@@ -423,11 +431,11 @@ void CompileServer::acceptLoop(int ListenerFd, bool RequireAuth) {
     }
     // Bound writes: only the connection thread writes this socket, so a
     // client that stops reading stalls that thread alone — completion
-    // threads just queue into its outbox. The timeout bounds even that:
-    // stop() joins every connection thread, so an unbounded write would
-    // turn one stalled client into a daemon that cannot shut down.
+    // threads just queue into its outbox. The timeout bounds even that
+    // for the blocking handshake writes; outbox flushes poll under the
+    // same bound and also end at once when stop() wakes them.
     timeval SendTimeout;
-    SendTimeout.tv_sec = 30;
+    SendTimeout.tv_sec = SendTimeoutSeconds;
     SendTimeout.tv_usec = 0;
     ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &SendTimeout,
                  sizeof(SendTimeout));
@@ -605,7 +613,7 @@ bool CompileServer::flushOutbox(Connection &Conn) {
     std::optional<obs::Span> Write;
     if (Notifications > 0)
       Write.emplace("notification_write");
-    if (!writeAll(Conn.Fd, Bytes)) {
+    if (!sendOutbox(Conn, Bytes)) {
       // A failed write may have left half a frame on the wire; nothing
       // sent after it could be parsed, so end the stream.
       ::shutdown(Conn.Fd, SHUT_RDWR);
@@ -613,6 +621,40 @@ bool CompileServer::flushOutbox(Connection &Conn) {
     }
     Bytes.clear();
   }
+}
+
+bool CompileServer::sendOutbox(Connection &Conn, const std::string &Bytes) {
+  double Deadline = 0; // Set when the socket fills, cleared on progress.
+  for (size_t Sent = 0; Sent < Bytes.size();) {
+    // MSG_NOSIGNAL: a vanished peer is an error return, not SIGPIPE.
+    ssize_t N = ::send(Conn.Fd, Bytes.data() + Sent, Bytes.size() - Sent,
+                       MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (N > 0) {
+      Sent += static_cast<size_t>(N);
+      Deadline = 0;
+      continue;
+    }
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N < 0 && errno != EAGAIN && errno != EWOULDBLOCK)
+      return false;
+    // The socket is full. Wait for room or a wake: a completion queueing
+    // a frame (the flush loop picks it up after this batch) or stop().
+    if (Deadline == 0)
+      Deadline = steadyNowSeconds() + SendTimeoutSeconds;
+    pollfd Fds[2] = {{Conn.Fd, POLLOUT, 0}, {Conn.WakeFd, POLLIN, 0}};
+    do {
+      double Left = Deadline - steadyNowSeconds();
+      if (Stopping.load() || Left <= 0)
+        return false;
+      if (::poll(Fds, 2, static_cast<int>(Left * 1000) + 1) > 0 &&
+          (Fds[1].revents & POLLIN)) {
+        eventfd_t Signals;
+        eventfd_read(Conn.WakeFd, &Signals);
+      }
+    } while (Fds[0].revents == 0);
+  }
+  return true;
 }
 
 //===----------------------------------------------------------------------===//

@@ -306,10 +306,17 @@ private:
   void queueReply(Connection &Conn, const Json &Reply);
 
   /// Writes the outbox to Conn.Fd until it is empty. On a write error
-  /// (peer gone, or the send timeout) shuts the socket down, so later
-  /// flushes fail fast and discard, and returns false. Connection thread
-  /// only.
+  /// (peer gone, the send timeout, or stop()) shuts the socket down, so
+  /// later flushes fail fast and discard, and returns false. Connection
+  /// thread only.
   bool flushOutbox(Connection &Conn);
+
+  /// Writes \p Bytes to Conn.Fd: a non-blocking send, and only while the
+  /// socket is full a poll for room beside Conn.WakeFd. Returns false on
+  /// a write error, after 30 s without progress, or when a wake finds
+  /// Stopping set — so stop() never waits on a client that has stopped
+  /// reading.
+  bool sendOutbox(Connection &Conn, const std::string &Bytes);
 
   /// The completion hook for one streaming job: runs finishCompile,
   /// queues the notification unless the ticket was cancelled, and wakes

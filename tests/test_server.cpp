@@ -1570,6 +1570,45 @@ TEST_F(ServerTest, StalledReadersDoNotHoldPoolWorkers) {
   EXPECT_FALSE(R->Cached);
 }
 
+/// stop() ends a connection whose client is connected but not reading.
+/// The replies to thousands of pipelined stats requests fill the socket,
+/// so the connection thread waits for room to write; stop() must wake it
+/// and give the write up, not wait out the 30 s send timeout.
+TEST_F(ServerTest, StopDoesNotWaitOnAConnectedStalledReader) {
+  startServer();
+  int Stalled = robustness::rawConnect(SocketPath);
+  ASSERT_GE(Stalled, 0);
+  Json Stats = Json::object();
+  Stats.set("type", "stats");
+  std::string Burst;
+  for (int I = 0; I < 4000; ++I)
+    appendFrame(Burst, Stats.dump());
+  sendUntilStalled(Stalled, Burst, /*StallMillis=*/500);
+
+  // The server is stuck in a write once its request count grows only by
+  // the monitor's own stats request, well short of the burst.
+  auto Monitor = makeClient("monitor");
+  auto Requests = [&Monitor] {
+    std::optional<Json> S = Monitor->stats(false);
+    return S ? S->integer("requests") : -1;
+  };
+  int64_t Served = -2;
+  for (int64_t Seen = Requests(); Seen != Served + 1;) {
+    Served = Seen;
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    Seen = Requests();
+  }
+  EXPECT_LT(Served, 4000);
+
+  auto T0 = std::chrono::steady_clock::now();
+  Server->stop();
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - T0)
+                       .count();
+  EXPECT_LT(Seconds, 2.0) << "stop() waited on a client that stopped reading";
+  ::close(Stalled);
+}
+
 /// The wire order a raw reader sees on one pipelined connection: warm
 /// hits (resolved inline, on the connection thread), cold misses (pool
 /// workers), gated joins (the winner's thread) and polls, all in one

@@ -13,7 +13,10 @@
 //   - a session warmed on resnet-18 compiles the channel-widened variant
 //     with exactly one tuner invocation per genuinely new shape — the
 //     >= 50% cut over a cold session, asserted on exact counts — and the
-//     transfer-seed counter proves the warm starts actually flowed.
+//     transfer-seed counter proves the warm starts actually flowed;
+//   - TransferIndex, the pruned nearest-neighbor scan, picks the same
+//     seed as the full scan it replaced, and stays consistent while
+//     cold compiles scan and record concurrently.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +27,7 @@
 #include "models/ModelZoo.h"
 #include "runtime/CompileRequest.h"
 #include "runtime/CompilerSession.h"
+#include "runtime/TransferIndex.h"
 #include "runtime/Workload.h"
 #include "support/ThreadPool.h"
 #include "target/MachineOverlay.h"
@@ -34,12 +38,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 using namespace unit;
@@ -354,6 +362,396 @@ TEST(TransferTuning, WarmSessionTunesOnlyTheNewShapes) {
   for (size_t I = 0; I < WarmReports.size(); ++I)
     EXPECT_TRUE(sameReport(WarmReports[I], ColdReports[I]))
         << "layer " << I << " (" << Wide.Convs[I].Name << ")";
+}
+
+//===----------------------------------------------------------------------===//
+// Structural distance over interned tokens
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// \p Keys interned against one shared table: equal tokens, equal ids.
+std::vector<std::vector<uint32_t>>
+internAll(const std::vector<std::string> &Keys) {
+  std::unordered_map<std::string_view, uint32_t> Ids;
+  std::vector<std::vector<uint32_t>> Out;
+  for (const std::string &K : Keys) {
+    Out.emplace_back();
+    for (std::string_view Tok : structuralTokens(K))
+      Out.back().push_back(
+          Ids.emplace(Tok, static_cast<uint32_t>(Ids.size())).first->second);
+  }
+  return Out;
+}
+
+/// Plain unbanded Levenshtein over token ids: the definition the banded,
+/// cut-off structuralDistance must agree with.
+size_t fullEditDistance(const std::vector<uint32_t> &A,
+                        const std::vector<uint32_t> &B) {
+  std::vector<size_t> Prev(B.size() + 1), Cur(B.size() + 1);
+  for (size_t J = 0; J <= B.size(); ++J)
+    Prev[J] = J;
+  for (size_t I = 1; I <= A.size(); ++I) {
+    Cur[0] = I;
+    for (size_t J = 1; J <= B.size(); ++J)
+      Cur[J] = std::min({Prev[J - 1] + (A[I - 1] == B[J - 1] ? 0 : 1),
+                         Prev[J] + 1, Cur[J - 1] + 1});
+    std::swap(Prev, Cur);
+  }
+  return Prev[B.size()];
+}
+
+/// A body made from \p Base by up to \p MaxEdits random token edits over a
+/// four-token alphabet: short keys full of equal distances.
+std::string editedBody(const std::vector<std::string> &Base, std::mt19937 &Rng,
+                       int MaxEdits) {
+  static const char *Alphabet[] = {"7", "x", ",", "16"};
+  std::vector<std::string> Toks = Base;
+  int Edits = static_cast<int>(Rng() % (MaxEdits + 1));
+  for (int E = 0; E < Edits; ++E) {
+    size_t At = Toks.empty() ? 0 : Rng() % Toks.size();
+    std::string Tok = Alphabet[Rng() % 4];
+    switch (Rng() % 3) {
+    case 0:
+      Toks.insert(Toks.begin() + static_cast<long>(At), Tok);
+      break;
+    case 1:
+      if (!Toks.empty())
+        Toks.erase(Toks.begin() + static_cast<long>(At));
+      break;
+    default:
+      if (!Toks.empty())
+        Toks[At] = Tok;
+    }
+  }
+  // Separators keep neighboring edits from merging into one token.
+  std::string Body;
+  for (const std::string &T : Toks)
+    Body += T + " ";
+  return Body;
+}
+
+} // namespace
+
+TEST(StructuralDistance, TokenOverloadAgreesWithStrings) {
+  std::vector<std::string> Keys;
+  for (const ConvLayer &L : sampleZooLayers(12))
+    if (!L.Depthwise) // Depthwise layers have no direct-conv op.
+      Keys.push_back(canonicalKeyFor(L));
+  std::mt19937 Rng(1807);
+  std::vector<std::string> Base = {"7", "x", "16", ",", "7", "7", "x", "16"};
+  for (int I = 0; I < 24; ++I)
+    Keys.push_back(editedBody(Base, Rng, 6));
+  Keys.push_back("");
+  std::vector<std::vector<uint32_t>> Tokens = internAll(Keys);
+  for (size_t A = 0; A < Keys.size(); ++A)
+    for (size_t B = 0; B < Keys.size(); ++B) {
+      size_t Exact = structuralDistance(Keys[A], Keys[B], 100000);
+      ASSERT_EQ(Exact, fullEditDistance(Tokens[A], Tokens[B]));
+      for (size_t Cutoff : {size_t{0}, size_t{1}, size_t{3}, Exact}) {
+        size_t D = structuralDistance(Keys[A], Keys[B], Cutoff);
+        EXPECT_EQ(D, std::min(Exact, Cutoff + 1));
+        EXPECT_EQ(structuralDistance(Tokens[A], Tokens[B], Cutoff), D)
+            << "keys " << A << ", " << B << " cutoff " << Cutoff;
+      }
+    }
+}
+
+//===----------------------------------------------------------------------===//
+// TransferIndex picks the full scan's seed
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The full scan TransferIndex replaced, kept as the reference its picks
+/// must equal: every body of the group at the max(8, len/10) cutoff,
+/// strict < in std::map body order, so ties keep the first body. Only
+/// the distances are taken on pre-interned tokens, to keep thousands of
+/// 512-body scans quick; TokenOverloadAgreesWithStrings pins those to the
+/// string distances.
+class FullScanReference {
+  struct Body {
+    int Winner;
+    std::vector<uint32_t> Tokens;
+  };
+  std::unordered_map<std::string, std::map<std::string, Body>> Index;
+  std::unordered_map<std::string, uint32_t> Ids;
+
+  std::vector<uint32_t> intern(const std::string &Body) {
+    std::vector<uint32_t> Out;
+    for (std::string_view Tok : structuralTokens(Body))
+      Out.push_back(Ids.emplace(std::string(Tok),
+                                static_cast<uint32_t>(Ids.size()))
+                        .first->second);
+    return Out;
+  }
+
+public:
+  static bool split(const std::string &Key, std::string &Group,
+                    std::string &Body) {
+    size_t Pos = 0;
+    for (int Sep = 0; Sep < 3; ++Sep) {
+      Pos = Key.find('|', Pos);
+      if (Pos == std::string::npos)
+        return false;
+      ++Pos;
+    }
+    Group = Key.substr(0, Pos);
+    Body = Key.substr(Pos);
+    return true;
+  }
+
+  void record(const std::string &Key, int Winner) {
+    if (Winner < 0)
+      return;
+    std::string Group, Body;
+    if (!split(Key, Group, Body))
+      return;
+    std::map<std::string, FullScanReference::Body> &G = Index[Group];
+    if (G.size() >= TransferIndex::GroupCap && !G.count(Body))
+      return;
+    auto It = G.find(Body);
+    if (It != G.end())
+      It->second.Winner = Winner;
+    else
+      G.emplace(Body, FullScanReference::Body{Winner, intern(Body)});
+  }
+
+  /// The seed the full scan picks for \p Key; \p Ties, when set, gets
+  /// how many bodies share the least distance.
+  int nearest(const std::string &Key, size_t *Ties = nullptr) {
+    std::string Group, Body;
+    if (!split(Key, Group, Body))
+      return -1;
+    size_t Cutoff = std::max<size_t>(8, Body.size() / 10);
+    auto It = Index.find(Group);
+    if (It == Index.end())
+      return -1;
+    std::vector<uint32_t> Query = intern(Body);
+    size_t BestDistance = Cutoff + 1;
+    int BestSeed = -1;
+    for (const auto &[NeighborBody, Neighbor] : It->second) {
+      size_t D = structuralDistance(Query, Neighbor.Tokens, Cutoff);
+      if (D < BestDistance) { // Strict: ties keep the first in body order.
+        BestDistance = D;
+        BestSeed = Neighbor.Winner;
+        if (Ties)
+          *Ties = 0;
+      }
+      if (Ties && D == BestDistance)
+        ++*Ties;
+    }
+    return BestDistance <= Cutoff ? BestSeed : -1;
+  }
+};
+
+/// Distinct x86 conv keys of one group, from randomly perturbed zoo
+/// layers: channel counts, image size, stride and padding moved a little,
+/// so most keys have near neighbors.
+std::vector<std::string> perturbedZooKeys(size_t Count, std::mt19937 &Rng) {
+  TargetBackendRef X86 = TargetRegistry::instance().get("x86");
+  std::vector<ConvLayer> Zoo = sampleZooLayers(1000);
+  std::vector<std::string> Keys;
+  std::set<std::string> Seen;
+  std::string Group;
+  while (Keys.size() < Count) {
+    ConvLayer L = Zoo[Rng() % Zoo.size()];
+    if (L.Depthwise)
+      continue;
+    auto Nudge = [&Rng](int64_t V, int64_t Step) {
+      return std::max<int64_t>(Step, V + Step * (int64_t(Rng() % 5) - 2));
+    };
+    L.InC = Nudge(L.InC, 16);
+    L.OutC = Nudge(L.OutC, 16);
+    L.InH = L.InW = std::max(L.KH, Nudge(L.InH, 1));
+    if (Rng() % 4 == 0)
+      L.Stride = L.Stride == 1 ? 2 : 1;
+    std::string Key = X86->convKey(L);
+    std::string KeyGroup, Body;
+    FullScanReference::split(Key, KeyGroup, Body);
+    if (Group.empty())
+      Group = KeyGroup;
+    if (KeyGroup == Group && Seen.insert(Key).second)
+      Keys.push_back(Key);
+  }
+  return Keys;
+}
+
+} // namespace
+
+TEST(TransferIndexParity, SameSeedAsTheFullScanOnAFullZooGroup) {
+  std::mt19937 Rng(20261018);
+  // 600 distinct keys: the first 512 fill the group, the rest are refused
+  // by the cap and come back as queries the index has never seen.
+  std::vector<std::string> Keys = perturbedZooKeys(600, Rng);
+  TransferIndex Index;
+  FullScanReference Reference;
+  for (size_t I = 0; I < Keys.size(); ++I) {
+    int Winner = static_cast<int>(Rng() % 64);
+    Index.record(Keys[I], Winner);
+    Reference.record(Keys[I], Winner);
+  }
+
+  // Fresh perturbations, recorded keys (exact matches) and refused keys.
+  // Each reference scan computes 512 full-cutoff distances, so the
+  // thousands of queries are in the short-key tests below.
+  std::vector<std::string> Queries = perturbedZooKeys(50, Rng);
+  for (size_t I = 0; I < Keys.size(); I += 20)
+    Queries.push_back(Keys[I]);
+  for (size_t I = TransferIndex::GroupCap; I < Keys.size(); I += 4)
+    Queries.push_back(Keys[I]);
+  for (const std::string &Q : Queries)
+    ASSERT_EQ(Index.nearest(Q), Reference.nearest(Q)) << Q;
+}
+
+TEST(TransferIndexParity, TiesGoToTheFirstBodyLikeTheFullScan) {
+  // Short bodies a few edits apart over a four-token alphabet: most
+  // queries have several neighbors at the same least distance, at
+  // different token counts, so the visiting order differs from body
+  // order and only the tie rule decides.
+  std::mt19937 Rng(4242);
+  std::vector<std::string> Base;
+  for (int I = 0; I < 40; ++I)
+    Base.push_back(I % 3 ? "7" : "x");
+  size_t Ties = 0, Unseeded = 0, Queries = 0;
+  for (int Round = 0; Round < 20; ++Round) {
+    TransferIndex Index;
+    FullScanReference Reference;
+    std::string Group = "t|h" + std::to_string(Round) + "|conv2d|";
+    for (int I = 0; I < 40; ++I) {
+      std::string Key = Group + editedBody(Base, Rng, 6);
+      Index.record(Key, I);
+      Reference.record(Key, I);
+    }
+    for (int I = 0; I < 100; ++I) {
+      std::string Key = Group + editedBody(Base, Rng, 10);
+      size_t AtBest = 0;
+      int Want = Reference.nearest(Key, &AtBest);
+      ASSERT_EQ(Index.nearest(Key), Want) << Key;
+      ++Queries;
+      Ties += Want >= 0 && AtBest > 1;
+      Unseeded += Want < 0;
+    }
+  }
+  EXPECT_EQ(Queries, 20u * 100u);
+  // Both outcomes occur, and many picks are decided by the tie rule.
+  EXPECT_GT(Ties, Queries / 5);
+  EXPECT_GT(Unseeded, 0u);
+  EXPECT_LT(Unseeded, Queries / 2);
+}
+
+TEST(TransferIndexParity, PrefersTheEarlierBodyAtEqualDistanceFurtherInLength) {
+  // The query is one edit from both bodies: ",b ..." inserts one token,
+  // "c ..." substitutes one. ",b ..." sorts first but has one token more,
+  // so it is visited second: a scan that stopped once the token-count
+  // gap reached the best distance would keep "c ...".
+  TransferIndex Index;
+  FullScanReference Reference;
+  const std::string G = "t|h|conv2d|";
+  const std::string Query = G + "b 1 2 3 4 5 6 7 8 9";
+  for (const auto &[Body, Winner] :
+       {std::pair<std::string, int>{"c 1 2 3 4 5 6 7 8 9", 1},
+        {",b 1 2 3 4 5 6 7 8 9", 2}}) {
+    Index.record(G + Body, Winner);
+    Reference.record(G + Body, Winner);
+  }
+  EXPECT_EQ(Reference.nearest(Query), 2);
+  EXPECT_EQ(Index.nearest(Query), 2);
+}
+
+TEST(TransferIndexParity, EdgeCases) {
+  TransferIndex Index;
+  FullScanReference Reference;
+  auto Record = [&](const std::string &Key, int Winner) {
+    Index.record(Key, Winner);
+    Reference.record(Key, Winner);
+  };
+  auto ExpectSame = [&](const std::string &Key, int Want) {
+    EXPECT_EQ(Reference.nearest(Key), Want) << Key;
+    EXPECT_EQ(Index.nearest(Key), Want) << Key;
+  };
+  const std::string G = "x86|abc|conv2d|";
+
+  // An empty index, and a group nothing was recorded into.
+  ExpectSame(G + "1 2 3", -1);
+  Record(G + "1 2 3", 5);
+  ExpectSame("arm|abc|conv2d|1 2 3", -1);
+
+  // Exact match, and a near miss seeded by it.
+  ExpectSame(G + "1 2 3", 5);
+  ExpectSame(G + "1 2 4", 5);
+
+  // Malformed keys (fewer than three '|') neither record nor seed.
+  Record("x86|abc|1 2 3", 9);
+  ExpectSame("x86|abc|1 2 3", -1);
+  ExpectSame("no separators", -1);
+
+  // A fallback report (no winner) is not recorded: its own key is
+  // seeded by its neighbor.
+  Record(G + "9 9 9", -1);
+  ExpectSame(G + "9 9 9", 5);
+
+  // A known body takes its new winner.
+  Record(G + "1 2 3", 6);
+  ExpectSame(G + "1 2 3", 6);
+
+  // At the cap a new body is refused but a known one still updates.
+  for (size_t I = 1; I < TransferIndex::GroupCap; ++I)
+    Record(G + "1 2 3 " + std::to_string(I * 1000), static_cast<int>(I));
+  Record(G + "1 2 8", 77);
+  ExpectSame(G + "1 2 8", 6); // Nearest is "1 2 3", not the refused body.
+  Record(G + "1 2 3 1000", 88);
+  ExpectSame(G + "1 2 3 1000", 88);
+}
+
+TEST(TransferIndexConcurrency, ScansAndRecordsRaceFree) {
+  // Four threads scan while two record into the same group. Every seed a
+  // scan returns was recorded by someone, and once the writers finish
+  // the index agrees with the full scan over the same records.
+  std::mt19937 Rng(77);
+  std::vector<std::string> Base;
+  for (int I = 0; I < 40; ++I)
+    Base.push_back(I % 3 ? "7" : "x");
+  const std::string G = "x86|abc|conv2d|";
+  std::vector<std::string> Keys, Queries;
+  std::set<std::string> Distinct;
+  while (Keys.size() < 200) {
+    std::string Key = G + editedBody(Base, Rng, 6);
+    if (Distinct.insert(Key).second)
+      Keys.push_back(Key);
+  }
+  for (int I = 0; I < 100; ++I)
+    Queries.push_back(G + editedBody(Base, Rng, 8));
+
+  // Winner = key index, so each writer's winners are its own.
+  TransferIndex Index;
+  std::atomic<bool> BadSeed{false};
+  std::vector<std::thread> Threads;
+  for (int W = 0; W < 2; ++W)
+    Threads.emplace_back([&, W] {
+      for (size_t I = static_cast<size_t>(W); I < Keys.size(); I += 2)
+        Index.record(Keys[I], static_cast<int>(I));
+    });
+  for (int R = 0; R < 4; ++R)
+    Threads.emplace_back([&, R] {
+      for (int Pass = 0; Pass < 2; ++Pass)
+        for (size_t I = static_cast<size_t>(R); I < Queries.size(); I += 4) {
+          int Seed = Index.nearest(Queries[I]);
+          if (Seed < -1 || Seed >= static_cast<int>(Keys.size()))
+            BadSeed = true;
+        }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_FALSE(BadSeed.load());
+
+  // The keys are distinct and the group stays under the cap, so the
+  // order the writers interleaved in does not change the index.
+  FullScanReference Reference;
+  for (size_t I = 0; I < Keys.size(); ++I)
+    Reference.record(Keys[I], static_cast<int>(I));
+  for (const std::string &Q : Queries)
+    EXPECT_EQ(Index.nearest(Q), Reference.nearest(Q)) << Q;
 }
 
 //===----------------------------------------------------------------------===//
