@@ -401,13 +401,13 @@ int main() {
               RestartWall * 1e3);
 
   // Observability overhead: the same warm per-layer blocking wave against
-  // this (tracing-on, the default) daemon, then — after it stops and
-  // uninstalls the process-wide recorder, so spans are truly inert —
-  // against a daemon with TraceEnabled=false warm-loaded from the same
-  // persisted cache. Spans and histogram records are on the hot path of
-  // every request, so this is the direct price of leaving them compiled
-  // in; best-of-3 each side absorbs CI scheduler noise, and the 0.9
-  // floor is the instrument-by-default contract.
+  // this (tracing-on, the default) daemon, then against a daemon with
+  // TraceEnabled=false warm-loaded from the same persisted cache, whose
+  // requests open no root span and so leave every span inert. Spans and
+  // histogram records are on the hot path of every request, so this is
+  // the direct price of leaving them compiled in; best-of-3 each side
+  // absorbs CI scheduler noise, and the 0.9 floor is the
+  // instrument-by-default contract.
   double TraceOnRps = 0;
   for (int Attempt = 0; Attempt < 3; ++Attempt) {
     size_t OnLayers = 0, OnHits = 0;

@@ -23,7 +23,6 @@ uint64_t steadyMicros() {
           .count());
 }
 
-std::atomic<TraceRecorder *> ActiveRecorder{nullptr};
 std::atomic<uint64_t> NextEpoch{1};
 
 thread_local SpanContext CurrentSpanTls;
@@ -147,34 +146,21 @@ std::vector<TraceEvent> TraceRecorder::snapshot() const {
   return Out;
 }
 
-void obs::setActiveRecorder(TraceRecorder *Rec) {
-  ActiveRecorder.store(Rec, std::memory_order_release);
-}
-
-TraceRecorder *obs::activeRecorder() {
-  return ActiveRecorder.load(std::memory_order_acquire);
-}
-
-void obs::clearActiveRecorder(TraceRecorder *Rec) {
-  TraceRecorder *Expected = Rec;
-  ActiveRecorder.compare_exchange_strong(Expected, nullptr,
-                                         std::memory_order_acq_rel);
-}
-
 SpanContext obs::currentSpan() { return CurrentSpanTls; }
 
 Span::Span(const char *Name) {
-  TraceRecorder *R = activeRecorder();
-  if (!R)
-    return;
-  open(R, Name, CurrentSpanTls.Rec == R ? CurrentSpanTls.Id : 0);
+  if (CurrentSpanTls.Rec)
+    open(CurrentSpanTls.Rec, Name, CurrentSpanTls.Id);
 }
 
 Span::Span(const char *Name, const SpanContext &Parent) {
-  TraceRecorder *R = Parent.Rec ? Parent.Rec : activeRecorder();
-  if (!R)
-    return;
-  open(R, Name, Parent.Rec == R ? Parent.Id : 0);
+  if (Parent.Rec)
+    open(Parent.Rec, Name, Parent.Id);
+}
+
+Span::Span(const char *Name, TraceRecorder *R) {
+  if (R)
+    open(R, Name, CurrentSpanTls.Rec == R ? CurrentSpanTls.Id : 0);
 }
 
 void Span::open(TraceRecorder *R, const char *Name, uint64_t ParentId) {
@@ -197,6 +183,8 @@ Span::~Span() {
 }
 
 void Span::annotate(const char *Key, uint64_t Value) {
+  if (!Rec)
+    return;
   // Hand-rolled digits: annotate runs on compile hot paths where a
   // snprintf per call is measurable against sub-30us warm tickets.
   char Buf[24];

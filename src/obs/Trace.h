@@ -22,9 +22,15 @@
 /// writer is overwriting is skipped rather than returned torn. No
 /// locks on the hot path, clean under ThreadSanitizer.
 ///
+/// Recorder ownership: a span records into its parent's recorder. Only
+/// a root names one explicitly (Span(Name, Rec)); every other span finds
+/// it through the thread's current span or a SpanContext. So two
+/// recorders in one process (two tracing daemons) never see each
+/// other's spans, and a span with no parent and no recorder is inert.
+///
 /// Cost when idle: instrumentation sites construct a Span, whose
-/// constructor is a single load of the process-wide active-recorder
-/// pointer and an early-out when it is null.
+/// constructor is one thread-local read and an early-out when the
+/// thread has no open span.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -111,16 +117,6 @@ private:
   std::vector<std::unique_ptr<Ring>> Rings;
 };
 
-/// The recorder instrumentation sites write to, or null when tracing is
-/// off. Installed by the server on start(); every Span constructor is a
-/// single acquire load of this pointer when idle.
-void setActiveRecorder(TraceRecorder *Rec);
-TraceRecorder *activeRecorder();
-/// Uninstalls \p Rec only if it is still the active recorder (two
-/// servers in one process: the later install wins, the earlier stop
-/// must not yank the newer recorder).
-void clearActiveRecorder(TraceRecorder *Rec);
-
 /// The calling thread's innermost open span (inert context when none).
 SpanContext currentSpan();
 
@@ -134,15 +130,17 @@ public:
   /// conditionally opened spans.
   Span() = default;
 
-  /// Opens a span on the active recorder, parented to the calling
-  /// thread's current span. No-op when no recorder is active.
+  /// Opens a child of the calling thread's current span, on that span's
+  /// recorder. Inert when the thread has no open span.
   explicit Span(const char *Name);
 
-  /// Opens a span parented to \p Parent — the cross-thread form. Uses
-  /// Parent's recorder so a tree stays on one recorder even if the
-  /// active pointer changes mid-request; falls back to the active
-  /// recorder (as a root) when Parent is inert.
+  /// Opens a child of \p Parent on Parent's recorder — the cross-thread
+  /// form. Inert when Parent is.
   Span(const char *Name, const SpanContext &Parent);
+
+  /// Opens a span on \p Rec: a child of the current span when that span
+  /// is on \p Rec, else a root. Inert when \p Rec is null.
+  Span(const char *Name, TraceRecorder *Rec);
 
   ~Span();
 

@@ -228,13 +228,9 @@ bool CompileServer::start(std::string *Err) {
     std::lock_guard<std::mutex> Lock(ShutdownMu);
     ShutdownRequested = false;
   }
-  // Install the trace recorder before any thread can compile: spans
-  // opened on pool workers and peer threads find it through the
-  // process-wide pointer (one branch when tracing is off).
-  if (Config.TraceEnabled) {
-    Trace = std::make_unique<obs::TraceRecorder>(Config.TraceBytesPerThread);
-    obs::setActiveRecorder(Trace.get());
-  }
+  // Created before any connection can open a request root on it.
+  if (Config.TraceEnabled)
+    Trace = std::make_unique<obs::TraceRecorder>();
   Running.store(true);
   // Wire the session into the fleet before any connection can compile:
   // cold winners probe peers before tuning, fresh tunes are announced.
@@ -326,11 +322,9 @@ void CompileServer::stop() {
     PeerMgr.reset();
   }
 
-  // Every span-producing thread is quiesced; uninstall the recorder
-  // (CAS-guarded — a second server in this process may have replaced it)
-  // and flush the requested trace dump before the recorder dies.
+  // Every thread that could hold a span on the recorder is joined or
+  // quiesced; flush the requested trace dump before the recorder dies.
   if (Trace) {
-    obs::clearActiveRecorder(Trace.get());
     if (!Config.TraceOutFile.empty()) {
       std::string Dump = chromeTraceJson(Trace->snapshot()).dump();
       FILE *Out = std::fopen(Config.TraceOutFile.c_str(), "w");
@@ -537,7 +531,7 @@ void CompileServer::serveConnection(Connection &Conn) {
     // handler span (admission, cache_resolve, ...) parents under it, and
     // scoped to the iteration so the reply's flush is covered too.
     double FrameT0 = steadyNowSeconds();
-    obs::Span ReqSpan("request");
+    obs::Span ReqSpan("request", Trace.get());
     bool CloseAfter = false;
     Json Response;
     std::string ParseErr;
@@ -608,11 +602,11 @@ bool CompileServer::flushOutbox(Connection &Conn) {
     }
     // Written outside the lock: completion threads keep queueing while a
     // slow reader holds this write. A batch that carries result
-    // notifications is a notification_write span, whichever flush —
-    // a wake's, or a reply's — sends it.
+    // notifications is a notification_write span, whichever flush sends
+    // it: a child of the request on a reply's flush, a root on a wake's.
     std::optional<obs::Span> Write;
     if (Notifications > 0)
-      Write.emplace("notification_write");
+      Write.emplace("notification_write", Trace.get());
     if (!sendOutbox(Conn, Bytes)) {
       // A failed write may have left half a frame on the wire; nothing
       // sent after it could be parsed, so end the stream.

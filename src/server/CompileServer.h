@@ -109,13 +109,10 @@ struct ServerConfig {
   size_t MaxPeerExchangeBytes = 4u << 20;
 
   /// Compile-lifecycle tracing (docs/OBSERVABILITY.md): when enabled the
-  /// server owns a TraceRecorder, installs it process-wide for the span
-  /// instrumentation in session/tuner/fabric, and serves `dump_trace`.
-  /// Off costs nothing; on costs one ring write per span.
+  /// server owns a TraceRecorder (256 KiB ring per writer thread), roots
+  /// each request's span tree on it, and serves `dump_trace`. Off costs
+  /// nothing; on costs one ring write per span.
   bool TraceEnabled = true;
-
-  /// Byte budget of each writer thread's trace ring (drop-oldest).
-  size_t TraceBytesPerThread = 256 * 1024;
 
   /// When set, stop() writes the final trace as Chrome trace-event JSON
   /// here (the --trace-out flag) — load it in Perfetto.
@@ -420,9 +417,10 @@ private:
   /// types — the unit_frame_seconds metrics family.
   obs::LatencyHistogram FrameLatencyHist;
 
-  /// The trace recorder behind every span this process records while the
-  /// server runs (installed as the process-wide active recorder in
-  /// start(), uninstalled in stop()). Null when TraceEnabled is false.
+  /// The recorder this server's request trees record into: the request
+  /// and notification_write roots name it, every other span inherits it
+  /// from its parent. Freed in stop() once quiesce() has closed every
+  /// span on it. Null when TraceEnabled is false.
   std::unique_ptr<obs::TraceRecorder> Trace;
 };
 

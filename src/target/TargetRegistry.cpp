@@ -6,6 +6,7 @@
 #include "core/Isomorphism.h"
 #include "graph/Executor.h"
 #include "graph/Layout.h"
+#include "obs/Trace.h"
 #include "perf/CostModel.h"
 #include "support/ErrorHandling.h"
 #include "support/StringUtils.h"
@@ -34,14 +35,22 @@ KernelReport TargetBackend::compileConv3d(const Conv3dLayer &, ThreadPool *,
 
 namespace {
 
-/// First applicable instruction from \p Intrs against \p Op.
+/// First applicable instruction from \p Intrs against \p Op: the
+/// Inspector loop of every backend's codegen, traced as core.inspect.
 std::optional<MatchResult>
 firstMatch(const ComputeOpRef &Op,
            const std::vector<TensorIntrinsicRef> &Intrs) {
-  for (const TensorIntrinsicRef &Intr : Intrs)
-    if (std::optional<MatchResult> M = inspect(Op, Intr))
-      return M;
-  return std::nullopt;
+  obs::Span Inspect("core.inspect");
+  uint64_t Tried = 0;
+  std::optional<MatchResult> M;
+  for (const TensorIntrinsicRef &Intr : Intrs) {
+    ++Tried;
+    if ((M = inspect(Op, Intr)))
+      break;
+  }
+  Inspect.annotate("tried", Tried);
+  Inspect.annotate("matched", M ? M->Intrinsic->name().c_str() : "none");
+  return M;
 }
 
 KernelReport reportFromTuned(const TunedKernel &Tuned,

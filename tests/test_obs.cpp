@@ -250,18 +250,6 @@ TEST(TraceRing, SnapshotNeverReturnsTornRecords) {
 // Spans
 //===----------------------------------------------------------------------===//
 
-/// Installs a recorder for the scope and guarantees it is uninstalled
-/// before destruction even when an assertion fails out of the test.
-struct ScopedRecorder {
-  TraceRecorder Rec;
-  explicit ScopedRecorder(size_t Bytes = 64 * 1024,
-                          TraceRecorder::ClockFn Clock = nullptr)
-      : Rec(Bytes, std::move(Clock)) {
-    setActiveRecorder(&Rec);
-  }
-  ~ScopedRecorder() { clearActiveRecorder(&Rec); }
-};
-
 const TraceEvent *findByName(const std::vector<TraceEvent> &Events,
                              const char *Name) {
   for (const TraceEvent &Ev : Events)
@@ -271,16 +259,16 @@ const TraceEvent *findByName(const std::vector<TraceEvent> &Events,
 }
 
 TEST(Span, NestingLinksParentsOnOneThread) {
-  ScopedRecorder Scoped;
+  TraceRecorder Rec;
   {
-    Span Outer("outer");
+    Span Outer("outer", &Rec);
     {
       Span Inner("inner");
       Inner.annotate("ticket", 42);
       Inner.annotate("outcome", "hit");
     }
   }
-  std::vector<TraceEvent> Events = Scoped.Rec.snapshot();
+  std::vector<TraceEvent> Events = Rec.snapshot();
   const TraceEvent *Outer = findByName(Events, "outer");
   const TraceEvent *Inner = findByName(Events, "inner");
   ASSERT_TRUE(Outer && Inner);
@@ -291,36 +279,40 @@ TEST(Span, NestingLinksParentsOnOneThread) {
 
 TEST(Span, InjectedClockStampsStartAndDuration) {
   uint64_t Now = 1000;
-  ScopedRecorder Scoped(64 * 1024, [&Now] { return Now; });
+  TraceRecorder Rec(64 * 1024, [&Now] { return Now; });
   {
-    Span S("timed");
+    Span S("timed", &Rec);
     Now += 250;
   }
-  std::vector<TraceEvent> Events = Scoped.Rec.snapshot();
+  std::vector<TraceEvent> Events = Rec.snapshot();
   ASSERT_EQ(Events.size(), 1u);
   EXPECT_EQ(Events[0].StartMicros, 1000u);
   EXPECT_EQ(Events[0].DurationMicros, 250u);
 }
 
 TEST(Span, NoRecorderMeansInert) {
-  // No active recorder: spans are no-ops, annotate included.
-  TraceRecorder *Before = activeRecorder();
-  ASSERT_EQ(Before, nullptr);
+  // No recorder named and no open parent: spans are no-ops, annotate
+  // included.
+  ASSERT_EQ(currentSpan().Rec, nullptr);
   Span S("nothing");
   S.annotate("k", 1);
   EXPECT_FALSE(S.active());
+  Span Null("null", static_cast<TraceRecorder *>(nullptr));
+  EXPECT_FALSE(Null.active());
+  Span Orphan("orphan", SpanContext{});
+  EXPECT_FALSE(Orphan.active());
 }
 
 TEST(Span, ContextCarriesParentAcrossThreads) {
-  ScopedRecorder Scoped;
+  TraceRecorder Rec;
   SpanContext Ctx;
   {
-    Span Submit("submit");
+    Span Submit("submit", &Rec);
     Ctx = Submit.context();
     std::thread Worker([Ctx] { Span Child("child", Ctx); });
     Worker.join();
   }
-  std::vector<TraceEvent> Events = Scoped.Rec.snapshot();
+  std::vector<TraceEvent> Events = Rec.snapshot();
   const TraceEvent *Submit = findByName(Events, "submit");
   const TraceEvent *Child = findByName(Events, "child");
   ASSERT_TRUE(Submit && Child);
@@ -328,15 +320,41 @@ TEST(Span, ContextCarriesParentAcrossThreads) {
   EXPECT_NE(Child->ThreadTag, Submit->ThreadTag);
 }
 
-TEST(Span, ClearActiveRecorderOnlyYanksItsOwn) {
+TEST(Span, ChildStaysOnItsParentsRecorder) {
+  // Two live recorders, as with two tracing daemons in one process: a
+  // tree rooted on A records only into A, whatever else is alive.
   TraceRecorder A, B;
-  setActiveRecorder(&A);
-  // A stale owner clearing after a newer install must not disturb it.
-  setActiveRecorder(&B);
-  clearActiveRecorder(&A);
-  EXPECT_EQ(activeRecorder(), &B);
-  clearActiveRecorder(&B);
-  EXPECT_EQ(activeRecorder(), nullptr);
+  {
+    Span OtherRoot("b_root", &B);
+  }
+  {
+    Span Root("a_root", &A);
+    Span Child("a_child");
+    // Naming B from inside A's tree opens a root on B, not a child.
+    Span Elsewhere("b_side", &B);
+    EXPECT_EQ(Elsewhere.context().Rec, &B);
+  }
+  std::vector<TraceEvent> OnA = A.snapshot();
+  std::vector<TraceEvent> OnB = B.snapshot();
+  const TraceEvent *Root = findByName(OnA, "a_root");
+  const TraceEvent *Child = findByName(OnA, "a_child");
+  ASSERT_TRUE(Root && Child);
+  EXPECT_EQ(Child->ParentId, Root->SpanId);
+  EXPECT_EQ(OnA.size(), 2u);
+  EXPECT_FALSE(findByName(OnB, "a_root"));
+  EXPECT_FALSE(findByName(OnB, "a_child"));
+  const TraceEvent *Side = findByName(OnB, "b_side");
+  ASSERT_TRUE(Side);
+  EXPECT_EQ(Side->ParentId, 0u);
+
+  // Once the trees close, the thread has no open span: a bare Span
+  // records into neither recorder.
+  {
+    Span Loose("loose");
+    EXPECT_FALSE(Loose.active());
+  }
+  EXPECT_EQ(A.snapshot().size(), 2u);
+  EXPECT_EQ(B.snapshot().size(), 2u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -380,7 +398,7 @@ public:
 };
 
 TEST(SpanTree, ResolveThenContinuationParentsAcrossThreads) {
-  ScopedRecorder Scoped(256 * 1024);
+  TraceRecorder Rec(256 * 1024);
   SessionConfig C;
   C.Threads = 2;
   {
@@ -393,15 +411,19 @@ TEST(SpanTree, ResolveThenContinuationParentsAcrossThreads) {
     std::atomic<int> Fired{0};
     // First submission plants the gated winner synchronously; the
     // second is therefore a continuation join, resumed on the winner's
-    // pool thread when the gate opens.
-    CompileJob Winner =
-        Session.compileAsync({Workload::conv2d(L), Backend});
-    Session.compileAsyncThen(
-        {Workload::conv2d(L), Backend},
-        [&](const KernelReport *Report, std::exception_ptr Error, bool) {
-          if (Report && !Error)
-            Fired.fetch_add(1);
-        });
+    // pool thread when the gate opens. Both resolves parent under one
+    // root on this thread, as a server's request span would be.
+    CompileJob Winner;
+    {
+      Span Submit("submit", &Rec);
+      Winner = Session.compileAsync({Workload::conv2d(L), Backend});
+      Session.compileAsyncThen(
+          {Workload::conv2d(L), Backend},
+          [&](const KernelReport *Report, std::exception_ptr Error, bool) {
+            if (Report && !Error)
+              Fired.fetch_add(1);
+          });
+    }
     // Let a pool worker claim the winner before opening the gate:
     // quiesce() drains queued work on the calling thread, which would
     // otherwise sometimes run the compile (and the continuation) right
@@ -415,7 +437,7 @@ TEST(SpanTree, ResolveThenContinuationParentsAcrossThreads) {
     ASSERT_EQ(Stats.ContinuationJoins, 1u);
   }
 
-  std::vector<TraceEvent> Events = Scoped.Rec.snapshot();
+  std::vector<TraceEvent> Events = Rec.snapshot();
   const TraceEvent *Resume = findByName(Events, "join_resume");
   ASSERT_TRUE(Resume) << "continuation join produced no join_resume span";
 

@@ -31,6 +31,7 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
@@ -2063,6 +2064,45 @@ TEST_F(ServerTest, MismatchedFingerprintPeersExchangeNothing) {
   ::close(Fd);
 }
 
+/// Request spans of \p Dump (a dump_trace reply) whose note carries
+/// \p Note.
+size_t requestSpansNoted(const Json &Dump, const std::string &Note) {
+  size_t N = 0;
+  for (const Json &Ev : Dump.get("trace")->get("traceEvents")->items())
+    if (Ev.str("name") == "request" &&
+        Ev.get("args")->str("note").find(Note) != std::string::npos)
+      ++N;
+  return N;
+}
+
+TEST_F(ServerTest, TwoDaemonsEachTraceOnlyTheirOwnRequests) {
+  // Two tracing daemons in one process, A started first. A's request
+  // trees must land in A's recorder: a span never borrows whichever
+  // recorder was created last.
+  startServer();
+  ServerConfig ConfigB;
+  ConfigB.SocketPath = tempPath(".sock");
+  CompileServer B(ConfigB);
+  std::string Err;
+  ASSERT_TRUE(B.start(&Err)) << Err;
+
+  auto ClientA = makeClient("trace-a");
+  ASSERT_TRUE(ClientA->stats(false, &Err).has_value()) << Err;
+  // Same connection: the stats request's span closed before this
+  // dump_trace was read.
+  std::optional<Json> DumpA = ClientA->dumpTrace(&Err);
+  ASSERT_TRUE(DumpA.has_value()) << Err;
+  EXPECT_EQ(requestSpansNoted(*DumpA, "type=stats"), 1u);
+
+  CompileClient ClientB;
+  ASSERT_TRUE(ClientB.connect(ConfigB.SocketPath, &Err)) << Err;
+  std::optional<Json> DumpB = ClientB.dumpTrace(&Err);
+  ASSERT_TRUE(DumpB.has_value()) << Err;
+  EXPECT_TRUE(DumpB->boolean("enabled", false));
+  EXPECT_EQ(requestSpansNoted(*DumpB, "type=stats"), 0u);
+  B.stop();
+}
+
 TEST_F(ServerTest, EndpointListFailoverResolvesOriginalFutures) {
   const std::string Secret = "failover-secret";
 
@@ -2268,8 +2308,20 @@ TEST_F(ServerTest, DumpTraceYieldsConnectedSpanTree) {
   }
   for (const char *Expected :
        {"request", "admission", "cache_resolve", "compile", "codegen",
-        "fulfill", "notification_write"})
+        "core.inspect", "fulfill", "notification_write"})
     EXPECT_TRUE(Names.count(Expected)) << Expected;
+  // The Inspector loop nests under codegen with no plumbing, and says
+  // what it tried and what matched.
+  std::map<int64_t, std::string> NameOf;
+  for (const Json &Ev : Events->items())
+    NameOf[Ev.get("args")->integer("span")] = Ev.str("name");
+  for (const Json &Ev : Events->items())
+    if (Ev.str("name") == "core.inspect") {
+      EXPECT_EQ(NameOf[Ev.get("args")->integer("parent")], "codegen");
+      std::string Note = Ev.get("args")->str("note");
+      EXPECT_NE(Note.find("tried="), std::string::npos) << Note;
+      EXPECT_NE(Note.find("matched="), std::string::npos) << Note;
+    }
 }
 
 TEST_F(ServerTest, TraceDisabledServerStillServesMetrics) {
