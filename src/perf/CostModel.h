@@ -46,8 +46,11 @@ struct KernelStats {
   double WideningFactor = 1; ///< Extra instructions per MAC (no-DOT NEON).
 };
 
-/// Extracts stats from a tensorized plan's current schedule. Cheap enough
-/// for the Tuner to call once per candidate (no lowering involved).
+/// Extracts stats from a tensorized plan's current schedule (no lowering
+/// involved). The Tuner calls it once per search, on the Rewriter's
+/// reorganized plan, and derives every candidate's stats from that by
+/// extent arithmetic; codegen and the vendor baselines call it on built
+/// plans.
 KernelStats analyzeTensorized(const TensorizePlan &Plan);
 
 /// Fills the SIMD-fallback fields for a non-tensorized ComputeOp.
@@ -64,20 +67,19 @@ double simdLatencySeconds(const KernelStats &S, const CpuMachine &M);
 /// Modeled seconds on a GPU (tensor-core kernel).
 double gpuLatencySeconds(const KernelStats &S, const GpuMachine &M);
 
-/// Admissible lower bound on cpuLatencySeconds for a schedule whose
-/// structural stats (Calls/Unroll/ParallelExtent/footprints) are known
-/// but whose operand-generation facts are not: prices \p S with
+/// Admissible lower bound on cpuLatencySeconds: prices \p S with
 /// LoadsPerCall = 1 and no residue guards — the optimistic floor of both.
 /// cpuLatencySeconds is monotone nondecreasing in LoadsPerCall (the load
 /// port term and the I-cache body-size penalty both grow with it) and in
 /// the guard flag, so the returned value never exceeds the real latency.
-/// The tuner's early-exit pruning leans on this admissibility: a
-/// candidate whose bound beats the running best cannot be the winner.
+/// The tuner's early-exit pruning compares this bound of a candidate's
+/// stats with the running best: a candidate whose bound exceeds it cannot
+/// be the winner.
 double cpuLatencyLowerBoundSeconds(const KernelStats &S, const CpuMachine &M);
 
 /// GPU analog. gpuLatencySeconds reads neither LoadsPerCall nor the guard
-/// flag, so for exact structural stats this bound *equals* the latency —
-/// GPU pruning is lossless by construction.
+/// flag, so this bound *equals* the latency — GPU pruning skips exactly
+/// the candidates that cannot beat the running best.
 double gpuLatencyLowerBoundSeconds(const KernelStats &S, const GpuMachine &M);
 
 /// Modeled seconds for a pure streaming elementwise pass over \p Bytes

@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <optional>
 
 using namespace unit;
 
@@ -141,166 +140,166 @@ std::atomic<uint64_t> ScoredTotal{0};
 std::atomic<uint64_t> PrunedTotal{0};
 std::atomic<uint64_t> SeededTotal{0};
 
-/// Wall time to score one candidate (plan build + analysis + cost
-/// model), the unit_tuner_candidate_seconds family of the server's
-/// `metrics` reply. Process-wide like the counters above.
+/// Wall time to score one candidate (stats arithmetic + cost model),
+/// the unit_tuner_candidate_seconds family of the server's `metrics`
+/// reply. Process-wide like the counters above.
 obs::LatencyHistogram CandidateCostHist;
 
-/// Extent/cost facts the lower bounds need, gathered once per search:
-/// the pre-schedule outer loop extents (from one reorganizeLoops pass)
-/// and the candidate-independent KernelStats fields. Both plan builders
-/// operate on these extents with pure integer arithmetic, so the bound
-/// functions can replay that arithmetic without building a schedule.
-struct BoundContext {
+/// What every candidate of one search shares, gathered from one
+/// reorganizeLoops pass: the outer loop extents the plan builders split
+/// and fuse, and the stats of the reorganized plan itself. The plan
+/// builders only split, fuse, reorder and annotate those outer loops, so
+/// a candidate's stats follow from its tuning knobs by integer
+/// arithmetic on the extents (cpuPairStats, gpuConfigStats). The
+/// instruction cost, the footprints and LoadsPerCall carry over from
+/// Base unchanged: operand roles read only the coefficients of the
+/// tile-inner variables, and no candidate touches those loops.
+struct SearchContext {
   std::vector<int64_t> Dp;     ///< OuterDataParallel extents, plan order.
   std::vector<int64_t> Reduce; ///< OuterReduce extents, plan order.
-  IntrinsicCost Cost;
-  double OutputBytes = 0, InputBytes = 0, WeightBytes = 0;
+  /// analyzeTensorized of the reorganized plan: also the residue guards
+  /// and padding of the Rewriter's own splits, which come first in the
+  /// split order analyzeTensorized folds.
+  KernelStats Base;
 };
 
-BoundContext makeBoundContext(const ComputeOpRef &Op,
-                              const MatchResult &Match) {
-  BoundContext Ctx;
+SearchContext makeSearchContext(const ComputeOpRef &Op,
+                                const MatchResult &Match) {
+  SearchContext Ctx;
   TensorizePlan Plan = reorganizeLoops(Op, Match);
   for (const IterVar &IV : Plan.OuterDataParallel)
     Ctx.Dp.push_back(IV->extent());
   for (const IterVar &IV : Plan.OuterReduce)
     Ctx.Reduce.push_back(IV->extent());
-  Ctx.Cost = Match.Intrinsic->cost();
-  // Same footprint convention as analyzeTensorized: the last input of a
-  // multi-input op acts like weights.
-  auto FootprintBytes = [](const TensorRef &T) {
-    return static_cast<double>(T->numElements()) * T->dtype().lanesBytes();
-  };
-  Ctx.OutputBytes = FootprintBytes(Op->output());
-  const std::vector<TensorRef> &Inputs = Op->inputs();
-  for (size_t I = 0; I < Inputs.size(); ++I) {
-    if (I + 1 == Inputs.size() && Inputs.size() >= 2)
-      Ctx.WeightBytes += FootprintBytes(Inputs[I]);
-    else
-      Ctx.InputBytes += FootprintBytes(Inputs[I]);
-  }
+  Ctx.Base = analyzeTensorized(Plan);
   return Ctx;
 }
 
-KernelStats synthesizedStats(const BoundContext &Ctx, double Calls,
-                             double Unroll, double ParallelExtent,
-                             double SplitK) {
-  KernelStats S;
-  S.Calls = Calls;
-  S.Cost = Ctx.Cost;
-  S.MacsPerCall = Ctx.Cost.MacsPerInstr;
-  S.Unroll = Unroll;
-  S.ParallelExtent = ParallelExtent;
-  S.SplitK = SplitK;
-  S.OutputBytes = Ctx.OutputBytes;
-  S.InputBytes = Ctx.InputBytes;
-  S.WeightBytes = Ctx.WeightBytes;
-  return S;
+/// Schedule::split's arithmetic on one extent: returns the outer extent
+/// and folds the split's residue guard and padding waste into \p S the
+/// way analyzeTensorized does (call in split order: UsefulFraction is a
+/// floating-point product).
+int64_t foldSplit(KernelStats &S, int64_t Extent, int64_t Factor) {
+  assert(Factor > 0 && Factor <= Extent && "split factor out of range");
+  int64_t Outer = (Extent + Factor - 1) / Factor;
+  if (Extent % Factor != 0) {
+    S.HasResidueGuards = true;
+    S.UsefulFraction *= static_cast<double>(Extent) /
+                        (static_cast<double>(Outer) *
+                         static_cast<double>(Factor));
+  }
+  return Outer;
 }
 
-/// Admissible lower bound on what scoring \p Pair would report: replays
-/// buildCpuPlan's unroll-split and fuse arithmetic on the raw extents —
-/// Calls, Unroll, and ParallelExtent come out exact — and prices the
-/// result with LoadsPerCall/guards at their optimistic floor
-/// (cpuLatencyLowerBoundSeconds). Never above the real latency.
-double cpuPairLowerBound(const BoundContext &Ctx, const CpuTuningPair &Pair,
-                         const CpuMachine &Machine) {
+/// The exact stats analyzeTensorized(buildCpuPlan(Op, Match, Pair))
+/// reports, without building the plan: replays buildCpuPlan's unroll
+/// splits and fuse prefix on the extents, then multiplies the loop
+/// extents in the built schedule's leaf order.
+KernelStats cpuPairStats(const SearchContext &Ctx, const CpuTuningPair &Pair) {
+  KernelStats S = Ctx.Base;
+  // Second breaking point: unroll tiles, innermost loop first.
   std::vector<int64_t> Dp = Ctx.Dp;
-  double Unroll = 1;
+  std::vector<int64_t> Tiles(Dp.size(), 1); // Inner extent per DP loop.
   int64_t Budget = std::max<int64_t>(1, Pair.UnrollFactor);
   for (int I = static_cast<int>(Dp.size()) - 1; I >= 0 && Budget > 1; --I) {
     int64_t Factor = chooseUnrollFactor(Budget, Dp[I]);
     if (Factor <= 1)
       continue;
-    Dp[I] = (Dp[I] + Factor - 1) / Factor;
-    Unroll *= static_cast<double>(Factor);
+    Dp[I] = foldSplit(S, Dp[I], Factor);
+    Tiles[I] = Factor;
     Budget = (Budget + Factor - 1) / Factor;
   }
-  double Chunks = 1;
+  // First breaking point: the fused, parallel prefix.
+  size_t Fused = 0;
+  int64_t Prod = 1;
   if (!Dp.empty()) {
-    int64_t Prod = Dp[0];
-    for (size_t Next = 1; Next < Dp.size(); ++Next) {
-      if (Prod * Dp[Next] > Pair.ParallelLimit)
+    Prod = Dp[0];
+    for (Fused = 1; Fused < Dp.size(); ++Fused) {
+      if (Prod * Dp[Fused] > Pair.ParallelLimit)
         break;
-      Prod *= Dp[Next];
+      Prod *= Dp[Fused];
     }
-    Chunks = static_cast<double>(Prod);
   }
-  double Calls = Unroll;
-  for (int64_t E : Dp)
-    Calls *= static_cast<double>(E);
+  // Leaf order: [parallel] [serial DP] [reduce] [unrolled DP] [inner].
+  S.Calls = static_cast<double>(Prod);
+  S.ParallelExtent = static_cast<double>(Prod);
+  for (size_t I = Fused; I < Dp.size(); ++I)
+    S.Calls *= static_cast<double>(Dp[I]);
   for (int64_t E : Ctx.Reduce)
-    Calls *= static_cast<double>(E);
-  return cpuLatencyLowerBoundSeconds(
-      synthesizedStats(Ctx, Calls, Unroll, Chunks, /*SplitK=*/1), Machine);
+    S.Calls *= static_cast<double>(E);
+  for (int64_t F : Tiles) {
+    S.Calls *= static_cast<double>(F);
+    S.Unroll *= static_cast<double>(F);
+  }
+  return S;
 }
 
-/// GPU analog of cpuPairLowerBound. gpuLatencySeconds reads no operand
-/// loads or residue guards, and every stat it does read is replayed
-/// exactly here — so this bound *equals* the latency the scorer would
-/// compute, making GPU pruning skip precisely the losing candidates.
-double gpuConfigLowerBound(const BoundContext &Ctx,
-                           const GpuTuningConfig &Config,
-                           const GpuMachine &Machine) {
+/// GPU analog of cpuPairStats, replaying buildGpuPlan: the split-K split
+/// of the outermost reduce loop, then the p x p tiles of the two
+/// outermost data-parallel loops.
+KernelStats gpuConfigStats(const SearchContext &Ctx,
+                           const GpuTuningConfig &Config) {
+  KernelStats S = Ctx.Base;
   std::vector<int64_t> Dp = Ctx.Dp;
   std::vector<int64_t> Reduce = Ctx.Reduce;
-  double Unroll = 1;
-  double SplitK = 1;
-  int64_t Segments = 0;
+  int64_t Segments = 0; // No split-K loop.
   if (Config.SplitK > 1 && !Reduce.empty()) {
     int64_t K = Reduce[0];
     int64_t Want = std::min(Config.SplitK, K);
     int64_t Factor = (K + Want - 1) / Want;
-    Segments = (K + Factor - 1) / Factor; // Split outer = the segments.
-    Reduce[0] = Factor;                   // Split inner = serial rest.
-    SplitK = static_cast<double>(Segments);
+    Segments = foldSplit(S, K, Factor);
+    Reduce[0] = Factor;
   }
+  std::vector<int64_t> Tiles;
   for (size_t I = 0; I < Dp.size() && I < 2; ++I) {
     int64_t Factor = std::min(Config.P, Dp[I]);
     if (Factor <= 1)
       continue;
-    Dp[I] = (Dp[I] + Factor - 1) / Factor;
-    Unroll *= static_cast<double>(Factor);
+    Dp[I] = foldSplit(S, Dp[I], Factor);
+    Tiles.push_back(Factor);
   }
-  double Par = Dp.empty() ? 1.0
-                          : static_cast<double>(Dp[0]) *
-                                (Dp.size() > 1 ? static_cast<double>(Dp[1])
-                                               : 1.0);
-  double Calls = Unroll;
-  for (int64_t E : Dp)
-    Calls *= static_cast<double>(E);
-  if (Segments > 0)
-    Calls *= static_cast<double>(Segments);
+  // Leaf order: [blocks x, y] [other DP] [split-K] [reduce] [tiles]
+  // [inner].
+  S.Calls = 1;
+  for (size_t I = 0; I < Dp.size(); ++I) {
+    S.Calls *= static_cast<double>(Dp[I]);
+    if (I < 2)
+      S.ParallelExtent *= static_cast<double>(Dp[I]);
+  }
+  if (Segments > 0) {
+    S.Calls *= static_cast<double>(Segments);
+    S.SplitK *= static_cast<double>(Segments);
+  }
   for (int64_t E : Reduce)
-    Calls *= static_cast<double>(E);
-  return gpuLatencyLowerBoundSeconds(
-      synthesizedStats(Ctx, Calls, Unroll, Par, SplitK), Machine);
+    S.Calls *= static_cast<double>(E);
+  for (int64_t F : Tiles) {
+    S.Calls *= static_cast<double>(F);
+    S.Unroll *= static_cast<double>(F);
+  }
+  return S;
 }
 
-/// Shared candidate search. Builds and scores candidates — serially, or
+/// Shared candidate search. Scores candidates — serially, or
 /// concurrently on \p Pool — into an index-stable slot vector, then picks
 /// the winner with a strict-less argmin over ascending indices: the same
 /// "first minimal latency wins" rule the sequential loop applied, so
-/// thread timing cannot change the result. Only stats are retained per
-/// slot; the winning plan is rebuilt once at the end (plan construction
-/// is deterministic), so peak memory stays one plan regardless of the
-/// candidate count.
+/// thread timing cannot change the result. \p Stats gives a candidate's
+/// exact KernelStats by arithmetic; no schedule is built.
 ///
-/// With Opts.Prune, a candidate is skipped when \p Bound (admissible: no
-/// candidate's true latency is below its bound) strictly exceeds the best
-/// latency scored so far. A skipped candidate therefore satisfies
-/// true >= bound > best-at-check >= final-best — it can neither win nor
-/// tie the winner, so the argmin over the scored subset returns the exact
-/// exhaustive winner. Under a pool the running best is a racy atomic; a
-/// thread reading a stale (larger) best prunes less, never wrongly, so
-/// the guarantee holds regardless of interleaving while the *set* of
-/// scored candidates may vary run to run. Opts.SeedCandidate is scored
-/// before the sweep so the running best starts strong.
-template <typename Candidate, typename BuildFn, typename LatencyFn,
+/// With Opts.Prune, a candidate is skipped when \p Bound of its stats
+/// (admissible: never above \p Latency of the same stats) strictly
+/// exceeds the best latency scored so far. A skipped candidate therefore
+/// satisfies true >= bound > best-at-check >= final-best — it can neither
+/// win nor tie the winner, so the argmin over the scored subset returns
+/// the exact exhaustive winner. Under a pool the running best is a racy
+/// atomic; a thread reading a stale (larger) best prunes less, never
+/// wrongly, so the guarantee holds regardless of interleaving while the
+/// *set* of scored candidates may vary run to run. Opts.SeedCandidate is
+/// scored before the sweep so the running best starts strong.
+template <typename Candidate, typename StatsFn, typename LatencyFn,
           typename BoundFn>
 TunedKernel searchCandidates(const std::vector<Candidate> &Candidates,
-                             const BuildFn &Build, const LatencyFn &Latency,
+                             const StatsFn &Stats, const LatencyFn &Latency,
                              const BoundFn &Bound, const TunerOptions &Opts,
                              ThreadPool *Pool) {
   struct Scored {
@@ -310,13 +309,20 @@ TunedKernel searchCandidates(const std::vector<Candidate> &Candidates,
   };
   std::vector<Scored> Slots(Candidates.size());
   std::atomic<double> RunningBest{1e30};
-  auto ScoreOne = [&](size_t I) {
+  std::atomic<uint64_t> Pruned{0};
+  auto Visit = [&](size_t I, bool MayPrune) {
     double Start = steadyNowSeconds();
-    TensorizePlan Plan = Build(Candidates[I]);
-    KernelStats Stats = analyzeTensorized(Plan);
-    double L = Latency(Stats);
+    KernelStats S = Stats(Candidates[I]);
+    if (MayPrune) {
+      double Best = RunningBest.load(std::memory_order_relaxed);
+      if (Best < 1e30 && Bound(S) > Best) {
+        Pruned.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+    }
+    double L = Latency(S);
     CandidateCostHist.record(steadyNowSeconds() - Start);
-    Slots[I] = Scored{Stats, L, true};
+    Slots[I] = Scored{S, L, true};
     double Cur = RunningBest.load(std::memory_order_relaxed);
     while (L < Cur && !RunningBest.compare_exchange_weak(
                           Cur, L, std::memory_order_relaxed)) {
@@ -326,28 +332,18 @@ TunedKernel searchCandidates(const std::vector<Candidate> &Candidates,
   bool Seeded = Opts.SeedCandidate >= 0 &&
                 static_cast<size_t>(Opts.SeedCandidate) < Candidates.size();
   if (Seeded) {
-    ScoreOne(static_cast<size_t>(Opts.SeedCandidate));
+    Visit(static_cast<size_t>(Opts.SeedCandidate), /*MayPrune=*/false);
     SeededTotal.fetch_add(1);
   }
-
-  std::atomic<uint64_t> Pruned{0};
-  auto Visit = [&](size_t I) {
-    if (Slots[I].WasScored)
-      return; // The seed, already scored.
-    if (Opts.Prune) {
-      double Best = RunningBest.load(std::memory_order_relaxed);
-      if (Best < 1e30 && Bound(Candidates[I]) > Best) {
-        Pruned.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-    }
-    ScoreOne(I);
+  auto Sweep = [&](size_t I) {
+    if (!Slots[I].WasScored) // Else the seed, already scored.
+      Visit(I, Opts.Prune);
   };
   if (Pool && Candidates.size() > 1)
-    Pool->parallelFor(Candidates.size(), Visit);
+    Pool->parallelFor(Candidates.size(), Sweep);
   else
     for (size_t I = 0; I < Candidates.size(); ++I)
-      Visit(I);
+      Sweep(I);
 
   TunedKernel Best;
   Best.LatencySeconds = 1e30;
@@ -362,8 +358,6 @@ TunedKernel searchCandidates(const std::vector<Candidate> &Candidates,
       Best.BestCandidateIndex = static_cast<int>(I);
     }
   }
-  if (Best.BestCandidateIndex >= 0)
-    Best.Plan = Build(Candidates[static_cast<size_t>(Best.BestCandidateIndex)]);
   Best.CandidatesTried = static_cast<int>(Best.CandidateLatencies.size());
   Best.SpaceSize = static_cast<int>(Candidates.size());
   ScoredTotal.fetch_add(static_cast<uint64_t>(Best.CandidatesTried));
@@ -412,17 +406,13 @@ TunedKernel unit::tuneCpu(const ComputeOpRef &Op, const MatchResult &Match,
   obs::Span Search("tuner_search");
   std::vector<CpuTuningPair> Pairs = defaultCpuTuningPairs();
   truncateCandidates(Pairs, Opts.MaxCandidates);
-  // The bound context costs one plan build; only pay it when pruning can
-  // use it.
-  std::optional<BoundContext> Ctx;
-  if (Opts.Prune)
-    Ctx.emplace(makeBoundContext(Op, Match));
+  const SearchContext Ctx = makeSearchContext(Op, Match);
   TunedKernel Best = searchCandidates(
       Pairs,
-      [&](const CpuTuningPair &Pair) { return buildCpuPlan(Op, Match, Pair); },
+      [&](const CpuTuningPair &Pair) { return cpuPairStats(Ctx, Pair); },
       [&](const KernelStats &S) { return cpuLatencySeconds(S, Machine); },
-      [&](const CpuTuningPair &Pair) {
-        return cpuPairLowerBound(*Ctx, Pair, Machine);
+      [&](const KernelStats &S) {
+        return cpuLatencyLowerBoundSeconds(S, Machine);
       },
       Opts, Pool);
   annotateSearch(Search, Best, Opts);
@@ -436,17 +426,15 @@ TunedKernel unit::tuneGpu(const ComputeOpRef &Op, const MatchResult &Match,
   obs::Span Search("tuner_search");
   std::vector<GpuTuningConfig> Configs = defaultGpuTuningConfigs();
   truncateCandidates(Configs, Opts.MaxCandidates);
-  std::optional<BoundContext> Ctx;
-  if (Opts.Prune)
-    Ctx.emplace(makeBoundContext(Op, Match));
+  const SearchContext Ctx = makeSearchContext(Op, Match);
   TunedKernel Best = searchCandidates(
       Configs,
       [&](const GpuTuningConfig &Config) {
-        return buildGpuPlan(Op, Match, Config);
+        return gpuConfigStats(Ctx, Config);
       },
       [&](const KernelStats &S) { return gpuLatencySeconds(S, Machine); },
-      [&](const GpuTuningConfig &Config) {
-        return gpuConfigLowerBound(*Ctx, Config, Machine);
+      [&](const KernelStats &S) {
+        return gpuLatencyLowerBoundSeconds(S, Machine);
       },
       Opts, Pool);
   annotateSearch(Search, Best, Opts);
@@ -456,15 +444,10 @@ TunedKernel unit::tuneGpu(const ComputeOpRef &Op, const MatchResult &Match,
 CpuAblation unit::cpuAblation(const ComputeOpRef &Op,
                               const MatchResult &Match,
                               const CpuMachine &Machine) {
+  SearchContext Ctx = makeSearchContext(Op, Match);
   CpuAblation A;
-  {
-    TensorizePlan Plan = buildCpuPlan(Op, Match, {3000, 1});
-    A.ParallelOnly = cpuLatencySeconds(analyzeTensorized(Plan), Machine);
-  }
-  {
-    TensorizePlan Plan = buildCpuPlan(Op, Match, {3000, 8});
-    A.ParallelUnroll = cpuLatencySeconds(analyzeTensorized(Plan), Machine);
-  }
+  A.ParallelOnly = cpuLatencySeconds(cpuPairStats(Ctx, {3000, 1}), Machine);
+  A.ParallelUnroll = cpuLatencySeconds(cpuPairStats(Ctx, {3000, 8}), Machine);
   A.Tuned = tuneCpu(Op, Match, Machine).LatencySeconds;
   return A;
 }
@@ -472,22 +455,16 @@ CpuAblation unit::cpuAblation(const ComputeOpRef &Op,
 GpuAblation unit::gpuAblation(const ComputeOpRef &Op,
                               const MatchResult &Match,
                               const GpuMachine &Machine) {
+  SearchContext Ctx = makeSearchContext(Op, Match);
   GpuAblation A;
-  {
-    TensorizePlan Plan = buildGpuPlan(Op, Match, {2, 1});
-    A.Generic = gpuLatencySeconds(analyzeTensorized(Plan), Machine);
-  }
-  {
-    // "Split the reduction dimension by 64": one segment per 64 reduction
-    // elements, expressed as a segment count on the outer reduce loop.
-    int64_t ReduceElems = 1;
-    for (const IterVar &IV : Op->reduceAxes())
-      ReduceElems *= IV->extent();
-    int64_t Segments =
-        std::clamp<int64_t>(ReduceElems / 64, 1, 64);
-    TensorizePlan Plan = buildGpuPlan(Op, Match, {2, Segments});
-    A.SplitK = gpuLatencySeconds(analyzeTensorized(Plan), Machine);
-  }
+  A.Generic = gpuLatencySeconds(gpuConfigStats(Ctx, {2, 1}), Machine);
+  // "Split the reduction dimension by 64": one segment per 64 reduction
+  // elements, expressed as a segment count on the outer reduce loop.
+  int64_t ReduceElems = 1;
+  for (const IterVar &IV : Op->reduceAxes())
+    ReduceElems *= IV->extent();
+  int64_t Segments = std::clamp<int64_t>(ReduceElems / 64, 1, 64);
+  A.SplitK = gpuLatencySeconds(gpuConfigStats(Ctx, {2, Segments}), Machine);
   A.Tuned = tuneGpu(Op, Match, Machine).LatencySeconds;
   return A;
 }

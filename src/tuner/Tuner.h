@@ -6,10 +6,12 @@
 ///
 /// \file
 /// Builds concrete tuned schedules from tuning-space candidates and
-/// searches the space against the cost model. Exposes per-stage latencies
-/// so the ablation benches (paper Figs. 10 and 11) can report the
-/// incremental impact of Parallel / +Unroll / +Tune on CPU and
-/// Generic / +SplitK / +Tune on GPU.
+/// searches the space against the cost model. The search scores each
+/// candidate from extent arithmetic and builds no schedule; callers that
+/// lower the winner rebuild its plan with buildCpuPlan/buildGpuPlan.
+/// Exposes per-stage latencies so the ablation benches (paper Figs. 10
+/// and 11) can report the incremental impact of Parallel / +Unroll /
+/// +Tune on CPU and Generic / +SplitK / +Tune on GPU.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +48,7 @@ TensorizePlan buildGpuPlan(const ComputeOpRef &Op, const MatchResult &Match,
 ///
 /// Under early-exit pruning (TunerOptions::Prune) the search may skip
 /// candidates whose admissible lower bound already exceeds the running
-/// best. The *winner* fields — Plan, Stats, LatencySeconds, and
+/// best. The *winner* fields — Stats, LatencySeconds, and
 /// BestCandidateIndex — are guaranteed bit-identical to the exhaustive
 /// search (the bound is admissible, so a skipped candidate can never win
 /// or tie), but the *coverage* fields describe only what was actually
@@ -54,10 +56,11 @@ TensorizePlan buildGpuPlan(const ComputeOpRef &Op, const MatchResult &Match,
 /// and ScoredIndices list them in candidate-index order, and SpaceSize
 /// records the full (budget-truncated) space the indices refer to.
 /// BestCandidateIndex is always an index into that space — stable across
-/// pruning and usable as a transfer seed for another search.
+/// pruning and usable as a transfer seed for another search. Stats equals
+/// analyzeTensorized of the winner's plan, rebuilt from the candidate at
+/// BestCandidateIndex.
 struct TunedKernel {
-  TensorizePlan Plan;            ///< The winning schedule.
-  KernelStats Stats;
+  KernelStats Stats;             ///< The winning schedule's stats.
   double LatencySeconds = 0.0;
   int BestCandidateIndex = -1;   ///< Index into the candidate space.
   int CandidatesTried = 0;       ///< Candidates actually scored.
@@ -85,9 +88,9 @@ struct TunerOptions {
   int SeedCandidate = -1;
 };
 
-/// The one search entry point per engine. Candidates are built and scored
+/// The one search entry point per engine. Candidates are scored
 /// concurrently on \p Pool when it is non-null, but the winner is chosen
-/// by an index-stable argmin, so the result (plan, stats, telemetry) is
+/// by an index-stable argmin, so the result (stats, telemetry) is
 /// bit-identical to the sequential search regardless of thread timing.
 /// With \p Opts defaulted (no cap, no pruning, no seed) this is the
 /// exhaustive search. With pruning on, winner fields stay bit-identical
@@ -106,8 +109,8 @@ TunedKernel tuneGpu(const ComputeOpRef &Op, const MatchResult &Match,
 /// leaves this untouched — zero tuner invocations.
 uint64_t tunerInvocations();
 
-/// Monotone process-wide count of candidates actually scored (plan built
-/// + cost model run). With pruning this grows slower than invocations x
+/// Monotone process-wide count of candidates actually scored (stats
+/// computed + cost model run). With pruning this grows slower than invocations x
 /// space size — the savings the server's `tuner` stats section reports.
 uint64_t tunerCandidatesScored();
 
@@ -119,8 +122,8 @@ uint64_t tunerPrunedCandidates();
 /// seed (TunerOptions::SeedCandidate in range).
 uint64_t tunerTransferSeeds();
 
-/// Wall-time distribution of scoring one candidate (plan build +
-/// analysis + cost model) across every search so far — the server's
+/// Wall-time distribution of scoring one candidate (stats arithmetic +
+/// cost model) across every search so far — the server's
 /// unit_tuner_candidate_seconds metrics family.
 obs::HistogramSnapshot tunerCandidateCost();
 

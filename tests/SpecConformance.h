@@ -18,20 +18,29 @@
 //   4. Wire: the target is advertised over the socket with the same spec
 //      hash and provenance the registry holds, and a conv compiled over
 //      the wire equals the in-process compile bit-for-bit.
+//   5. Analytic scoring: for the zoo sample, the tuner's arithmetic score
+//      of every candidate is bit-identical to the cost model run on the
+//      candidate's built plan, and the winner's stats equal the rebuilt
+//      winner's. A spec whose operand layout makes a candidate's load
+//      count differ from the reorganized plan's fails here.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef UNIT_TESTS_SPECCONFORMANCE_H
 #define UNIT_TESTS_SPECCONFORMANCE_H
 
+#include "core/Inspector.h"
+#include "graph/Layout.h"
 #include "models/ModelZoo.h"
 #include "runtime/CompilerSession.h"
 #include "server/CompileClient.h"
 #include "target/SpecFile.h"
 #include "target/TargetRegistry.h"
+#include "tuner/Tuner.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
@@ -175,6 +184,122 @@ inline void checkSpecOverSocket(const TargetSpec &Spec,
   EXPECT_EQ(Remote->Report.BestCandidateIndex, Local.BestCandidateIndex);
 }
 
+/// One tuner search a backend runs: the laid-out op and its first
+/// matching instruction.
+struct TunedView {
+  ComputeOpRef Op;
+  MatchResult Match;
+};
+
+/// The first of \p Spec's instructions that matches \p Op, as the
+/// backend picks it; nullopt when the backend would fall back to SIMD.
+inline std::optional<TunedView> tunedView(const TargetSpec &Spec,
+                                          const ComputeOpRef &Op) {
+  for (const TensorIntrinsicRef &Intr :
+       TargetRegistry::instance().get(Spec.Id)->intrinsics())
+    if (std::optional<MatchResult> M = inspect(Op, Intr))
+      return TunedView{Op, *M};
+  return std::nullopt;
+}
+
+/// The searches \p Spec's backend runs to compile \p L: the direct conv
+/// on a CPU target, the fused and unfused implicit-GEMM views on a GPU
+/// target. Layers the backend does not tensorize contribute none.
+inline std::vector<TunedView> tunedConvViews(const TargetSpec &Spec,
+                                             const ConvLayer &L) {
+  const QuantScheme &Q = Spec.Scheme;
+  std::vector<ComputeOpRef> Ops;
+  if (Spec.Engine == TargetSpec::EngineKind::CpuDot)
+    Ops.push_back(buildDirectConvOp(L, Q.Activation, Q.Weight, Q.Accumulator,
+                                    Q.LaneMultiple, Q.ReduceMultiple)
+                      .Op);
+  else
+    for (bool Fuse : {true, false})
+      Ops.push_back(buildConvAsGemmOp(L, Q.Activation, Q.Accumulator,
+                                      Q.LaneMultiple, Fuse)
+                        .Op);
+  std::vector<TunedView> Views;
+  for (const ComputeOpRef &Op : Ops)
+    if (std::optional<TunedView> V = tunedView(Spec, Op))
+      Views.push_back(std::move(*V));
+  return Views;
+}
+
+/// Field-by-field KernelStats equality (doubles compared with ==).
+inline void expectSameStats(const KernelStats &A, const KernelStats &B,
+                            const std::string &What) {
+  EXPECT_EQ(A.Calls, B.Calls) << What;
+  EXPECT_EQ(A.MacsPerCall, B.MacsPerCall) << What;
+  EXPECT_EQ(A.Cost.LatencyCycles, B.Cost.LatencyCycles) << What;
+  EXPECT_EQ(A.Cost.IssuePerCycle, B.Cost.IssuePerCycle) << What;
+  EXPECT_EQ(A.Cost.MacsPerInstr, B.Cost.MacsPerInstr) << What;
+  EXPECT_EQ(A.LoadsPerCall, B.LoadsPerCall) << What;
+  EXPECT_EQ(A.Unroll, B.Unroll) << What;
+  EXPECT_EQ(A.ParallelExtent, B.ParallelExtent) << What;
+  EXPECT_EQ(A.SplitK, B.SplitK) << What;
+  EXPECT_EQ(A.HasResidueGuards, B.HasResidueGuards) << What;
+  EXPECT_EQ(A.UsefulFraction, B.UsefulFraction) << What;
+  EXPECT_EQ(A.OutputBytes, B.OutputBytes) << What;
+  EXPECT_EQ(A.InputBytes, B.InputBytes) << What;
+  EXPECT_EQ(A.WeightBytes, B.WeightBytes) << What;
+  EXPECT_EQ(A.SimdMacs, B.SimdMacs) << What;
+  EXPECT_EQ(A.SimdElemBytes, B.SimdElemBytes) << What;
+  EXPECT_EQ(A.WideningFactor, B.WideningFactor) << What;
+}
+
+/// What checkAnalyticScoring covered.
+struct AnalyticCoverage {
+  size_t Searches = 0;
+  size_t Candidates = 0;
+  size_t Guarded = 0; ///< Candidates whose built plan has residue guards.
+};
+
+/// Gauntlet stage 5 for one search: an exhaustive search over \p View on
+/// \p Spec's machine prices every candidate bit-identically to the cost
+/// model run on analyzeTensorized of the candidate's built plan, and the
+/// winner's stats equal, field by field, those of its rebuilt plan.
+inline void checkAnalyticScoring(const TargetSpec &Spec, const TunedView &View,
+                                 AnalyticCoverage &Coverage) {
+  bool Cpu = Spec.Engine == TargetSpec::EngineKind::CpuDot;
+  TunedKernel Tuned = Cpu ? tuneCpu(View.Op, View.Match, Spec.Cpu)
+                          : tuneGpu(View.Op, View.Match, Spec.Gpu);
+  size_t Space = Cpu ? defaultCpuTuningPairs().size()
+                     : defaultGpuTuningConfigs().size();
+  ASSERT_EQ(Tuned.CandidateLatencies.size(), Space) << Spec.Id;
+  auto Build = [&](size_t I) {
+    return Cpu ? buildCpuPlan(View.Op, View.Match, defaultCpuTuningPairs()[I])
+               : buildGpuPlan(View.Op, View.Match,
+                              defaultGpuTuningConfigs()[I]);
+  };
+  ++Coverage.Searches;
+  for (size_t I = 0; I < Space; ++I) {
+    KernelStats Built = analyzeTensorized(Build(I));
+    double Want = Cpu ? cpuLatencySeconds(Built, Spec.Cpu)
+                      : gpuLatencySeconds(Built, Spec.Gpu);
+    EXPECT_EQ(std::memcmp(&Tuned.CandidateLatencies[I], &Want, sizeof Want),
+              0)
+        << Spec.Id << " candidate " << I << ": scored "
+        << Tuned.CandidateLatencies[I] << ", built plan " << Want;
+    ++Coverage.Candidates;
+    Coverage.Guarded += Built.HasResidueGuards;
+  }
+  ASSERT_GE(Tuned.BestCandidateIndex, 0) << Spec.Id;
+  expectSameStats(
+      Tuned.Stats,
+      analyzeTensorized(Build(static_cast<size_t>(Tuned.BestCandidateIndex))),
+      Spec.Id + " winner");
+}
+
+/// Gauntlet stage 5: the analytic scoring over the zoo sample.
+inline void checkSpecAnalyticScoring(const TargetSpec &Spec,
+                                     size_t SampleSize = 6) {
+  AnalyticCoverage Coverage;
+  for (const ConvLayer &L : sampleZooConvs(SampleSize))
+    for (const TunedView &View : tunedConvViews(Spec, L))
+      checkAnalyticScoring(Spec, View, Coverage);
+  EXPECT_GT(Coverage.Searches, 0u) << Spec.Id;
+}
+
 /// The full gauntlet for one registered target.
 inline void runSpecGauntlet(const TargetSpec &Spec, CompileClient &Client) {
   SCOPED_TRACE("spec gauntlet: " + Spec.Id);
@@ -182,6 +307,7 @@ inline void runSpecGauntlet(const TargetSpec &Spec, CompileClient &Client) {
   checkSpecTensorizesZooSample(Spec);
   checkSpecRevisionDistinctness(Spec);
   checkSpecOverSocket(Spec, Client);
+  checkSpecAnalyticScoring(Spec);
 }
 
 } // namespace testutil

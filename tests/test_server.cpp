@@ -189,11 +189,14 @@ class ServerTest : public ::testing::Test {
 protected:
   std::string SocketPath;
   std::unique_ptr<CompileServer> Server;
+  /// Every path tempPath handed out; TearDown removes them.
+  std::vector<std::string> TempPaths;
 
-  static std::string tempPath(const char *Suffix) {
+  std::string tempPath(const char *Suffix) {
     static std::atomic<int> Counter{0};
-    return "/tmp/unit_test_" + std::to_string(::getpid()) + "_" +
-           std::to_string(Counter.fetch_add(1)) + Suffix;
+    TempPaths.push_back("/tmp/unit_test_" + std::to_string(::getpid()) + "_" +
+                        std::to_string(Counter.fetch_add(1)) + Suffix);
+    return TempPaths.back();
   }
 
   void startServer(ServerConfig Config = {}) {
@@ -204,9 +207,16 @@ protected:
     ASSERT_TRUE(Server->start(&Err)) << Err;
   }
 
+  /// Stops the fixture's server, then removes every temp path and the
+  /// `.lock` file a server keeps beside its socket. A test's other
+  /// servers are locals, already stopped by their destructors.
   void TearDown() override {
     if (Server)
       Server->stop();
+    for (const std::string &Path : TempPaths) {
+      ::unlink(Path.c_str());
+      ::unlink((Path + ".lock").c_str());
+    }
   }
 
   /// A connected, hello'd client.

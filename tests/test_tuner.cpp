@@ -1,15 +1,22 @@
 //===- tests/test_tuner.cpp - Tuner behaviour tests ------------------------===//
 
+#include "SpecConformance.h"
 #include "TestUtil.h"
 #include "core/Inspector.h"
 #include "core/Pipeline.h"
 #include "graph/Layout.h"
 #include "graph/Quantize.h"
+#include "models/Table1.h"
+#include "support/ThreadPool.h"
 #include "tir/Lower.h"
 #include "tuner/Tuner.h"
+#include "target/SpecFile.h"
 #include "target/TargetRegistry.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <set>
 
 using namespace unit;
 using namespace unit::testutil;
@@ -182,6 +189,213 @@ TEST(Ablation, GpuTunedBeatsGeneric) {
   GpuAblation A = gpuAblation(Gemm, matchWmma(Gemm), Machine);
   EXPECT_LE(A.Tuned, A.Generic * 1.0001);
   EXPECT_LE(A.SplitK, A.Generic * 1.0001);
+}
+
+//===----------------------------------------------------------------------===//
+// Analytic scoring parity: the search prices candidates from extent
+// arithmetic, so these tests hold it to what building each candidate's
+// plan and analyzing it reports, on every shipped target.
+//===----------------------------------------------------------------------===//
+
+/// The five builtin targets plus the two checked-in file specs, each
+/// registered once per process.
+const std::vector<TargetSpec> &parityTargets() {
+  static const std::vector<TargetSpec> Specs = [] {
+    for (const char *File : {"specs/fixed16-dma.json",
+                             "specs/nvgpu-wmma-s8.json"}) {
+      std::string Err;
+      EXPECT_NE(registerSpecFile(std::string(UNIT_REPO_ROOT) + "/" + File,
+                                 &Err),
+                nullptr)
+          << Err;
+    }
+    std::vector<TargetSpec> Out;
+    for (const char *Id : {"x86", "arm", "nvgpu", "x86-amx", "arm-sve",
+                           "fixed16-dma", "nvgpu-s8"})
+      Out.push_back(TargetRegistry::instance().specFor(Id));
+    return Out;
+  }();
+  return Specs;
+}
+
+bool isCpu(const TargetSpec &Spec) {
+  return Spec.Engine == TargetSpec::EngineKind::CpuDot;
+}
+
+/// Every distinct non-depthwise conv of the paper zoo, the widened
+/// resnet-18 and Table I.
+std::vector<ConvLayer> parityLayers() {
+  std::vector<ConvLayer> Out;
+  std::set<std::string> Seen;
+  auto Add = [&](const ConvLayer &L) {
+    if (!L.Depthwise && Seen.insert(L.shapeKey()).second)
+      Out.push_back(L);
+  };
+  for (const Model &M : paperModels())
+    for (const ConvLayer &L : M.Convs)
+      Add(L);
+  for (const ConvLayer &L : makeResnet18Wide().Convs)
+    Add(L);
+  for (const ConvLayer &L : table1Workloads())
+    Add(L);
+  return Out;
+}
+
+TunedKernel tuneOn(const TargetSpec &Spec, const TunedView &View,
+                   ThreadPool *Pool, const TunerOptions &Opts) {
+  return isCpu(Spec) ? tuneCpu(View.Op, View.Match, Spec.Cpu, Pool, Opts)
+                     : tuneGpu(View.Op, View.Match, Spec.Gpu, Pool, Opts);
+}
+
+/// What the reference search picked.
+struct ReferenceResult {
+  int Winner = -1;
+  double LatencySeconds = 1e30;
+  int Scored = 0;
+};
+
+/// The search as it ran when every candidate built a schedule: the seed
+/// first, then ascending indices; a visited candidate builds its plan
+/// and analyzes it, and under Opts.Prune is skipped when the lower bound
+/// of those stats strictly exceeds the best latency so far. The winner is
+/// the first minimal latency in index order. \p Price maps a candidate to
+/// its (latency, lower bound) pair. Sequential only.
+template <typename Candidate, typename PriceFn>
+ReferenceResult referenceSearch(std::vector<Candidate> Candidates,
+                                const PriceFn &Price,
+                                const TunerOptions &Opts) {
+  if (Opts.MaxCandidates > 0 &&
+      static_cast<size_t>(Opts.MaxCandidates) < Candidates.size())
+    Candidates.resize(static_cast<size_t>(Opts.MaxCandidates));
+  std::vector<double> Latency(Candidates.size(), -1);
+  double Best = 1e30;
+  auto Score = [&](size_t I) {
+    Latency[I] = Price(Candidates[I]).first;
+    Best = std::min(Best, Latency[I]);
+  };
+  if (Opts.SeedCandidate >= 0 &&
+      static_cast<size_t>(Opts.SeedCandidate) < Candidates.size())
+    Score(static_cast<size_t>(Opts.SeedCandidate));
+  for (size_t I = 0; I < Candidates.size(); ++I) {
+    if (Latency[I] >= 0)
+      continue;
+    if (Opts.Prune && Best < 1e30 && Price(Candidates[I]).second > Best)
+      continue;
+    Score(I);
+  }
+  ReferenceResult R;
+  for (size_t I = 0; I < Candidates.size(); ++I) {
+    if (Latency[I] < 0)
+      continue;
+    ++R.Scored;
+    if (Latency[I] < R.LatencySeconds) {
+      R.LatencySeconds = Latency[I];
+      R.Winner = static_cast<int>(I);
+    }
+  }
+  return R;
+}
+
+ReferenceResult referenceSearchOn(const TargetSpec &Spec,
+                                  const TunedView &View,
+                                  const TunerOptions &Opts) {
+  if (isCpu(Spec))
+    return referenceSearch(
+        defaultCpuTuningPairs(),
+        [&](const CpuTuningPair &Pair) {
+          KernelStats S = analyzeTensorized(
+              buildCpuPlan(View.Op, View.Match, Pair));
+          return std::make_pair(cpuLatencySeconds(S, Spec.Cpu),
+                                cpuLatencyLowerBoundSeconds(S, Spec.Cpu));
+        },
+        Opts);
+  return referenceSearch(
+      defaultGpuTuningConfigs(),
+      [&](const GpuTuningConfig &Config) {
+        KernelStats S =
+            analyzeTensorized(buildGpuPlan(View.Op, View.Match, Config));
+        return std::make_pair(gpuLatencySeconds(S, Spec.Gpu),
+                              gpuLatencyLowerBoundSeconds(S, Spec.Gpu));
+      },
+      Opts);
+}
+
+bool sameBits(double A, double B) {
+  return std::memcmp(&A, &B, sizeof A) == 0;
+}
+
+TEST(TunerAnalyticParity, EveryCandidateScoresLikeItsBuiltPlan) {
+  AnalyticCoverage Coverage;
+  std::vector<ConvLayer> Layers = parityLayers();
+  for (const TargetSpec &Spec : parityTargets()) {
+    SCOPED_TRACE(Spec.Id);
+    size_t Before = Coverage.Searches;
+    for (const ConvLayer &L : Layers)
+      for (const TunedView &View : tunedConvViews(Spec, L))
+        checkAnalyticScoring(Spec, View, Coverage);
+    if (isCpu(Spec) && Spec.SupportsConv3d) {
+      const QuantScheme &Q = Spec.Scheme;
+      for (const Conv3dLayer &L : makeResnet18Conv3d()) {
+        ComputeOpRef Op =
+            buildDirectConv3dOp(L, Q.Activation, Q.Weight, Q.Accumulator,
+                                Q.LaneMultiple, Q.ReduceMultiple)
+                .Op;
+        if (std::optional<TunedView> View = tunedView(Spec, Op))
+          checkAnalyticScoring(Spec, *View, Coverage);
+      }
+    }
+    EXPECT_GT(Coverage.Searches, Before + Layers.size() / 2);
+  }
+  // Both guarded and guard-free schedules are covered.
+  EXPECT_GT(Coverage.Guarded, 0u);
+  EXPECT_LT(Coverage.Guarded, Coverage.Candidates);
+}
+
+TEST(TunerAnalyticParity, SeededAndPrunedSearchesMatchTheOldSearch) {
+  size_t Searches = 0, Pruned = 0;
+  for (const TargetSpec &Spec : parityTargets()) {
+    SCOPED_TRACE(Spec.Id);
+    for (const ConvLayer &L : sampleZooConvs(8, /*Seed=*/2026))
+      for (const TunedView &View : tunedConvViews(Spec, L))
+        for (int MaxCandidates : {-1, 6})
+          for (int Seed : {-1, 0, 2, 5, 16, 19, 20, 400}) {
+            TunerOptions Opts;
+            Opts.Prune = true;
+            Opts.MaxCandidates = MaxCandidates;
+            Opts.SeedCandidate = Seed;
+            TunedKernel New = tuneOn(Spec, View, nullptr, Opts);
+            ReferenceResult Old = referenceSearchOn(Spec, View, Opts);
+            EXPECT_EQ(New.BestCandidateIndex, Old.Winner) << Seed;
+            EXPECT_TRUE(sameBits(New.LatencySeconds, Old.LatencySeconds))
+                << Seed;
+            EXPECT_EQ(New.CandidatesTried, Old.Scored) << Seed;
+            ++Searches;
+            Pruned += static_cast<size_t>(New.SpaceSize - New.CandidatesTried);
+          }
+  }
+  EXPECT_GT(Searches, 0u);
+  EXPECT_GT(Pruned, 0u); // The bound does prune.
+}
+
+TEST(TunerAnalyticParity, PoolSearchPicksTheSameWinner) {
+  ThreadPool Pool(2);
+  for (const TargetSpec &Spec : parityTargets()) {
+    SCOPED_TRACE(Spec.Id);
+    for (const ConvLayer &L : sampleZooConvs(4, /*Seed=*/7))
+      for (const TunedView &View : tunedConvViews(Spec, L))
+        for (bool Prune : {false, true}) {
+          TunerOptions Opts;
+          Opts.Prune = Prune;
+          Opts.SeedCandidate = Prune ? 3 : -1;
+          TunedKernel Seq = tuneOn(Spec, View, nullptr, Opts);
+          TunedKernel Par = tuneOn(Spec, View, &Pool, Opts);
+          EXPECT_EQ(Par.BestCandidateIndex, Seq.BestCandidateIndex);
+          EXPECT_TRUE(sameBits(Par.LatencySeconds, Seq.LatencySeconds));
+          expectSameStats(Par.Stats, Seq.Stats, Spec.Id);
+          if (!Prune)
+            EXPECT_EQ(Par.CandidateLatencies, Seq.CandidateLatencies);
+        }
+  }
 }
 
 } // namespace
