@@ -20,7 +20,9 @@ void setError(std::string *Err, const std::string &Message) {
 
 } // namespace
 
-bool runAuthChallenge(int Fd, const std::string &Secret, std::string *Err) {
+bool runAuthChallenge(FrameReader &Frames, const std::string &Secret,
+                      std::string *Err) {
+  int Fd = Frames.fd();
   std::string Nonce = randomNonceHex();
   Json Challenge = Json::object();
   Challenge.set("type", "challenge");
@@ -31,7 +33,7 @@ bool runAuthChallenge(int Fd, const std::string &Secret, std::string *Err) {
   }
 
   std::string Payload;
-  if (readFrame(Fd, Payload) != FrameStatus::Ok) {
+  if (Frames.next(Payload) != FrameStatus::Ok) {
     setError(Err, "connection closed before auth");
     return false;
   }
@@ -56,9 +58,11 @@ bool runAuthChallenge(int Fd, const std::string &Secret, std::string *Err) {
   return true;
 }
 
-bool answerAuthChallenge(int Fd, const std::string &Secret, std::string *Err) {
+bool answerAuthChallenge(FrameReader &Frames, const std::string &Secret,
+                         std::string *Err) {
+  int Fd = Frames.fd();
   std::string Payload;
-  if (readFrame(Fd, Payload) != FrameStatus::Ok) {
+  if (Frames.next(Payload) != FrameStatus::Ok) {
     setError(Err, "connection closed before challenge");
     return false;
   }
@@ -78,7 +82,7 @@ bool answerAuthChallenge(int Fd, const std::string &Secret, std::string *Err) {
     return false;
   }
 
-  if (readFrame(Fd, Payload) != FrameStatus::Ok) {
+  if (Frames.next(Payload) != FrameStatus::Ok) {
     setError(Err, "connection closed during auth");
     return false;
   }

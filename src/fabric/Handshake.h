@@ -24,18 +24,24 @@
 
 namespace unit {
 
+class FrameReader;
+
 /// Server side: send `challenge`, read `auth`, verify the proof. On
 /// success replies `auth_ok` and returns true; on any failure (bad proof,
 /// malformed frame, peer gone) replies with an `error` frame when the
 /// socket still writes, fills \p Err, and returns false — the caller
-/// closes the fd and counts the auth failure.
-bool runAuthChallenge(int Fd, const std::string &Secret,
+/// closes the fd and counts the auth failure. Frames are read through
+/// \p Frames, the socket's one reader, and written to its fd, so a
+/// request pipelined right behind the proof stays buffered for the
+/// caller.
+bool runAuthChallenge(FrameReader &Frames, const std::string &Secret,
                       std::string *Err = nullptr);
 
 /// Dialer side: read `challenge`, answer `auth` with the HMAC proof, wait
 /// for `auth_ok`. Returns false (with \p Err) on rejection or transport
-/// failure; the caller closes the fd.
-bool answerAuthChallenge(int Fd, const std::string &Secret,
+/// failure; the caller closes the fd. Reads through \p Frames, the
+/// socket's one reader, and writes to its fd.
+bool answerAuthChallenge(FrameReader &Frames, const std::string &Secret,
                          std::string *Err = nullptr);
 
 } // namespace unit

@@ -93,6 +93,7 @@ void PeerManager::closeLocked(Peer &P) {
     return;
   ::close(P.Fd);
   P.Fd = -1;
+  P.Frames.reset(-1);
   P.FingerprintMatch = false;
   ConnectedCount.fetch_sub(1);
 }
@@ -105,7 +106,7 @@ std::optional<Json> PeerManager::exchangeLocked(Peer &P, const Json &Request) {
     return std::nullopt;
   }
   std::string Payload;
-  if (readFrame(P.Fd, Payload) != FrameStatus::Ok) {
+  if (P.Frames.next(Payload) != FrameStatus::Ok) {
     closeLocked(P);
     return std::nullopt;
   }
@@ -133,7 +134,9 @@ bool PeerManager::ensureExchangeableLocked(Peer &P) {
   Timeout.tv_usec = 0;
   ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
   ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &Timeout, sizeof(Timeout));
-  if (!answerAuthChallenge(Fd, Config.Secret)) {
+  P.Frames.reset(Fd);
+  if (!answerAuthChallenge(P.Frames, Config.Secret)) {
+    P.Frames.reset(-1);
     ::close(Fd);
     return false;
   }

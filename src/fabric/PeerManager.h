@@ -129,6 +129,8 @@ private:
     Endpoint Ep;
     std::mutex Mu;
     int Fd = -1;
+    /// The link's one reader, bound to Fd from the handshake on.
+    FrameReader Frames;
     bool FingerprintMatch = false;
     double RetryAtSeconds = 0; ///< Dial backoff deadline (steady clock).
   };

@@ -97,6 +97,7 @@ int CompileClient::dialEndpoint(const std::string &Ep, std::string *Err) {
       ::close(NewFd);
       return -1;
     }
+    Frames.reset(NewFd);
     return NewFd;
   }
   std::string DetailErr;
@@ -115,7 +116,8 @@ int CompileClient::dialEndpoint(const std::string &Ep, std::string *Err) {
     std::lock_guard<std::mutex> Lock(Mu);
     SecretCopy = FabricSecret;
   }
-  if (!answerAuthChallenge(NewFd, SecretCopy, &DetailErr)) {
+  Frames.reset(NewFd);
+  if (!answerAuthChallenge(Frames, SecretCopy, &DetailErr)) {
     setErr(Err, "auth with " + Ep + " failed: " + DetailErr);
     ::close(NewFd);
     return -1;
@@ -124,7 +126,7 @@ int CompileClient::dialEndpoint(const std::string &Ep, std::string *Err) {
 }
 
 void CompileClient::close() {
-  // shutdown() (not close()) wakes the reader parked in readFrame; the fd
+  // shutdown() (not close()) wakes the reader parked in read(); the fd
   // itself is released only after the join, so the reader can never race
   // a recycled descriptor number. ShuttingDown is published under Mu,
   // paired with tryReconnect()'s commit check: either the reader sees it
@@ -171,7 +173,7 @@ void CompileClient::setAutoReconnect(bool Enable, int MaxAttempts,
 void CompileClient::readerLoop() {
   std::string Payload;
   while (true) {
-    FrameStatus Status = readFrame(Fd.load(), Payload);
+    FrameStatus Status = Frames.next(Payload);
     if (Status != FrameStatus::Ok) {
       std::string Why = Status == FrameStatus::Eof
                             ? "server closed the connection"
@@ -302,14 +304,15 @@ bool CompileClient::tryReconnect(const std::string &Why) {
 
   // Synchronous handshake + replay on the new socket, owned entirely by
   // this (reader) thread — ReaderExited keeps user threads off the wire.
-  // Notifications can already arrive interleaved (a replayed warm hit
-  // resolves before the last submitted reply); stash them for after the
-  // ticket remap.
+  // Frames is already bound to NewFd, so whatever it buffers past the
+  // last reply stays there for the reader loop. Notifications can
+  // already arrive interleaved (a replayed warm hit resolves before the
+  // last submitted reply); stash them for after the ticket remap.
   std::vector<Json> Notes;
   auto ReadReply = [&](Json &Out) {
     std::string Buf;
     while (true) {
-      if (readFrame(NewFd, Buf) != FrameStatus::Ok)
+      if (Frames.next(Buf) != FrameStatus::Ok)
         return false;
       std::optional<Json> F = Json::parse(Buf, nullptr);
       if (!F)
@@ -332,19 +335,22 @@ bool CompileClient::tryReconnect(const std::string &Why) {
         Welcome.str("type") != "welcome")
       return Abort("reconnect failed: hello handshake rejected");
   }
-  // Pipeline every unresolved submission, then collect the new tickets —
-  // the server answers one connection in order, so the k-th submitted
-  // reply belongs to the k-th replayed frame.
+  // Pipeline every unresolved submission in one write, then collect the
+  // new tickets — the server answers one connection in order, so the
+  // k-th submitted reply belongs to the k-th replayed frame.
   std::vector<uint64_t> Order;
   Order.reserve(Pending.size());
+  std::string Burst;
   for (const auto &KV : Pending) {
     auto RIt = Requests.find(KV.first);
     if (RIt == Requests.end())
       continue; // No retained frame (never happens for submit paths).
-    if (!writeFrame(NewFd, RIt->second.dump()))
-      return Abort("reconnect failed: resubmission write failed");
+    if (!appendFrame(Burst, RIt->second.dump()))
+      return Abort("reconnect failed: resubmission exceeds the frame limit");
     Order.push_back(KV.first);
   }
+  if (!writeAll(NewFd, Burst))
+    return Abort("reconnect failed: resubmission write failed");
   std::vector<std::tuple<uint64_t, uint64_t, Json>> Remapped; // old, new, msg
   for (uint64_t Old : Order) {
     Json Reply;
@@ -434,12 +440,21 @@ void CompileClient::resolveTicket(std::promise<CompileResult> &P,
 //===----------------------------------------------------------------------===//
 
 bool CompileClient::sendRequest(const Json &Request, std::string *Err) {
+  std::string Frame;
+  if (!appendFrame(Frame, Request.dump())) {
+    setErr(Err, "request exceeds the frame limit");
+    return false;
+  }
+  return sendFrames(Frame, Err);
+}
+
+bool CompileClient::sendFrames(const std::string &Bytes, std::string *Err) {
   int CurFd = Fd.load();
   if (CurFd < 0) {
     setErr(Err, "not connected");
     return false;
   }
-  if (!writeFrame(CurFd, Request.dump())) {
+  if (!writeAll(CurFd, Bytes)) {
     setErr(Err, "write failed (server gone?)");
     return false;
   }
@@ -685,20 +700,25 @@ std::optional<std::vector<CompileClient::AsyncHandle>>
 CompileClient::submitModelLayers(const std::string &Target, const Model &M,
                                  const CompileOptions &Options,
                                  std::string *Err) {
-  // Write every frame first, then collect replies: the server handles one
-  // connection's requests in order, so the k-th submitted reply belongs
-  // to the k-th layer — and the socket stays full instead of stalling a
-  // round trip per layer.
+  // Write every frame first, in one write, then collect replies: the
+  // server handles one connection's requests in order, so the k-th
+  // submitted reply belongs to the k-th layer — and the whole burst
+  // costs one round trip instead of one per layer.
   std::vector<Json> Messages;
   Messages.reserve(M.Convs.size());
-  for (const ConvLayer &L : M.Convs)
+  std::string Burst;
+  for (const ConvLayer &L : M.Convs) {
     Messages.push_back(
         makeCompileMessage("compile_async", Target, toJson(L), Options));
-  for (const Json &Msg : Messages)
-    if (!sendRequest(Msg, Err)) {
-      close();
+    if (!appendFrame(Burst, Messages.back().dump())) {
+      setErr(Err, "request exceeds the frame limit");
       return std::nullopt;
     }
+  }
+  if (!sendFrames(Burst, Err)) {
+    close();
+    return std::nullopt;
+  }
   // Consume every reply of the batch even after a failure: returning
   // early would leave the later replies queued and desynchronize every
   // subsequent request on this connection. Tickets that did get issued

@@ -172,9 +172,10 @@ public:
                                          std::string *Err = nullptr);
 
   /// Pipelined batch submission: writes one compile_async frame per conv
-  /// layer of \p M back-to-back, then collects the submitted replies —
-  /// no per-layer round-trip stall, which is what makes a warm model zoo
-  /// stream at socket speed. Handles are index-aligned with M.Convs.
+  /// layer of \p M, all in one write, then collects the submitted
+  /// replies — no per-layer round-trip stall, which is what makes a warm
+  /// model zoo stream at socket speed. Handles are index-aligned with
+  /// M.Convs.
   std::optional<std::vector<AsyncHandle>>
   submitModelLayers(const std::string &Target, const Model &M,
                     const CompileOptions &Options = {},
@@ -296,11 +297,15 @@ private:
                                             std::string *Err);
 
   /// Dials one endpoint string (Unix path or TCP host:port, including
-  /// the auth handshake for TCP). Returns the connected fd or -1.
+  /// the auth handshake for TCP). Returns the connected fd, with Frames
+  /// bound to it, or -1.
   int dialEndpoint(const std::string &Ep, std::string *Err);
 
   /// Write side of request(): frames one message onto the socket.
   bool sendRequest(const Json &Request, std::string *Err);
+  /// Writes already-framed bytes (one message, or a whole pipelined
+  /// burst) with one writeAll.
+  bool sendFrames(const std::string &Bytes, std::string *Err);
   /// Read side of request(): pops the next *reply* frame the reader
   /// queued (blocking; fails when the reader died).
   std::optional<Json> awaitReply(std::string *Err);
@@ -338,6 +343,10 @@ private:
   };
 
   std::thread Reader;
+  /// The socket's one reader. Used by connect() before the reader thread
+  /// starts and by the reader thread alone after; every (re)dial rebinds
+  /// it, so a new connection never sees the old one's buffered bytes.
+  FrameReader Frames;
   mutable std::mutex Mu; ///< Guards everything below.
   std::condition_variable ReplyCv;
   std::deque<QueuedReply> Replies; ///< Non-notification frames, in order.

@@ -445,6 +445,7 @@ void CompileServer::acceptLoop(int ListenerFd, bool RequireAuth) {
     }
     auto Conn = std::make_unique<Connection>();
     Conn->Fd = Fd;
+    Conn->Frames.reset(Fd);
     Conn->WakeFd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
     if (Conn->WakeFd < 0)
       continue; // Out of fds: ~Connection closes Fd, the client sees EOF.
@@ -484,7 +485,8 @@ void CompileServer::serveConnection(Connection &Conn) {
   // TCP connections earn their first request frame: challenge, proof,
   // auth_ok — or an error frame and EOF. The secret itself never crosses
   // the wire (fabric/Handshake.h).
-  Conn.Authed = !Conn.NeedsAuth || runAuthChallenge(Conn.Fd, Config.Secret);
+  Conn.Authed =
+      !Conn.NeedsAuth || runAuthChallenge(Conn.Frames, Config.Secret);
   if (!Conn.Authed)
     AuthFailures.fetch_add(1);
   // One loop serves and then drains. While Reading, it waits on the
@@ -505,13 +507,17 @@ void CompileServer::serveConnection(Connection &Conn) {
     }
     if (!Reading && Idle)
       break;
-    // With no job pending, only this thread can queue a frame, so an idle
-    // connection skips poll() and waits in read() alone: the blocking
-    // request/response path costs no extra syscall. An interrupted poll()
-    // leaves every revents zero and just loops.
-    pollfd Fds[2] = {{Conn.WakeFd, POLLIN, 0},
-                     {Conn.Fd, POLLIN, static_cast<short>(Idle ? POLLIN : 0)}};
-    if (!Idle)
+    // The rest of a pipelined burst is served from the reader's buffer
+    // with no syscall. With no job pending, only this thread can queue a
+    // frame, so an idle connection skips poll() and waits in read()
+    // alone: the blocking request/response path costs no extra syscall.
+    // An interrupted poll() leaves every revents zero and just loops.
+    bool Buffered = Reading && Conn.Frames.ready();
+    pollfd Fds[2] = {
+        {Conn.WakeFd, POLLIN, 0},
+        {Conn.Fd, POLLIN,
+         static_cast<short>(Idle || Buffered ? POLLIN : 0)}};
+    if (!Idle && !Buffered)
       ::poll(Fds, Reading ? 2 : 1, -1);
     if (Fds[0].revents & POLLIN) {
       eventfd_t Signals;
@@ -520,7 +526,7 @@ void CompileServer::serveConnection(Connection &Conn) {
     }
     if (!Reading || Fds[1].revents == 0)
       continue;
-    Reading = readFrame(Conn.Fd, Payload) == FrameStatus::Ok;
+    Reading = Conn.Frames.next(Payload) == FrameStatus::Ok;
     if (!Reading)
       continue;
     {
@@ -529,7 +535,7 @@ void CompileServer::serveConnection(Connection &Conn) {
     }
     // Root span of the request tree: opened before dispatch so every
     // handler span (admission, cache_resolve, ...) parents under it, and
-    // scoped to the iteration so the reply's flush is covered too.
+    // scoped to the iteration so a flush after it is covered too.
     double FrameT0 = steadyNowSeconds();
     obs::Span ReqSpan("request", Trace.get());
     bool CloseAfter = false;
@@ -553,8 +559,13 @@ void CompileServer::serveConnection(Connection &Conn) {
     }
     if (!Response.isNull())
       queueReply(Conn, Response);
-    Reading = flushOutbox(Conn) && !CloseAfter;
-    // Read-to-reply-written: what a synchronous client actually waited.
+    // One write per burst: the replies of every buffered request leave
+    // together after the last one (at once for a request that closes).
+    if (CloseAfter || !Conn.Frames.ready())
+      Reading = flushOutbox(Conn) && !CloseAfter;
+    // Read to reply written for the last request of a burst (a lone
+    // blocking request is its own burst); read to reply queued for the
+    // others.
     FrameLatencyHist.record(steadyNowSeconds() - FrameT0);
   }
   // Tell the peer we are done *now* (EOF on its next read): the fd is

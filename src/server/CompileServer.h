@@ -26,10 +26,14 @@
 /// in completion order — is appended to the connection's FIFO outbox,
 /// and only the connection thread writes the outbox to the socket. A
 /// client that stops reading therefore stalls its own connection thread
-/// and nothing else. The submitted reply is queued before the job starts,
-/// so the FIFO alone puts every result behind the ticket that names it;
-/// cancel drops a pending ticket's delivery (the underlying cache entry,
-/// shared with other clients, always completes); poll reports liveness.
+/// and nothing else. The connection thread reads requests through the
+/// socket's one FrameReader, which takes a pipelined burst in one read,
+/// and flushes the outbox once after the burst's last buffered request
+/// instead of once per request. The submitted reply is queued before the
+/// job starts, so the FIFO alone puts every result behind the ticket that
+/// names it; cancel drops a pending ticket's delivery (the underlying
+/// cache entry, shared with other clients, always completes); poll
+/// reports liveness.
 ///
 /// Persistence: when configured with a cache file the server loads it at
 /// start (warm restart: zero tuner invocations for known kernels), saves
@@ -203,6 +207,9 @@ private:
 
     /// Written only by the connection thread (serveConnection).
     int Fd = -1;
+    /// Fd's one reader (handshake included); only the connection thread
+    /// reads through it.
+    FrameReader Frames;
     /// An eventfd that completion threads signal, under TicketMu, when
     /// they queue a frame into an empty Outbox or resolve the last
     /// pending job; the connection thread polls it beside Fd.
@@ -233,10 +240,11 @@ private:
     std::set<uint64_t> Tickets;
     size_t UnresolvedJobs = 0;
     /// Already-framed bytes waiting for the connection thread, in the
-    /// order they were queued. The connection thread reads a new request
-    /// only after a full flush, so this never holds more than one
-    /// notification per pending ticket (at most
-    /// MaxPendingTicketsPerConnection) plus one reply.
+    /// order they were queued. The connection thread reads from the
+    /// socket only after a full flush, so this never holds more than the
+    /// replies to one read's worth of requests (FrameReader::ChunkBytes)
+    /// plus one notification per pending ticket (at most
+    /// MaxPendingTicketsPerConnection).
     std::string Outbox;
     /// Result notifications among the Outbox frames (trace accounting).
     size_t QueuedNotifications = 0;

@@ -4,6 +4,7 @@
 
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -31,7 +32,7 @@ bool integralInRange(double N) {
 // Json
 //===----------------------------------------------------------------------===//
 
-Json &Json::set(const std::string &Key, Json Value) {
+Json &Json::set(std::string_view Key, Json Value) {
   K = Kind::Object;
   for (auto &KV : Fields)
     if (KV.first == Key) {
@@ -42,7 +43,7 @@ Json &Json::set(const std::string &Key, Json Value) {
   return *this;
 }
 
-const Json *Json::get(const std::string &Key) const {
+const Json *Json::get(std::string_view Key) const {
   if (K != Kind::Object)
     return nullptr;
   for (const auto &KV : Fields)
@@ -51,24 +52,24 @@ const Json *Json::get(const std::string &Key) const {
   return nullptr;
 }
 
-std::string Json::str(const std::string &Key, const std::string &Dflt) const {
+std::string Json::str(std::string_view Key, std::string_view Dflt) const {
   const Json *J = get(Key);
-  return J && J->isString() ? J->asString() : Dflt;
+  return J && J->isString() ? J->asString() : std::string(Dflt);
 }
 
-double Json::num(const std::string &Key, double Dflt) const {
+double Json::num(std::string_view Key, double Dflt) const {
   const Json *J = get(Key);
   return J && J->isNumber() ? J->asNumber() : Dflt;
 }
 
-int64_t Json::integer(const std::string &Key, int64_t Dflt) const {
+int64_t Json::integer(std::string_view Key, int64_t Dflt) const {
   const Json *J = get(Key);
   if (!J || !J->isNumber() || !integralInRange(J->asNumber()))
     return Dflt;
   return J->asInt();
 }
 
-bool Json::boolean(const std::string &Key, bool Dflt) const {
+bool Json::boolean(std::string_view Key, bool Dflt) const {
   const Json *J = get(Key);
   return J && J->isBool() ? J->asBool() : Dflt;
 }
@@ -77,23 +78,32 @@ namespace {
 
 void dumpString(const std::string &S, std::string &Out) {
   Out += '"';
-  for (char C : S) {
+  // Runs of bytes that need no escape are appended whole.
+  size_t Run = 0;
+  for (size_t I = 0; I < S.size(); ++I) {
+    char C = S[I];
+    const char *Escape = nullptr; // Other control bytes: \u00XX.
     switch (C) {
-    case '"': Out += "\\\""; break;
-    case '\\': Out += "\\\\"; break;
-    case '\n': Out += "\\n"; break;
-    case '\r': Out += "\\r"; break;
-    case '\t': Out += "\\t"; break;
-    case '\b': Out += "\\b"; break;
-    case '\f': Out += "\\f"; break;
+    case '"': Escape = "\\\""; break;
+    case '\\': Escape = "\\\\"; break;
+    case '\n': Escape = "\\n"; break;
+    case '\r': Escape = "\\r"; break;
+    case '\t': Escape = "\\t"; break;
+    case '\b': Escape = "\\b"; break;
+    case '\f': Escape = "\\f"; break;
     default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatStr("\\u%04x",
-                         static_cast<unsigned>(static_cast<unsigned char>(C)));
-      else
-        Out += C;
+      if (static_cast<unsigned char>(C) >= 0x20)
+        continue;
     }
+    Out.append(S, Run, I - Run);
+    Run = I + 1;
+    if (Escape)
+      Out += Escape;
+    else
+      Out += formatStr("\\u%04x",
+                       static_cast<unsigned>(static_cast<unsigned char>(C)));
   }
+  Out.append(S, Run, std::string::npos);
   Out += '"';
 }
 
@@ -114,13 +124,12 @@ void dumpValue(const Json &J, std::string &Out) {
     // to_chars. Locale-independent on purpose — printf %g under a
     // non-C LC_NUMERIC would emit a ',' decimal point, i.e. invalid
     // JSON, and clients embed in hosts that may setlocale().
-    if (N == std::floor(N) && std::fabs(N) < 1e15) {
-      Out += formatStr("%lld", static_cast<long long>(N));
-    } else {
-      char Buf[64];
-      std::to_chars_result R = std::to_chars(Buf, Buf + sizeof(Buf), N);
-      Out.append(Buf, R.ptr);
-    }
+    char Buf[64];
+    std::to_chars_result R =
+        N == std::floor(N) && std::fabs(N) < 1e15
+            ? std::to_chars(Buf, Buf + sizeof(Buf), static_cast<long long>(N))
+            : std::to_chars(Buf, Buf + sizeof(Buf), N);
+    Out.append(Buf, R.ptr);
     return;
   }
   case Json::Kind::String:
@@ -192,11 +201,14 @@ struct Parser {
     ++Cur;
     Out.clear();
     while (Cur != End && *Cur != '"') {
-      char C = *Cur++;
-      if (C != '\\') {
-        Out += C;
-        continue;
-      }
+      // Bytes up to the next quote or backslash are copied in one append.
+      const char *Run = Cur;
+      while (Cur != End && *Cur != '"' && *Cur != '\\')
+        ++Cur;
+      Out.append(Run, Cur);
+      if (Cur == End || *Cur == '"')
+        break;
+      ++Cur; // The backslash.
       if (Cur == End)
         return fail("truncated escape");
       char E = *Cur++;
@@ -364,11 +376,12 @@ struct Parser {
 
 std::string Json::dump() const {
   std::string Out;
+  Out.reserve(256); // Most protocol messages fit: one allocation, no regrowth.
   dumpValue(*this, Out);
   return Out;
 }
 
-std::optional<Json> Json::parse(const std::string &Text, std::string *Err) {
+std::optional<Json> Json::parse(std::string_view Text, std::string *Err) {
   Parser P{Text.data(), Text.data() + Text.size(), {}};
   Json Out;
   if (!P.parseValue(Out, 0)) {
@@ -391,22 +404,12 @@ std::optional<Json> Json::parse(const std::string &Text, std::string *Err) {
 
 namespace {
 
-/// Returns bytes read (== Len), 0 on clean EOF at the *first* byte, or -1
-/// on error / mid-buffer EOF.
-ssize_t readAll(int Fd, char *Data, size_t Len) {
-  size_t Got = 0;
-  while (Got < Len) {
-    ssize_t N = ::read(Fd, Data + Got, Len - Got);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return -1;
-    }
-    if (N == 0)
-      return Got == 0 ? 0 : -1;
-    Got += static_cast<size_t>(N);
-  }
-  return static_cast<ssize_t>(Got);
+/// The big-endian length prefix appendFrame writes.
+uint32_t frameLength(const char *Header) {
+  uint32_t Len = 0;
+  for (int I = 0; I < 4; ++I)
+    Len = (Len << 8) | static_cast<unsigned char>(Header[I]);
+  return Len;
 }
 
 } // namespace
@@ -451,22 +454,63 @@ bool unit::writeFrame(int Fd, const std::string &Payload) {
   return appendFrame(Frame, Payload) && writeAll(Fd, Frame);
 }
 
-FrameStatus unit::readFrame(int Fd, std::string &Payload) {
-  char Header[4];
-  ssize_t N = readAll(Fd, Header, 4);
-  if (N == 0)
-    return FrameStatus::Eof;
-  if (N < 0)
-    return FrameStatus::Error;
-  uint32_t Len = 0; // Big-endian, as appendFrame writes it.
-  for (char Byte : Header)
-    Len = (Len << 8) | static_cast<unsigned char>(Byte);
-  if (Len > MaxFrameBytes)
-    return FrameStatus::Error;
-  Payload.resize(Len);
-  if (Len > 0 && readAll(Fd, &Payload[0], Len) != static_cast<ssize_t>(Len))
-    return FrameStatus::Error;
-  return FrameStatus::Ok;
+void FrameReader::reset(int NewFd) {
+  Fd = NewFd;
+  Buf.reset();
+  Cap = Begin = End = 0;
+}
+
+bool FrameReader::ready() const {
+  size_t Avail = End - Begin;
+  if (Avail < 4)
+    return false;
+  uint32_t Len = frameLength(Buf.get() + Begin);
+  return Len > MaxFrameBytes || Avail - 4 >= Len;
+}
+
+FrameStatus FrameReader::next(std::string &Payload) {
+  for (;;) {
+    size_t Avail = End - Begin;
+    size_t Need = 4; // Bytes of the next frame, header included.
+    if (Avail >= 4) {
+      uint32_t Len = frameLength(Buf.get() + Begin);
+      if (Len > MaxFrameBytes)
+        return FrameStatus::Error;
+      Need += Len;
+      if (Avail >= Need) {
+        Payload.assign(Buf.get() + Begin + 4, Len);
+        Begin += Need;
+        if (Begin == End) {
+          Begin = End = 0;
+          if (Cap > ChunkBytes) // A large frame's buffer is not kept.
+            reset(Fd);
+        }
+        return FrameStatus::Ok;
+      }
+    }
+    // Make room for the rest of the frame, or a chunk, whichever is more:
+    // the partial frame moves to the front, or into a larger buffer.
+    size_t Want = std::max(Need, ChunkBytes);
+    if (Cap < Want) {
+      std::unique_ptr<char[]> Bigger(new char[Want]);
+      if (Avail > 0)
+        std::memcpy(Bigger.get(), Buf.get() + Begin, Avail);
+      Buf = std::move(Bigger);
+      Cap = Want;
+    } else if (Begin > 0 && Avail > 0) {
+      std::memmove(Buf.get(), Buf.get() + Begin, Avail);
+    }
+    Begin = 0;
+    End = Avail;
+    ssize_t N = ::read(Fd, Buf.get() + End, Cap - End);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N < 0)
+      return FrameStatus::Error;
+    if (N == 0)
+      return Avail == 0 ? FrameStatus::Eof : FrameStatus::Error;
+    End += static_cast<size_t>(N);
+  }
 }
 
 //===----------------------------------------------------------------------===//

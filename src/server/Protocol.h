@@ -12,9 +12,9 @@
 ///
 ///   - Json: a minimal self-contained JSON value (parse / dump), kept
 ///     dependency-free on purpose (the container bakes in no JSON lib);
-///   - frame I/O over a socket fd (appendFrame / writeAll / writeFrame /
-///     readFrame, EINTR-safe, bounded by MaxFrameBytes so a corrupt
-///     length prefix cannot OOM);
+///   - frame I/O over a socket fd (appendFrame / writeAll / writeFrame,
+///     and FrameReader, the one reader of a socket; EINTR-safe, bounded
+///     by MaxFrameBytes so a corrupt length prefix cannot OOM);
 ///   - schema codecs between protocol JSON and the runtime types
 ///     (ConvLayer, Conv3dLayer, Model, KernelReport, CompileOptions).
 ///
@@ -51,8 +51,10 @@
 #include "runtime/KernelCache.h"
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -139,7 +141,7 @@ public:
 
   /// Object member set; replaces an existing key in place. Linear scan —
   /// right for hand-built messages, wrong for bulk parsing (see append).
-  Json &set(const std::string &Key, Json Value);
+  Json &set(std::string_view Key, Json Value);
 
   /// Appends a member without the duplicate scan — O(1), used by the
   /// parser so a large object frame parses in linear time. Duplicate
@@ -151,15 +153,15 @@ public:
   }
 
   /// Member pointer, or nullptr when absent / not an object.
-  const Json *get(const std::string &Key) const;
+  const Json *get(std::string_view Key) const;
 
   // Tolerant typed accessors for optional message fields. integer()
   // yields \p Dflt for fractional or out-of-int64-range numbers too —
   // never a truncating (or UB) cast of untrusted input.
-  std::string str(const std::string &Key, const std::string &Dflt = "") const;
-  double num(const std::string &Key, double Dflt = 0) const;
-  int64_t integer(const std::string &Key, int64_t Dflt = 0) const;
-  bool boolean(const std::string &Key, bool Dflt = false) const;
+  std::string str(std::string_view Key, std::string_view Dflt = {}) const;
+  double num(std::string_view Key, double Dflt = 0) const;
+  int64_t integer(std::string_view Key, int64_t Dflt = 0) const;
+  bool boolean(std::string_view Key, bool Dflt = false) const;
 
   /// Compact serialization (no whitespace). Non-finite numbers dump as 0 —
   /// they are not representable in JSON.
@@ -167,7 +169,7 @@ public:
 
   /// Strict parse of exactly one JSON document (trailing garbage is an
   /// error). On failure returns std::nullopt and fills \p Err.
-  static std::optional<Json> parse(const std::string &Text,
+  static std::optional<Json> parse(std::string_view Text,
                                    std::string *Err = nullptr);
 
 private:
@@ -201,8 +203,45 @@ enum class FrameStatus {
   Error, ///< I/O error, oversized frame, or mid-frame close.
 };
 
-/// Reads one length-prefixed frame (blocking, EINTR-safe).
-FrameStatus readFrame(int Fd, std::string &Payload);
+/// The one reader of a socket's frames. Each read() takes whatever the
+/// kernel holds, up to ChunkBytes, so a pipelined burst costs one read
+/// instead of two per frame; next() then hands the buffered frames out
+/// one at a time. Every frame read on a socket must go through that
+/// socket's one reader (handshake included): bytes a reader buffered are
+/// invisible to any other read of the fd. Not thread-safe; one thread
+/// owns a reader at a time.
+class FrameReader {
+public:
+  /// Bytes one read() asks for, and the buffer's size unless a single
+  /// larger frame needs more (never more than MaxFrameBytes + 4).
+  static constexpr size_t ChunkBytes = 64 * 1024;
+
+  explicit FrameReader(int Fd = -1) : Fd(Fd) {}
+
+  int fd() const { return Fd; }
+
+  /// Rebinds the reader to \p NewFd and drops everything buffered, so no
+  /// byte of an old connection is ever read as part of a new one.
+  void reset(int NewFd);
+
+  /// True when next() returns without reading: a whole frame (or an
+  /// oversized length prefix, which next() reports as Error) is buffered.
+  bool ready() const;
+
+  /// The next frame's payload, from the buffer or else from blocking
+  /// reads (EINTR-safe). Eof only when the peer closed between frames.
+  FrameStatus next(std::string &Payload);
+
+  /// Bytes the buffer holds allocated (its memory cost).
+  size_t capacity() const { return Cap; }
+
+private:
+  int Fd;
+  std::unique_ptr<char[]> Buf;
+  size_t Cap = 0;
+  size_t Begin = 0; ///< First unconsumed byte.
+  size_t End = 0;   ///< One past the last byte read.
+};
 
 //===----------------------------------------------------------------------===//
 // Schema codecs

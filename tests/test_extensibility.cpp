@@ -269,6 +269,8 @@ TEST(TargetSpec, RegisteredSpecServesOverTheCompileServerSocket) {
 
   Client.close();
   Server.stop();
+  // stop() keeps the lock file on purpose; a test owns its cleanup.
+  ::unlink((Config.SocketPath + ".lock").c_str());
 }
 
 } // namespace

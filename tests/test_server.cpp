@@ -29,10 +29,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <future>
 #include <map>
 #include <set>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -98,45 +100,304 @@ TEST(Json, EscapesRoundTrip) {
   EXPECT_EQ(J->asString(), "aA\t\\b");
 }
 
+/// The encoder's exact bytes, pinned: clients and peers of other builds
+/// parse these, so a codec change must leave every byte where it was.
+TEST(Json, WireBytesMatchThePinnedEncoding) {
+  ConvLayer L;
+  L.Name = "res2a\"branch\\1\t";
+  L.InC = 64;
+  L.InH = L.InW = 56;
+  L.OutC = 256;
+  L.KH = L.KW = 3;
+  L.Stride = 2;
+  L.PadH = 1;
+  L.PadW = 0;
+  const std::string Conv =
+      R"({"kind":"conv2d","name":"res2a\"branch\\1\t","in_c":64,"in_h":56,)"
+      R"("in_w":56,"out_c":256,"k_h":3,"k_w":3,"stride":2,"pad_h":1,)"
+      R"("pad_w":0})";
+  EXPECT_EQ(toJson(L).dump(), Conv);
+  ConvLayer Dw = L;
+  Dw.Name = "dw";
+  Dw.Depthwise = true;
+  EXPECT_EQ(toJson(Dw).dump(),
+            R"({"kind":"conv2d","name":"dw","in_c":64,"in_h":56,"in_w":56,)"
+            R"("out_c":256,"k_h":3,"k_w":3,"stride":2,"pad_h":1,"pad_w":0,)"
+            R"("depthwise":true})");
+
+  const std::string Defaults =
+      R"({"max_candidates":-1,"policy":"default","priority":0})";
+  EXPECT_EQ(toJson(CompileOptions{}).dump(), Defaults);
+  CompileOptions O;
+  O.MaxCandidates = 16;
+  O.Policy = CachePolicy::Bypass;
+  O.Priority = -3;
+  EXPECT_EQ(toJson(O).dump(),
+            R"({"max_candidates":16,"policy":"bypass","priority":-3})");
+
+  KernelReport R;
+  R.Seconds = 1.2345678901234567e-05;
+  R.Tensorized = true;
+  R.BestCandidateIndex = 41;
+  R.CandidatesTried = 1024;
+  R.IntrinsicName = "vpdpbusd";
+  EXPECT_EQ(makeResultNotification(9007199254740991ull, true, R).dump(),
+            R"({"type":"result","ticket":9007199254740991,"cached":true,)"
+            R"("report":{"seconds":1.2345678901234568e-05,"tensorized":true,)"
+            R"("best_candidate_index":41,"candidates_tried":1024,)"
+            R"("intrinsic":"vpdpbusd"}})");
+  KernelReport Fallback;
+  Fallback.Seconds = 0.25;
+  EXPECT_EQ(makeResultNotification(3, false, Fallback).dump(),
+            R"({"type":"result","ticket":3,"cached":false,"report":)"
+            R"({"seconds":0.25,"tensorized":false,)"
+            R"("best_candidate_index":-1,"candidates_tried":0,)"
+            R"("intrinsic":""}})");
+
+  Json Msg = Json::object();
+  Msg.set("type", "compile_async");
+  Msg.set("id", 17);
+  Msg.set("target", "x86");
+  Msg.set("workload", toJson(L));
+  Msg.set("options", toJson(CompileOptions{}));
+  EXPECT_EQ(Msg.dump(), R"({"type":"compile_async","id":17,"target":"x86",)"
+                        R"("workload":)" + Conv +
+                            R"(,"options":)" + Defaults + "}");
+
+  const std::pair<double, const char *> Numbers[] = {
+      {0.0, "0"},
+      {-0.0, "0"},
+      {-7.0, "-7"},
+      {9007199254740992.0, "9007199254740992"}, // 2^53
+      {1e15 - 1, "999999999999999"},
+      {1e15, "1e+15"},
+      {0.1, "0.1"},
+  };
+  for (const auto &[N, Text] : Numbers)
+    EXPECT_EQ(Json(N).dump(), Text) << N;
+  EXPECT_EQ(Json(-7).dump(), "-7");
+  EXPECT_EQ(Json(int64_t(-999999999999999)).dump(), "-999999999999999");
+  EXPECT_EQ(Json(std::nan("")).dump(), "0");
+
+  EXPECT_EQ(Json("\x01" "a\x1f\b\f\r\n\"\\/ caf\xc3\xa9 \xff").dump(),
+            "\"\\u0001a\\u001f\\b\\f\\r\\n\\\"\\\\/ caf\xc3\xa9 \xff\"");
+  Json Arr = Json::array();
+  Arr.push(1).push("two").push(false).push(Json()).push(Json::object());
+  Arr.push(Json::array());
+  EXPECT_EQ(Arr.dump(), R"([1,"two",false,null,{},[]])");
+}
+
+TEST(Json, ParseEscapesAtStringEdgesAndHighBytes) {
+  auto Parsed = [](const std::string &Text) {
+    std::optional<Json> J = Json::parse(Text);
+    return J && J->isString() ? J->asString() : std::string("<error>");
+  };
+  EXPECT_EQ(Parsed(R"("\nstart")"), "\nstart");
+  EXPECT_EQ(Parsed(R"("end\t")"), "end\t");
+  EXPECT_EQ(Parsed(R"("\"")"), "\"");
+  EXPECT_EQ(Parsed(R"("\\\"")"), "\\\"");       // Two escapes in a row.
+  EXPECT_EQ(Parsed(R"("a\\\\b")"), "a\\\\b");    // Two escaped backslashes.
+  EXPECT_EQ(Parsed(R"("é\/\b\f\r")"), "\xc3\xa9/\b\f\r");
+  EXPECT_EQ(Parsed(R"("")"), "");
+  // Bytes >= 0x80 pass through untouched, alone or beside escapes.
+  EXPECT_EQ(Parsed("\"caf\xc3\xa9\""), "caf\xc3\xa9");
+  EXPECT_EQ(Parsed("\"\xff\\n\x80\""), "\xff\n\x80");
+  // A high byte never ends a run early or starts an escape.
+  std::string High = "\"";
+  for (int B = 0x80; B <= 0xff; ++B)
+    High += static_cast<char>(B);
+  High += "\"";
+  ASSERT_EQ(Parsed(High).size(), 128u);
+  EXPECT_EQ(Json(Parsed(High)).dump(), High);
+  // Escapes still fail the same way at either edge.
+  EXPECT_FALSE(Json::parse(R"("\q")").has_value());
+  EXPECT_FALSE(Json::parse(R"("trailing\)").has_value());
+  EXPECT_FALSE(Json::parse(R"("\u12")").has_value());
+  // Keys go through the same string parser.
+  std::optional<Json> Obj = Json::parse(R"({"\tkA":1,"plain":"\\"})");
+  ASSERT_TRUE(Obj.has_value());
+  EXPECT_EQ(Obj->integer("\tkA"), 1);
+  EXPECT_EQ(Obj->str("plain"), "\\");
+}
+
+TEST(Json, StringViewKeysGetAndSetInPlace) {
+  Json J = Json::object();
+  std::string Owned = "alpha";
+  std::string_view Sliced = std::string_view("beta-gamma").substr(0, 4);
+  J.set(Owned, 1);
+  J.set(Sliced, "two");
+  J.set("gamma", true);
+  EXPECT_EQ(J.dump(), R"({"alpha":1,"beta":"two","gamma":true})");
+  // A key compares by content, whatever type spells it.
+  ASSERT_NE(J.get(std::string_view("beta")), nullptr);
+  EXPECT_EQ(J.get(std::string("beta"))->asString(), "two");
+  EXPECT_EQ(J.str(Sliced), "two");
+  EXPECT_EQ(J.integer(std::string_view("alphabet").substr(0, 5)), 1);
+  EXPECT_EQ(J.get("bet"), nullptr);
+  EXPECT_EQ(J.get(std::string_view("beta\0", 5)), nullptr);
+  // Replacing a key keeps its position; a new key appends.
+  J.set(std::string_view("alpha"), "replaced");
+  J.set(std::string("delta"), 4.5);
+  EXPECT_EQ(J.dump(),
+            R"({"alpha":"replaced","beta":"two","gamma":true,"delta":4.5})");
+  EXPECT_EQ(J.members().size(), 4u);
+  // Defaults for absent or mistyped fields, as before.
+  EXPECT_EQ(J.str("missing", "dflt"), "dflt");
+  EXPECT_EQ(J.str("gamma"), "");
+  EXPECT_EQ(J.num("alpha", 2.5), 2.5);
+  EXPECT_EQ(J.integer("delta", -1), -1); // Fractional: the default.
+  EXPECT_TRUE(J.boolean("gamma"));
+  EXPECT_FALSE(J.boolean("alpha"));
+  // Lookups on non-objects find nothing.
+  EXPECT_EQ(Json::array().get("alpha"), nullptr);
+  EXPECT_EQ(Json(3).str("alpha", "d"), "d");
+}
+
 //===----------------------------------------------------------------------===//
 // Frames
 //===----------------------------------------------------------------------===//
 
-TEST(Frames, RoundTripOverSocketpair) {
+TEST(FrameReader, RoundTripOverSocketpair) {
   int Fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
   EXPECT_TRUE(writeFrame(Fds[0], "{\"type\":\"hello\"}"));
   EXPECT_TRUE(writeFrame(Fds[0], "")); // Empty payload frames fine.
+  FrameReader Reader(Fds[1]);
   std::string Payload;
-  EXPECT_EQ(readFrame(Fds[1], Payload), FrameStatus::Ok);
+  EXPECT_EQ(Reader.next(Payload), FrameStatus::Ok);
   EXPECT_EQ(Payload, "{\"type\":\"hello\"}");
-  EXPECT_EQ(readFrame(Fds[1], Payload), FrameStatus::Ok);
+  EXPECT_EQ(Reader.next(Payload), FrameStatus::Ok);
   EXPECT_EQ(Payload, "");
   ::close(Fds[0]);
-  EXPECT_EQ(readFrame(Fds[1], Payload), FrameStatus::Eof);
+  EXPECT_EQ(Reader.next(Payload), FrameStatus::Eof);
   ::close(Fds[1]);
 }
 
-TEST(Frames, OversizedLengthPrefixIsError) {
+TEST(FrameReader, OversizedLengthPrefixIsError) {
   int Fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
   const char Huge[4] = {0x7f, 0x00, 0x00, 0x00}; // ~2 GB claimed.
   ASSERT_EQ(::write(Fds[0], Huge, 4), 4);
+  FrameReader Reader(Fds[1]);
   std::string Payload;
-  EXPECT_EQ(readFrame(Fds[1], Payload), FrameStatus::Error);
+  EXPECT_EQ(Reader.next(Payload), FrameStatus::Error);
   ::close(Fds[0]);
   ::close(Fds[1]);
 }
 
-TEST(Frames, MidFrameEofIsError) {
+TEST(FrameReader, MidFrameEofIsError) {
   int Fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
   const char Partial[6] = {0x00, 0x00, 0x00, 0x08, 'a', 'b'}; // Claims 8.
   ASSERT_EQ(::write(Fds[0], Partial, 6), 6);
   ::close(Fds[0]);
+  FrameReader Reader(Fds[1]);
   std::string Payload;
-  EXPECT_EQ(readFrame(Fds[1], Payload), FrameStatus::Error);
+  EXPECT_EQ(Reader.next(Payload), FrameStatus::Error);
   ::close(Fds[1]);
+}
+
+TEST(FrameReader, SeveralFramesArriveInOneRead) {
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  std::vector<std::string> Sent = {"{\"a\":1}", "", "[2,3]",
+                                   std::string(1000, 'x')};
+  std::string Burst;
+  for (const std::string &P : Sent)
+    ASSERT_TRUE(appendFrame(Burst, P));
+  ASSERT_TRUE(writeAll(Fds[0], Burst)); // One write, well under a chunk.
+  ::close(Fds[0]);
+  FrameReader Reader(Fds[1]);
+  EXPECT_FALSE(Reader.ready()); // Nothing read yet.
+  std::string Payload;
+  ASSERT_EQ(Reader.next(Payload), FrameStatus::Ok);
+  EXPECT_EQ(Payload, Sent[0]);
+  // The first read took the whole burst: the rest comes from the buffer.
+  for (size_t I = 1; I < Sent.size(); ++I) {
+    EXPECT_TRUE(Reader.ready()) << I;
+    ASSERT_EQ(Reader.next(Payload), FrameStatus::Ok);
+    EXPECT_EQ(Payload, Sent[I]);
+  }
+  EXPECT_FALSE(Reader.ready());
+  EXPECT_EQ(Reader.next(Payload), FrameStatus::Eof);
+  ::close(Fds[1]);
+}
+
+TEST(FrameReader, PartialFrameCompletesAcrossByteReads) {
+  // A whole frame plus the first byte of the next arrive together; the
+  // rest of the second frame then comes one byte per write. The buffered
+  // byte must carry over into the reads that complete the frame.
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  std::string First, Second;
+  ASSERT_TRUE(appendFrame(First, "{\"first\":true}"));
+  ASSERT_TRUE(appendFrame(Second, "{\"second\":\"dribbled\"}"));
+  ASSERT_TRUE(writeAll(Fds[0], First + Second.substr(0, 1)));
+  FrameReader Reader(Fds[1]);
+  std::string Payload;
+  ASSERT_EQ(Reader.next(Payload), FrameStatus::Ok);
+  EXPECT_EQ(Payload, "{\"first\":true}");
+  EXPECT_FALSE(Reader.ready()); // One byte of a header is not a frame.
+  std::thread Dribbler([&] {
+    for (size_t I = 1; I < Second.size(); ++I) {
+      ASSERT_EQ(::write(Fds[0], &Second[I], 1), 1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  EXPECT_EQ(Reader.next(Payload), FrameStatus::Ok);
+  EXPECT_EQ(Payload, "{\"second\":\"dribbled\"}");
+  Dribbler.join();
+  ::close(Fds[0]);
+  EXPECT_EQ(Reader.next(Payload), FrameStatus::Eof);
+  ::close(Fds[1]);
+}
+
+TEST(FrameReader, OversizedPrefixDoesNotGrowTheBuffer) {
+  // A prefix one byte over the limit, followed by a chunk of bytes that
+  // could pass for its payload: Error, with the buffer never sized for
+  // the claimed frame.
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  uint32_t Len = MaxFrameBytes + 1;
+  std::string Bytes = {static_cast<char>(Len >> 24),
+                       static_cast<char>(Len >> 16),
+                       static_cast<char>(Len >> 8), static_cast<char>(Len)};
+  Bytes += std::string(FrameReader::ChunkBytes, 'z');
+  std::thread Writer([&] { writeAll(Fds[0], Bytes); });
+  FrameReader Reader(Fds[1]);
+  std::string Payload;
+  EXPECT_EQ(Reader.next(Payload), FrameStatus::Error);
+  EXPECT_TRUE(Reader.ready()); // The bad prefix stays: no read can fix it.
+  EXPECT_EQ(Reader.next(Payload), FrameStatus::Error);
+  EXPECT_LE(Reader.capacity(), size_t(MaxFrameBytes) + 4);
+  EXPECT_LE(Reader.capacity(), FrameReader::ChunkBytes);
+  ::shutdown(Fds[1], SHUT_RDWR); // Unblocks the writer.
+  Writer.join();
+  ::close(Fds[0]);
+  ::close(Fds[1]);
+}
+
+TEST(FrameReader, ResetDropsTheOldConnectionsBytes) {
+  int Old[2], New[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Old), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, New), 0);
+  std::string Burst;
+  ASSERT_TRUE(appendFrame(Burst, "old-1"));
+  ASSERT_TRUE(appendFrame(Burst, "old-2"));
+  ASSERT_TRUE(writeAll(Old[0], Burst));
+  ASSERT_TRUE(writeFrame(New[0], "new-1"));
+  FrameReader Reader(Old[1]);
+  std::string Payload;
+  ASSERT_EQ(Reader.next(Payload), FrameStatus::Ok);
+  EXPECT_EQ(Payload, "old-1");
+  EXPECT_TRUE(Reader.ready());
+  Reader.reset(New[1]);
+  EXPECT_FALSE(Reader.ready());
+  EXPECT_EQ(Reader.fd(), New[1]);
+  ASSERT_EQ(Reader.next(Payload), FrameStatus::Ok);
+  EXPECT_EQ(Payload, "new-1");
+  for (int Fd : {Old[0], Old[1], New[0], New[1]})
+    ::close(Fd);
 }
 
 //===----------------------------------------------------------------------===//
@@ -671,8 +932,9 @@ TEST_F(ServerTest, MalformedJsonGetsErrorAndConnectionSurvives) {
   ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)),
             0);
   ASSERT_TRUE(writeFrame(Fd, "this is not json"));
+  FrameReader Reader(Fd);
   std::string Payload;
-  ASSERT_EQ(readFrame(Fd, Payload), FrameStatus::Ok);
+  ASSERT_EQ(Reader.next(Payload), FrameStatus::Ok);
   std::optional<Json> Response = Json::parse(Payload);
   ASSERT_TRUE(Response.has_value());
   EXPECT_EQ(Response->str("type"), "error");
@@ -683,7 +945,7 @@ TEST_F(ServerTest, MalformedJsonGetsErrorAndConnectionSurvives) {
   Json Stats = Json::object();
   Stats.set("type", "stats");
   ASSERT_TRUE(writeFrame(Fd, Stats.dump()));
-  ASSERT_EQ(readFrame(Fd, Payload), FrameStatus::Ok);
+  ASSERT_EQ(Reader.next(Payload), FrameStatus::Ok);
   Response = Json::parse(Payload);
   ASSERT_TRUE(Response.has_value());
   EXPECT_EQ(Response->str("type"), "stats_result");
@@ -704,7 +966,7 @@ TEST_F(ServerTest, FramingViolationGetsPromptEofNotAHang) {
   const char Huge[4] = {0x7f, 0x00, 0x00, 0x00};
   ASSERT_EQ(::write(Fd, Huge, 4), 4);
   std::string Payload;
-  FrameStatus Status = readFrame(Fd, Payload);
+  FrameStatus Status = FrameReader(Fd).next(Payload);
   EXPECT_TRUE(Status == FrameStatus::Eof || Status == FrameStatus::Error);
   ::close(Fd);
 }
@@ -1266,15 +1528,16 @@ TEST_F(ServerTest, AutoReconnectResubmitsUnresolvedTickets) {
     FlakyConn = ::accept(Listener, nullptr, nullptr);
     if (FlakyConn < 0)
       return;
+    FrameReader Reader(FlakyConn);
     std::string Frame;
-    if (readFrame(FlakyConn, Frame) == FrameStatus::Ok) { // hello
+    if (Reader.next(Frame) == FrameStatus::Ok) { // hello
       Json Welcome = Json::object();
       Welcome.set("type", "welcome");
       Welcome.set("server", "flaky");
       Welcome.set("protocol", ProtocolVersion);
       writeFrame(FlakyConn, Welcome.dump());
     }
-    if (readFrame(FlakyConn, Frame) == FrameStatus::Ok) { // compile_async
+    if (Reader.next(Frame) == FrameStatus::Ok) { // compile_async
       Json Submitted = Json::object();
       Submitted.set("type", "submitted");
       Submitted.set("ticket", 7);
@@ -1370,7 +1633,7 @@ TEST_F(ServerTest, FrameOverTheBoundEndsOnlyThatConnection) {
       static_cast<char>(Len >> 8), static_cast<char>(Len)};
   ASSERT_EQ(::write(Fd, Header, 4), 4);
   std::string Payload;
-  FrameStatus Status = readFrame(Fd, Payload);
+  FrameStatus Status = FrameReader(Fd).next(Payload);
   EXPECT_TRUE(Status == FrameStatus::Eof || Status == FrameStatus::Error);
   ::close(Fd);
 
@@ -1484,17 +1747,20 @@ TEST_F(ServerTest, StalledReaderDoesNotHoldJoinersOfTheSameKey) {
   GatedCompiles Blocked(Server->session(), Gate.get_future().share(), Gated,
                         /*SecondsBase=*/600.0);
 
-  // 4000 pipelined joins, about 800 KiB of requests. The unread replies
-  // fill the server's socket buffer (208 KiB by default, charged per
-  // frame sent) after a few hundred of them: the server's connection
-  // thread blocks in a write and stops reading, so the burst stalls part
-  // way, with every join the server did read issued on the gated key.
+  // 4000 pipelined joins, about 5 MiB of requests. Each carries a 1 KiB
+  // id, which its submitted reply echoes, so the unread replies fill the
+  // server's socket buffer (208 KiB by default) after about two hundred
+  // of them, however the server batches its writes: the server's
+  // connection thread blocks in a write and stops reading, so the burst
+  // stalls part way, with every join the server did read issued on the
+  // gated key.
   int Stalled = robustness::rawConnect(SocketPath);
   ASSERT_GE(Stalled, 0);
+  Json Join = compileAsyncRequest(Gated[0], CachePolicy::Default);
+  Join.set("id", std::string(1024, 'i'));
   std::string Burst;
   for (int I = 0; I < 4000; ++I)
-    appendFrame(Burst, compileAsyncRequest(Gated[0], CachePolicy::Default)
-                           .dump());
+    appendFrame(Burst, Join.dump());
   EXPECT_LT(sendUntilStalled(Stalled, Burst, /*StallMillis=*/500),
             Burst.size());
 
@@ -1550,9 +1816,14 @@ TEST_F(ServerTest, StalledReadersDoNotHoldPoolWorkers) {
   startServer(std::move(Config));
   ConvLayer L = syntheticLayers(1, 16)[0];
 
+  // A 1 KiB id in every request, echoed by its submitted reply, fills
+  // the server's socket buffer after about two hundred unread replies
+  // (as in the test above), however fast the compiles finish.
+  Json Compile = compileAsyncRequest(L, CachePolicy::Bypass);
+  Compile.set("id", std::string(1024, 'i'));
   std::string Burst;
   for (int I = 0; I < 4000; ++I)
-    appendFrame(Burst, compileAsyncRequest(L, CachePolicy::Bypass).dump());
+    appendFrame(Burst, Compile.dump());
   int Stalled[2];
   for (int &Fd : Stalled) {
     Fd = robustness::rawConnect(SocketPath);
@@ -1670,11 +1941,12 @@ TEST_F(ServerTest, PipelinedFramesKeepRequestOrderAndTicketOrder) {
   ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
   ASSERT_TRUE(writeAll(Fd, Burst));
 
+  FrameReader Reader(Fd);
   size_t Replies = 0;
   std::set<uint64_t> Submitted, Resolved;
   auto ReadOne = [&] {
     std::string Payload;
-    ASSERT_EQ(readFrame(Fd, Payload), FrameStatus::Ok);
+    ASSERT_EQ(Reader.next(Payload), FrameStatus::Ok);
     std::optional<Json> Frame = Json::parse(Payload);
     ASSERT_TRUE(Frame.has_value()) << Payload;
     if (isNotification(*Frame)) {
@@ -1699,6 +1971,64 @@ TEST_F(ServerTest, PipelinedFramesKeepRequestOrderAndTicketOrder) {
   EXPECT_EQ(Submitted.size(), Tickets);
   ::close(Fd);
   Blocked.join();
+}
+
+/// A burst of compile_async frames larger than one read chunk, sent with
+/// one write: the server takes it in several reads and answers each
+/// read's requests with one flush, and still every submitted reply comes
+/// back in request order and every ticket resolves exactly once.
+TEST_F(ServerTest, BurstLargerThanAReadChunkKeepsRequestOrder) {
+  startServer();
+  std::vector<ConvLayer> Layers = syntheticLayers(6, 24);
+  std::string Burst;
+  int64_t Requests = 0;
+  while (Burst.size() <= 2 * FrameReader::ChunkBytes) {
+    ++Requests;
+    const ConvLayer &L = Layers[static_cast<size_t>(Requests) % Layers.size()];
+    appendFrame(Burst,
+                compileAsyncRequest(L, CachePolicy::Default, Requests).dump());
+  }
+
+  int Fd = robustness::rawConnect(SocketPath);
+  ASSERT_GE(Fd, 0);
+  timeval Timeout = {30, 0}; // A lost frame fails the test, not hangs it.
+  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
+  // One writeAll; its own thread, so replies are read while it runs.
+  std::atomic<bool> Wrote{false};
+  std::thread Writer([&] { Wrote = writeAll(Fd, Burst); });
+
+  FrameReader Reader(Fd);
+  int64_t Replies = 0;
+  std::set<uint64_t> Submitted, Resolved;
+  auto ReadAll = [&] {
+    while (Replies < Requests ||
+           Resolved.size() < static_cast<size_t>(Requests)) {
+      std::string Payload;
+      ASSERT_EQ(Reader.next(Payload), FrameStatus::Ok);
+      std::optional<Json> Frame = Json::parse(Payload);
+      ASSERT_TRUE(Frame.has_value()) << Payload;
+      if (isNotification(*Frame)) {
+        uint64_t T = static_cast<uint64_t>(Frame->integer("ticket"));
+        EXPECT_TRUE(Submitted.count(T)) << "result before submitted " << T;
+        EXPECT_TRUE(Resolved.insert(T).second) << "second result for " << T;
+        EXPECT_EQ(Frame->get("error"), nullptr) << Payload;
+        continue;
+      }
+      ASSERT_EQ(Frame->str("type"), "submitted") << Payload;
+      ASSERT_EQ(Frame->integer("id"), Replies + 1) << Payload;
+      Submitted.insert(static_cast<uint64_t>(Frame->integer("ticket")));
+      ++Replies;
+    }
+  };
+  ReadAll();
+  if (HasFatalFailure())
+    ::shutdown(Fd, SHUT_RDWR); // Unblocks the writer.
+  Writer.join();
+  EXPECT_TRUE(Wrote.load());
+  EXPECT_EQ(Replies, Requests);
+  EXPECT_EQ(Submitted.size(), static_cast<size_t>(Requests));
+  EXPECT_EQ(Resolved, Submitted);
+  ::close(Fd);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1800,8 +2130,9 @@ TEST(Frames, DribbledBytesReassembleIntoOneFrame) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
+  FrameReader Reader(Fds[1]);
   std::string Got;
-  EXPECT_EQ(readFrame(Fds[1], Got), FrameStatus::Ok);
+  EXPECT_EQ(Reader.next(Got), FrameStatus::Ok);
   EXPECT_EQ(Got, Payload);
   Dribbler.join();
   ::close(Fds[0]);
@@ -1814,11 +2145,12 @@ TEST(Frames, PipesWorkViaTheNotASocketFallback) {
   int P[2];
   ASSERT_EQ(::pipe(P), 0);
   EXPECT_TRUE(writeFrame(P[1], "{\"over\":\"a pipe\"}"));
+  FrameReader Reader(P[0]);
   std::string Got;
-  EXPECT_EQ(readFrame(P[0], Got), FrameStatus::Ok);
+  EXPECT_EQ(Reader.next(Got), FrameStatus::Ok);
   EXPECT_EQ(Got, "{\"over\":\"a pipe\"}");
   ::close(P[1]);
-  EXPECT_EQ(readFrame(P[0], Got), FrameStatus::Eof);
+  EXPECT_EQ(Reader.next(Got), FrameStatus::Eof);
   ::close(P[0]);
 }
 
@@ -1852,8 +2184,9 @@ TEST_F(ServerTest, WrongSecretIsRejectedAndCounted) {
   // proof computed with the wrong secret gets an error frame, then EOF.
   int Fd = dialTcp(Ep);
   ASSERT_GE(Fd, 0);
+  FrameReader Reader(Fd);
   std::string Payload;
-  ASSERT_EQ(readFrame(Fd, Payload), FrameStatus::Ok);
+  ASSERT_EQ(Reader.next(Payload), FrameStatus::Ok);
   std::optional<Json> Challenge = Json::parse(Payload);
   ASSERT_TRUE(Challenge.has_value());
   EXPECT_EQ(Challenge->str("type"), "challenge");
@@ -1865,11 +2198,11 @@ TEST_F(ServerTest, WrongSecretIsRejectedAndCounted) {
   Auth.set("type", "auth");
   Auth.set("proof", hmacHex("not-the-secret", Nonce));
   ASSERT_TRUE(writeFrame(Fd, Auth.dump()));
-  ASSERT_EQ(readFrame(Fd, Payload), FrameStatus::Ok);
+  ASSERT_EQ(Reader.next(Payload), FrameStatus::Ok);
   std::optional<Json> Rejection = Json::parse(Payload);
   ASSERT_TRUE(Rejection.has_value());
   EXPECT_EQ(Rejection->str("type"), "error");
-  EXPECT_EQ(readFrame(Fd, Payload), FrameStatus::Eof);
+  EXPECT_EQ(Reader.next(Payload), FrameStatus::Eof);
   ::close(Fd);
 
   // The client API refuses the endpoint the same way.
@@ -2042,14 +2375,15 @@ TEST_F(ServerTest, MismatchedFingerprintPeersExchangeNothing) {
   Endpoint Ep{"127.0.0.1", Server->tcpPort()};
   int Fd = dialTcp(Ep);
   ASSERT_GE(Fd, 0);
-  ASSERT_TRUE(answerAuthChallenge(Fd, Secret, &Err)) << Err;
+  FrameReader Reader(Fd);
+  ASSERT_TRUE(answerAuthChallenge(Reader, Secret, &Err)) << Err;
 
   Json Fetch = Json::object();
   Fetch.set("type", "fetch_cache");
   Fetch.set("fingerprint", "bogus");
   ASSERT_TRUE(writeFrame(Fd, Fetch.dump()));
   std::string Payload;
-  ASSERT_EQ(readFrame(Fd, Payload), FrameStatus::Ok);
+  ASSERT_EQ(Reader.next(Payload), FrameStatus::Ok);
   std::optional<Json> Reply = Json::parse(Payload);
   ASSERT_TRUE(Reply.has_value());
   EXPECT_EQ(Reply->str("type"), "cache_entries");
@@ -2066,7 +2400,7 @@ TEST_F(ServerTest, MismatchedFingerprintPeersExchangeNothing) {
   Entries.push(std::move(Entry));
   Push.set("entries", std::move(Entries));
   ASSERT_TRUE(writeFrame(Fd, Push.dump()));
-  ASSERT_EQ(readFrame(Fd, Payload), FrameStatus::Ok);
+  ASSERT_EQ(Reader.next(Payload), FrameStatus::Ok);
   Reply = Json::parse(Payload);
   ASSERT_TRUE(Reply.has_value());
   EXPECT_EQ(Reply->str("type"), "cache_pushed");
@@ -2140,15 +2474,16 @@ TEST_F(ServerTest, EndpointListFailoverResolvesOriginalFutures) {
     FlakyConn = ::accept(Listener, nullptr, nullptr);
     if (FlakyConn < 0)
       return;
+    FrameReader Reader(FlakyConn);
     std::string Frame;
-    if (readFrame(FlakyConn, Frame) == FrameStatus::Ok) { // hello
+    if (Reader.next(Frame) == FrameStatus::Ok) { // hello
       Json Welcome = Json::object();
       Welcome.set("type", "welcome");
       Welcome.set("server", "flaky");
       Welcome.set("protocol", ProtocolVersion);
       writeFrame(FlakyConn, Welcome.dump());
     }
-    if (readFrame(FlakyConn, Frame) == FrameStatus::Ok) { // compile_async
+    if (Reader.next(Frame) == FrameStatus::Ok) { // compile_async
       Json Submitted = Json::object();
       Submitted.set("type", "submitted");
       Submitted.set("ticket", 7);

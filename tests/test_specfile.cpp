@@ -301,6 +301,10 @@ protected:
   static CompileServer *Server;
   static CompileClient *Client;
 
+  static std::string socketPath() {
+    return "/tmp/unit_specfile_" + std::to_string(::getpid()) + ".sock";
+  }
+
   static void SetUpTestSuite() {
     // File spec first, so the server session's cache fingerprint already
     // covers it — the same order unit_serve uses.
@@ -312,8 +316,7 @@ protected:
               SpecSource::File);
 
     ServerConfig Config;
-    Config.SocketPath =
-        "/tmp/unit_specfile_" + std::to_string(::getpid()) + ".sock";
+    Config.SocketPath = socketPath();
     Config.PersistIntervalSeconds = 0;
     Server = new CompileServer(Config);
     ASSERT_TRUE(Server->start(&Err)) << Err;
@@ -340,6 +343,8 @@ protected:
     delete Client;
     Server->stop();
     delete Server;
+    // stop() keeps the lock file on purpose; a test owns its cleanup.
+    ::unlink((socketPath() + ".lock").c_str());
   }
 };
 
@@ -455,6 +460,7 @@ TEST_F(SpecGauntletTest, RegisterTargetIsSecretGatedOnTcp) {
   EXPECT_EQ(Registered->Id, "negmat-tcp");
   Right.close();
   TcpServer.stop();
+  ::unlink((Config.SocketPath + ".lock").c_str());
 
   // Scrub the TCP-registered spec so later tests see the stock registry.
   // (There is no unregister; re-pointing the id at a throwaway builtin
