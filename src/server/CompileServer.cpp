@@ -500,6 +500,11 @@ void CompileServer::serveConnection(Connection &Conn) {
   bool Reading = Conn.Authed;
   for (;;) {
     Reading = Reading && !Stopping.load();
+    // A connection that stops reading in mid-burst (a framing violation
+    // after a good request, say) still owes that burst's queued replies,
+    // and no completion thread will wake it for them.
+    if (!Reading)
+      flushOutbox(Conn);
     bool Idle;
     {
       std::lock_guard<std::mutex> Lock(Conn.TicketMu);
@@ -560,8 +565,15 @@ void CompileServer::serveConnection(Connection &Conn) {
     if (!Response.isNull())
       queueReply(Conn, Response);
     // One write per burst: the replies of every buffered request leave
-    // together after the last one (at once for a request that closes).
-    if (CloseAfter || !Conn.Frames.ready())
+    // together after the last one (at once for a request that closes,
+    // and whenever a chunk's worth is queued, so a client that pipelines
+    // without reading holds at most a chunk plus one reply of memory).
+    bool Flush = CloseAfter || !Conn.Frames.ready();
+    if (!Flush) {
+      std::lock_guard<std::mutex> Lock(Conn.TicketMu);
+      Flush = Conn.Outbox.size() >= FrameReader::ChunkBytes;
+    }
+    if (Flush)
       Reading = flushOutbox(Conn) && !CloseAfter;
     // Read to reply written for the last request of a burst (a lone
     // blocking request is its own burst); read to reply queued for the

@@ -29,11 +29,11 @@
 /// and nothing else. The connection thread reads requests through the
 /// socket's one FrameReader, which takes a pipelined burst in one read,
 /// and flushes the outbox once after the burst's last buffered request
-/// instead of once per request. The submitted reply is queued before the
-/// job starts, so the FIFO alone puts every result behind the ticket that
-/// names it; cancel drops a pending ticket's delivery (the underlying
-/// cache entry, shared with other clients, always completes); poll
-/// reports liveness.
+/// (or once ChunkBytes of replies are queued) instead of once per
+/// request. The submitted reply is queued before the job starts, so the
+/// FIFO alone puts every result behind the ticket that names it; cancel
+/// drops a pending ticket's delivery (the underlying cache entry, shared
+/// with other clients, always completes); poll reports liveness.
 ///
 /// Persistence: when configured with a cache file the server loads it at
 /// start (warm restart: zero tuner invocations for known kernels), saves
@@ -241,9 +241,9 @@ private:
     size_t UnresolvedJobs = 0;
     /// Already-framed bytes waiting for the connection thread, in the
     /// order they were queued. The connection thread reads from the
-    /// socket only after a full flush, so this never holds more than the
-    /// replies to one read's worth of requests (FrameReader::ChunkBytes)
-    /// plus one notification per pending ticket (at most
+    /// socket only after a full flush, and flushes once its replies reach
+    /// FrameReader::ChunkBytes, so this never holds more than ChunkBytes
+    /// plus one reply, plus one notification per pending ticket (at most
     /// MaxPendingTicketsPerConnection).
     std::string Outbox;
     /// Result notifications among the Outbox frames (trace accounting).

@@ -1642,6 +1642,33 @@ TEST_F(ServerTest, FrameOverTheBoundEndsOnlyThatConnection) {
   EXPECT_TRUE(Client->stats(false, &Err).has_value()) << Err;
 }
 
+/// A good request and a framing violation arriving in one read: the
+/// reply the burst already earned still goes out, then EOF. Nothing but
+/// the connection thread itself would ever flush that reply, so a loop
+/// that stopped reading without flushing would hang this client.
+TEST_F(ServerTest, FramingViolationAfterARequestInOneReadStillGetsItsReply) {
+  startServer();
+  int Fd = robustness::rawConnect(SocketPath);
+  ASSERT_GE(Fd, 0);
+  timeval Timeout = {10, 0}; // A hang reads as Error, not a stuck test.
+  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
+  Json Stats = Json::object();
+  Stats.set("type", "stats");
+  std::string Burst;
+  appendFrame(Burst, Stats.dump());
+  Burst.append({0x7f, 0x00, 0x00, 0x00});
+  ASSERT_TRUE(writeAll(Fd, Burst));
+
+  FrameReader Reader(Fd);
+  std::string Payload;
+  ASSERT_EQ(Reader.next(Payload), FrameStatus::Ok);
+  std::optional<Json> Reply = Json::parse(Payload);
+  ASSERT_TRUE(Reply.has_value()) << Payload;
+  EXPECT_EQ(Reply->str("type"), "stats_result");
+  EXPECT_EQ(Reader.next(Payload), FrameStatus::Eof);
+  ::close(Fd);
+}
+
 TEST_F(ServerTest, StreamingErrorsAnswerWithErrorFramesAndServerSurvives) {
   startServer();
   auto Client = makeClient("prober");
@@ -1888,6 +1915,67 @@ TEST_F(ServerTest, StopDoesNotWaitOnAConnectedStalledReader) {
                        std::chrono::steady_clock::now() - T0)
                        .count();
   EXPECT_LT(Seconds, 2.0) << "stop() waited on a client that stopped reading";
+  ::close(Stalled);
+}
+
+/// A client that pipelines requests with large replies and never reads
+/// holds a bounded amount of server memory. One 64 KiB read brings in
+/// thousands of metrics requests; the server flushes whenever a chunk of
+/// replies is queued, so once the socket is full it stops reading after
+/// about a socket buffer plus a chunk of replies, not after the whole
+/// read's worth (which would be megabytes of replies built in memory).
+TEST_F(ServerTest, UnreadPipelinedRepliesStallReadsWithinAChunk) {
+  startServer();
+  Json Metrics = Json::object();
+  Metrics.set("type", "metrics");
+  std::string Request;
+  appendFrame(Request, Metrics.dump());
+
+  // One reply's size, measured on its own connection.
+  size_t ReplyBytes = 0;
+  {
+    int Fd = robustness::rawConnect(SocketPath);
+    ASSERT_GE(Fd, 0);
+    ASSERT_TRUE(writeAll(Fd, Request));
+    std::string Payload;
+    ASSERT_EQ(FrameReader(Fd).next(Payload), FrameStatus::Ok);
+    ReplyBytes = Payload.size() + 4;
+    ::close(Fd);
+  }
+
+  int Stalled = robustness::rawConnect(SocketPath);
+  ASSERT_GE(Stalled, 0);
+  int SndBuf = 0;
+  socklen_t Len = sizeof(SndBuf);
+  ASSERT_EQ(::getsockopt(Stalled, SOL_SOCKET, SO_SNDBUF, &SndBuf, &Len), 0);
+  std::string Burst;
+  for (int I = 0; I < 4000; ++I)
+    Burst += Request;
+  sendUntilStalled(Stalled, Burst, /*StallMillis=*/500);
+
+  // Settled once the request count grows only by the monitor's own.
+  auto Monitor = makeClient("monitor");
+  auto Requests = [&Monitor] {
+    std::optional<Json> S = Monitor->stats(false);
+    return S ? S->integer("requests") : -1;
+  };
+  int64_t Served = -2;
+  for (int64_t Seen = Requests(); Seen != Served + 1;) {
+    Served = Seen;
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    Seen = Requests();
+  }
+  // The server's socket buffer is sized like the client's, and a full
+  // one takes at most one more send of half its size. Twice that plus a
+  // chunk of replies still sits far below one read's worth of requests
+  // (64 KiB / Request.size(), near 3000).
+  size_t Bound = (2 * static_cast<size_t>(SndBuf) + FrameReader::ChunkBytes) /
+                     ReplyBytes +
+                 8;
+  ASSERT_LT(Bound, FrameReader::ChunkBytes / Request.size());
+  EXPECT_GT(Served, 0);
+  EXPECT_LE(static_cast<size_t>(Served), Bound)
+      << "reply bytes " << ReplyBytes << ", socket buffer " << SndBuf;
   ::close(Stalled);
 }
 
