@@ -77,11 +77,6 @@ struct SessionConfig {
 /// three resolution counters count every resolution, blocking and async
 /// alike. All monotonic over the session's lifetime.
 struct SessionStats {
-  /// Async joins that blocked a pool worker on another job's future. The
-  /// continuation engine never does this — the counter exists so tests
-  /// and operators can assert it stays 0; any future code path that
-  /// reintroduces a blocking join must bump it.
-  uint64_t ParkedJoins = 0;
   /// Joins of an in-flight compile. Each registers a continuation the
   /// winner drains; a blocking caller also waits on its own thread.
   uint64_t ContinuationJoins = 0;
@@ -156,7 +151,6 @@ private:
   std::condition_variable QuiesceCv;
   /// SessionStats counters (see sessionStats()); declared before Pool for
   /// the same destruction-order reason as the quiesce state above.
-  std::atomic<uint64_t> ParkedJoinsCount{0};
   std::atomic<uint64_t> ContinuationJoinsCount{0};
   std::atomic<uint64_t> InlineReadyHitsCount{0};
   std::atomic<uint64_t> FreshDispatchesCount{0};
@@ -283,18 +277,12 @@ public:
   /// Continuation-engine counters; see SessionStats.
   SessionStats sessionStats() const {
     SessionStats S;
-    S.ParkedJoins = ParkedJoinsCount.load();
     S.ContinuationJoins = ContinuationJoinsCount.load();
     S.InlineReadyHits = InlineReadyHitsCount.load();
     S.FreshDispatches = FreshDispatchesCount.load();
     S.TransferSeeds = TransferSeedsCount.load();
     return S;
   }
-
-  /// Async joins that parked a pool worker — 0 under the continuation
-  /// engine, by construction. Exposed (and wired into the server `stats`
-  /// reply) so regressions are an assertion away.
-  uint64_t parkedJoins() const { return ParkedJoinsCount.load(); }
 
   /// Submit-to-resolve latency distributions, split by resolution kind;
   /// the server's `metrics` message serves these as the

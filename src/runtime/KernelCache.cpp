@@ -236,33 +236,6 @@ void KernelCache::fail(const std::string &Key, ComputeTicket &Ticket,
   Ticket.Waiters.reset();
 }
 
-KernelReport KernelCache::getOrCompute(const std::string &Key,
-                                       const Compiler &Compile,
-                                       bool *ComputedHere) {
-  std::shared_future<KernelReport> Fut;
-  ComputeTicket Ticket;
-  ResolveKind Kind = resolveThen(Key, /*OnDone=*/nullptr, &Fut, &Ticket);
-  if (ComputedHere)
-    *ComputedHere = Kind == ResolveKind::MustCompute;
-  // Ready hits return immediately; joiners park this caller-owned thread
-  // on the winner's future (the non-blocking alternative is resolveThen).
-  if (Kind != ResolveKind::MustCompute)
-    return Fut.get();
-  // The library itself aborts rather than throws, but user-registered
-  // backends (and std::bad_alloc) can still unwind through here. fail()
-  // evicts the entry so the key can be retried and propagates the error
-  // to every waiter; without it the unfulfilled promise would poison the
-  // key forever (every later lookup getting broken_promise).
-  try {
-    KernelReport Report = Compile();
-    fulfill(Key, Ticket, Report);
-    return Report;
-  } catch (...) {
-    fail(Key, Ticket, std::current_exception());
-    throw;
-  }
-}
-
 std::optional<KernelReport>
 KernelCache::lookup(const std::string &Key) const {
   std::shared_future<KernelReport> Fut;
@@ -277,19 +250,6 @@ KernelCache::lookup(const std::string &Key) const {
   if (!isReady(Fut))
     return std::nullopt;
   return Fut.get();
-}
-
-std::optional<std::shared_future<KernelReport>>
-KernelCache::peek(const std::string &Key) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Entries.find(Key);
-  if (It == Entries.end() || expiredLocked(It->second))
-    return std::nullopt;
-  touchLocked(It->second);
-  // Joining an entry (ready or in flight) is a served request, same as a
-  // getOrCompute hit — async fast-path joins must show up in the stats.
-  Hits.fetch_add(1);
-  return It->second.Fut;
 }
 
 void KernelCache::insert(const std::string &Key, const KernelReport &Report) {
@@ -333,27 +293,6 @@ void KernelCache::clear() {
   BytesResident = 0;
 }
 
-void KernelCache::setCapacity(size_t NewMaxEntries) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  MaxEntries = NewMaxEntries;
-  enforceCapacityLocked();
-}
-
-size_t KernelCache::capacity() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return MaxEntries;
-}
-
-void KernelCache::setByteCapacity(size_t NewMaxBytes) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  MaxBytes = NewMaxBytes;
-  enforceCapacityLocked();
-}
-
-size_t KernelCache::byteCapacity() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return MaxBytes;
-}
 
 KernelCache::CacheStats KernelCache::stats() const {
   CacheStats S;

@@ -13,7 +13,7 @@
 /// entry while different machines never collide.
 ///
 /// Lookups are single-flight: when two threads ask for the same missing key
-/// concurrently, one compiles and the other waits on the same future — a
+/// concurrently, one compiles and the other joins the same entry — a
 /// model with repeated shapes never tunes a shape twice.
 ///
 /// resolveThen is the one resolve primitive: it classifies a key as ready,
@@ -25,18 +25,18 @@
 /// and async compiles alike through it: a blocking caller waits on the
 /// entry's future on its own thread, an async one just walks away. That
 /// is what lets a session pool keep tuning while thousands of tickets fan
-/// into the same few compiles. getOrCompute wraps the same primitive for
-/// callers that own their thread and a plain compile function.
+/// into the same few compiles.
 ///
 /// The cache is bounded (optionally) by an LRU entry cap and/or an LRU
-/// byte cap over the resident-byte accounting, expires (optionally) by
-/// age — setTTL() makes ready entries older than the TTL read as absent,
-/// so a long-lived daemon re-tunes them instead of serving stale reports
-/// forever — and persists to disk: save() writes the surviving ready
-/// entries under a caller-supplied fingerprint (machine parameters +
-/// format version), and load() rejects files whose fingerprint does not
-/// match byte-for-byte — stale or cross-machine entries never leak into a
-/// session.
+/// byte cap over the resident-byte accounting, both fixed at construction
+/// (SessionConfig::CacheCapacity / CacheCapacityBytes); expires
+/// (optionally) by age — setTTL() makes ready entries older than the TTL
+/// read as absent, so a long-lived daemon re-tunes them instead of
+/// serving stale reports forever; and persists to disk: save() writes the
+/// surviving ready entries under a caller-supplied fingerprint (machine
+/// parameters + format version), and load() rejects files whose
+/// fingerprint does not match byte-for-byte — stale or cross-machine
+/// entries never leak into a session.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,8 +69,6 @@ struct KernelReport {
 
 class KernelCache {
 public:
-  using Compiler = std::function<KernelReport()>;
-
   /// Continuation registered on an in-flight entry. Fired exactly once by
   /// the winner when its compile resolves: (&Report, nullptr) on success,
   /// (nullptr, Error) on failure. Runs on the winner's completing thread
@@ -109,14 +107,6 @@ public:
   explicit KernelCache(size_t MaxEntries = 0, size_t MaxBytes = 0)
       : MaxEntries(MaxEntries), MaxBytes(MaxBytes) {}
 
-  /// Returns the cached report for \p Key, compiling it with \p Compile on
-  /// a miss. Concurrent misses on one key run \p Compile exactly once; the
-  /// losers block on the winner's future. \p ComputedHere, when non-null,
-  /// reports whether *this* call ran the compile (false for ready hits
-  /// and single-flight joiners) — the race-free "was it cached" signal.
-  KernelReport getOrCompute(const std::string &Key, const Compiler &Compile,
-                            bool *ComputedHere = nullptr);
-
   /// Non-blocking single-flight resolve. Exactly one concurrent caller per
   /// missing key gets MustCompute (plus a ComputeTicket it must resolve via
   /// fulfill()/fail()); everyone else gets Ready (report available through
@@ -148,14 +138,8 @@ public:
   /// Non-computing probe; std::nullopt when absent or still compiling.
   std::optional<KernelReport> lookup(const std::string &Key) const;
 
-  /// The entry's future when present — ready or still in flight. Lets
-  /// async callers join an in-flight compile without blocking a thread;
-  /// counts as a cache hit in stats(), like a getOrCompute hit.
-  std::optional<std::shared_future<KernelReport>>
-  peek(const std::string &Key) const;
-
   /// Inserts a ready report, replacing any existing entry — including an
-  /// in-flight one, so production code prefers getOrCompute/load (which
+  /// in-flight one, so production code prefers resolveThen/load (which
   /// never displace a compile in progress); this is a seeding hook for
   /// tests and tooling.
   void insert(const std::string &Key, const KernelReport &Report);
@@ -174,16 +158,9 @@ public:
   size_t size() const;
   void clear();
 
-  /// Changes the LRU entry cap (0 = unbounded); evicts immediately when
-  /// the current size exceeds the new cap.
-  void setCapacity(size_t NewMaxEntries);
-  size_t capacity() const;
-
-  /// Changes the LRU byte cap (0 = unbounded); evicts immediately when
-  /// the current accounting exceeds the new cap. Eviction walks from the
-  /// cold end of the LRU list, skipping in-flight entries.
-  void setByteCapacity(size_t NewMaxBytes);
-  size_t byteCapacity() const;
+  /// The constructor's caps (0 = unbounded).
+  size_t capacity() const { return MaxEntries; }
+  size_t byteCapacity() const { return MaxBytes; }
 
   /// Wall-clock source for age-based expiry; injectable so TTL tests can
   /// advance time deterministically instead of sleeping.
@@ -191,8 +168,8 @@ public:
 
   /// Age-based expiry: a ready entry older than \p Seconds (measured from
   /// the moment its report became ready, or from load() for persisted
-  /// entries) reads as absent — lookup/peek/contains say no, getOrCompute
-  /// drops it and recompiles, save() skips it. In-flight entries never
+  /// entries) reads as absent — lookup/contains say no, resolveThen drops
+  /// it and answers MustCompute, save() skips it. In-flight entries never
   /// expire (their winner is still computing). \p Seconds <= 0 disables
   /// expiry; \p Clock defaults to the process steady clock.
   void setTTL(double Seconds, ClockFn Clock = {});
@@ -218,8 +195,7 @@ public:
   /// intrinsic-name string, and the fixed per-entry bookkeeping. In-flight
   /// entries count without their (not-yet-known) intrinsic name. This is
   /// the sizing signal a long-lived server reports, and the quantity the
-  /// byte cap (setByteCapacity / SessionConfig::CacheCapacityBytes)
-  /// bounds.
+  /// byte cap (SessionConfig::CacheCapacityBytes) bounds.
   ///
   /// An O(entries) walk under the mutex — exact at the instant of the
   /// call, including in-flight -> ready growth the incremental counter
@@ -355,17 +331,17 @@ private:
 
   mutable std::mutex Mu;
   std::unordered_map<std::string, Entry> Entries;
-  /// Front = most recently used. Mutated by const probes (lookup/peek
-  /// refresh recency), hence mutable.
+  /// Front = most recently used. Mutated by const probes (lookup
+  /// refreshes recency), hence mutable.
   mutable std::list<std::string> Lru;
-  size_t MaxEntries = 0;
-  size_t MaxBytes = 0;
+  const size_t MaxEntries = 0;
+  const size_t MaxBytes = 0;
   double TTLSeconds = 0; ///< <= 0 = entries never expire.
   ClockFn Clock;         ///< Null = steadyNowSeconds.
   /// Sum of every entry's AccountedBytes — the O(1) signal the byte cap
   /// is enforced against (bytesUsed()/stats() keep their exact walk).
   size_t BytesResident = 0;
-  mutable std::atomic<uint64_t> Hits{0}; ///< peek() is a const hit path.
+  std::atomic<uint64_t> Hits{0};
   std::atomic<uint64_t> Misses{0};
   std::atomic<uint64_t> Evictions{0};
 };

@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <thread>
-#include <tuple>
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -39,30 +37,17 @@ bool CompileClient::connect(const std::vector<std::string> &Endpoints,
     setErr(Err, "no endpoints to connect to");
     return false;
   }
-  {
-    // Published before the dial: dialEndpoint reads the secret, and the
-    // reader (not started yet) will read the list on reconnects.
-    std::lock_guard<std::mutex> Lock(Mu);
-    EndpointList = Endpoints;
-    FabricSecret = Secret;
-  }
-  int NewFd = -1;
-  size_t Chosen = 0;
   std::string FirstErr;
-  for (size_t I = 0; I < Endpoints.size() && NewFd < 0; ++I) {
+  for (size_t I = 0; I < Endpoints.size() && Fd < 0; ++I) {
     std::string DialErr;
-    NewFd = dialEndpoint(Endpoints[I], &DialErr);
-    if (NewFd >= 0)
-      Chosen = I;
-    else if (FirstErr.empty())
+    Fd = dialEndpoint(Endpoints[I], Secret, &DialErr);
+    if (Fd < 0 && FirstErr.empty())
       FirstErr = DialErr;
   }
-  if (NewFd < 0) {
+  if (Fd < 0) {
     setErr(Err, FirstErr.empty() ? "connect failed" : FirstErr);
     return false;
   }
-  Fd.store(NewFd);
-  ShuttingDown.store(false);
   {
     std::lock_guard<std::mutex> Lock(Mu);
     ReaderExited = false;
@@ -70,18 +55,14 @@ bool CompileClient::connect(const std::vector<std::string> &Endpoints,
     Replies.clear();
     Unclaimed.clear();
     Outstanding.clear();
-    TicketRequests.clear();
     ArrivalCounter = 0;
-    CurrentEndpoint = Chosen;
-    ConnectedPath = Endpoints[Chosen];
-    HelloMsg = Json();
-    HelloSent = false;
   }
   Reader = std::thread([this] { readerLoop(); });
   return true;
 }
 
-int CompileClient::dialEndpoint(const std::string &Ep, std::string *Err) {
+int CompileClient::dialEndpoint(const std::string &Ep,
+                                const std::string &Secret, std::string *Err) {
   if (looksLikeUnixPath(Ep)) {
     sockaddr_un Addr;
     if (!makeUnixSocketAddr(Ep, Addr, Err))
@@ -111,13 +92,8 @@ int CompileClient::dialEndpoint(const std::string &Ep, std::string *Err) {
     setErr(Err, "connect(" + Ep + ") failed: " + DetailErr);
     return -1;
   }
-  std::string SecretCopy;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    SecretCopy = FabricSecret;
-  }
   Frames.reset(NewFd);
-  if (!answerAuthChallenge(Frames, SecretCopy, &DetailErr)) {
+  if (!answerAuthChallenge(Frames, Secret, &DetailErr)) {
     setErr(Err, "auth with " + Ep + " failed: " + DetailErr);
     ::close(NewFd);
     return -1;
@@ -128,42 +104,15 @@ int CompileClient::dialEndpoint(const std::string &Ep, std::string *Err) {
 void CompileClient::close() {
   // shutdown() (not close()) wakes the reader parked in read(); the fd
   // itself is released only after the join, so the reader can never race
-  // a recycled descriptor number. ShuttingDown is published under Mu,
-  // paired with tryReconnect()'s commit check: either the reader sees it
-  // and exits instead of installing a new fd, or it committed first and
-  // the Fd read below picks up the new descriptor to shut down.
-  int CurFd;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    ShuttingDown.store(true);
-    CurFd = Fd.load();
-  }
-  if (CurFd >= 0)
-    ::shutdown(CurFd, SHUT_RDWR);
+  // a recycled descriptor number.
+  if (Fd >= 0)
+    ::shutdown(Fd, SHUT_RDWR);
   if (Reader.joinable())
     Reader.join();
-  // Post-join re-read: a reconnect that won the race above swapped in a
-  // fresh fd (and retired the one we shut down).
-  CurFd = Fd.load();
-  if (CurFd >= 0) {
-    ::close(CurFd);
-    Fd.store(-1);
+  if (Fd >= 0) {
+    ::close(Fd);
+    Fd = -1;
   }
-  std::vector<int> Dead;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Dead.swap(RetiredFds);
-  }
-  for (int F : Dead)
-    ::close(F);
-}
-
-void CompileClient::setAutoReconnect(bool Enable, int MaxAttempts,
-                                     int RetryDelayMillis) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  AutoReconnect = Enable;
-  ReconnectAttempts = MaxAttempts > 0 ? MaxAttempts : 1;
-  ReconnectDelayMillis = RetryDelayMillis > 0 ? RetryDelayMillis : 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -175,15 +124,8 @@ void CompileClient::readerLoop() {
   while (true) {
     FrameStatus Status = Frames.next(Payload);
     if (Status != FrameStatus::Ok) {
-      std::string Why = Status == FrameStatus::Eof
-                            ? "server closed the connection"
-                            : "read failed";
-      // Auto-reconnect turns a dead transport into a redial + ticket
-      // replay; only when that is off (or exhausted) does the exit
-      // cascade to every pending future.
-      if (tryReconnect(Why))
-        continue;
-      failAllPending(Why);
+      failAllPending(Status == FrameStatus::Eof ? "server closed the connection"
+                                                : "read failed");
       return;
     }
     std::string ParseErr;
@@ -199,7 +141,6 @@ void CompileClient::readerLoop() {
         if (It != Tickets.end()) {
           P = std::move(It->second);
           Tickets.erase(It);
-          TicketRequests.erase(Ticket); // Resolved: no replay needed.
         } else {
           // The submitted reply naming this ticket has not been consumed
           // yet (pipelined submission); park the note for registerTicket.
@@ -231,187 +172,11 @@ void CompileClient::failAllPending(const std::string &Why) {
     ReaderExited = true;
     ReaderExitReason = Why;
     Orphans.swap(Tickets);
-    TicketRequests.clear();
   }
   for (auto &KV : Orphans)
     KV.second->set_exception(
         std::make_exception_ptr(std::runtime_error(Why)));
   ReplyCv.notify_all();
-}
-
-bool CompileClient::tryReconnect(const std::string &Why) {
-  int Attempts, DelayMs;
-  std::vector<std::string> Eps;
-  size_t StartIdx;
-  Json Hello;
-  bool SendHello;
-  std::unordered_map<uint64_t, std::shared_ptr<std::promise<CompileResult>>>
-      Pending;
-  std::unordered_map<uint64_t, Json> Requests;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (!AutoReconnect || ShuttingDown.load())
-      return false;
-    // Gate user round trips while the wire is rebuilt: replies the old
-    // connection owed are unrecoverable, so in-flight request/reply
-    // exchanges fail fast instead of waiting forever. Registered tickets
-    // are the replayable part — take ownership of them here.
-    ReaderExited = true;
-    ReaderExitReason = Why + " (reconnecting)";
-    Attempts = ReconnectAttempts;
-    DelayMs = ReconnectDelayMillis;
-    Eps = EndpointList;
-    StartIdx = CurrentEndpoint;
-    Hello = HelloMsg;
-    SendHello = HelloSent;
-    Pending.swap(Tickets);
-    Requests.swap(TicketRequests);
-    // Early notes were paired with submitted replies that just died
-    // unconsumed; their round trips fail, so the notes are orphans.
-    Unclaimed.clear();
-  }
-  ReplyCv.notify_all();
-
-  auto FailPending = [&](const std::string &Reason) {
-    for (auto &KV : Pending)
-      KV.second->set_exception(
-          std::make_exception_ptr(std::runtime_error(Reason)));
-    Pending.clear();
-    return false; // Hands the reader exit to failAllPending.
-  };
-
-  // Redial. Bounded attempt rounds over the whole endpoint list,
-  // starting *after* the endpoint that just died: mid-stream failover to
-  // a fleet sibling is the same motion as reconnecting to a restarted
-  // daemon, just one list slot over. A server restart needs a beat to
-  // re-bind, hence the inter-round delay.
-  if (Eps.empty())
-    return FailPending("reconnect failed: no endpoints");
-  int NewFd = -1;
-  size_t Chosen = StartIdx;
-  for (int A = 0; A < Attempts && NewFd < 0 && !ShuttingDown.load(); ++A) {
-    if (A)
-      std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
-    for (size_t E = 0; E < Eps.size() && NewFd < 0; ++E) {
-      size_t Idx = (StartIdx + 1 + E) % Eps.size();
-      NewFd = dialEndpoint(Eps[Idx], nullptr);
-      if (NewFd >= 0)
-        Chosen = Idx;
-    }
-  }
-  if (NewFd < 0)
-    return FailPending("reconnect failed: " + Why);
-
-  // Synchronous handshake + replay on the new socket, owned entirely by
-  // this (reader) thread — ReaderExited keeps user threads off the wire.
-  // Frames is already bound to NewFd, so whatever it buffers past the
-  // last reply stays there for the reader loop. Notifications can
-  // already arrive interleaved (a replayed warm hit resolves before the
-  // last submitted reply); stash them for after the ticket remap.
-  std::vector<Json> Notes;
-  auto ReadReply = [&](Json &Out) {
-    std::string Buf;
-    while (true) {
-      if (Frames.next(Buf) != FrameStatus::Ok)
-        return false;
-      std::optional<Json> F = Json::parse(Buf, nullptr);
-      if (!F)
-        return false;
-      if (isNotification(*F)) {
-        Notes.push_back(std::move(*F));
-        continue;
-      }
-      Out = std::move(*F);
-      return true;
-    }
-  };
-  auto Abort = [&](const std::string &Reason) {
-    ::close(NewFd);
-    return FailPending(Reason);
-  };
-  if (SendHello) {
-    Json Welcome;
-    if (!writeFrame(NewFd, Hello.dump()) || !ReadReply(Welcome) ||
-        Welcome.str("type") != "welcome")
-      return Abort("reconnect failed: hello handshake rejected");
-  }
-  // Pipeline every unresolved submission in one write, then collect the
-  // new tickets — the server answers one connection in order, so the
-  // k-th submitted reply belongs to the k-th replayed frame.
-  std::vector<uint64_t> Order;
-  Order.reserve(Pending.size());
-  std::string Burst;
-  for (const auto &KV : Pending) {
-    auto RIt = Requests.find(KV.first);
-    if (RIt == Requests.end())
-      continue; // No retained frame (never happens for submit paths).
-    if (!appendFrame(Burst, RIt->second.dump()))
-      return Abort("reconnect failed: resubmission exceeds the frame limit");
-    Order.push_back(KV.first);
-  }
-  if (!writeAll(NewFd, Burst))
-    return Abort("reconnect failed: resubmission write failed");
-  std::vector<std::tuple<uint64_t, uint64_t, Json>> Remapped; // old, new, msg
-  for (uint64_t Old : Order) {
-    Json Reply;
-    if (!ReadReply(Reply))
-      return Abort("reconnect failed: resubmission reply lost");
-    uint64_t NewTicket =
-        Reply.str("type") == "submitted"
-            ? static_cast<uint64_t>(Reply.integer("ticket", 0))
-            : 0;
-    if (NewTicket == 0) {
-      // The new server rejected this one (e.g. unknown target after a
-      // config change); fail just its future, replay the rest.
-      Pending[Old]->set_exception(std::make_exception_ptr(std::runtime_error(
-          "resubmission rejected: " + Reply.str("message", Reply.dump()))));
-      Pending.erase(Old);
-      continue;
-    }
-    Remapped.emplace_back(Old, NewTicket, std::move(Requests[Old]));
-  }
-
-  // Commit: install the new fd and remapped tickets, reopen the gate.
-  // The ShuttingDown check pairs with close() — if close() won the race,
-  // installing NewFd would leave it un-shutdown and the join would hang.
-  std::vector<std::pair<std::shared_ptr<std::promise<CompileResult>>, Json>>
-      Resolved;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (ShuttingDown.load()) {
-      ::close(NewFd);
-      return FailPending("connection closed");
-    }
-    for (auto &T : Remapped) {
-      Tickets[std::get<1>(T)] = Pending[std::get<0>(T)];
-      TicketRequests[std::get<1>(T)] = std::move(std::get<2>(T));
-    }
-    for (Json &Note : Notes) {
-      uint64_t Ticket = static_cast<uint64_t>(Note.integer("ticket", 0));
-      auto It = Tickets.find(Ticket);
-      if (It == Tickets.end())
-        continue; // For a ticket whose resubmission was rejected.
-      Resolved.emplace_back(std::move(It->second), std::move(Note));
-      Tickets.erase(It);
-      TicketRequests.erase(Ticket);
-    }
-    RetiredFds.push_back(Fd.load());
-    Fd.store(NewFd);
-    CurrentEndpoint = Chosen;
-    ConnectedPath = Eps[Chosen];
-    ResubmittedCount.fetch_add(Remapped.size());
-    ReaderExited = false;
-    ReaderExitReason.clear();
-  }
-  for (auto &KV : Resolved) {
-    uint64_t Arrival;
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      Arrival = ++ArrivalCounter;
-    }
-    resolveTicket(*KV.first, KV.second, Arrival);
-  }
-  return true;
 }
 
 void CompileClient::resolveTicket(std::promise<CompileResult> &P,
@@ -449,12 +214,11 @@ bool CompileClient::sendRequest(const Json &Request, std::string *Err) {
 }
 
 bool CompileClient::sendFrames(const std::string &Bytes, std::string *Err) {
-  int CurFd = Fd.load();
-  if (CurFd < 0) {
+  if (Fd < 0) {
     setErr(Err, "not connected");
     return false;
   }
-  if (!writeAll(CurFd, Bytes)) {
+  if (!writeAll(Fd, Bytes)) {
     setErr(Err, "write failed (server gone?)");
     return false;
   }
@@ -480,18 +244,8 @@ std::optional<Json> CompileClient::awaitReply(std::string *Err) {
 
 std::optional<Json> CompileClient::request(const Json &Request,
                                            std::string *Err) {
-  // With auto-reconnect on, a transport failure is the reader's to heal:
-  // tearing the client down here would yank the redial out from under it
-  // (and orphan the tickets it is busy replaying). The caller just sees
-  // this one exchange fail.
-  bool Healing;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Healing = AutoReconnect;
-  }
   if (!sendRequest(Request, Err)) {
-    if (!Healing)
-      close();
+    close();
     return std::nullopt;
   }
   std::optional<Json> Reply = awaitReply(Err);
@@ -503,7 +257,7 @@ std::optional<Json> CompileClient::request(const Json &Request,
       std::lock_guard<std::mutex> Lock(Mu);
       Dead = ReaderExited;
     }
-    if (Dead && !Healing)
+    if (Dead)
       close();
   }
   return Reply;
@@ -535,15 +289,7 @@ std::optional<Json> CompileClient::hello(const std::string &ClientName,
   J.set("client", ClientName);
   if (MaxCandidates > 0)
     J.set("max_candidates", MaxCandidates);
-  std::optional<Json> Welcome = roundTrip(J, "welcome", Err);
-  if (Welcome) {
-    // Retain the accepted handshake: auto-reconnect replays it so the new
-    // connection carries the same client name and budget.
-    std::lock_guard<std::mutex> Lock(Mu);
-    HelloMsg = std::move(J);
-    HelloSent = true;
-  }
-  return Welcome;
+  return roundTrip(J, "welcome", Err);
 }
 
 //===----------------------------------------------------------------------===//
@@ -622,8 +368,7 @@ CompileClient::compileDense(const std::string &Target, const std::string &Name,
 // Streaming compiles
 //===----------------------------------------------------------------------===//
 
-CompileClient::AsyncHandle CompileClient::registerTicket(uint64_t Ticket,
-                                                         Json RequestMsg) {
+CompileClient::AsyncHandle CompileClient::registerTicket(uint64_t Ticket) {
   auto P = std::make_shared<std::promise<CompileResult>>();
   AsyncHandle H;
   H.Ticket = Ticket;
@@ -644,8 +389,6 @@ CompileClient::AsyncHandle CompileClient::registerTicket(uint64_t Ticket,
       return H;
     } else {
       Tickets.emplace(Ticket, P);
-      // Pending: retain the frame so auto-reconnect can resubmit it.
-      TicketRequests.emplace(Ticket, std::move(RequestMsg));
     }
     Outstanding.push_back(H);
   }
@@ -668,7 +411,7 @@ CompileClient::submitWorkload(const std::string &Target, Json WorkloadJson,
     setErr(Err, "submitted reply missing 'ticket'");
     return std::nullopt;
   }
-  return registerTicket(Ticket, std::move(Msg));
+  return registerTicket(Ticket);
 }
 
 std::optional<CompileClient::AsyncHandle>
@@ -704,13 +447,10 @@ CompileClient::submitModelLayers(const std::string &Target, const Model &M,
   // server handles one connection's requests in order, so the k-th
   // submitted reply belongs to the k-th layer — and the whole burst
   // costs one round trip instead of one per layer.
-  std::vector<Json> Messages;
-  Messages.reserve(M.Convs.size());
   std::string Burst;
   for (const ConvLayer &L : M.Convs) {
-    Messages.push_back(
-        makeCompileMessage("compile_async", Target, toJson(L), Options));
-    if (!appendFrame(Burst, Messages.back().dump())) {
+    Json Msg = makeCompileMessage("compile_async", Target, toJson(L), Options);
+    if (!appendFrame(Burst, Msg.dump())) {
       setErr(Err, "request exceeds the frame limit");
       return std::nullopt;
     }
@@ -735,7 +475,7 @@ CompileClient::submitModelLayers(const std::string &Target, const Model &M,
     }
     uint64_t Ticket = static_cast<uint64_t>(Reply->integer("ticket", 0));
     if (Reply->str("type") == "submitted" && Ticket != 0) {
-      Handles.push_back(registerTicket(Ticket, std::move(Messages[I])));
+      Handles.push_back(registerTicket(Ticket));
     } else if (FirstErr.empty()) {
       FirstErr = Reply->str("type") == "error"
                      ? "server error: " + Reply->str("message")
@@ -802,7 +542,6 @@ bool CompileClient::cancel(const AsyncHandle &Handle, std::string *Err) {
       if (It != Tickets.end()) {
         P = std::move(It->second);
         Tickets.erase(It);
-        TicketRequests.erase(Handle.Ticket);
       }
       Outstanding.erase(
           std::remove_if(Outstanding.begin(), Outstanding.end(),

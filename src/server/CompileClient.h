@@ -25,10 +25,9 @@
 ///     cancel() drops a pending ticket's delivery; poll() asks the
 ///     server whether a ticket is still pending.
 ///
-/// The connection can optionally heal itself: setAutoReconnect() makes
-/// the reader redial the socket on EOF and resubmit every unresolved
-/// ticket (tickets are server-assigned, so replay is invisible to
-/// wait()/waitAll() — the new tickets land on the existing futures).
+/// A dropped connection is final: every pending future, and the round
+/// trip in flight, fails with the transport error. Reconnecting means a
+/// fresh connect() and resubmitting whatever still matters.
 ///
 /// Threading: the request-issuing methods (everything that writes to the
 /// socket) must be called from one thread at a time; wait()/waitAll()
@@ -72,39 +71,17 @@ public:
   /// Does not send hello.
   bool connect(const std::string &SocketPath, std::string *Err = nullptr);
 
-  /// Fabric connect: tries \p Endpoints in order until one accepts, and
-  /// remembers the whole list for failover. An endpoint is a Unix socket
-  /// path (recognized by shape: "/...", "./...", "../...") or a TCP
-  /// "host:port" / "[v6addr]:port"; TCP dials answer the server's
-  /// shared-secret challenge with \p Secret (fabric/Handshake.h — the
-  /// secret itself never crosses the wire). With setAutoReconnect() on,
-  /// a dead connection fails over: the reader redials *across the list*,
-  /// starting after the endpoint that died, and resubmits every
-  /// unresolved ticket — so a daemon loss resolves the original futures
-  /// against its fleet sibling.
+  /// Fabric connect: dials \p Endpoints in order and keeps the first one
+  /// that accepts; the rest of the list is not used afterwards. An
+  /// endpoint is a Unix socket path (recognized by shape: "/...",
+  /// "./...", "../...") or a TCP "host:port" / "[v6addr]:port"; TCP dials
+  /// answer the server's shared-secret challenge with \p Secret
+  /// (fabric/Handshake.h — the secret itself never crosses the wire).
+  /// Fails with the first endpoint's error when none accepts.
   bool connect(const std::vector<std::string> &Endpoints,
                const std::string &Secret, std::string *Err = nullptr);
   void close();
-  bool connected() const { return Fd.load() >= 0; }
-
-  /// Opt-in transparent reconnect. When enabled and the reader hits EOF
-  /// (server restarted, connection dropped), it redials the same socket
-  /// path — up to \p MaxAttempts tries, \p RetryDelayMillis apart —
-  /// replays the hello handshake, and resubmits every unresolved ticket.
-  /// Tickets are server-assigned, so replay is a protocol detail: the new
-  /// tickets are remapped onto the existing futures and wait()/waitAll()
-  /// resolve as if nothing happened. What is NOT transparent: request/
-  /// reply exchanges in flight *during* the drop fail with a transport
-  /// error (their replies died with the old connection — resubmit those
-  /// by hand), and cancel()/poll() on a pre-reconnect AsyncHandle target
-  /// the old ticket number, which the new server connection does not
-  /// know. Enable before submitting work; off by default so failures
-  /// stay loud in tools that want them loud.
-  void setAutoReconnect(bool Enable, int MaxAttempts = 10,
-                        int RetryDelayMillis = 50);
-
-  /// Tickets replayed onto a new connection by auto-reconnect so far.
-  uint64_t resubmittedTickets() const { return ResubmittedCount.load(); }
+  bool connected() const { return Fd >= 0; }
 
   /// Sends one request frame and reads the matching response frame
   /// (notifications that arrive in between are dispatched to their
@@ -297,9 +274,10 @@ private:
                                             std::string *Err);
 
   /// Dials one endpoint string (Unix path or TCP host:port, including
-  /// the auth handshake for TCP). Returns the connected fd, with Frames
-  /// bound to it, or -1.
-  int dialEndpoint(const std::string &Ep, std::string *Err);
+  /// the auth handshake with \p Secret for TCP). Returns the connected
+  /// fd, with Frames bound to it, or -1.
+  int dialEndpoint(const std::string &Ep, const std::string &Secret,
+                   std::string *Err);
 
   /// Write side of request(): frames one message onto the socket.
   bool sendRequest(const Json &Request, std::string *Err);
@@ -310,10 +288,8 @@ private:
   /// queued (blocking; fails when the reader died).
   std::optional<Json> awaitReply(std::string *Err);
   /// Registers \p Ticket from a submitted reply, claiming any notification
-  /// that raced ahead of it. \p RequestMsg is the original compile_async
-  /// frame, retained while the ticket is pending so auto-reconnect can
-  /// resubmit it verbatim.
-  AsyncHandle registerTicket(uint64_t Ticket, Json RequestMsg);
+  /// that raced ahead of it.
+  AsyncHandle registerTicket(uint64_t Ticket);
   /// Resolves one submit future from its notification frame.
   static void resolveTicket(std::promise<CompileResult> &P, const Json &Note,
                             uint64_t Arrival);
@@ -321,17 +297,10 @@ private:
   void readerLoop();
   /// Fails every outstanding ticket and reply waiter (reader exit path).
   void failAllPending(const std::string &Why);
-  /// Reader-thread reconnect: redial, re-hello, resubmit every pending
-  /// ticket, remap the new server tickets onto the existing promises.
-  /// Returns true when the reader should keep reading (on the new fd);
-  /// false hands the exit back to failAllPending. \p Why is the transport
-  /// error that killed the old connection (for failure messages).
-  bool tryReconnect(const std::string &Why);
 
-  /// Mutated by the reader on reconnect while user threads write frames,
-  /// hence atomic; retired descriptors are shut down but only ::close()d
-  /// in close(), so a concurrent writer can never hit a recycled fd.
-  std::atomic<int> Fd{-1};
+  /// Written only by connect() and close(), on the request-issuing
+  /// thread; the reader thread reads through Frames, never through Fd.
+  int Fd = -1;
   uint64_t NextId = 1;
 
   /// One queued reply: the parsed frame, or the parse error when the
@@ -344,8 +313,8 @@ private:
 
   std::thread Reader;
   /// The socket's one reader. Used by connect() before the reader thread
-  /// starts and by the reader thread alone after; every (re)dial rebinds
-  /// it, so a new connection never sees the old one's buffered bytes.
+  /// starts and by the reader thread alone after; every dial rebinds it,
+  /// so a new connection never sees the old one's buffered bytes.
   FrameReader Frames;
   mutable std::mutex Mu; ///< Guards everything below.
   std::condition_variable ReplyCv;
@@ -357,27 +326,6 @@ private:
   std::unordered_map<uint64_t, EarlyNote> Unclaimed;
   std::vector<AsyncHandle> Outstanding; ///< For waitAll; pruned by cancel.
   uint64_t ArrivalCounter = 0;
-  /// Original compile_async frame per pending ticket — the reconnect
-  /// replay buffer. Entries live exactly as long as their Tickets entry.
-  std::unordered_map<uint64_t, Json> TicketRequests;
-  /// Auto-reconnect configuration (setAutoReconnect; read by the reader).
-  bool AutoReconnect = false;
-  int ReconnectAttempts = 10;
-  int ReconnectDelayMillis = 50;
-  /// Every endpoint connect() was given, in failover order; reconnects
-  /// cycle through it starting after CurrentEndpoint (the one in use).
-  std::vector<std::string> EndpointList;
-  std::string FabricSecret; ///< For TCP auth on (re)dials.
-  size_t CurrentEndpoint = 0;
-  std::string ConnectedPath; ///< Endpoint in use; set by connect().
-  Json HelloMsg;             ///< Last successful hello, replayed on redial.
-  bool HelloSent = false;
-  /// Set by close() (under Mu, paired with the reader's commit check) so
-  /// a reconnect can never install a fresh fd after close() decided which
-  /// fd to shut down — the join would deadlock otherwise.
-  std::atomic<bool> ShuttingDown{false};
-  std::vector<int> RetiredFds; ///< Dead fds awaiting close()'s ::close.
-  std::atomic<uint64_t> ResubmittedCount{0};
 };
 
 } // namespace unit

@@ -1233,9 +1233,6 @@ Json CompileServer::handleStats(const Json &Request) {
   J.set("errors", Snapshot.Errors);
   J.set("tuner_invocations", tunerInvocations());
   J.set("inflight_jobs", Session->inFlightJobs());
-  // Continuation-engine counters: parked_joins must read 0 — a nonzero
-  // value means some session path went back to blocking a pool worker on
-  // a join, the regression the engine exists to prevent.
   SessionStats SS = Session->sessionStats();
   // Tuner economics (docs/TUNING.md). The process-wide counters sit next
   // to the session's transfer_seeds so one stats probe answers "is the
@@ -1251,7 +1248,6 @@ Json CompileServer::handleStats(const Json &Request) {
   Tuner.set("refit_active", machineOverlayActive());
   J.set("tuner", std::move(Tuner));
   Json SessionJson = Json::object();
-  SessionJson.set("parked_joins", SS.ParkedJoins);
   SessionJson.set("continuation_joins", SS.ContinuationJoins);
   SessionJson.set("inline_ready_hits", SS.InlineReadyHits);
   SessionJson.set("fresh_dispatches", SS.FreshDispatches);

@@ -112,17 +112,17 @@ TEST(CanonicalKey, ConvLayersWithRenamedVarsHitOneEntry) {
 
 TEST(KernelCache, HitSkipsTheCompiler) {
   KernelCache Cache;
-  int Compiles = 0;
-  auto Compile = [&] {
-    ++Compiles;
-    KernelReport R;
-    R.Seconds = 1.5;
-    return R;
-  };
-  KernelReport First = Cache.getOrCompute("k", Compile);
-  KernelReport Again = Cache.getOrCompute("k", Compile);
-  EXPECT_EQ(Compiles, 1);
-  EXPECT_EQ(First.Seconds, Again.Seconds);
+  std::shared_future<KernelReport> First, Again;
+  KernelCache::ComputeTicket Ticket;
+  ASSERT_EQ(Cache.resolveThen("k", nullptr, &First, &Ticket),
+            KernelCache::ResolveKind::MustCompute);
+  KernelReport R;
+  R.Seconds = 1.5;
+  Cache.fulfill("k", Ticket, R);
+  // The second resolve is served by the ready entry: no ticket, no compile.
+  EXPECT_EQ(Cache.resolveThen("k", nullptr, &Again, nullptr),
+            KernelCache::ResolveKind::Ready);
+  EXPECT_EQ(First.get().Seconds, Again.get().Seconds);
   EXPECT_EQ(Cache.stats().Hits, 1u);
   EXPECT_EQ(Cache.stats().Misses, 1u);
   EXPECT_TRUE(Cache.contains("k"));
@@ -137,14 +137,18 @@ TEST(KernelCache, ConcurrentMissesCompileOnce) {
   std::vector<std::thread> Threads;
   for (int T = 0; T < 8; ++T)
     Threads.emplace_back([&] {
-      Cache.getOrCompute("shared", [&] {
+      std::shared_future<KernelReport> Fut;
+      KernelCache::ComputeTicket Ticket;
+      if (Cache.resolveThen("shared", nullptr, &Fut, &Ticket) ==
+          KernelCache::ResolveKind::MustCompute) {
         Compiles.fetch_add(1);
         // Widen the race window so losers really do wait on the future.
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
         KernelReport R;
         R.Seconds = 2.0;
-        return R;
-      });
+        Cache.fulfill("shared", Ticket, R);
+      }
+      EXPECT_EQ(Fut.get().Seconds, 2.0);
     });
   for (std::thread &T : Threads)
     T.join();
@@ -519,7 +523,6 @@ TEST(CompileAsync, SixtyFourContinuationsOnTwoThreadsNeverPark) {
   EXPECT_EQ(Succeeded.load(), 64);
   EXPECT_EQ(ComputedCount.load(), 1);
   EXPECT_EQ(Backend->Compiles.load(), 1);
-  EXPECT_EQ(Session.parkedJoins(), 0u);
   SessionStats Stats = Session.sessionStats();
   EXPECT_EQ(Stats.FreshDispatches, 1u);
   EXPECT_EQ(Stats.ContinuationJoins + Stats.InlineReadyHits, 63u);
@@ -582,7 +585,6 @@ TEST(CompileAsync, FailureDrainsEveryRegisteredWaiter) {
   EXPECT_EQ(Fired.load(), 16);
   EXPECT_EQ(Errored.load(), 16);
   EXPECT_EQ(Backend->Compiles.load(), 1);
-  EXPECT_EQ(Session.parkedJoins(), 0u);
 
   // The failure evicted the entry, not poisoned it: a retry compiles
   // fresh and succeeds (ThrowFirstN only fails the first).
@@ -881,13 +883,14 @@ TEST(KernelCacheLru, LookupRefreshesRecency) {
   EXPECT_TRUE(Cache.contains("c"));
 }
 
-TEST(KernelCacheLru, SetCapacityShrinksImmediately) {
-  KernelCache Cache; // Unbounded.
-  for (int I = 0; I < 8; ++I)
+TEST(KernelCacheLru, EntryCapKeepsTheHottest) {
+  KernelCache Cache(3);
+  for (int I = 0; I < 8; ++I) {
     Cache.insert("k" + std::to_string(I), reportOf(I));
-  EXPECT_EQ(Cache.size(), 8u);
-  Cache.setCapacity(3);
+    EXPECT_LE(Cache.size(), 3u);
+  }
   EXPECT_EQ(Cache.size(), 3u);
+  EXPECT_EQ(Cache.stats().Evictions, 5u);
   // The three hottest (most recently inserted) survive.
   EXPECT_TRUE(Cache.contains("k7"));
   EXPECT_TRUE(Cache.contains("k6"));
@@ -997,28 +1000,35 @@ TEST(KernelCacheBytes, RealModelCompileAccountsItsKernels) {
 //===----------------------------------------------------------------------===//
 
 TEST(KernelCacheByteCap, EvictsColdestFirstUntilUnderTheCap) {
-  KernelCache Cache;
+  // Same-length keys and intrinsic-less reports: every entry accounts
+  // the same bytes, measured once on an uncapped cache.
+  size_t PerEntry;
+  {
+    KernelCache Probe;
+    Probe.insert("aa", reportOf(1));
+    PerEntry = Probe.bytesUsed();
+  }
+  ASSERT_GT(PerEntry, 0u);
+
+  // Two entries' worth: the third insert pushes out exactly the coldest.
+  KernelCache Cache(0, 2 * PerEntry);
+  EXPECT_EQ(Cache.byteCapacity(), 2 * PerEntry);
   Cache.insert("aa", reportOf(1));
   Cache.insert("bb", reportOf(2));
   Cache.insert("cc", reportOf(3));
-  size_t PerEntry = Cache.bytesUsed() / 3;
-  ASSERT_GT(PerEntry, 0u);
-
-  // Cap to two entries' worth: exactly the coldest ("aa") must go.
-  Cache.setByteCapacity(2 * PerEntry);
-  EXPECT_EQ(Cache.byteCapacity(), 2 * PerEntry);
   EXPECT_FALSE(Cache.contains("aa"));
   EXPECT_TRUE(Cache.contains("bb"));
   EXPECT_TRUE(Cache.contains("cc"));
   EXPECT_EQ(Cache.stats().Evictions, 1u);
   EXPECT_LE(Cache.bytesUsed(), 2 * PerEntry);
 
-  // Touch "bb" so "cc" becomes the cold end, then shrink again: strict
+  // Touch "bb" so "cc" becomes the cold end, then insert again: strict
   // LRU order means "cc" is evicted next, never the freshly warmed "bb".
   ASSERT_TRUE(Cache.lookup("bb").has_value());
-  Cache.setByteCapacity(PerEntry);
+  Cache.insert("dd", reportOf(4));
   EXPECT_TRUE(Cache.contains("bb"));
   EXPECT_FALSE(Cache.contains("cc"));
+  EXPECT_TRUE(Cache.contains("dd"));
   EXPECT_EQ(Cache.stats().Evictions, 2u);
 }
 
@@ -1033,28 +1043,25 @@ TEST(KernelCacheByteCap, InsertEnforcesTheCap) {
 }
 
 TEST(KernelCacheByteCap, InFlightEntriesAreNeverEvicted) {
-  KernelCache Cache;
-  std::atomic<bool> Release{false};
-  std::thread Winner([&] {
-    Cache.getOrCompute("inflight", [&] {
-      while (!Release.load())
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      return reportOf(9);
-    });
-  });
-  // Wait until the in-flight entry exists, then squeeze the cache hard.
-  while (!Cache.contains("inflight"))
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // A cap that holds the finished "inflight" entry alone: anything
+  // inserted beside it puts the cache over budget.
+  size_t Alone;
+  {
+    KernelCache Probe;
+    Probe.insert("inflight", reportOf(9));
+    Alone = Probe.bytesUsed();
+  }
+  KernelCache Cache(0, Alone);
+  KernelCache::ComputeTicket Ticket;
+  ASSERT_EQ(Cache.resolveThen("inflight", nullptr, nullptr, &Ticket),
+            KernelCache::ResolveKind::MustCompute);
   Cache.insert("ready", reportOf(1));
-  Cache.setByteCapacity(1);
   // The ready entry is evictable; the in-flight one must survive.
   EXPECT_TRUE(Cache.contains("inflight"));
   EXPECT_FALSE(Cache.contains("ready"));
-  // Lift the cap before the winner completes — once ready, the entry
-  // becomes evictable like any other.
-  Cache.setByteCapacity(0);
-  Release.store(true);
-  Winner.join();
+  EXPECT_EQ(Cache.stats().Evictions, 1u);
+  // Once the winner completes the entry fits the cap and stays.
+  Cache.fulfill("inflight", Ticket, reportOf(9));
   ASSERT_TRUE(Cache.lookup("inflight").has_value());
   EXPECT_EQ(Cache.lookup("inflight")->Seconds, 9.0);
 }
@@ -1082,35 +1089,33 @@ TEST(KernelCacheTtl, ExpiredEntryReadsAsAbsentAndRecompiles) {
   KernelCache Cache;
   double Now = 1000.0;
   Cache.setTTL(10.0, [&Now] { return Now; }); // Injectable clock: no sleeps.
-  int Compiles = 0;
-  auto Compile = [&] {
-    ++Compiles;
-    return reportOf(Compiles);
-  };
-  Cache.getOrCompute("k", Compile);
-  EXPECT_EQ(Compiles, 1);
+  KernelCache::ComputeTicket Ticket;
+  ASSERT_EQ(Cache.resolveThen("k", nullptr, nullptr, &Ticket),
+            KernelCache::ResolveKind::MustCompute);
+  Cache.fulfill("k", Ticket, reportOf(1));
 
   // Within the TTL: every probe still hits. Age runs from readiness, not
   // last use — the lookup here must not extend the entry's life.
   Now += 9.0;
   EXPECT_TRUE(Cache.contains("k"));
   EXPECT_TRUE(Cache.lookup("k").has_value());
-  Cache.getOrCompute("k", Compile);
-  EXPECT_EQ(Compiles, 1);
+  EXPECT_EQ(Cache.resolveThen("k", nullptr, nullptr, nullptr),
+            KernelCache::ResolveKind::Ready);
 
-  // 11 s after readiness: expired on every read path.
+  // 11 s after readiness: expired on every read path, resolve included.
   Now += 2.0;
   EXPECT_FALSE(Cache.contains("k"));
   EXPECT_FALSE(Cache.lookup("k").has_value());
-  EXPECT_FALSE(Cache.peek("k").has_value());
-  KernelReport Fresh = Cache.getOrCompute("k", Compile);
-  EXPECT_EQ(Compiles, 2);
-  EXPECT_EQ(Fresh.Seconds, 2.0);
+  std::shared_future<KernelReport> Fresh;
+  ASSERT_EQ(Cache.resolveThen("k", nullptr, &Fresh, &Ticket),
+            KernelCache::ResolveKind::MustCompute);
+  Cache.fulfill("k", Ticket, reportOf(2));
+  EXPECT_EQ(Fresh.get().Seconds, 2.0);
 
   // The recompile restarted the entry's clock.
   Now += 9.0;
-  Cache.getOrCompute("k", Compile);
-  EXPECT_EQ(Compiles, 2);
+  EXPECT_EQ(Cache.resolveThen("k", nullptr, nullptr, nullptr),
+            KernelCache::ResolveKind::Ready);
 }
 
 TEST(KernelCacheTtl, SaveSkipsExpiredAndPurgeReleasesThem) {
@@ -1142,28 +1147,19 @@ TEST(KernelCacheTtl, InFlightEntriesNeverExpire) {
   KernelCache Cache;
   double Now = 0.0;
   Cache.setTTL(1.0, [&Now] { return Now; });
-  std::promise<void> Gate;
-  std::shared_future<void> GateOpen = Gate.get_future().share();
-  std::atomic<int> Compiles{0};
-  std::thread Winner([&] {
-    Cache.getOrCompute("k", [&] {
-      Compiles.fetch_add(1);
-      GateOpen.wait();
-      return reportOf(1);
-    });
-  });
-  while (!Cache.contains("k"))
-    std::this_thread::yield();
+  KernelCache::ComputeTicket Ticket;
+  ASSERT_EQ(Cache.resolveThen("k", nullptr, nullptr, &Ticket),
+            KernelCache::ResolveKind::MustCompute);
   Now = 100.0; // Far past the TTL while the compile is still in flight.
-  EXPECT_TRUE(Cache.peek("k").has_value());
-  Gate.set_value();
-  Winner.join();
+  EXPECT_TRUE(Cache.contains("k"));
+  EXPECT_EQ(Cache.resolveThen("k", nullptr, nullptr, nullptr),
+            KernelCache::ResolveKind::Joined);
+  Cache.fulfill("k", Ticket, reportOf(1));
   // Readiness stamped at Now=100: the entry is fresh from completion.
-  Cache.getOrCompute("k", [&] {
-    Compiles.fetch_add(1);
-    return reportOf(2);
-  });
-  EXPECT_EQ(Compiles.load(), 1);
+  std::shared_future<KernelReport> Fut;
+  EXPECT_EQ(Cache.resolveThen("k", nullptr, &Fut, nullptr),
+            KernelCache::ResolveKind::Ready);
+  EXPECT_EQ(Fut.get().Seconds, 1.0);
 }
 
 TEST(KernelCacheTtl, SessionConfigTtlIsApplied) {

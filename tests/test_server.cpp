@@ -1073,19 +1073,20 @@ struct GatedCompiles {
     for (size_t I = 0; I < Layers.size(); ++I) {
       std::string Key =
           CompileRequest(Workload::conv2d(Layers[I]), Backend).cacheKey();
-      Winners.emplace_back([&Session, this, Key, SecondsBase, I] {
-        Session.cache().getOrCompute(Key, [this, SecondsBase, I] {
-          GateOpen.wait();
-          KernelReport R;
-          R.Seconds = SecondsBase + static_cast<double>(I);
-          R.Tensorized = true;
-          return R;
-        });
-      });
-      // The winner must be in flight before anyone submits against the
-      // key (the entry appears when getOrCompute inserts it).
-      while (!Session.cache().contains(Key))
-        std::this_thread::yield();
+      // Winning the key here plants the in-flight entry before anyone
+      // submits against it; the thread only waits and then publishes.
+      KernelCache::ComputeTicket Ticket;
+      if (Session.cache().resolveThen(Key, nullptr, nullptr, &Ticket) !=
+          KernelCache::ResolveKind::MustCompute)
+        continue;
+      Winners.emplace_back(
+          [&Session, this, Key, SecondsBase, I, Ticket]() mutable {
+            GateOpen.wait();
+            KernelReport R;
+            R.Seconds = SecondsBase + static_cast<double>(I);
+            R.Tensorized = true;
+            Session.cache().fulfill(Key, Ticket, R);
+          });
     }
   }
   void join() {
@@ -1383,7 +1384,7 @@ TEST_F(ServerTest, ClientVanishingWithPendingTicketsLeavesServerHealthy) {
 /// (Under the parked-join engine each join pinned a worker on the
 /// winner's future, so 32 joins on a 2-thread pool starved every later
 /// compile.) The free layers, submitted last, complete first — and the
-/// server's own counters prove nothing parked.
+/// server's own counters show every gated ticket joined.
 TEST_F(ServerTest, FanInBeyondPoolSizeRidesContinuations) {
   ServerConfig Config;
   Config.SessionCfg.Threads = 2; // Far fewer workers than pending joins.
@@ -1423,13 +1424,11 @@ TEST_F(ServerTest, FanInBeyondPoolSizeRidesContinuations) {
   EXPECT_EQ(Client->pendingTickets(), 32u);
 
   // The session's own accounting: every gated ticket is a continuation
-  // join, and the parked-join counter — the regression detector for the
-  // old engine — reads zero.
+  // join.
   std::optional<Json> Stats = Client->stats(false, &Err);
   ASSERT_TRUE(Stats.has_value()) << Err;
   const Json *SessionJson = Stats->get("session");
   ASSERT_NE(SessionJson, nullptr);
-  EXPECT_EQ(SessionJson->integer("parked_joins"), 0);
   EXPECT_GE(SessionJson->integer("continuation_joins"), 32);
 
   Gate.set_value();
@@ -1496,18 +1495,15 @@ TEST_F(ServerTest, TicketBudgetHoldsEightThousandJoinsOnOneConnection) {
   ASSERT_TRUE(Stats.has_value()) << Err;
   const Json *SessionJson = Stats->get("session");
   ASSERT_NE(SessionJson, nullptr);
-  EXPECT_EQ(SessionJson->integer("parked_joins"), 0);
   EXPECT_GE(SessionJson->integer("continuation_joins"),
             static_cast<int64_t>(MaxPendingTicketsPerConnection));
 }
 
-/// Auto-reconnect: a client whose connection dies with a ticket in
-/// flight redials the path, replays hello, resubmits the ticket, and
-/// the ORIGINAL future resolves against the new server. The first
-/// "server" is a bare listener speaking just enough protocol to issue a
-/// ticket and then vanish; the real daemon takes over the same path
-/// before the drop is delivered, so the redial finds it immediately.
-TEST_F(ServerTest, AutoReconnectResubmitsUnresolvedTickets) {
+/// A dropped connection has one outcome: the client fails every pending
+/// future with the transport error and every later request fast. The
+/// "server" is a bare listener speaking just enough protocol to welcome
+/// the client and grant a ticket before it hangs up.
+TEST_F(ServerTest, DroppedConnectionFailsPendingTicketsAndLaterRequests) {
   SocketPath = tempPath(".sock");
 
   int Listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -1520,12 +1516,9 @@ TEST_F(ServerTest, AutoReconnectResubmitsUnresolvedTickets) {
   ASSERT_EQ(::listen(Listener, 1), 0);
 
   // The flaky half: welcome the client, grant ticket 7 for its
-  // compile_async, then hold the socket open (main closes it later, so
-  // the EOF lands only after the real server owns the path — no window
-  // where the redial could reach a dead listener).
-  int FlakyConn = -1;
+  // compile_async, then close the connection with the ticket unresolved.
   std::thread Flaky([&] {
-    FlakyConn = ::accept(Listener, nullptr, nullptr);
+    int FlakyConn = ::accept(Listener, nullptr, nullptr);
     if (FlakyConn < 0)
       return;
     FrameReader Reader(FlakyConn);
@@ -1543,46 +1536,37 @@ TEST_F(ServerTest, AutoReconnectResubmitsUnresolvedTickets) {
       Submitted.set("ticket", 7);
       writeFrame(FlakyConn, Submitted.dump());
     }
+    ::close(FlakyConn);
   });
 
   CompileClient Client;
-  Client.setAutoReconnect(true, /*MaxAttempts=*/100, /*RetryDelayMillis=*/20);
   std::string Err;
   ASSERT_TRUE(Client.connect(SocketPath, &Err)) << Err;
-  ASSERT_TRUE(Client.hello("phoenix", 0, &Err).has_value()) << Err;
+  ASSERT_TRUE(Client.hello("mayfly", 0, &Err).has_value()) << Err;
 
   Model Zoo = makeResnet18();
   std::optional<CompileClient::AsyncHandle> H =
       Client.submitConv("x86", Zoo.Convs[0], {}, &Err);
   ASSERT_TRUE(H.has_value()) << Err;
   EXPECT_EQ(H->Ticket, 7u);
-
-  // Swap servers under the path, then deliver the EOF.
   Flaky.join();
-  ASSERT_GE(FlakyConn, 0);
   ::close(Listener);
-  ::unlink(SocketPath.c_str());
-  ServerConfig Config;
-  Config.SocketPath = SocketPath;
-  Server = std::make_unique<CompileServer>(std::move(Config));
-  ASSERT_TRUE(Server->start(&Err)) << Err;
-  ::close(FlakyConn);
 
-  // The pre-drop handle resolves: the reader redialed, replayed hello,
-  // resubmitted, and remapped the new ticket onto the old future.
-  std::optional<CompileClient::CompileResult> R = Client.wait(*H, &Err);
-  ASSERT_TRUE(R.has_value()) << Err;
-  EXPECT_FALSE(R->Cached);
-  EXPECT_EQ(Client.resubmittedTickets(), 1u);
+  // The pending future fails with the transport error, promptly.
+  ASSERT_EQ(H->Fut.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  EXPECT_FALSE(Client.wait(*H, &Err).has_value());
+  EXPECT_EQ(Err, "server closed the connection");
+  EXPECT_EQ(Client.pendingTickets(), 0u);
 
-  // The healed connection is an ordinary connection: a blocking round
-  // trip serves the same key warm, bit-equal to the replayed result.
-  std::optional<CompileClient::CompileResult> Warm =
-      Client.compileConv("x86", Zoo.Convs[0], {}, &Err);
-  ASSERT_TRUE(Warm.has_value()) << Err;
-  EXPECT_TRUE(Warm->Cached);
-  EXPECT_EQ(Warm->Report.Seconds, R->Report.Seconds);
-  Client.close();
+  // Nothing heals the connection: the next round trip fails fast and the
+  // client reads as disconnected.
+  auto Start = std::chrono::steady_clock::now();
+  Err.clear();
+  EXPECT_FALSE(Client.compileConv("x86", Zoo.Convs[0], {}, &Err).has_value());
+  EXPECT_FALSE(Err.empty());
+  EXPECT_LT(std::chrono::steady_clock::now() - Start, std::chrono::seconds(5));
+  EXPECT_FALSE(Client.connected());
 }
 
 //===----------------------------------------------------------------------===//
@@ -2406,11 +2390,6 @@ TEST_F(ServerTest, TwoDaemonsOneColdTuneClusterwideViaPeerFetch) {
   EXPECT_TRUE(OnA->Cached);
   EXPECT_EQ(OnA->Report.Seconds, OnB->Report.Seconds);
   EXPECT_EQ(tunerInvocations() - TunesLate, 0u);
-
-  // Peer exchange rides the continuation engine like everything else:
-  // no thread ever parked on either daemon.
-  EXPECT_EQ(Server->session().parkedJoins(), 0u);
-  EXPECT_EQ(B.session().parkedJoins(), 0u);
   B.stop();
 }
 
@@ -2535,85 +2514,40 @@ TEST_F(ServerTest, TwoDaemonsEachTraceOnlyTheirOwnRequests) {
   B.stop();
 }
 
-TEST_F(ServerTest, EndpointListFailoverResolvesOriginalFutures) {
-  const std::string Secret = "failover-secret";
-
-  // The survivor: a real daemon on TCP.
+/// connect() dials an endpoint list in order and keeps the first that
+/// accepts: a dead Unix path ahead of a live TCP daemon is skipped, and
+/// the connection it lands on serves cold and warm compiles alike.
+TEST_F(ServerTest, EndpointListSkipsADeadEndpointAtConnect) {
+  const std::string Secret = "endpoint-list-secret";
   ServerConfig Config;
   Config.TcpListen = "127.0.0.1:0";
   Config.Secret = Secret;
   startServer(std::move(Config));
   std::string TcpEp = Endpoint{"127.0.0.1", Server->tcpPort()}.display();
 
-  // The casualty: a bare Unix listener that welcomes the client, grants
-  // ticket 7, then dies — same flaky half as the auto-reconnect test,
-  // now as endpoint #1 of a two-endpoint list.
-  std::string FlakyPath = tempPath(".sock");
-  int Listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(Listener, 0);
-  sockaddr_un Addr;
-  ASSERT_TRUE(makeUnixSocketAddr(FlakyPath, Addr, nullptr));
-  ASSERT_EQ(::bind(Listener, reinterpret_cast<sockaddr *>(&Addr),
-                   sizeof(Addr)),
-            0);
-  ASSERT_EQ(::listen(Listener, 1), 0);
-  int FlakyConn = -1;
-  std::thread Flaky([&] {
-    FlakyConn = ::accept(Listener, nullptr, nullptr);
-    if (FlakyConn < 0)
-      return;
-    FrameReader Reader(FlakyConn);
-    std::string Frame;
-    if (Reader.next(Frame) == FrameStatus::Ok) { // hello
-      Json Welcome = Json::object();
-      Welcome.set("type", "welcome");
-      Welcome.set("server", "flaky");
-      Welcome.set("protocol", ProtocolVersion);
-      writeFrame(FlakyConn, Welcome.dump());
-    }
-    if (Reader.next(Frame) == FrameStatus::Ok) { // compile_async
-      Json Submitted = Json::object();
-      Submitted.set("type", "submitted");
-      Submitted.set("ticket", 7);
-      writeFrame(FlakyConn, Submitted.dump());
-    }
-  });
+  // Endpoint #1: a Unix path nothing listens on.
+  std::string DeadPath = tempPath(".sock");
 
   CompileClient Client;
-  Client.setAutoReconnect(true, /*MaxAttempts=*/100, /*RetryDelayMillis=*/20);
   std::string Err;
-  ASSERT_TRUE(Client.connect({FlakyPath, TcpEp}, Secret, &Err)) << Err;
+  ASSERT_TRUE(Client.connect({DeadPath, TcpEp}, Secret, &Err)) << Err;
   ASSERT_TRUE(Client.hello("nomad", 0, &Err).has_value()) << Err;
 
-  Model Zoo = makeResnet18();
-  std::optional<CompileClient::AsyncHandle> H =
-      Client.submitConv("x86", Zoo.Convs[0], {}, &Err);
-  ASSERT_TRUE(H.has_value()) << Err;
-  EXPECT_EQ(H->Ticket, 7u);
-
-  // Kill endpoint #1. Failover starts AFTER the dead endpoint, lands on
-  // the TCP daemon, passes the handshake, replays hello, resubmits — and
-  // the pre-drop future resolves with a real report.
-  Flaky.join();
-  ASSERT_GE(FlakyConn, 0);
-  ::close(Listener);
-  ::unlink(FlakyPath.c_str());
-  ::close(FlakyConn);
-
-  std::optional<CompileClient::CompileResult> R = Client.wait(*H, &Err);
-  ASSERT_TRUE(R.has_value()) << Err;
-  EXPECT_FALSE(R->Cached);
-  EXPECT_EQ(Client.resubmittedTickets(), 1u);
-
-  // The healed connection talks to the real daemon now: warm round trip,
-  // identical report.
+  ConvLayer L{"endpoint-list", 48, 12, 12, 48, 3, 3, 1, 1, 1, false};
+  std::optional<CompileClient::CompileResult> Cold =
+      Client.compileConv("x86", L, {}, &Err);
+  ASSERT_TRUE(Cold.has_value()) << Err;
+  EXPECT_FALSE(Cold->Cached);
   std::optional<CompileClient::CompileResult> Warm =
-      Client.compileConv("x86", Zoo.Convs[0], {}, &Err);
+      Client.compileConv("x86", L, {}, &Err);
   ASSERT_TRUE(Warm.has_value()) << Err;
   EXPECT_TRUE(Warm->Cached);
-  EXPECT_EQ(Warm->Report.Seconds, R->Report.Seconds);
+  EXPECT_EQ(Warm->Report.Seconds, Cold->Report.Seconds);
+  EXPECT_EQ(Warm->Report.Tensorized, Cold->Report.Tensorized);
+  EXPECT_EQ(Warm->Report.BestCandidateIndex, Cold->Report.BestCandidateIndex);
+  EXPECT_EQ(Warm->Report.CandidatesTried, Cold->Report.CandidatesTried);
+  EXPECT_EQ(Warm->Report.IntrinsicName, Cold->Report.IntrinsicName);
   Client.close();
-  EXPECT_EQ(Server->session().parkedJoins(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -2810,7 +2744,7 @@ TEST_F(ServerTest, StatsKeySetMatchesTheDocumentedContract) {
             (Keys{"invocations", "candidates_scored", "pruned_candidates",
                   "transfer_seeds", "refit_active"}));
   EXPECT_EQ(KeysOf(Stats->get("session")),
-            (Keys{"parked_joins", "continuation_joins", "inline_ready_hits",
+            (Keys{"continuation_joins", "inline_ready_hits",
                   "fresh_dispatches"}));
   EXPECT_EQ(KeysOf(Stats->get("streaming")),
             (Keys{"tickets_issued", "notifications_delivered",
@@ -2918,7 +2852,6 @@ TEST_F(ServerTest, StatsHammerDeliveredNeverReadsAheadOfIssued) {
             static_cast<int64_t>(Streamers * LayersPerClient));
   EXPECT_EQ(Streaming->integer("notifications_delivered"),
             Streaming->integer("tickets_issued"));
-  EXPECT_EQ(Server->session().parkedJoins(), 0u);
 }
 
 } // namespace

@@ -51,7 +51,7 @@ void usage(const char *Argv0) {
       "  --socket PATH       server Unix socket\n"
       "  --connect EP        server endpoint: a Unix socket path or a TCP\n"
       "                      HOST:PORT (needs --secret-file); repeatable —\n"
-      "                      later endpoints are failover targets\n"
+      "                      tried in order at connect, first to accept wins\n"
       "  --secret-file FILE  shared secret for TCP endpoints (first line)\n"
       "  --client NAME       client name for the hello handshake\n"
       "  --budget N          per-client tuning budget (hello max_candidates)\n"
@@ -256,7 +256,7 @@ int main(int argc, char **argv) {
     }
   }
   // --socket is sugar for a single Unix endpoint at the front of the
-  // failover list.
+  // endpoint list.
   if (!SocketPath.empty())
     Endpoints.insert(Endpoints.begin(), SocketPath);
   if (Endpoints.empty() ||
