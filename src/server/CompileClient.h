@@ -81,7 +81,12 @@ public:
   bool connect(const std::vector<std::string> &Endpoints,
                const std::string &Secret, std::string *Err = nullptr);
   void close();
-  bool connected() const { return Fd >= 0; }
+  /// False once the reader has seen the server close the connection,
+  /// even before a request fails on it; connect() makes it true again.
+  bool connected() const {
+    std::lock_guard<std::mutex> Lock(Mu);
+    return Fd >= 0 && !ReaderExited;
+  }
 
   /// Sends one request frame and reads the matching response frame
   /// (notifications that arrive in between are dispatched to their

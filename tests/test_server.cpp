@@ -1558,15 +1558,25 @@ TEST_F(ServerTest, DroppedConnectionFailsPendingTicketsAndLaterRequests) {
   EXPECT_FALSE(Client.wait(*H, &Err).has_value());
   EXPECT_EQ(Err, "server closed the connection");
   EXPECT_EQ(Client.pendingTickets(), 0u);
+  // The reader saw the close, so the client reads as disconnected before
+  // any request has failed on the dead socket.
+  EXPECT_FALSE(Client.connected());
 
   // Nothing heals the connection: the next round trip fails fast and the
-  // client reads as disconnected.
+  // client stays disconnected.
   auto Start = std::chrono::steady_clock::now();
   Err.clear();
   EXPECT_FALSE(Client.compileConv("x86", Zoo.Convs[0], {}, &Err).has_value());
   EXPECT_FALSE(Err.empty());
   EXPECT_LT(std::chrono::steady_clock::now() - Start, std::chrono::seconds(5));
   EXPECT_FALSE(Client.connected());
+
+  // An explicit connect to a live server clears the reader's exit.
+  startServer();
+  ASSERT_TRUE(Client.connect(SocketPath, &Err)) << Err;
+  EXPECT_TRUE(Client.connected());
+  ASSERT_TRUE(Client.hello("mayfly-again", 0, &Err).has_value()) << Err;
+  EXPECT_TRUE(Client.connected());
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,15 +1,15 @@
-//===- tools/unit_refit.cpp - Refit machine constants from measurements ----===//
+//===- tools/unit_refit.cpp - Refit machine constants from the host ---------===//
 //
 // Part of the UNIT reproduction (CGO 2021). MIT license.
 //
-// Turns the host_probe section of a micro_compile BENCH_compile.json into
-// a machine-overlay file (docs/TUNING.md "Cost-model refit"): the two
-// machine-model constants a host can actually measure cheaply — DRAM
-// bandwidth and parallel-region fork/join overhead — are recomputed from
-// the measurements, everything else keeps its registered value.
+// Measures the host it runs on and writes a machine-overlay file
+// (docs/TUNING.md "Cost-model refit"): the two machine-model constants a
+// host can measure cheaply — DRAM bandwidth (a 64 MiB memcpy sweep) and
+// parallel-region fork/join overhead (200 empty parallelFor regions) —
+// are recomputed from the probe, everything else keeps its registered
+// value.
 //
-//   unit_refit --bench BENCH_compile.json [--target ID]...
-//              [--out refit_overlay.json] [--apply]
+//   unit_refit [--target ID]... [--out refit_overlay.json] [--apply]
 //
 // The overlay is consumed by `unit_serve --machine-overlay FILE` (or any
 // host calling applyMachineOverlayFile); --apply additionally loads it
@@ -19,14 +19,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "server/Protocol.h"
+#include "support/ThreadPool.h"
+#include "support/Time.h"
 #include "target/MachineOverlay.h"
 #include "target/TargetRegistry.h"
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -37,9 +38,7 @@ namespace {
 void usage(const char *Argv0) {
   std::fprintf(
       stderr,
-      "usage: %s --bench FILE [options]\n"
-      "  --bench FILE   BENCH_compile.json with a host_probe section\n"
-      "                 (written by the micro_compile benchmark)\n"
+      "usage: %s [options]\n"
       "  --target ID    CPU target to refit (repeatable; default: every\n"
       "                 spec-registered CPU target)\n"
       "  --out FILE     overlay file to write (default refit_overlay.json)\n"
@@ -48,10 +47,52 @@ void usage(const char *Argv0) {
       Argv0);
 }
 
+struct HostProbe {
+  double MemcpyGbps = 0;
+  double ForkJoinUs = 0;
+};
+
+HostProbe probeHost() {
+  HostProbe Probe;
+  // Buffers far beyond L3 so the copy streams from DRAM. One warm pass
+  // to fault the pages, then timed passes counting read+write traffic.
+  // The volatile read of each copy keeps the compiler from dropping it.
+  constexpr size_t Bytes = size_t(64) << 20;
+  constexpr int Passes = 4;
+  std::vector<char> Src(Bytes, 1), Dst(Bytes, 0);
+  std::memcpy(Dst.data(), Src.data(), Bytes);
+  volatile const char *Copied = Dst.data();
+  double T0 = steadyNowSeconds();
+  for (int I = 0; I < Passes; ++I) {
+    std::memcpy(Dst.data(), Src.data(), Bytes);
+    (void)Copied[Bytes - 1];
+  }
+  double CopySeconds = steadyNowSeconds() - T0;
+  Probe.MemcpyGbps =
+      2.0 * static_cast<double>(Bytes) * Passes / CopySeconds / 1e9;
+
+  ThreadPool Pool;
+  // Warm the pool (first region pays thread wake-up), then time empty
+  // regions: pure fork + join, no body.
+  Pool.parallelFor(Pool.threadCount(), [](size_t) {});
+  constexpr int Regions = 200;
+  T0 = steadyNowSeconds();
+  for (int I = 0; I < Regions; ++I)
+    Pool.parallelFor(Pool.threadCount(), [](size_t) {});
+  Probe.ForkJoinUs = (steadyNowSeconds() - T0) / Regions * 1e6;
+  // Below-timer-resolution readings still have to pass the positivity
+  // check below, so floor at 1 ns.
+  if (Probe.ForkJoinUs < 0.001)
+    Probe.ForkJoinUs = 0.001;
+  std::printf("host probe: memcpy %.1f GB/s | fork/join %.1f us "
+              "(%u threads)\n",
+              Probe.MemcpyGbps, Probe.ForkJoinUs, Pool.threadCount());
+  return Probe;
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string BenchPath;
   std::string OutPath = "refit_overlay.json";
   std::vector<std::string> Targets;
   bool Apply = false;
@@ -64,9 +105,7 @@ int main(int argc, char **argv) {
       }
       return argv[++I];
     };
-    if (Arg == "--bench")
-      BenchPath = NextValue();
-    else if (Arg == "--target")
+    if (Arg == "--target")
       Targets.push_back(NextValue());
     else if (Arg == "--out")
       OutPath = NextValue();
@@ -81,38 +120,12 @@ int main(int argc, char **argv) {
       return 2;
     }
   }
-  if (BenchPath.empty()) {
-    usage(argv[0]);
-    return 2;
-  }
 
-  std::ifstream In(BenchPath, std::ios::binary);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot read '%s'\n", BenchPath.c_str());
-    return 1;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  std::string Err;
-  std::optional<Json> Bench = Json::parse(Buf.str(), &Err);
-  if (!Bench) {
-    std::fprintf(stderr, "error: %s: %s\n", BenchPath.c_str(), Err.c_str());
-    return 1;
-  }
-  const Json *Probe = Bench->get("host_probe");
-  if (!Probe || !Probe->isObject()) {
+  const HostProbe Probe = probeHost();
+  if (!std::isfinite(Probe.MemcpyGbps) || Probe.MemcpyGbps <= 0 ||
+      !std::isfinite(Probe.ForkJoinUs) || Probe.ForkJoinUs <= 0) {
     std::fprintf(stderr,
-                 "error: %s has no host_probe section (re-run the "
-                 "micro_compile benchmark to measure one)\n",
-                 BenchPath.c_str());
-    return 1;
-  }
-  double MemcpyGbps = Probe->num("memcpy_gbps", 0);
-  double ForkJoinUs = Probe->num("fork_join_us", 0);
-  if (!std::isfinite(MemcpyGbps) || MemcpyGbps <= 0 ||
-      !std::isfinite(ForkJoinUs) || ForkJoinUs <= 0) {
-    std::fprintf(stderr,
-                 "error: host_probe needs positive memcpy_gbps and "
+                 "error: host probe needs positive memcpy_gbps and "
                  "fork_join_us\n");
     return 1;
   }
@@ -142,8 +155,8 @@ int main(int argc, char **argv) {
     // The probe measures wall-clock quantities; the model wants cycles at
     // the spec's frequency: bytes/cycle = (GB/s) / GHz, and cycles =
     // microseconds * GHz * 1000.
-    double DramBytesPerCycle = MemcpyGbps / Spec.Cpu.FreqGHz;
-    double ForkJoinCycles = ForkJoinUs * Spec.Cpu.FreqGHz * 1e3;
+    double DramBytesPerCycle = Probe.MemcpyGbps / Spec.Cpu.FreqGHz;
+    double ForkJoinCycles = Probe.ForkJoinUs * Spec.Cpu.FreqGHz * 1e3;
     std::printf("%-10s dram_bytes_per_cycle %7.2f -> %7.2f | "
                 "fork_join_cycles %8.0f -> %8.0f\n",
                 Id.c_str(), Spec.Cpu.DramBytesPerCycle, DramBytesPerCycle,
@@ -176,6 +189,7 @@ int main(int argc, char **argv) {
               Overlay.get("refit")->items().size());
 
   if (Apply) {
+    std::string Err;
     if (!applyMachineOverlayText(Text, &Err)) {
       std::fprintf(stderr, "error: generated overlay failed to apply: %s\n",
                    Err.c_str());
