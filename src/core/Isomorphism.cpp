@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <unordered_map>
 
 using namespace unit;
 
@@ -405,8 +404,11 @@ IsoResult unit::matchCompute(const ComputeOp &Instr, const ComputeOp &Op) {
 // Structural distance (transfer tuning, docs/TUNING.md)
 //===----------------------------------------------------------------------===//
 
-std::vector<std::string_view> unit::structuralTokens(std::string_view Key) {
-  std::vector<std::string_view> Tokens;
+namespace {
+
+/// Calls \p Emit with each structural token of \p Key, in order.
+template <typename EmitFn>
+void forEachToken(std::string_view Key, EmitFn Emit) {
   size_t I = 0;
   auto IsDigit = [](char C) { return C >= '0' && C <= '9'; };
   auto IsIdent = [](char C) {
@@ -423,8 +425,77 @@ std::vector<std::string_view> unit::structuralTokens(std::string_view Key) {
     } else {
       ++I;
     }
-    Tokens.push_back(Key.substr(Start, I - Start));
+    Emit(Key.substr(Start, I - Start));
   }
+}
+
+/// A token packed for comparison: its first 7 bytes and its length
+/// (capped at 255) in one word. Only tokens longer than 7 bytes, whose
+/// words can be equal while they differ, also compare their text.
+struct PackedToken {
+  uint64_t Word;
+  std::string_view Text;
+  bool operator==(const PackedToken &O) const {
+    return Word == O.Word && ((Word >> 56) <= 7 || Text == O.Text);
+  }
+};
+
+void packTokens(std::string_view Key, std::vector<PackedToken> &Out) {
+  Out.clear();
+  forEachToken(Key, [&Out](std::string_view Tok) {
+    uint64_t Word = std::min<uint64_t>(Tok.size(), 255) << 56;
+    for (size_t I = 0; I < Tok.size() && I < 7; ++I)
+      Word |= uint64_t(static_cast<unsigned char>(Tok[I])) << (8 * I);
+    Out.push_back({Word, Tok});
+  });
+}
+
+/// Edit distance between sequences of \p N and \p M tokens, where
+/// Same(I, J) says whether the first's I-th token equals the second's
+/// J-th, by diagonal transition (Ukkonen 1985; Landau and Vishkin 1989).
+/// For d = 0, 1, ..., each diagonal k = j - i holds the furthest row
+/// reachable with d edits, slid along equal tokens, until diagonal M - N
+/// reaches row N. A diagonal more than Cutoff - d away from M - N cannot
+/// finish within the cutoff and is skipped, so near-equal sequences cost
+/// O(N + d^2). Returns Cutoff + 1 when the distance exceeds \p Cutoff.
+template <typename SameFn>
+size_t diagonalDistance(size_t N, size_t M, size_t Cutoff, SameFn Same) {
+  if ((N > M ? N - M : M - N) > Cutoff)
+    return Cutoff + 1;
+  // No distance exceeds max(N, M), so K sizes the row by the sequences.
+  const long K = static_cast<long>(std::min(Cutoff, std::max(N, M)));
+  const long LN = static_cast<long>(N), LM = static_cast<long>(M);
+  const long Goal = LM - LN, Off = K + 1;
+  // Row[Off + k]; never-reached diagonals read far below any row, and the
+  // -1 on diagonal 0 starts d = 0 at row 0.
+  std::vector<long> Row(static_cast<size_t>(2 * K + 3), -LN - LM - 2);
+  Row[Off] = -1;
+  for (long D = 0; D <= K; ++D) {
+    long Lo = std::max({-D, -LN, Goal - (K - D)});
+    long Hi = std::min({D, LM, Goal + (K - D)});
+    long Left = Row[Off + Lo - 1]; // Diagonal k - 1 before this round.
+    for (long Kd = Lo; Kd <= Hi; ++Kd) {
+      long Old = Row[Off + Kd];
+      long R = std::min({std::max({Old + 1, Left, Row[Off + Kd + 1] + 1}),
+                         LN, LM - Kd});
+      while (R < LN && R + Kd < LM &&
+             Same(static_cast<size_t>(R), static_cast<size_t>(R + Kd)))
+        ++R;
+      Left = Old;
+      Row[Off + Kd] = R;
+    }
+    if (Row[Off + Goal] == LN)
+      return static_cast<size_t>(D);
+  }
+  return Cutoff + 1;
+}
+
+} // namespace
+
+std::vector<std::string_view> unit::structuralTokens(std::string_view Key) {
+  std::vector<std::string_view> Tokens;
+  forEachToken(Key,
+               [&Tokens](std::string_view Tok) { Tokens.push_back(Tok); });
   return Tokens;
 }
 
@@ -432,59 +503,23 @@ size_t unit::structuralDistance(const std::string &A, const std::string &B,
                                 size_t Cutoff) {
   if (A == B)
     return 0;
-  // Intern both token streams against one local table, so equal tokens
-  // get equal ids, and compare the ids.
-  std::unordered_map<std::string_view, uint32_t> Ids;
-  auto Intern = [&Ids](std::string_view Key) {
-    std::vector<uint32_t> Out;
-    for (std::string_view Tok : structuralTokens(Key))
-      Out.push_back(
-          Ids.emplace(Tok, static_cast<uint32_t>(Ids.size())).first->second);
-    return Out;
-  };
-  return structuralDistance(Intern(A), Intern(B), Cutoff);
+  // A scan compares one query A with many keys, so A's tokens are kept
+  // per thread, keyed by A's content (LastA is a copy), never its address.
+  thread_local std::string LastA;
+  thread_local std::vector<PackedToken> TokA, TokB;
+  if (A != LastA) {
+    LastA = A;
+    packTokens(LastA, TokA);
+  }
+  packTokens(B, TokB);
+  return diagonalDistance(
+      TokA.size(), TokB.size(), Cutoff,
+      [](size_t I, size_t J) { return TokA[I] == TokB[J]; });
 }
 
 size_t unit::structuralDistance(const std::vector<uint32_t> &A,
                                 const std::vector<uint32_t> &B,
                                 size_t Cutoff) {
-  if (A == B)
-    return 0;
-  size_t N = A.size(), M = B.size();
-  // Length difference is a lower bound on the edit distance.
-  size_t Diff = N > M ? N - M : M - N;
-  if (Diff > Cutoff)
-    return Cutoff + 1;
-
-  // Banded Levenshtein: cells more than Cutoff off the diagonal can never
-  // come back under the cutoff, so only the 2*Cutoff+1 band of each row
-  // is computed, over two rolling rows that start all "over". The band
-  // only moves right, so a cell right of the previous row's band still
-  // reads "over"; the one stale cell left of this row's band is reset.
-  const size_t Over = Cutoff + 1;
-  std::vector<size_t> Prev(M + 1, Over), Cur(M + 1, Over);
-  for (size_t J = 0; J <= M && J <= Cutoff; ++J)
-    Prev[J] = J;
-  for (size_t I = 1; I <= N; ++I) {
-    size_t Lo = I > Cutoff ? I - Cutoff : 0;
-    size_t Hi = std::min(M, I + Cutoff);
-    size_t RowMin = Over;
-    if (Lo == 0) {
-      Cur[0] = I;
-      RowMin = I;
-    } else {
-      Cur[Lo - 1] = Over;
-    }
-    for (size_t J = std::max<size_t>(1, Lo); J <= Hi; ++J) {
-      size_t Sub = Prev[J - 1] + (A[I - 1] == B[J - 1] ? 0 : 1);
-      size_t Del = Prev[J] + 1;
-      size_t Ins = Cur[J - 1] + 1;
-      Cur[J] = std::min({Sub, Del, Ins, Over});
-      RowMin = std::min(RowMin, Cur[J]);
-    }
-    if (RowMin >= Over)
-      return Over; // Every band cell already exceeds the cutoff.
-    std::swap(Prev, Cur);
-  }
-  return std::min(Prev[M], Over);
+  return diagonalDistance(A.size(), B.size(), Cutoff,
+                          [&](size_t I, size_t J) { return A[I] == B[J]; });
 }

@@ -69,20 +69,22 @@ std::string canonicalComputeKey(const ComputeOp &Op);
 /// count). A metric on serializations — zero iff the strings are equal
 /// (renamed-isomorphic ops, which serialize identically, are at distance
 /// zero), symmetric, triangle inequality. \p Cutoff bounds the work: the
-/// banded computation gives up and returns Cutoff + 1 as soon as the
-/// distance provably exceeds Cutoff, so nearest-neighbor scans over many
-/// cached keys stay cheap. The CompilerSession's transfer tuning uses
-/// this to find a near-isomorphic neighbor whose cached winner seeds a
-/// new key's search (docs/TUNING.md).
+/// result is exact when it is at most Cutoff and Cutoff + 1 otherwise,
+/// and the diagonal-transition computation (Ukkonen; Landau–Vishkin)
+/// costs O(len + d^2) for keys d edits apart, so nearest-neighbor scans
+/// over many cached keys stay cheap. The CompilerSession's transfer
+/// tuning uses this to find a near-isomorphic neighbor whose cached
+/// winner seeds a new key's search (docs/TUNING.md).
 size_t structuralDistance(const std::string &A, const std::string &B,
                           size_t Cutoff);
 
 /// structuralDistance over keys already split by structuralTokens and
-/// interned: equal tokens carry equal ids. The string overload interns
-/// both keys and calls this one, so the two always agree; callers that
-/// compare one key against many (the transfer index,
-/// runtime/TransferIndex.h) tokenize and intern each key once instead of
-/// once per comparison.
+/// interned: equal tokens carry equal ids. Both overloads run the same
+/// computation; the string overload compares tokens packed in place and
+/// keeps \p A's tokens per thread while A's content stays the same, so a
+/// scan of one query against many keys tokenizes the query once. Callers
+/// that compare one key against many (the transfer index,
+/// runtime/TransferIndex.h) tokenize and intern each key once instead.
 size_t structuralDistance(const std::vector<uint32_t> &A,
                           const std::vector<uint32_t> &B, size_t Cutoff);
 

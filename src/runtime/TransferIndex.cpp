@@ -85,6 +85,9 @@ int TransferIndex::nearest(const std::string &Key) const {
   if (GIt == Groups.end())
     return -1;
   const Group &G = GIt->second;
+  // An identical body is the only one at distance 0: it wins outright.
+  if (auto Exact = G.ByBody.find(Body); Exact != G.ByBody.end())
+    return Exact->second.Winner;
   std::vector<uint32_t> Query = lookup(Body);
   size_t N = Query.size();
 
@@ -114,8 +117,6 @@ int TransferIndex::nearest(const std::string &Key) const {
     Best = &It->second;
     BestBody = It->first;
     BestD = D;
-    if (BestD == 0)
-      break; // Only an identical body is at 0, and bodies are unique.
   }
   return Best ? Best->Winner : -1;
 }

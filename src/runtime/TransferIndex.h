@@ -17,8 +17,9 @@
 /// nearest() picks, among the bodies within max(8, len/10) token edits
 /// of the query (len: the query body's length in characters), the one
 /// with the least distance; ties go to the first body in lexicographic
-/// (std::map) order. It finds that body without
-/// computing every distance: each body is tokenized and interned once, on
+/// (std::map) order. An identical body, the only one at distance 0, is
+/// looked up first. Otherwise nearest() finds the body without computing
+/// every distance: each body is tokenized and interned once, on
 /// record; bodies are visited nearest the query's token count first; each
 /// distance runs under the best distance so far as its cutoff; and the
 /// scan ends once the token-count difference alone exceeds the best

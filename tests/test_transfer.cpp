@@ -384,7 +384,7 @@ internAll(const std::vector<std::string> &Keys) {
   return Out;
 }
 
-/// Plain unbanded Levenshtein over token ids: the definition the banded,
+/// Plain full-table Levenshtein over token ids: the definition the
 /// cut-off structuralDistance must agree with.
 size_t fullEditDistance(const std::vector<uint32_t> &A,
                         const std::vector<uint32_t> &B) {
@@ -455,6 +455,122 @@ TEST(StructuralDistance, TokenOverloadAgreesWithStrings) {
             << "keys " << A << ", " << B << " cutoff " << Cutoff;
       }
     }
+}
+
+namespace {
+
+/// The token edit distance of two keys by the plain definition, from
+/// tokens interned afresh.
+size_t freshDistance(const std::string &A, const std::string &B) {
+  std::vector<std::vector<uint32_t>> T = internAll({A, B});
+  return fullEditDistance(T[0], T[1]);
+}
+
+/// Symbols joined by spaces, so neighboring symbols never merge into one
+/// token.
+std::string joinTokens(const std::vector<std::string> &Symbols) {
+  std::string Out;
+  for (const std::string &S : Symbols)
+    Out += S + " ";
+  return Out;
+}
+
+} // namespace
+
+TEST(StructuralDistance, MatchesFullEditDistanceOnRandomTokenStreams) {
+  // Pairs of short token streams over small alphabets, where the diagonal
+  // computation's slides, cutoffs and edge diagonals all get exercised.
+  // The pool has tokens that pack to equal words but differ: a shared
+  // 7-byte prefix, and lengths past the 255 the packed length caps at.
+  const std::vector<std::string> Pool = {
+      "7",        "x",        ",",           "16",
+      "abcdefgX", "abcdefgY", "abcdefghijk", std::string(300, 'a'),
+      std::string(300, 'a') + "b"};
+  std::mt19937 Rng(25);
+  auto Stream = [&Rng](const std::vector<std::string> &Alphabet) {
+    std::vector<std::string> Out(Rng() % 41);
+    for (std::string &S : Out)
+      S = Alphabet[Rng() % Alphabet.size()];
+    return Out;
+  };
+  size_t Pairs = 0, Reached = 0;
+  for (int I = 0; I < 3000; ++I) {
+    std::vector<std::string> Alphabet = Pool;
+    std::shuffle(Alphabet.begin(), Alphabet.end(), Rng);
+    Alphabet.resize(1 + Rng() % 6);
+    std::vector<std::string> A = Stream(Alphabet), B;
+    switch (Rng() % 4) {
+    case 0: // An unrelated stream.
+      B = Stream(Alphabet);
+      break;
+    case 1: // Empty.
+      break;
+    default: // A few substitutions, insertions and deletions of A.
+      B = A;
+      for (int E = static_cast<int>(Rng() % 9); E > 0; --E) {
+        size_t At = B.empty() ? 0 : Rng() % B.size();
+        const std::string &Tok = Alphabet[Rng() % Alphabet.size()];
+        switch (Rng() % 3) {
+        case 0:
+          B.insert(B.begin() + static_cast<long>(At), Tok);
+          break;
+        case 1:
+          if (!B.empty())
+            B.erase(B.begin() + static_cast<long>(At));
+          break;
+        default:
+          if (!B.empty())
+            B[At] = Tok;
+        }
+      }
+    }
+    if (Rng() % 2)
+      std::swap(A, B);
+    std::string KA = joinTokens(A), KB = joinTokens(B);
+    std::vector<std::vector<uint32_t>> T = internAll({KA, KB});
+    size_t Exact = fullEditDistance(T[0], T[1]);
+    for (size_t Cutoff : {size_t{0}, size_t{1}, size_t{3},
+                          Exact ? Exact - 1 : 0, Exact, size_t{100000}}) {
+      size_t Want = std::min(Exact, Cutoff + 1);
+      ASSERT_EQ(structuralDistance(KA, KB, Cutoff), Want)
+          << "'" << KA << "' vs '" << KB << "' cutoff " << Cutoff;
+      ASSERT_EQ(structuralDistance(T[0], T[1], Cutoff), Want)
+          << "'" << KA << "' vs '" << KB << "' cutoff " << Cutoff;
+      Reached += Exact <= Cutoff;
+    }
+    ++Pairs;
+  }
+  EXPECT_EQ(Pairs, 3000u);
+  EXPECT_GT(Reached, 0u);
+}
+
+TEST(StructuralDistance, StringOverloadReusesTheQueryByContent) {
+  // The string overload keeps the first key's tokens between calls; a
+  // different key, the same content at another address, or new content
+  // at the same address must each give the fresh distance.
+  std::string A1 = canonicalKeyFor(layer(512, 7, 512, 3, 1, 1));
+  std::string A2 = canonicalKeyFor(layer(640, 7, 640, 3, 1, 1));
+  std::string B = canonicalKeyFor(layer(512, 14, 256, 3, 2, 1));
+  const size_t Big = 100000;
+  size_t D1 = freshDistance(A1, B), D2 = freshDistance(A2, B);
+  ASSERT_NE(D1, D2);
+  EXPECT_EQ(structuralDistance(A1, B, Big), D1);
+  EXPECT_EQ(structuralDistance(A2, B, Big), D2);
+  EXPECT_EQ(structuralDistance(A1, B, Big), D1);
+  EXPECT_EQ(structuralDistance(std::string(A1), B, Big), D1);
+  // Same address and length, new content.
+  std::string Query = A1;
+  EXPECT_EQ(structuralDistance(Query, B, Big), D1);
+  std::string A1Edited = A1;
+  std::replace_if(
+      A1Edited.begin(), A1Edited.end(),
+      [](char C) { return C >= '0' && C <= '8'; }, '9');
+  size_t DEdited = freshDistance(A1Edited, B);
+  ASSERT_NE(DEdited, D1);
+  const char *Before = Query.data();
+  Query.replace(0, Query.size(), A1Edited);
+  ASSERT_EQ(Query.data(), Before);
+  EXPECT_EQ(structuralDistance(Query, B, Big), DEdited);
 }
 
 //===----------------------------------------------------------------------===//
@@ -723,9 +839,15 @@ TEST(TransferIndexConcurrency, ScansAndRecordsRaceFree) {
   for (int I = 0; I < 100; ++I)
     Queries.push_back(G + editedBody(Base, Rng, 8));
 
+  // The string distance keeps per-thread state: each scanner also runs
+  // the (A1, B), (A2, B), (A1, B), copy-of-A1 sequence against fresh
+  // distances.
+  const std::string &A1 = Queries[0], &A2 = Queries[1], &B = Keys[0];
+  const size_t D1 = freshDistance(A1, B), D2 = freshDistance(A2, B);
+
   // Winner = key index, so each writer's winners are its own.
   TransferIndex Index;
-  std::atomic<bool> BadSeed{false};
+  std::atomic<bool> BadSeed{false}, BadDistance{false};
   std::vector<std::thread> Threads;
   for (int W = 0; W < 2; ++W)
     Threads.emplace_back([&, W] {
@@ -739,11 +861,17 @@ TEST(TransferIndexConcurrency, ScansAndRecordsRaceFree) {
           int Seed = Index.nearest(Queries[I]);
           if (Seed < -1 || Seed >= static_cast<int>(Keys.size()))
             BadSeed = true;
+          if (structuralDistance(A1, B, 100000) != D1 ||
+              structuralDistance(A2, B, 100000) != D2 ||
+              structuralDistance(A1, B, 100000) != D1 ||
+              structuralDistance(std::string(A1), B, 100000) != D1)
+            BadDistance = true;
         }
     });
   for (std::thread &T : Threads)
     T.join();
   EXPECT_FALSE(BadSeed.load());
+  EXPECT_FALSE(BadDistance.load());
 
   // The keys are distinct and the group stays under the cap, so the
   // order the writers interleaved in does not change the index.
