@@ -21,7 +21,7 @@ int main() {
   CpuMachine Machine = CpuMachine::cascadeLake();
   MxnetOneDnnEngine Mxnet(Machine);
   TvmManualEngine Tvm = makeTvmManualVnni(Machine);
-  UnitCpuEngine Unit(Machine, "x86");
+  UnitCpuEngine Unit(Machine, "x86", std::make_shared<CompilerSession>());
 
   Table T({"model", "mxnet+oneDNN(ms)", "tvm(ms)", "unit(ms)",
            "MXNet w/ oneDNN", "TVM", "UNIT"});

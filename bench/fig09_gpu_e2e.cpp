@@ -20,7 +20,7 @@ int main() {
 
   GpuMachine Machine = GpuMachine::v100();
   CuDnnTensorCoreEngine CuDnn(Machine);
-  UnitGpuEngine Unit(Machine);
+  UnitGpuEngine Unit(Machine, std::make_shared<CompilerSession>());
 
   Table T({"model", "cuDNN(ms)", "unit(ms)", "cuDNN", "UNIT"});
   std::vector<double> UnitRel;

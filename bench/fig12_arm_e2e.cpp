@@ -19,7 +19,7 @@ int main() {
   CpuMachine Machine = CpuMachine::graviton2();
   TvmNeonEngine Neon(Machine);
   TvmManualEngine Manual = makeTvmManualDot(Machine);
-  UnitCpuEngine Unit(Machine, "arm");
+  UnitCpuEngine Unit(Machine, "arm", std::make_shared<CompilerSession>());
 
   Table T({"model", "neon(ms)", "manual(ms)", "unit(ms)", "TVM-NEON",
            "TVM-Manual", "UNIT"});

@@ -22,7 +22,7 @@ using namespace unit;
 int main() {
   CpuMachine Machine = CpuMachine::cascadeLake();
   Model R18 = makeResnet18();
-  UnitCpuEngine Unit(Machine, "x86");
+  UnitCpuEngine Unit(Machine, "x86", std::make_shared<CompilerSession>());
 
   std::printf("Compiling %s: %zu compute layers, %d distinct conv shapes\n\n",
               R18.Name.c_str(), R18.Convs.size(), R18.distinctConvShapes());

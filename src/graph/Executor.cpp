@@ -3,6 +3,7 @@
 #include "graph/Executor.h"
 
 #include <algorithm>
+#include <cassert>
 #include <unordered_set>
 
 using namespace unit;
@@ -88,7 +89,9 @@ double unit::gpuCudaCoreConvSeconds(const ConvLayer &Layer,
 UnitCpuEngine::UnitCpuEngine(CpuMachine MachineIn, const std::string &TargetIn,
                              std::shared_ptr<CompilerSession> SessionIn)
     : Backend(std::make_shared<CpuBackend>(std::move(MachineIn), TargetIn)),
-      Session(SessionIn ? std::move(SessionIn) : CompilerSession::shared()) {}
+      Session(std::move(SessionIn)) {
+  assert(Session && "engine constructed without a session");
+}
 
 std::string UnitCpuEngine::name() const {
   return "UNIT (" + Backend->id() + ")";
@@ -137,7 +140,9 @@ double UnitCpuEngine::conv3dSeconds(const Conv3dLayer &Layer) {
 UnitGpuEngine::UnitGpuEngine(GpuMachine MachineIn,
                              std::shared_ptr<CompilerSession> SessionIn)
     : Backend(std::make_shared<GpuBackend>(std::move(MachineIn))),
-      Session(SessionIn ? std::move(SessionIn) : CompilerSession::shared()) {}
+      Session(std::move(SessionIn)) {
+  assert(Session && "engine constructed without a session");
+}
 
 std::string UnitGpuEngine::name() const { return "UNIT (tensor core)"; }
 

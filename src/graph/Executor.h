@@ -54,9 +54,7 @@ public:
 double modelLatencySeconds(const Model &M, InferenceEngine &Engine);
 
 /// Streaming bandwidth the UNIT engines assume for unfused glue
-/// operators on \p M. Shared so an engine that compiles *remotely*
-/// (server/RemoteEngine.h) prices glue identically to the in-process
-/// UnitCpuEngine / UnitGpuEngine.
+/// operators on \p M.
 double cpuGlueBytesPerSecond(const CpuMachine &M);
 double gpuGlueBytesPerSecond(const GpuMachine &M);
 
@@ -69,18 +67,17 @@ struct CpuLayerReport {
 
 /// UNIT on a CPU target (any registered CpuDot spec: "x86", "arm",
 /// "x86-amx", ...). Kernels are compiled through the CompilerSession's
-/// shared KernelCache — isomorphic layers, even across engines and
-/// models, tune once.
+/// KernelCache — isomorphic layers, even across models and across the
+/// engines given one session, tune once.
 class UnitCpuEngine : public InferenceEngine {
   std::shared_ptr<const CpuBackend> Backend;
   std::shared_ptr<CompilerSession> Session;
 
 public:
   /// Runs the registered target id \p Target's pipeline on \p Machine's
-  /// parameters. \p Session defaults to the process-wide
-  /// CompilerSession::shared().
+  /// parameters, compiling through \p Session (required, non-null).
   UnitCpuEngine(CpuMachine Machine, const std::string &Target,
-                std::shared_ptr<CompilerSession> Session = nullptr);
+                std::shared_ptr<CompilerSession> Session);
 
   std::string name() const override;
   double convSeconds(const ConvLayer &Layer) override;
@@ -100,14 +97,13 @@ public:
 
 /// UNIT on an Nvidia GPU (Tensor Core implicit-GEMM path), enumerating the
 /// dimension-fusion choice alongside the kernel tuning space. Compiles
-/// through the shared CompilerSession like the CPU engine.
+/// through the given CompilerSession like the CPU engine.
 class UnitGpuEngine : public InferenceEngine {
   std::shared_ptr<const GpuBackend> Backend;
   std::shared_ptr<CompilerSession> Session;
 
 public:
-  explicit UnitGpuEngine(GpuMachine Machine,
-                         std::shared_ptr<CompilerSession> Session = nullptr);
+  UnitGpuEngine(GpuMachine Machine, std::shared_ptr<CompilerSession> Session);
 
   std::string name() const override;
   double convSeconds(const ConvLayer &Layer) override;

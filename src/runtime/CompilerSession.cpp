@@ -25,17 +25,6 @@ CompilerSession::~CompilerSession() = default;
 
 namespace {
 
-std::mutex &sharedSessionMutex() {
-  static std::mutex Mu;
-  return Mu;
-}
-
-std::shared_ptr<CompilerSession> &sharedSessionSlot() {
-  static std::shared_ptr<CompilerSession> Session =
-      std::make_shared<CompilerSession>();
-  return Session;
-}
-
 /// Non-owning handle for borrowed-backend entry points (compileModel with
 /// a const reference joins every job before returning, so the borrow is
 /// always outlived).
@@ -44,21 +33,6 @@ TargetBackendRef borrow(const TargetBackend &Backend) {
 }
 
 } // namespace
-
-std::shared_ptr<CompilerSession> CompilerSession::shared() {
-  // By value, copied under the lock: a reference to the slot would escape
-  // the critical section and race with resetShared()'s assignment.
-  std::lock_guard<std::mutex> Lock(sharedSessionMutex());
-  return sharedSessionSlot();
-}
-
-std::shared_ptr<CompilerSession>
-CompilerSession::resetShared(SessionConfig Config) {
-  auto Fresh = std::make_shared<CompilerSession>(Config);
-  std::lock_guard<std::mutex> Lock(sharedSessionMutex());
-  sharedSessionSlot() = Fresh;
-  return Fresh;
-}
 
 //===----------------------------------------------------------------------===//
 // Transfer tuning (docs/TUNING.md)

@@ -26,8 +26,9 @@
 /// a fingerprint of the registered machines, and loadCache() rejects
 /// stale or cross-machine files, so a repeat run starts with zero tuning.
 ///
-/// Engines (graph/Executor.h) share the process-wide session by default,
-/// so a resnet50 compile warms resnet18's kernels and vice versa.
+/// Engines (graph/Executor.h) take the session they compile through;
+/// engines handed the same session share its cache, so a resnet50
+/// compile warms resnet18's kernels and vice versa.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -247,16 +248,6 @@ public:
 
   CompilerSession(const CompilerSession &) = delete;
   CompilerSession &operator=(const CompilerSession &) = delete;
-
-  /// The process-wide session every engine uses unless given its own
-  /// (returned by value: a reference would race with resetShared).
-  static std::shared_ptr<CompilerSession> shared();
-
-  /// Test-only hook: replaces the process-wide session with a fresh one so
-  /// tests that mutate the shared cache don't order-depend on each other.
-  /// Engines constructed earlier keep their (old) session alive; new
-  /// default-constructed engines pick up the replacement.
-  static std::shared_ptr<CompilerSession> resetShared(SessionConfig Config = {});
 
   KernelCache &cache() { return Cache; }
   ThreadPool &pool() { return *Pool; }

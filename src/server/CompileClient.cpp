@@ -5,7 +5,6 @@
 #include "fabric/Endpoint.h"
 #include "fabric/Handshake.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -352,18 +351,6 @@ CompileClient::compileConv3d(const std::string &Target,
   return compileWorkload(Target, toJson(Layer), Options, Err);
 }
 
-std::optional<CompileClient::CompileResult>
-CompileClient::compileDense(const std::string &Target, const std::string &Name,
-                            int64_t In, int64_t Out,
-                            const CompileOptions &Options, std::string *Err) {
-  Json Work = Json::object();
-  Work.set("kind", "dense");
-  Work.set("name", Name);
-  Work.set("in", In);
-  Work.set("out", Out);
-  return compileWorkload(Target, std::move(Work), Options, Err);
-}
-
 //===----------------------------------------------------------------------===//
 // Streaming compiles
 //===----------------------------------------------------------------------===//
@@ -398,11 +385,10 @@ CompileClient::AsyncHandle CompileClient::registerTicket(uint64_t Ticket) {
 }
 
 std::optional<CompileClient::AsyncHandle>
-CompileClient::submitWorkload(const std::string &Target, Json WorkloadJson,
-                              const CompileOptions &Options,
-                              std::string *Err) {
-  Json Msg = makeCompileMessage("compile_async", Target,
-                                std::move(WorkloadJson), Options);
+CompileClient::submitConv(const std::string &Target, const ConvLayer &Layer,
+                          const CompileOptions &Options, std::string *Err) {
+  Json Msg = makeCompileMessage("compile_async", Target, toJson(Layer),
+                                Options);
   std::optional<Json> Response = roundTrip(Msg, "submitted", Err);
   if (!Response)
     return std::nullopt;
@@ -412,31 +398,6 @@ CompileClient::submitWorkload(const std::string &Target, Json WorkloadJson,
     return std::nullopt;
   }
   return registerTicket(Ticket);
-}
-
-std::optional<CompileClient::AsyncHandle>
-CompileClient::submitConv(const std::string &Target, const ConvLayer &Layer,
-                          const CompileOptions &Options, std::string *Err) {
-  return submitWorkload(Target, toJson(Layer), Options, Err);
-}
-
-std::optional<CompileClient::AsyncHandle>
-CompileClient::submitConv3d(const std::string &Target,
-                            const Conv3dLayer &Layer,
-                            const CompileOptions &Options, std::string *Err) {
-  return submitWorkload(Target, toJson(Layer), Options, Err);
-}
-
-std::optional<CompileClient::AsyncHandle>
-CompileClient::submitDense(const std::string &Target, const std::string &Name,
-                           int64_t In, int64_t Out,
-                           const CompileOptions &Options, std::string *Err) {
-  Json Work = Json::object();
-  Work.set("kind", "dense");
-  Work.set("name", Name);
-  Work.set("in", In);
-  Work.set("out", Out);
-  return submitWorkload(Target, std::move(Work), Options, Err);
 }
 
 std::optional<std::vector<CompileClient::AsyncHandle>>
@@ -522,56 +483,6 @@ bool CompileClient::waitAll(std::string *Err) {
   if (!Ok)
     setErr(Err, FirstErr);
   return Ok;
-}
-
-bool CompileClient::cancel(const AsyncHandle &Handle, std::string *Err) {
-  Json J = Json::object();
-  J.set("type", "cancel");
-  J.set("id", NextId++);
-  J.set("ticket", Handle.Ticket);
-  std::optional<Json> Response = roundTrip(J, "cancelled", Err);
-  if (!Response)
-    return false;
-  if (Response->boolean("was_pending", false)) {
-    // No notification will ever come: resolve the local future as
-    // cancelled and stop waitAll from waiting on it.
-    std::shared_ptr<std::promise<CompileResult>> P;
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      auto It = Tickets.find(Handle.Ticket);
-      if (It != Tickets.end()) {
-        P = std::move(It->second);
-        Tickets.erase(It);
-      }
-      Outstanding.erase(
-          std::remove_if(Outstanding.begin(), Outstanding.end(),
-                         [&](const AsyncHandle &H) {
-                           return H.Ticket == Handle.Ticket;
-                         }),
-          Outstanding.end());
-    }
-    if (P)
-      P->set_exception(std::make_exception_ptr(
-          std::runtime_error("cancelled by this client")));
-  }
-  return true;
-}
-
-std::optional<std::string> CompileClient::poll(const AsyncHandle &Handle,
-                                               std::string *Err) {
-  Json J = Json::object();
-  J.set("type", "poll");
-  J.set("id", NextId++);
-  J.set("ticket", Handle.Ticket);
-  std::optional<Json> Response = roundTrip(J, "ticket_status", Err);
-  if (!Response)
-    return std::nullopt;
-  return Response->str("state");
-}
-
-size_t CompileClient::pendingTickets() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Tickets.size();
 }
 
 //===----------------------------------------------------------------------===//

@@ -15,15 +15,14 @@
 /// flight at once.
 ///
 /// Two ways to compile:
-///   - blocking: compileConv / compileConv3d / compileDense /
-///     compileModel — one request, one reply, strictly serialized;
-///   - streaming: submitConv / submitConv3d / submitDense (or
-///     submitModelLayers, which pipelines a whole model's submissions
-///     before collecting any reply) return an AsyncHandle whose future
-///     resolves when the server pushes the result — out of order with
-///     respect to submission is the norm. wait()/waitAll() join;
-///     cancel() drops a pending ticket's delivery; poll() asks the
-///     server whether a ticket is still pending.
+///   - blocking: compileConv / compileConv3d / compileModel — one
+///     request, one reply, strictly serialized;
+///   - streaming: submitConv (or submitModelLayers, which pipelines a
+///     whole model's submissions before collecting any reply) returns an
+///     AsyncHandle whose future resolves when the server pushes the
+///     result — out of order with respect to submission is the norm.
+///     wait()/waitAll() join; AsyncHandle::ready() checks without
+///     blocking. Other workload kinds (dense, say) go through request().
 ///
 /// A dropped connection is final: every pending future, and the round
 /// trip in flight, fails with the transport error. Reconnecting means a
@@ -116,11 +115,6 @@ public:
                                              const Conv3dLayer &Layer,
                                              const CompileOptions &Options = {},
                                              std::string *Err = nullptr);
-  std::optional<CompileResult> compileDense(const std::string &Target,
-                                            const std::string &Name,
-                                            int64_t In, int64_t Out,
-                                            const CompileOptions &Options = {},
-                                            std::string *Err = nullptr);
 
   //===--------------------------------------------------------------------===//
   // Streaming (compile_async / result notifications)
@@ -143,15 +137,6 @@ public:
                                         const ConvLayer &Layer,
                                         const CompileOptions &Options = {},
                                         std::string *Err = nullptr);
-  std::optional<AsyncHandle> submitConv3d(const std::string &Target,
-                                          const Conv3dLayer &Layer,
-                                          const CompileOptions &Options = {},
-                                          std::string *Err = nullptr);
-  std::optional<AsyncHandle> submitDense(const std::string &Target,
-                                         const std::string &Name, int64_t In,
-                                         int64_t Out,
-                                         const CompileOptions &Options = {},
-                                         std::string *Err = nullptr);
 
   /// Pipelined batch submission: writes one compile_async frame per conv
   /// layer of \p M, all in one write, then collects the submitted
@@ -164,26 +149,14 @@ public:
                     std::string *Err = nullptr);
 
   /// Blocks until \p Handle's result lands; nullopt + \p Err when the
-  /// compile failed, the ticket was cancelled, or the connection died.
+  /// compile failed or the connection died.
   std::optional<CompileResult> wait(const AsyncHandle &Handle,
                                     std::string *Err = nullptr);
 
-  /// Waits for every not-yet-waited, not-cancelled submission on this
-  /// connection. Returns false (first failure in \p Err) if any ticket
-  /// failed; the rest are still joined.
+  /// Waits for every not-yet-waited submission on this connection.
+  /// Returns false (first failure in \p Err) if any ticket failed; the
+  /// rest are still joined.
   bool waitAll(std::string *Err = nullptr);
-
-  /// Asks the server to drop \p Handle's delivery (the compile itself
-  /// runs to completion inside the shared session). The local future
-  /// fails with "cancelled"; waitAll() no longer waits for it.
-  bool cancel(const AsyncHandle &Handle, std::string *Err = nullptr);
-
-  /// The server's view of \p Handle: "pending" or "resolved".
-  std::optional<std::string> poll(const AsyncHandle &Handle,
-                                  std::string *Err = nullptr);
-
-  /// Tickets submitted but not yet resolved by a notification.
-  size_t pendingTickets() const;
 
   struct ModelResult {
     std::string ModelName;
@@ -269,10 +242,6 @@ private:
                                                Json WorkloadJson,
                                                const CompileOptions &Options,
                                                std::string *Err);
-  std::optional<AsyncHandle> submitWorkload(const std::string &Target,
-                                            Json WorkloadJson,
-                                            const CompileOptions &Options,
-                                            std::string *Err);
   Json makeCompileMessage(const char *Type, const std::string &Target,
                           Json WorkloadJson, const CompileOptions &Options);
   std::optional<CompileResult> decodeResult(const Json &Response,
@@ -329,7 +298,7 @@ private:
   std::unordered_map<uint64_t, std::shared_ptr<std::promise<CompileResult>>>
       Tickets;
   std::unordered_map<uint64_t, EarlyNote> Unclaimed;
-  std::vector<AsyncHandle> Outstanding; ///< For waitAll; pruned by cancel.
+  std::vector<AsyncHandle> Outstanding; ///< For waitAll.
   uint64_t ArrivalCounter = 0;
 };
 

@@ -696,10 +696,6 @@ Json CompileServer::handleRequest(Connection &Conn, const Json &Request,
     return handleCompile(Conn, Request);
   if (Type == "compile_async")
     return handleCompileAsync(Conn, Request);
-  if (Type == "cancel")
-    return handleCancel(Conn, Request);
-  if (Type == "poll")
-    return handlePoll(Conn, Request);
   if (Type == "compile_model")
     return handleCompileModel(Conn, Request);
   if (Type == "list_targets")
@@ -946,9 +942,8 @@ Json CompileServer::handleCompileAsync(Connection &Conn, const Json &Request) {
   uint64_t Ticket = 0;
   {
     std::lock_guard<std::mutex> Lock(Conn.TicketMu);
-    if (Conn.Tickets.size() < MaxPendingTicketsPerConnection) {
+    if (Conn.UnresolvedJobs < MaxPendingTicketsPerConnection) {
       Ticket = Conn.NextTicket++;
-      Conn.Tickets.insert(Ticket);
       ++Conn.UnresolvedJobs;
     }
   }
@@ -956,7 +951,7 @@ Json CompileServer::handleCompileAsync(Connection &Conn, const Json &Request) {
     return errorResponse(Request,
                          "too many pending tickets on this connection (max " +
                              std::to_string(MaxPendingTicketsPerConnection) +
-                             "); wait for results or cancel some");
+                             "); wait for results");
   TicketsIssued.fetch_add(1);
   Adm.annotate("ticket", Ticket);
 
@@ -986,9 +981,6 @@ void CompileServer::finishTicket(Connection &Conn, uint64_t Ticket,
                                  double SubmitSeconds, CachePolicy Policy,
                                  const KernelReport *Report,
                                  std::exception_ptr Error, bool Computed) {
-  // The work happened whether or not anyone still wants the answer, so
-  // the accounting is unconditional; only delivery is gated on the
-  // ticket's fate.
   std::string Failure = finishCompile(Conn, SubmitSeconds, Policy, Ticket,
                                       Report, /*Layers=*/1,
                                       /*FromCache=*/Report && !Computed,
@@ -1000,16 +992,12 @@ void CompileServer::finishTicket(Connection &Conn, uint64_t Ticket,
 
   std::lock_guard<std::mutex> Lock(Conn.TicketMu);
   bool WasEmpty = Conn.Outbox.empty();
-  // Cancelled tickets are already out of the table: their result is
-  // simply dropped.
-  if (Conn.Tickets.erase(Ticket) != 0) {
-    // Counted when queued, under the lock the flush takes: a client
-    // holding the pushed result never reads a stats snapshot that has
-    // not counted it yet. (A frame the peer never reads still counts.)
-    NotificationsDelivered.fetch_add(1);
-    appendFrame(Conn.Outbox, Payload);
-    ++Conn.QueuedNotifications;
-  }
+  // Counted when queued, under the lock the flush takes: a client holding
+  // the pushed result never reads a stats snapshot that has not counted
+  // it yet. (A frame the peer never reads still counts.)
+  NotificationsDelivered.fetch_add(1);
+  appendFrame(Conn.Outbox, Payload);
+  ++Conn.QueuedNotifications;
   // Wake for the first frame of a batch, and for the last job (the drain
   // waits for it). Still under TicketMu: the moment the drain can see
   // zero it may retire the Connection and close the wake fd, whose
@@ -1017,57 +1005,6 @@ void CompileServer::finishTicket(Connection &Conn, uint64_t Ticket,
   // stranger.
   if (--Conn.UnresolvedJobs == 0 || (WasEmpty && !Conn.Outbox.empty()))
     eventfd_write(Conn.WakeFd, 1);
-}
-
-Json CompileServer::handleCancel(Connection &Conn, const Json &Request) {
-  uint64_t Ticket = static_cast<uint64_t>(Request.integer("ticket", 0));
-  if (Ticket == 0)
-    return errorResponse(Request, "cancel requires a positive 'ticket'");
-  bool Known = false, WasPending = false;
-  {
-    std::lock_guard<std::mutex> Lock(Conn.TicketMu);
-    Known = Ticket < Conn.NextTicket;
-    WasPending = Conn.Tickets.erase(Ticket) > 0;
-  }
-  if (!Known)
-    return errorResponse(Request, "unknown ticket " + std::to_string(Ticket) +
-                                      " (never issued on this connection)");
-  if (WasPending)
-    TicketsCancelled.fetch_add(1);
-  // Cancellation is delivery-only: the session job (and the shared cache
-  // entry other clients may be joining) runs to completion regardless —
-  // a cancel can never corrupt or evict single-flight state.
-  Json J = Json::object();
-  J.set("type", "cancelled");
-  if (const Json *Id = Request.get("id"))
-    J.set("id", *Id);
-  J.set("ticket", Ticket);
-  J.set("was_pending", WasPending);
-  return J;
-}
-
-Json CompileServer::handlePoll(Connection &Conn, const Json &Request) {
-  uint64_t Ticket = static_cast<uint64_t>(Request.integer("ticket", 0));
-  if (Ticket == 0)
-    return errorResponse(Request, "poll requires a positive 'ticket'");
-  bool Known = false, Pending = false;
-  {
-    std::lock_guard<std::mutex> Lock(Conn.TicketMu);
-    Known = Ticket < Conn.NextTicket;
-    Pending = Conn.Tickets.count(Ticket) != 0;
-  }
-  if (!Known)
-    return errorResponse(Request, "unknown ticket " + std::to_string(Ticket) +
-                                      " (never issued on this connection)");
-  Json J = Json::object();
-  J.set("type", "ticket_status");
-  if (const Json *Id = Request.get("id"))
-    J.set("id", *Id);
-  J.set("ticket", Ticket);
-  // "resolved" covers delivered, failed-and-delivered, and cancelled —
-  // the table only distinguishes pending from gone.
-  J.set("state", Pending ? "pending" : "resolved");
-  return J;
 }
 
 Json CompileServer::handleCompileModel(Connection &Conn, const Json &Request) {
@@ -1252,19 +1189,16 @@ Json CompileServer::handleStats(const Json &Request) {
   SessionJson.set("inline_ready_hits", SS.InlineReadyHits);
   SessionJson.set("fresh_dispatches", SS.FreshDispatches);
   J.set("session", std::move(SessionJson));
-  // Snapshot order is the consistency guarantee: the later-lifecycle
-  // counters (delivered, cancelled) are acquire-read *before* issued.
-  // Both only ever grow after an issue, so any interleaving yields
-  // delivered <= issued and cancelled <= issued — a monitoring client
+  // Snapshot order is the consistency guarantee: delivered is
+  // acquire-read *before* issued. It only ever grows after an issue, so
+  // any interleaving yields delivered <= issued — a monitoring client
   // can never observe a notification for a ticket the same snapshot has
   // not issued yet.
   uint64_t Delivered = NotificationsDelivered.load(std::memory_order_acquire);
-  uint64_t Cancelled = TicketsCancelled.load(std::memory_order_acquire);
   uint64_t Issued = TicketsIssued.load(std::memory_order_acquire);
   Json Streaming = Json::object();
   Streaming.set("tickets_issued", Issued);
   Streaming.set("notifications_delivered", Delivered);
-  Streaming.set("tickets_cancelled", Cancelled);
   J.set("streaming", std::move(Streaming));
   // Fabric counters are always present (zeros on a Unix-only daemon) so
   // fleet dashboards need no schema probing.

@@ -31,9 +31,7 @@
 /// and flushes the outbox once after the burst's last buffered request
 /// (or once ChunkBytes of replies are queued) instead of once per
 /// request. The submitted reply is queued before the job starts, so the
-/// FIFO alone puts every result behind the ticket that names it; cancel
-/// drops a pending ticket's delivery (the underlying cache entry, shared
-/// with other clients, always completes); poll reports liveness.
+/// FIFO alone puts every result behind the ticket that names it.
 ///
 /// Persistence: when configured with a cache file the server loads it at
 /// start (warm restart: zero tuner invocations for known kernels), saves
@@ -62,7 +60,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -229,15 +226,12 @@ private:
     std::thread Thread;
     std::atomic<bool> Done{false};
 
-    /// Guards everything below. Tickets holds the pending compile_async
-    /// tickets: one lives here from compile_async until its notification
-    /// is queued or it is cancelled. UnresolvedJobs counts completion
-    /// callbacks not yet fired (cancelled tickets included — the session
-    /// job still runs); the drain keeps this Connection alive until it
-    /// reads zero.
+    /// Guards everything below. UnresolvedJobs counts the pending
+    /// compile_async tickets: completion callbacks not yet fired. The
+    /// budget check reads it, and the drain keeps this Connection alive
+    /// until it reads zero.
     std::mutex TicketMu;
     uint64_t NextTicket = 1;
-    std::set<uint64_t> Tickets;
     size_t UnresolvedJobs = 0;
     /// Already-framed bytes waiting for the connection thread, in the
     /// order they were queued. The connection thread reads from the
@@ -277,8 +271,6 @@ private:
   Json handleHello(Connection &Conn, const Json &Request);
   Json handleCompile(Connection &Conn, const Json &Request);
   Json handleCompileAsync(Connection &Conn, const Json &Request);
-  Json handleCancel(Connection &Conn, const Json &Request);
-  Json handlePoll(Connection &Conn, const Json &Request);
   Json handleCompileModel(Connection &Conn, const Json &Request);
   Json handleListTargets(const Json &Request);
   Json handleRegisterTarget(Connection &Conn, const Json &Request);
@@ -324,9 +316,9 @@ private:
   bool sendOutbox(Connection &Conn, const std::string &Bytes);
 
   /// The completion hook for one streaming job: runs finishCompile,
-  /// queues the notification unless the ticket was cancelled, and wakes
-  /// the connection thread. Runs on whichever thread resolves the job
-  /// (see CompilerSession::JobCallback) and never touches the socket.
+  /// queues the notification, and wakes the connection thread. Runs on
+  /// whichever thread resolves the job (see CompilerSession::JobCallback)
+  /// and never touches the socket.
   void finishTicket(Connection &Conn, uint64_t Ticket, double SubmitSeconds,
                     CachePolicy Policy, const KernelReport *Report,
                     std::exception_ptr Error, bool Computed);
@@ -412,7 +404,6 @@ private:
   /// workers, not the stats-serving thread).
   std::atomic<uint64_t> TicketsIssued{0};
   std::atomic<uint64_t> NotificationsDelivered{0};
-  std::atomic<uint64_t> TicketsCancelled{0};
 
   /// Fabric lifetime counters (the stats message's "fabric" object).
   std::atomic<uint64_t> AuthFailures{0};

@@ -812,8 +812,8 @@ Json unit::makeErrorNotification(uint64_t Ticket, const std::string &Message) {
 }
 
 bool unit::isNotification(const Json &Frame) {
-  // Only "result" frames are ever pushed; cancelled / ticket_status
-  // replies also carry a ticket but arrive strictly in request order.
+  // Only "result" frames are ever pushed; the submitted reply also
+  // carries a ticket but has type "submitted".
   return Frame.isObject() && Frame.str("type") == "result" &&
          Frame.get("ticket") != nullptr;
 }

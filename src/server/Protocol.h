@@ -29,15 +29,15 @@
 /// a notification frame — a "result" message carrying "ticket" instead of
 /// "id" — when the job resolves, in completion order (out-of-order with
 /// respect to submission is the norm). One connection can therefore keep
-/// many compiles in flight; cancel and poll manage tickets. The
-/// notification builders below keep the two ends agreeing on that frame
-/// shape.
+/// many compiles in flight. The notification builders below keep the two
+/// ends agreeing on that frame shape.
 ///
 /// Protocol evolution: ProtocolVersion is echoed in the welcome message;
 /// a client talking to a newer server must tolerate unknown response
 /// fields (additions bump nothing — the streaming family and the
 /// welcome's "streaming" flag are such additions), while renames/removals
-/// bump the version.
+/// bump the version (2: the two ticket-management request types and their
+/// stats counter were removed; docs/MIGRATION.md lists them).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,7 +64,7 @@
 namespace unit {
 
 /// Version of the message schema; echoed by the server's welcome.
-constexpr int ProtocolVersion = 1;
+constexpr int ProtocolVersion = 2;
 
 /// Frames larger than this are rejected on read *and* write — a corrupt
 /// length prefix must never turn into a multi-gigabyte allocation.

@@ -81,7 +81,7 @@ TEST(CuDnn, TileQuantizationHurtsSmallLayers) {
   // A tiny 7x7 layer wastes most of the fixed 128x64 CTA tile.
   GpuMachine Machine = GpuMachine::v100();
   CuDnnTensorCoreEngine Tc(Machine);
-  UnitGpuEngine Unit(Machine);
+  UnitGpuEngine Unit(Machine, std::make_shared<CompilerSession>());
   ConvLayer Small;
   Small.Name = "tiny";
   Small.InC = 1056;
@@ -95,7 +95,7 @@ TEST(TvmManual, BetweenNeonAndUnitOnArm) {
   CpuMachine Machine = CpuMachine::graviton2();
   TvmNeonEngine Neon(Machine);
   TvmManualEngine Manual = makeTvmManualDot(Machine);
-  UnitCpuEngine Unit(Machine, "arm");
+  UnitCpuEngine Unit(Machine, "arm", std::make_shared<CompilerSession>());
   Model R18 = makeResnet18();
   double NeonS = modelLatencySeconds(R18, Neon);
   double ManualS = modelLatencySeconds(R18, Manual);
@@ -108,14 +108,14 @@ TEST(TvmNeon, WideningGapIsLarge) {
   // Without DOT the same conv costs several times more.
   CpuMachine Machine = CpuMachine::graviton2();
   TvmNeonEngine Neon(Machine);
-  UnitCpuEngine Unit(Machine, "arm");
+  UnitCpuEngine Unit(Machine, "arm", std::make_shared<CompilerSession>());
   ConvLayer L = midConv();
   EXPECT_GT(Neon.convSeconds(L) / Unit.convSeconds(L), 3.0);
 }
 
 TEST(Engines, DepthwisePathNeverTensorizes) {
   CpuMachine Machine = CpuMachine::cascadeLake();
-  UnitCpuEngine Unit(Machine, "x86");
+  UnitCpuEngine Unit(Machine, "x86", std::make_shared<CompilerSession>());
   ConvLayer Dw;
   Dw.Name = "dw";
   Dw.InC = Dw.OutC = 64;
@@ -130,7 +130,7 @@ TEST(Engines, DepthwisePathNeverTensorizes) {
 
 TEST(Engines, DenseLayerCompilesAsConv1x1) {
   CpuMachine Machine = CpuMachine::cascadeLake();
-  UnitCpuEngine Unit(Machine, "x86");
+  UnitCpuEngine Unit(Machine, "x86", std::make_shared<CompilerSession>());
   ConvLayer Fc;
   Fc.Name = "fc";
   Fc.InC = 512;

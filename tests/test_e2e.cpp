@@ -31,7 +31,7 @@ double geomean(const std::vector<double> &V) {
 
 TEST(E2E, EveryNonDepthwiseConvTensorizesOnX86) {
   CpuMachine Machine = CpuMachine::cascadeLake();
-  UnitCpuEngine Unit(Machine, "x86");
+  UnitCpuEngine Unit(Machine, "x86", std::make_shared<CompilerSession>());
   for (const Model &M : paperModels())
     for (const ConvLayer &L : M.Convs) {
       CpuLayerReport R = Unit.convReport(L);
@@ -43,7 +43,7 @@ TEST(E2E, CpuHeadline_UnitBeatsMxnetAndTvm) {
   CpuMachine Machine = CpuMachine::cascadeLake();
   MxnetOneDnnEngine Mxnet(Machine);
   TvmManualEngine Tvm = makeTvmManualVnni(Machine);
-  UnitCpuEngine Unit(Machine, "x86");
+  UnitCpuEngine Unit(Machine, "x86", std::make_shared<CompilerSession>());
   std::vector<double> VsMxnet, VsTvm;
   for (const Model &M : paperModels()) {
     double Base = modelLatencySeconds(M, Mxnet);
@@ -64,7 +64,7 @@ TEST(E2E, CpuHeadline_UnitBeatsMxnetAndTvm) {
 TEST(E2E, GpuHeadline_UnitBeatsCuDnn) {
   GpuMachine Machine = GpuMachine::v100();
   CuDnnTensorCoreEngine CuDnn(Machine);
-  UnitGpuEngine Unit(Machine);
+  UnitGpuEngine Unit(Machine, std::make_shared<CompilerSession>());
   std::vector<double> Rel;
   for (const Model &M : paperModels()) {
     double Base = modelLatencySeconds(M, CuDnn);
@@ -81,7 +81,7 @@ TEST(E2E, ArmHeadline_OrderingHolds) {
   CpuMachine Machine = CpuMachine::graviton2();
   TvmNeonEngine Neon(Machine);
   TvmManualEngine Manual = makeTvmManualDot(Machine);
-  UnitCpuEngine Unit(Machine, "arm");
+  UnitCpuEngine Unit(Machine, "arm", std::make_shared<CompilerSession>());
   std::vector<double> VsNeon, VsManual;
   for (const Model &M : paperModels()) {
     double NeonS = modelLatencySeconds(M, Neon);
@@ -132,7 +132,7 @@ TEST(E2E, AdversarialCpuWorkloadsLoseToOneDnn) {
   // shapes can neither be perfectly tiled nor fully unrolled."
   CpuMachine Machine = CpuMachine::cascadeLake();
   OneDnnEngine OneDnn(Machine);
-  UnitCpuEngine Unit(Machine, "x86");
+  UnitCpuEngine Unit(Machine, "x86", std::make_shared<CompilerSession>());
   std::vector<ConvLayer> W = table1Workloads();
   EXPECT_GT(Unit.convSeconds(W[0]), OneDnn.convSeconds(W[0])) << "#1";
   EXPECT_GT(Unit.convSeconds(W[3]), OneDnn.convSeconds(W[3])) << "#4";

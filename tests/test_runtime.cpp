@@ -1303,22 +1303,6 @@ TEST(CachePersistence, WarmFromDiskCompilesWithZeroTunerInvocations) {
 }
 
 //===----------------------------------------------------------------------===//
-// Shared-session reset
-//===----------------------------------------------------------------------===//
-
-TEST(SharedSession, ResetReplacesTheProcessWideSession) {
-  std::shared_ptr<CompilerSession> Before = CompilerSession::shared();
-  EXPECT_EQ(Before.get(), CompilerSession::shared().get());
-  std::shared_ptr<CompilerSession> Fresh = CompilerSession::resetShared();
-  EXPECT_NE(Before.get(), Fresh.get());
-  EXPECT_EQ(Fresh.get(), CompilerSession::shared().get());
-  EXPECT_EQ(Fresh->cache().size(), 0u);
-  // Old handles (engines built earlier) stay usable.
-  EXPECT_GE(Before.use_count(), 1);
-}
-
-
-//===----------------------------------------------------------------------===//
 // TargetRegistry
 //===----------------------------------------------------------------------===//
 
