@@ -98,14 +98,14 @@ void TraceRecorder::record(TraceEvent Ev) {
   std::memcpy(W, &Ev, sizeof(Ev));
   uint64_t H = R.Head.load(std::memory_order_relaxed);
   size_t Base = static_cast<size_t>(H % Slots) * (WordsPerSlot + 1);
-  // Seqlock write: odd marks the slot in flux. The release fence orders
-  // the odd store before the payload stores as other threads see them,
-  // so a reader that observed any new payload word cannot then read the
-  // old even sequence and accept a mixed slot.
+  // Seqlock write: odd marks the slot in flux. Each payload word is a
+  // release store, ordering the odd store before it as other threads see
+  // them, so a reader that observed any new payload word cannot then read
+  // the old even sequence and accept a mixed slot. (On x86 a release
+  // store is a plain store.)
   R.Words[Base].store(2 * H + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
   for (size_t I = 0; I < WordsPerSlot; ++I)
-    R.Words[Base + 1 + I].store(W[I], std::memory_order_relaxed);
+    R.Words[Base + 1 + I].store(W[I], std::memory_order_release);
   // Even publish: a reader that sees 2H+2 sees every payload word of
   // event H.
   R.Words[Base].store(2 * H + 2, std::memory_order_release);
@@ -125,12 +125,12 @@ std::vector<TraceEvent> TraceRecorder::snapshot() const {
       if (S1 == 0 || (S1 & 1))
         continue; // Never written, or mid-overwrite right now.
       uint64_t W[WordsPerSlot];
+      // Acquire loads pair with the writer's release stores: if any
+      // copied word came from a newer in-progress write, that write's odd
+      // sequence (stored before it) is visible to the re-check below,
+      // which no load of the copy can move past.
       for (size_t I = 0; I < WordsPerSlot; ++I)
-        W[I] = R.Words[Base + 1 + I].load(std::memory_order_relaxed);
-      // Pairs with the writer's release fence: if any copied word came
-      // from a newer in-progress write, this fence makes that write's
-      // odd sequence (stored before it) visible to the re-check below.
-      std::atomic_thread_fence(std::memory_order_acquire);
+        W[I] = R.Words[Base + 1 + I].load(std::memory_order_acquire);
       if (R.Words[Base].load(std::memory_order_relaxed) != S1)
         continue; // Overwritten while copying: discard, never tear.
       TraceEvent Ev;

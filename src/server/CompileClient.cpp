@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -19,6 +20,25 @@ namespace {
 void setErr(std::string *Err, const std::string &Msg) {
   if (Err)
     *Err = Msg;
+}
+
+std::exception_ptr failure(const std::string &Why) {
+  return std::make_exception_ptr(std::runtime_error(Why));
+}
+
+/// The report and cached flag of a result frame: a blocking compile's
+/// reply or a pushed notification.
+bool decodeResult(const Json &Frame, CompileClient::CompileResult &R,
+                  std::string &Err) {
+  const Json *ReportJson = Frame.get("report");
+  if (!ReportJson) {
+    Err = "result missing 'report'";
+    return false;
+  }
+  if (!kernelReportFromJson(*ReportJson, R.Report, Err))
+    return false;
+  R.Cached = Frame.boolean("cached", false);
+  return true;
 }
 
 } // namespace
@@ -37,26 +57,25 @@ bool CompileClient::connect(const std::vector<std::string> &Endpoints,
     return false;
   }
   std::string FirstErr;
-  for (size_t I = 0; I < Endpoints.size() && Fd < 0; ++I) {
+  int NewFd = -1;
+  for (size_t I = 0; I < Endpoints.size() && NewFd < 0; ++I) {
     std::string DialErr;
-    Fd = dialEndpoint(Endpoints[I], Secret, &DialErr);
-    if (Fd < 0 && FirstErr.empty())
+    NewFd = dialEndpoint(Endpoints[I], Secret, &DialErr);
+    if (NewFd < 0 && FirstErr.empty())
       FirstErr = DialErr;
   }
-  if (Fd < 0) {
+  if (NewFd < 0) {
     setErr(Err, FirstErr.empty() ? "connect failed" : FirstErr);
     return false;
   }
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    ReaderExited = false;
-    ReaderExitReason.clear();
-    Replies.clear();
-    Unclaimed.clear();
-    Outstanding.clear();
-    ArrivalCounter = 0;
-  }
-  Reader = std::thread([this] { readerLoop(); });
+  std::lock_guard<std::mutex> Lock(Mu);
+  Fd = NewFd;
+  Dead = false;
+  DeadReason.clear();
+  Replies.clear();
+  Unclaimed.clear();
+  Outstanding.clear();
+  ArrivalCounter = 0;
   return true;
 }
 
@@ -101,165 +120,185 @@ int CompileClient::dialEndpoint(const std::string &Ep,
 }
 
 void CompileClient::close() {
-  // shutdown() (not close()) wakes the reader parked in read(); the fd
-  // itself is released only after the join, so the reader can never race
-  // a recycled descriptor number.
-  if (Fd >= 0)
-    ::shutdown(Fd, SHUT_RDWR);
-  if (Reader.joinable())
-    Reader.join();
-  if (Fd >= 0) {
-    ::close(Fd);
-    Fd = -1;
-  }
+  std::unique_lock<std::mutex> Lock(Mu);
+  if (Fd < 0)
+    return;
+  // shutdown() (not close()) wakes a caller parked in read(); the fd
+  // itself is released only once nobody reads, so no read can race a
+  // recycled descriptor number.
+  ::shutdown(Fd, SHUT_RDWR);
+  Cv.wait(Lock, [this] { return !Reading; });
+  if (!Dead)
+    failAllPending("connection closed");
+  ::close(Fd);
+  Fd = -1;
 }
 
 //===----------------------------------------------------------------------===//
-// Reader thread: the receive side of the socket
+// The receive side: whichever call needs a frame reads it
 //===----------------------------------------------------------------------===//
 
-void CompileClient::readerLoop() {
-  std::string Payload;
-  while (true) {
-    FrameStatus Status = Frames.next(Payload);
-    if (Status != FrameStatus::Ok) {
-      failAllPending(Status == FrameStatus::Eof ? "server closed the connection"
-                                                : "read failed");
-      return;
-    }
-    std::string ParseErr;
-    std::optional<Json> Frame = Json::parse(Payload, &ParseErr);
-    if (Frame && isNotification(*Frame)) {
-      uint64_t Ticket = static_cast<uint64_t>(Frame->integer("ticket", 0));
-      std::shared_ptr<std::promise<CompileResult>> P;
-      uint64_t Arrival = 0;
-      {
-        std::lock_guard<std::mutex> Lock(Mu);
-        Arrival = ++ArrivalCounter;
-        auto It = Tickets.find(Ticket);
-        if (It != Tickets.end()) {
-          P = std::move(It->second);
-          Tickets.erase(It);
-        } else {
-          // The submitted reply naming this ticket has not been consumed
-          // yet (pipelined submission); park the note for registerTicket.
-          Unclaimed[Ticket] = EarlyNote{std::move(*Frame), Arrival};
-        }
-      }
-      if (P)
-        resolveTicket(*P, *Frame, Arrival);
+template <typename DoneFn>
+bool CompileClient::readUntil(std::unique_lock<std::mutex> &Lock,
+                              DoneFn Done) {
+  while (!Done()) {
+    if (Dead)
+      return false;
+    if (Reading) {
+      Cv.wait(Lock);
       continue;
     }
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      QueuedReply R;
-      if (Frame)
-        R.Frame = std::move(*Frame);
-      else
-        R.Err = "malformed response: " + ParseErr;
-      Replies.push_back(std::move(R));
-    }
-    ReplyCv.notify_all();
+    Reading = true;
+    readFrame(Lock);
+    Reading = false;
+    Cv.notify_all();
   }
+  return true;
+}
+
+void CompileClient::readFrame(std::unique_lock<std::mutex> &Lock) {
+  // Read, parse and decode without the lock: only the reading role's
+  // holder touches Frames and Payload.
+  Lock.unlock();
+  FrameStatus Status = Frames.next(Payload);
+  std::optional<Json> Frame;
+  std::string ParseErr;
+  if (Status == FrameStatus::Ok)
+    Frame = Json::parse(Payload, &ParseErr);
+  // A notification is decoded before the lock is taken again.
+  bool IsNote = Frame && isNotification(*Frame);
+  uint64_t Ticket = 0;
+  CompileResult R;
+  std::exception_ptr Error;
+  if (IsNote) {
+    Ticket = static_cast<uint64_t>(Frame->integer("ticket", 0));
+    std::string DecodeErr;
+    if (const Json *Message = Frame->get("error"))
+      Error = failure("server error: " + (Message->isString()
+                                              ? Message->asString()
+                                              : Frame->dump()));
+    else if (!decodeResult(*Frame, R, DecodeErr))
+      Error = failure(DecodeErr);
+  }
+  Lock.lock();
+  if (Status != FrameStatus::Ok) {
+    failAllPending(Status == FrameStatus::Eof ? "server closed the connection"
+                                              : "read failed");
+    return;
+  }
+  if (!IsNote) {
+    Replies.push_back(Frame ? Reply{std::move(Frame), {}}
+                            : Reply{std::nullopt,
+                                    "malformed response: " + ParseErr});
+    return;
+  }
+  R.Arrival = ++ArrivalCounter;
+  // A ticket whose submitted reply has not been read yet (pipelined
+  // submission) is settled anyway and parked for registerTicket.
+  auto It = Tickets.find(Ticket);
+  bool Claimed = It != Tickets.end();
+  std::promise<CompileResult> &P =
+      Claimed ? It->second : (Unclaimed[Ticket] = {});
+  if (Error)
+    P.set_exception(Error);
+  else
+    P.set_value(std::move(R));
+  if (Claimed)
+    Tickets.erase(It);
 }
 
 void CompileClient::failAllPending(const std::string &Why) {
-  std::unordered_map<uint64_t, std::shared_ptr<std::promise<CompileResult>>>
-      Orphans;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    ReaderExited = true;
-    ReaderExitReason = Why;
-    Orphans.swap(Tickets);
-  }
-  for (auto &KV : Orphans)
-    KV.second->set_exception(
-        std::make_exception_ptr(std::runtime_error(Why)));
-  ReplyCv.notify_all();
-}
-
-void CompileClient::resolveTicket(std::promise<CompileResult> &P,
-                                  const Json &Note, uint64_t Arrival) {
-  if (const Json *Error = Note.get("error")) {
-    P.set_exception(std::make_exception_ptr(std::runtime_error(
-        "server error: " +
-        (Error->isString() ? Error->asString() : Note.dump()))));
-    return;
-  }
-  const Json *ReportJson = Note.get("report");
-  CompileResult R;
-  std::string DecodeErr;
-  if (!ReportJson || !kernelReportFromJson(*ReportJson, R.Report, DecodeErr)) {
-    P.set_exception(std::make_exception_ptr(std::runtime_error(
-        DecodeErr.empty() ? "result missing 'report'" : DecodeErr)));
-    return;
-  }
-  R.Cached = Note.boolean("cached", false);
-  R.Arrival = Arrival;
-  P.set_value(std::move(R));
+  Dead = true;
+  DeadReason = Why;
+  std::exception_ptr Error = failure(Why);
+  for (auto &KV : Tickets)
+    KV.second.set_exception(Error);
+  Tickets.clear();
 }
 
 //===----------------------------------------------------------------------===//
 // Request / reply plumbing
 //===----------------------------------------------------------------------===//
 
-bool CompileClient::sendRequest(const Json &Request, std::string *Err) {
-  std::string Frame;
-  if (!appendFrame(Frame, Request.dump())) {
-    setErr(Err, "request exceeds the frame limit");
-    return false;
-  }
-  return sendFrames(Frame, Err);
-}
-
 bool CompileClient::sendFrames(const std::string &Bytes, std::string *Err) {
   if (Fd < 0) {
     setErr(Err, "not connected");
     return false;
   }
-  if (!writeAll(Fd, Bytes)) {
-    setErr(Err, "write failed (server gone?)");
-    return false;
+  std::unique_lock<std::mutex> Lock(Mu, std::defer_lock);
+  bool Holding = false; // This call holds the reading role.
+  bool Ok = true;
+  for (size_t Sent = 0; Ok && Sent < Bytes.size();) {
+    // MSG_NOSIGNAL: a vanished server is an error return, not SIGPIPE.
+    ssize_t N = ::send(Fd, Bytes.data() + Sent, Bytes.size() - Sent,
+                       MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (N >= 0) {
+      Sent += static_cast<size_t>(N);
+      continue;
+    }
+    if (errno == EINTR)
+      continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      Ok = false;
+      break;
+    }
+    // The socket takes no more bytes. The server may be blocked sending
+    // replies nobody reads (and so not reading this burst): hold the
+    // reading role, and read while waiting for room.
+    Lock.lock();
+    if (!Holding) {
+      Cv.wait(Lock, [this] { return !Reading || Dead; });
+      Reading = Holding = !Dead;
+    }
+    Ok = !Dead;
+    Lock.unlock();
+    pollfd P = {Fd, POLLIN | POLLOUT, 0};
+    // An interrupted poll() leaves revents zero and just loops.
+    if (Ok && ::poll(&P, 1, -1) > 0 && (P.revents & POLLIN)) {
+      Lock.lock();
+      readFrame(Lock);
+      Lock.unlock();
+      Cv.notify_all();
+    }
   }
-  return true;
+  if (Holding) {
+    Lock.lock();
+    Reading = false;
+    Lock.unlock();
+    Cv.notify_all();
+  }
+  if (!Ok)
+    setErr(Err, "write failed (server gone?)");
+  return Ok;
 }
 
 std::optional<Json> CompileClient::awaitReply(std::string *Err) {
   std::unique_lock<std::mutex> Lock(Mu);
-  ReplyCv.wait(Lock, [this] { return !Replies.empty() || ReaderExited; });
-  if (Replies.empty()) {
-    setErr(Err, ReaderExitReason.empty() ? "connection closed"
-                                         : ReaderExitReason);
+  if (!readUntil(Lock, [this] { return !Replies.empty(); })) {
+    setErr(Err, DeadReason);
     return std::nullopt;
   }
-  QueuedReply R = std::move(Replies.front());
+  Reply R = std::move(Replies.front());
   Replies.pop_front();
-  if (!R.Frame) {
+  if (!R.Frame)
     setErr(Err, R.Err);
-    return std::nullopt;
-  }
   return std::move(R.Frame);
 }
 
 std::optional<Json> CompileClient::request(const Json &Request,
                                            std::string *Err) {
-  if (!sendRequest(Request, Err)) {
-    close();
-    return std::nullopt;
+  std::string Frame;
+  if (!appendFrame(Frame, Request.dump())) {
+    setErr(Err, "request exceeds the frame limit");
+  } else if (sendFrames(Frame, Err)) {
+    std::optional<Json> Reply = awaitReply(Err);
+    // A merely malformed frame (test traffic) leaves the connection
+    // usable; a dead one is closed.
+    if (Reply || connected())
+      return Reply;
   }
-  std::optional<Json> Reply = awaitReply(Err);
-  if (!Reply) {
-    // A dead reader means a dead connection; a merely malformed frame
-    // (test traffic) leaves the connection usable.
-    bool Dead;
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      Dead = ReaderExited;
-    }
-    if (Dead)
-      close();
-  }
-  return Reply;
+  close();
+  return std::nullopt;
 }
 
 std::optional<Json> CompileClient::roundTrip(const Json &Request,
@@ -295,23 +334,6 @@ std::optional<Json> CompileClient::hello(const std::string &ClientName,
 // Blocking compiles
 //===----------------------------------------------------------------------===//
 
-std::optional<CompileClient::CompileResult>
-CompileClient::decodeResult(const Json &Response, std::string *Err) {
-  const Json *ReportJson = Response.get("report");
-  if (!ReportJson) {
-    setErr(Err, "result missing 'report'");
-    return std::nullopt;
-  }
-  CompileResult R;
-  std::string DecodeErr;
-  if (!kernelReportFromJson(*ReportJson, R.Report, DecodeErr)) {
-    setErr(Err, DecodeErr);
-    return std::nullopt;
-  }
-  R.Cached = Response.boolean("cached", false);
-  return R;
-}
-
 Json CompileClient::makeCompileMessage(const char *Type,
                                        const std::string &Target,
                                        Json WorkloadJson,
@@ -326,29 +348,20 @@ Json CompileClient::makeCompileMessage(const char *Type,
 }
 
 std::optional<CompileClient::CompileResult>
-CompileClient::compileWorkload(const std::string &Target, Json WorkloadJson,
-                               const CompileOptions &Options,
-                               std::string *Err) {
-  std::optional<Json> Response =
-      roundTrip(makeCompileMessage("compile", Target, std::move(WorkloadJson),
-                                   Options),
-                "result", Err);
-  if (!Response)
-    return std::nullopt;
-  return decodeResult(*Response, Err);
-}
-
-std::optional<CompileClient::CompileResult>
 CompileClient::compileConv(const std::string &Target, const ConvLayer &Layer,
                            const CompileOptions &Options, std::string *Err) {
-  return compileWorkload(Target, toJson(Layer), Options, Err);
-}
-
-std::optional<CompileClient::CompileResult>
-CompileClient::compileConv3d(const std::string &Target,
-                             const Conv3dLayer &Layer,
-                             const CompileOptions &Options, std::string *Err) {
-  return compileWorkload(Target, toJson(Layer), Options, Err);
+  std::optional<Json> Response = roundTrip(
+      makeCompileMessage("compile", Target, toJson(Layer), Options), "result",
+      Err);
+  if (!Response)
+    return std::nullopt;
+  CompileResult R;
+  std::string DecodeErr;
+  if (!decodeResult(*Response, R, DecodeErr)) {
+    setErr(Err, DecodeErr);
+    return std::nullopt;
+  }
+  return R;
 }
 
 //===----------------------------------------------------------------------===//
@@ -356,31 +369,19 @@ CompileClient::compileConv3d(const std::string &Target,
 //===----------------------------------------------------------------------===//
 
 CompileClient::AsyncHandle CompileClient::registerTicket(uint64_t Ticket) {
-  auto P = std::make_shared<std::promise<CompileResult>>();
-  AsyncHandle H;
-  H.Ticket = Ticket;
-  H.Fut = P->get_future().share();
-  std::optional<EarlyNote> Early;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Unclaimed.find(Ticket);
-    if (It != Unclaimed.end()) {
-      Early = std::move(It->second);
-      Unclaimed.erase(It);
-    } else if (ReaderExited) {
-      // The connection died between the submitted reply and now; nobody
-      // will ever resolve this ticket — fail it instead of parking it.
-      P->set_exception(std::make_exception_ptr(std::runtime_error(
-          ReaderExitReason.empty() ? "connection closed" : ReaderExitReason)));
-      Outstanding.push_back(H);
-      return H;
-    } else {
-      Tickets.emplace(Ticket, P);
-    }
-    Outstanding.push_back(H);
-  }
+  std::lock_guard<std::mutex> Lock(Mu);
+  // A result read before this reply is settled already; with the
+  // connection dead, nothing will ever resolve the ticket.
+  auto Early = Unclaimed.extract(Ticket);
+  std::promise<CompileResult> P;
   if (Early)
-    resolveTicket(*P, Early->Frame, Early->Arrival);
+    P = std::move(Early.mapped());
+  else if (Dead)
+    P.set_exception(failure(DeadReason));
+  AsyncHandle H{Ticket, P.get_future().share()};
+  Outstanding.push_back(H);
+  if (!Early && !Dead)
+    Tickets.emplace(Ticket, std::move(P));
   return H;
 }
 
@@ -421,10 +422,9 @@ CompileClient::submitModelLayers(const std::string &Target, const Model &M,
     return std::nullopt;
   }
   // Consume every reply of the batch even after a failure: returning
-  // early would leave the later replies queued and desynchronize every
+  // early would leave the later replies unread and desynchronize every
   // subsequent request on this connection. Tickets that did get issued
-  // are registered regardless, so waitAll() still joins (and the reader
-  // still routes) their notifications.
+  // are registered regardless, so waitAll() still joins them.
   std::vector<AsyncHandle> Handles;
   Handles.reserve(M.Convs.size());
   std::string FirstErr;
@@ -457,6 +457,15 @@ CompileClient::wait(const AsyncHandle &Handle, std::string *Err) {
     setErr(Err, "invalid async handle");
     return std::nullopt;
   }
+  {
+    // A handle of this connection is resolved (failed, at worst) once the
+    // connection dies; only a foreign one can still be pending then.
+    std::unique_lock<std::mutex> Lock(Mu);
+    if (!readUntil(Lock, [&] { return Handle.ready(); })) {
+      setErr(Err, DeadReason);
+      return std::nullopt;
+    }
+  }
   try {
     return Handle.Fut.get();
   } catch (const std::exception &E) {
@@ -472,16 +481,11 @@ bool CompileClient::waitAll(std::string *Err) {
     ToJoin.swap(Outstanding);
   }
   bool Ok = true;
-  std::string FirstErr;
   for (const AsyncHandle &H : ToJoin) {
     std::string HandleErr;
-    if (!wait(H, &HandleErr) && Ok) {
-      Ok = false;
-      FirstErr = HandleErr;
-    }
+    if (!wait(H, &HandleErr) && std::exchange(Ok, false))
+      setErr(Err, HandleErr);
   }
-  if (!Ok)
-    setErr(Err, FirstErr);
   return Ok;
 }
 

@@ -7,34 +7,36 @@
 /// \file
 /// The client half of the compile-server protocol (docs/SERVER.md): a
 /// single-connection handle that frames requests, awaits replies, and
-/// decodes them back into runtime types. A background reader thread owns
-/// the receive side of the socket: replies are handed to whichever call
-/// is awaiting one, and pushed streaming notifications ("result" frames
-/// keyed by ticket) resolve the matching submit() future the moment they
-/// arrive — which is what lets one connection keep many compiles in
-/// flight at once.
+/// decodes them back into runtime types. The client owns no thread: a
+/// call that needs a frame reads it off the socket itself and dispatches
+/// whatever it reads on the way — a reply to the request in flight, a
+/// pushed "result" notification (keyed by ticket) to that ticket's
+/// future. So a result lands when some client call reads it, and one
+/// connection can keep many compiles in flight at once.
 ///
 /// Two ways to compile:
-///   - blocking: compileConv / compileConv3d / compileModel — one
-///     request, one reply, strictly serialized;
+///   - blocking: compileConv / compileModel — one request, one reply,
+///     strictly serialized;
 ///   - streaming: submitConv (or submitModelLayers, which pipelines a
 ///     whole model's submissions before collecting any reply) returns an
-///     AsyncHandle whose future resolves when the server pushes the
+///     AsyncHandle whose future resolves when a call reads the pushed
 ///     result — out of order with respect to submission is the norm.
-///     wait()/waitAll() join; AsyncHandle::ready() checks without
-///     blocking. Other workload kinds (dense, say) go through request().
+///     wait()/waitAll() block until it lands. Other workload kinds
+///     (conv3d, dense) go through request().
 ///
 /// A dropped connection is final: every pending future, and the round
 /// trip in flight, fails with the transport error. Reconnecting means a
 /// fresh connect() and resubmitting whatever still matters.
 ///
 /// Threading: the request-issuing methods (everything that writes to the
-/// socket) must be called from one thread at a time; wait()/waitAll()
-/// only touch futures and may be called from anywhere. Every typed call
-/// returns std::nullopt / false on failure and fills the optional \p Err
-/// out-param with either the transport error or the server's
-/// error-message payload. request() is the raw escape hatch the tests
-/// use to exercise malformed traffic.
+/// socket, and connect/close) must be called from one thread at a time;
+/// wait()/waitAll() may be called from any thread, alongside them. One
+/// caller reads at a time; the others wait until their frame has been
+/// read for them, the reading role is free, or the connection died. Every
+/// typed call returns std::nullopt / false on failure and fills the
+/// optional \p Err out-param with either the transport error or the
+/// server's error-message payload. request() is the raw escape hatch the
+/// tests use to exercise malformed traffic.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,11 +50,9 @@
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -66,8 +66,7 @@ public:
   CompileClient(const CompileClient &) = delete;
   CompileClient &operator=(const CompileClient &) = delete;
 
-  /// Connects to the server's Unix socket and starts the reader thread.
-  /// Does not send hello.
+  /// Connects to the server's Unix socket. Does not send hello.
   bool connect(const std::string &SocketPath, std::string *Err = nullptr);
 
   /// Fabric connect: dials \p Endpoints in order and keeps the first one
@@ -80,11 +79,11 @@ public:
   bool connect(const std::vector<std::string> &Endpoints,
                const std::string &Secret, std::string *Err = nullptr);
   void close();
-  /// False once the reader has seen the server close the connection,
-  /// even before a request fails on it; connect() makes it true again.
+  /// False once any read has seen the server close the connection, even
+  /// before a request fails on it; connect() makes it true again.
   bool connected() const {
     std::lock_guard<std::mutex> Lock(Mu);
-    return Fd >= 0 && !ReaderExited;
+    return Fd >= 0 && !Dead;
   }
 
   /// Sends one request frame and reads the matching response frame
@@ -102,27 +101,25 @@ public:
   struct CompileResult {
     KernelReport Report;
     bool Cached = false; ///< Served from a pre-existing ready entry.
-    /// Delivery sequence on this connection (1 = first notification the
-    /// reader saw); 0 for blocking results. Lets callers observe
-    /// out-of-order completion without timestamping.
+    /// Delivery sequence on this connection (1 = first notification
+    /// read); 0 for blocking results. Lets callers observe out-of-order
+    /// completion without timestamping.
     uint64_t Arrival = 0;
   };
   std::optional<CompileResult> compileConv(const std::string &Target,
                                            const ConvLayer &Layer,
                                            const CompileOptions &Options = {},
                                            std::string *Err = nullptr);
-  std::optional<CompileResult> compileConv3d(const std::string &Target,
-                                             const Conv3dLayer &Layer,
-                                             const CompileOptions &Options = {},
-                                             std::string *Err = nullptr);
 
   //===--------------------------------------------------------------------===//
   // Streaming (compile_async / result notifications)
   //===--------------------------------------------------------------------===//
 
   /// Handle on one submitted compile: the server-assigned ticket plus a
-  /// future the reader thread resolves when the result notification
-  /// lands. Copyable; all copies observe the same result.
+  /// future resolved when a client call reads the result notification.
+  /// Nothing reads on its own, so block through wait()/waitAll(), which
+  /// read until it lands; ready() only reports what was read already.
+  /// Copyable; all copies observe the same result.
   struct AsyncHandle {
     uint64_t Ticket = 0;
     std::shared_future<CompileResult> Fut;
@@ -148,8 +145,8 @@ public:
                     const CompileOptions &Options = {},
                     std::string *Err = nullptr);
 
-  /// Blocks until \p Handle's result lands; nullopt + \p Err when the
-  /// compile failed or the connection died.
+  /// Reads frames until \p Handle's result lands; nullopt + \p Err when
+  /// the compile failed or the connection died.
   std::optional<CompileResult> wait(const AsyncHandle &Handle,
                                     std::string *Err = nullptr);
 
@@ -225,27 +222,19 @@ public:
   bool shutdownServer(std::string *Err = nullptr);
 
 private:
-  /// A result notification the reader saw before the submitted reply
-  /// registered its ticket (the server resolves warm hits fast enough
-  /// for this to be routine under pipelined submission).
-  struct EarlyNote {
-    Json Frame;
-    uint64_t Arrival = 0;
+  /// A reply frame for the request in flight, or the parse error when
+  /// the peer sent a syntactically broken frame (a real server never
+  /// does; a test harness might). Replies keep their wire order.
+  struct Reply {
+    std::optional<Json> Frame;
+    std::string Err;
   };
 
   /// request() + error-response unwrapping + expected-type check.
   std::optional<Json> roundTrip(const Json &Request, const char *ExpectType,
                                 std::string *Err);
-  /// The shared compile envelope: every compile* method encodes its
-  /// workload and funnels through here.
-  std::optional<CompileResult> compileWorkload(const std::string &Target,
-                                               Json WorkloadJson,
-                                               const CompileOptions &Options,
-                                               std::string *Err);
   Json makeCompileMessage(const char *Type, const std::string &Target,
                           Json WorkloadJson, const CompileOptions &Options);
-  std::optional<CompileResult> decodeResult(const Json &Response,
-                                            std::string *Err);
 
   /// Dials one endpoint string (Unix path or TCP host:port, including
   /// the auth handshake with \p Secret for TCP). Returns the connected
@@ -253,51 +242,50 @@ private:
   int dialEndpoint(const std::string &Ep, const std::string &Secret,
                    std::string *Err);
 
-  /// Write side of request(): frames one message onto the socket.
-  bool sendRequest(const Json &Request, std::string *Err);
   /// Writes already-framed bytes (one message, or a whole pipelined
-  /// burst) with one writeAll.
+  /// burst). While the socket takes no more bytes, reads and dispatches
+  /// frames: the server may be waiting for room to send its replies.
   bool sendFrames(const std::string &Bytes, std::string *Err);
-  /// Read side of request(): pops the next *reply* frame the reader
-  /// queued (blocking; fails when the reader died).
+  /// Read side of request(): reads until the next reply frame is there
+  /// and takes it; fails when the connection died.
   std::optional<Json> awaitReply(std::string *Err);
+  /// Reads frames, one caller at a time, until \p Done() holds; false
+  /// when the connection died first. \p Lock holds Mu.
+  template <typename DoneFn>
+  bool readUntil(std::unique_lock<std::mutex> &Lock, DoneFn Done);
+  /// Reads one frame and dispatches it. The caller holds the reading
+  /// role; \p Lock is released around the read.
+  void readFrame(std::unique_lock<std::mutex> &Lock);
   /// Registers \p Ticket from a submitted reply, claiming any notification
-  /// that raced ahead of it.
+  /// that was read before it.
   AsyncHandle registerTicket(uint64_t Ticket);
-  /// Resolves one submit future from its notification frame.
-  static void resolveTicket(std::promise<CompileResult> &P, const Json &Note,
-                            uint64_t Arrival);
-
-  void readerLoop();
-  /// Fails every outstanding ticket and reply waiter (reader exit path).
+  /// Fails every outstanding ticket and marks the connection dead. Mu held.
   void failAllPending(const std::string &Why);
 
   /// Written only by connect() and close(), on the request-issuing
-  /// thread; the reader thread reads through Frames, never through Fd.
+  /// thread, under Mu; reads go through Frames, never through Fd.
   int Fd = -1;
   uint64_t NextId = 1;
 
-  /// One queued reply: the parsed frame, or the parse error when the
-  /// peer sent a syntactically broken frame (a real server never does; a
-  /// test harness might) — kept in one queue so replies stay in order.
-  struct QueuedReply {
-    std::optional<Json> Frame;
-    std::string Err;
-  };
-
-  std::thread Reader;
-  /// The socket's one reader. Used by connect() before the reader thread
-  /// starts and by the reader thread alone after; every dial rebinds it,
-  /// so a new connection never sees the old one's buffered bytes.
+  /// The socket's one reader, used only by the holder of the reading role
+  /// (and by connect() before the connection is live); every dial
+  /// rebinds it, so a new connection never sees the old one's buffered
+  /// bytes. Payload is its frame buffer.
   FrameReader Frames;
+  std::string Payload;
   mutable std::mutex Mu; ///< Guards everything below.
-  std::condition_variable ReplyCv;
-  std::deque<QueuedReply> Replies; ///< Non-notification frames, in order.
-  bool ReaderExited = false;
-  std::string ReaderExitReason;
-  std::unordered_map<uint64_t, std::shared_ptr<std::promise<CompileResult>>>
-      Tickets;
-  std::unordered_map<uint64_t, EarlyNote> Unclaimed;
+  /// Signalled whenever a frame was dispatched, the reading role freed,
+  /// or the connection died.
+  std::condition_variable Cv;
+  bool Reading = false; ///< A caller holds the reading role.
+  /// No live connection: none made yet, a read saw it end, or close() ran.
+  bool Dead = true;
+  std::string DeadReason = "not connected";
+  std::deque<Reply> Replies;
+  std::unordered_map<uint64_t, std::promise<CompileResult>> Tickets;
+  /// Results read before the submitted reply registered their ticket
+  /// (warm hits resolve that fast under pipelined submission), settled.
+  std::unordered_map<uint64_t, std::promise<CompileResult>> Unclaimed;
   std::vector<AsyncHandle> Outstanding; ///< For waitAll.
   uint64_t ArrivalCounter = 0;
 };

@@ -170,7 +170,13 @@ void dumpValue(const Json &J, std::string &Out) {
 
 constexpr int MaxParseDepth = 64;
 
-struct Parser {
+} // namespace
+
+/// Every value is built in its final slot: a member or item is emplaced
+/// first and parsed straight into, never parsed into a temporary and then
+/// moved.
+namespace unit {
+struct JsonParser {
   const char *Cur;
   const char *End;
   std::string Err;
@@ -261,6 +267,7 @@ struct Parser {
     return true;
   }
 
+  /// Parses one value into \p Out, a null Json in its final place.
   bool parseValue(Json &Out, int Depth) {
     if (Depth > MaxParseDepth)
       return fail("nesting too deep");
@@ -269,40 +276,26 @@ struct Parser {
       return fail("unexpected end of input");
     switch (*Cur) {
     case 'n':
-      if (!literal("null"))
-        return false;
-      Out = Json();
-      return true;
+      return literal("null");
     case 't':
-      if (!literal("true"))
-        return false;
-      Out = Json(true);
-      return true;
     case 'f':
-      if (!literal("false"))
-        return false;
-      Out = Json(false);
-      return true;
-    case '"': {
-      std::string S;
-      if (!parseString(S))
-        return false;
-      Out = Json(std::move(S));
-      return true;
-    }
+      Out.K = Json::Kind::Bool;
+      Out.BoolVal = *Cur == 't';
+      return literal(Out.BoolVal ? "true" : "false");
+    case '"':
+      Out.K = Json::Kind::String;
+      return parseString(Out.StrVal);
     case '[': {
       ++Cur;
-      Out = Json::array();
+      Out.K = Json::Kind::Array;
       skipWs();
       if (Cur != End && *Cur == ']') {
         ++Cur;
         return true;
       }
       while (true) {
-        Json Item;
-        if (!parseValue(Item, Depth + 1))
+        if (!parseValue(Out.Items.emplace_back(), Depth + 1))
           return false;
-        Out.push(std::move(Item));
         skipWs();
         if (Cur == End)
           return fail("unterminated array");
@@ -319,25 +312,27 @@ struct Parser {
     }
     case '{': {
       ++Cur;
-      Out = Json::object();
+      Out.K = Json::Kind::Object;
       skipWs();
       if (Cur != End && *Cur == '}') {
         ++Cur;
         return true;
       }
+      // Members append without a duplicate scan, so a large object
+      // parses in linear time; a duplicate key resolves to its first
+      // occurrence (get() scans front to back).
+      Out.Fields.reserve(Json::ObjectReserve);
       while (true) {
         skipWs();
-        std::string Key;
+        auto &[Key, Value] = Out.Fields.emplace_back();
         if (!parseString(Key))
           return false;
         skipWs();
         if (Cur == End || *Cur != ':')
           return fail("expected ':'");
         ++Cur;
-        Json Value;
         if (!parseValue(Value, Depth + 1))
           return false;
-        Out.append(std::move(Key), std::move(Value));
         skipWs();
         if (Cur == End)
           return fail("unterminated object");
@@ -360,19 +355,17 @@ struct Parser {
       // leading-character and finiteness guards.
       if (*Cur != '-' && !(*Cur >= '0' && *Cur <= '9'))
         return fail("expected value");
-      double N = 0;
-      std::from_chars_result R = std::from_chars(Cur, End, N);
-      if (R.ec != std::errc() || R.ptr == Cur || !std::isfinite(N))
+      std::from_chars_result R = std::from_chars(Cur, End, Out.NumVal);
+      if (R.ec != std::errc() || R.ptr == Cur || !std::isfinite(Out.NumVal))
         return fail("expected value");
       Cur = R.ptr;
-      Out = Json(N);
+      Out.K = Json::Kind::Number;
       return true;
     }
     }
   }
 };
-
-} // namespace
+} // namespace unit
 
 std::string Json::dump() const {
   std::string Out;
@@ -382,9 +375,9 @@ std::string Json::dump() const {
 }
 
 std::optional<Json> Json::parse(std::string_view Text, std::string *Err) {
-  Parser P{Text.data(), Text.data() + Text.size(), {}};
-  Json Out;
-  if (!P.parseValue(Out, 0)) {
+  JsonParser P{Text.data(), Text.data() + Text.size(), {}};
+  std::optional<Json> Out(std::in_place);
+  if (!P.parseValue(*Out, 0)) {
     if (Err)
       *Err = P.Err;
     return std::nullopt;
@@ -814,7 +807,8 @@ Json unit::makeErrorNotification(uint64_t Ticket, const std::string &Message) {
 bool unit::isNotification(const Json &Frame) {
   // Only "result" frames are ever pushed; the submitted reply also
   // carries a ticket but has type "submitted".
-  return Frame.isObject() && Frame.str("type") == "result" &&
+  const Json *Type = Frame.get("type");
+  return Type && Type->isString() && Type->asString() == "result" &&
          Frame.get("ticket") != nullptr;
 }
 

@@ -95,6 +95,8 @@ constexpr size_t MaxPendingTicketsPerConnection = 8192;
 /// dumps, stable docs examples); member lookup is linear, which is fine at
 /// protocol-message sizes.
 class Json {
+  friend struct JsonParser; // Builds each parsed value in its final slot.
+
 public:
   enum class Kind { Null, Bool, Number, String, Array, Object };
   using Members = std::vector<std::pair<std::string, Json>>;
@@ -114,7 +116,13 @@ public:
   Json(const char *S) : K(Kind::String), StrVal(S) {}
 
   static Json array() { Json J; J.K = Kind::Array; return J; }
-  static Json object() { Json J; J.K = Kind::Object; return J; }
+  /// An empty object with room for a protocol message's members.
+  static Json object() {
+    Json J;
+    J.K = Kind::Object;
+    J.Fields.reserve(ObjectReserve);
+    return J;
+  }
 
   Kind kind() const { return K; }
   bool isNull() const { return K == Kind::Null; }
@@ -140,17 +148,9 @@ public:
   }
 
   /// Object member set; replaces an existing key in place. Linear scan —
-  /// right for hand-built messages, wrong for bulk parsing (see append).
+  /// right for hand-built messages, wrong for bulk parsing (the parser
+  /// appends without it).
   Json &set(std::string_view Key, Json Value);
-
-  /// Appends a member without the duplicate scan — O(1), used by the
-  /// parser so a large object frame parses in linear time. Duplicate
-  /// keys resolve to the *first* occurrence (get() scans front to back).
-  Json &append(std::string Key, Json Value) {
-    K = Kind::Object;
-    Fields.emplace_back(std::move(Key), std::move(Value));
-    return *this;
-  }
 
   /// Member pointer, or nullptr when absent / not an object.
   const Json *get(std::string_view Key) const;
@@ -173,6 +173,11 @@ public:
                                    std::string *Err = nullptr);
 
 private:
+  /// Members an object reserves when it is made: most protocol objects
+  /// (a request, its options, a report, a notification) fit, so building
+  /// or parsing one allocates its member list once.
+  static constexpr size_t ObjectReserve = 8;
+
   Kind K;
   bool BoolVal = false;
   double NumVal = 0;

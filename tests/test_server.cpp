@@ -251,6 +251,202 @@ TEST(Json, StringViewKeysGetAndSetInPlace) {
   EXPECT_EQ(Json(3).str("alpha", "d"), "d");
 }
 
+TEST(Json, ObjectsPastTheMemberReserveKeepEveryMemberInOrder) {
+  // Twenty members, more than an object reserves, nested in an array
+  // and an object so every kind of slot regrows under a parsed value.
+  std::string Text = "{";
+  for (int I = 0; I < 20; ++I)
+    Text += (I ? ",\"k" : "\"k") + std::to_string(I) + "\":" +
+            std::to_string(I * 3);
+  Text += "}";
+  const std::string Outer = R"({"list":[)" + Text + "," + Text +
+                            R"(],"obj":)" + Text + R"(,"tail":"end"})";
+  std::optional<Json> J = Json::parse(Outer);
+  ASSERT_TRUE(J.has_value());
+  EXPECT_EQ(J->dump(), Outer);
+  const Json *Obj = J->get("obj");
+  ASSERT_NE(Obj, nullptr);
+  ASSERT_EQ(Obj->members().size(), 20u);
+  for (int I = 0; I < 20; ++I) {
+    EXPECT_EQ(Obj->members()[I].first, "k" + std::to_string(I));
+    EXPECT_EQ(Obj->integer("k" + std::to_string(I)), I * 3);
+  }
+  ASSERT_EQ(J->get("list")->items().size(), 2u);
+  EXPECT_EQ(J->get("list")->items()[1].integer("k19"), 57);
+  EXPECT_EQ(J->str("tail"), "end");
+}
+
+TEST(Json, DuplicateKeysResolveToTheFirst) {
+  std::optional<Json> J =
+      Json::parse(R"({"a":1,"b":{"x":"first","x":"second"},"a":2})");
+  ASSERT_TRUE(J.has_value());
+  EXPECT_EQ(J->integer("a"), 1);
+  EXPECT_EQ(J->get("b")->str("x"), "first");
+  // Both occurrences are kept, in order, and dump back as they came.
+  EXPECT_EQ(J->members().size(), 3u);
+  EXPECT_EQ(J->dump(), R"({"a":1,"b":{"x":"first","x":"second"},"a":2})");
+}
+
+/// A failure deep inside an object or array fails the whole parse with
+/// the first error, worded as it always was.
+TEST(Json, FailureMidObjectOrArrayReturnsTheFirstError) {
+  const std::pair<const char *, const char *> Cases[] = {
+      {R"({"a":1,"b":[1,2,}})", "expected value"},
+      {R"({"a":{"b":tru}})", "expected 'true'"},
+      {R"({"a":fals})", "expected 'false'"},
+      {R"({"a":[1,{"b":nul}]})", "expected 'null'"},
+      {R"([1,{"k" 2}])", "expected ':'"},
+      {R"({"a":[1,2})", "expected ',' or ']'"},
+      {R"([{"a":1])", "expected ',' or '}'"},
+      {R"({"a":1,)", "expected string"},
+      {R"({"a":1, 2})", "expected string"},
+      {R"({"a":[1,2)", "unterminated array"},
+      {R"([{"a":1)", "unterminated object"},
+      {R"({"a":"x)", "unterminated string"},
+      {R"({"a":{"b":"\q"}})", "bad escape"},
+      {R"([1,-])", "expected value"},
+      {R"([[1],[2,[3,]]])", "expected value"},
+      {R"({"a":[)", "unexpected end of input"},
+      {R"({"a":1}})", "trailing garbage after JSON value"},
+  };
+  for (const auto &[Text, Want] : Cases) {
+    std::string Err;
+    EXPECT_FALSE(Json::parse(Text, &Err).has_value()) << Text;
+    EXPECT_EQ(Err, Want) << Text;
+  }
+}
+
+TEST(Json, NestingDepthIsBoundedAtSixtyFour) {
+  auto Arrays = [](int Depth) {
+    return std::string(Depth, '[') + "1" + std::string(Depth, ']');
+  };
+  auto Objects = [](int Depth) {
+    std::string Text;
+    for (int I = 0; I < Depth; ++I)
+      Text += R"({"a":)";
+    return Text + "1" + std::string(Depth, '}');
+  };
+  for (const std::string &Ok : {Arrays(64), Objects(64)}) {
+    std::optional<Json> J = Json::parse(Ok);
+    ASSERT_TRUE(J.has_value());
+    EXPECT_EQ(J->dump(), Ok);
+  }
+  for (const std::string &Deep : {Arrays(65), Objects(65)}) {
+    std::string Err;
+    EXPECT_FALSE(Json::parse(Deep, &Err).has_value());
+    EXPECT_EQ(Err, "nesting too deep");
+  }
+}
+
+/// The payloads Json.WireBytesMatchThePinnedEncoding pins, from the same
+/// encoders and inputs.
+std::vector<std::string> pinnedPayloads() {
+  ConvLayer L;
+  L.Name = "res2a\"branch\\1\t";
+  L.InC = 64;
+  L.InH = L.InW = 56;
+  L.OutC = 256;
+  L.KH = L.KW = 3;
+  L.Stride = 2;
+  L.PadH = 1;
+  L.PadW = 0;
+  ConvLayer Dw = L;
+  Dw.Name = "dw";
+  Dw.Depthwise = true;
+  CompileOptions O;
+  O.MaxCandidates = 16;
+  O.Policy = CachePolicy::Bypass;
+  O.Priority = -3;
+  KernelReport R;
+  R.Seconds = 1.2345678901234567e-05;
+  R.Tensorized = true;
+  R.BestCandidateIndex = 41;
+  R.CandidatesTried = 1024;
+  R.IntrinsicName = "vpdpbusd";
+  KernelReport Fallback;
+  Fallback.Seconds = 0.25;
+  Json Msg = Json::object();
+  Msg.set("type", "compile_async");
+  Msg.set("id", 17);
+  Msg.set("target", "x86");
+  Msg.set("workload", toJson(L));
+  Msg.set("options", toJson(CompileOptions{}));
+  return {toJson(L).dump(),
+          toJson(Dw).dump(),
+          toJson(CompileOptions{}).dump(),
+          toJson(O).dump(),
+          makeResultNotification(9007199254740991ull, true, R).dump(),
+          makeResultNotification(3, false, Fallback).dump(),
+          Msg.dump()};
+}
+
+/// Every frame a FrameReader hands out of \p Bytes (written, then the
+/// writer closed), and how the reading ended.
+std::vector<std::string> readAllFrames(const std::string &Bytes,
+                                       FrameStatus &Last) {
+  int Fds[2];
+  std::vector<std::string> Frames;
+  Last = FrameStatus::Error;
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds) != 0)
+    return Frames;
+  bool Written = writeAll(Fds[0], Bytes);
+  ::close(Fds[0]);
+  FrameReader Reader(Fds[1]);
+  std::string Payload;
+  while (Written && (Last = Reader.next(Payload)) == FrameStatus::Ok)
+    Frames.push_back(Payload);
+  ::close(Fds[1]);
+  return Frames;
+}
+
+/// A parse either fails with an error or yields a value whose dump
+/// parses back to the same dump.
+void expectCleanParse(const std::string &Text) {
+  std::string Err;
+  std::optional<Json> J = Json::parse(Text, &Err);
+  if (!J) {
+    EXPECT_FALSE(Err.empty()) << Text;
+    return;
+  }
+  std::optional<Json> Again = Json::parse(J->dump());
+  ASSERT_TRUE(Again.has_value()) << Text;
+  EXPECT_EQ(Again->dump(), J->dump()) << Text;
+}
+
+/// Deterministic mutations of the pinned frames through FrameReader and
+/// Json::parse: every truncation and every single-bit flip of every byte
+/// (length prefix included) must parse or fail cleanly — no crash, hang
+/// or sanitizer report.
+TEST(Json, EveryTruncationAndByteFlipOfThePinnedFramesFailsCleanly) {
+  size_t Mutations = 0;
+  for (const std::string &Payload : pinnedPayloads()) {
+    std::string Frame;
+    ASSERT_TRUE(appendFrame(Frame, Payload));
+    FrameStatus Last;
+    // Truncated: the reader reports the cut frame as an error (or, cut
+    // before any byte, a clean EOF), and no prefix of a payload parses.
+    for (size_t Len = 0; Len < Frame.size(); ++Len, ++Mutations) {
+      EXPECT_TRUE(readAllFrames(Frame.substr(0, Len), Last).empty());
+      EXPECT_EQ(Last, Len == 0 ? FrameStatus::Eof : FrameStatus::Error);
+      if (Len >= 4) {
+        std::string Err;
+        EXPECT_FALSE(Json::parse(Payload.substr(0, Len - 4), &Err));
+        EXPECT_FALSE(Err.empty());
+      }
+    }
+    for (size_t At = 0; At < Frame.size(); ++At)
+      for (int Bit = 0; Bit < 8; ++Bit, ++Mutations) {
+        std::string Flipped = Frame;
+        Flipped[At] = static_cast<char>(Flipped[At] ^ (1 << Bit));
+        for (const std::string &Got : readAllFrames(Flipped, Last))
+          expectCleanParse(Got);
+        if (At >= 4)
+          expectCleanParse(Flipped.substr(4));
+      }
+  }
+  EXPECT_EQ(Mutations, 9u * 1002u); // Nine per byte of the seven frames.
+}
+
 //===----------------------------------------------------------------------===//
 // Frames
 //===----------------------------------------------------------------------===//
@@ -621,17 +817,26 @@ TEST_F(ServerTest, DenseSharesTheConv2dCacheEntry) {
 TEST_F(ServerTest, Conv3dCompilesOnCpuAndIsRejectedOnGpu) {
   startServer();
   auto Client = makeClient("c3d");
-  Conv3dLayer L = makeResnet18Conv3d()[2];
+  // The client has no conv3d helper; the server decodes kind "conv3d".
+  Json Request = Json::object();
+  Request.set("type", "compile");
+  Request.set("target", "x86");
+  Request.set("workload", toJson(makeResnet18Conv3d()[2]));
   std::string Err;
-  std::optional<CompileClient::CompileResult> R =
-      Client->compileConv3d("x86", L, {}, &Err);
+  std::optional<Json> R = Client->request(Request, &Err);
   ASSERT_TRUE(R.has_value()) << Err;
-  EXPECT_GT(R->Report.Seconds, 0.0);
+  ASSERT_EQ(R->str("type"), "result") << R->dump();
+  KernelReport Report;
+  ASSERT_NE(R->get("report"), nullptr);
+  ASSERT_TRUE(kernelReportFromJson(*R->get("report"), Report, Err)) << Err;
+  EXPECT_GT(Report.Seconds, 0.0);
 
-  Err.clear();
-  EXPECT_FALSE(
-      Client->compileConv3d("nvgpu", L, {}, &Err).has_value());
-  EXPECT_NE(Err.find("conv3d"), std::string::npos);
+  Request.set("target", "nvgpu");
+  R = Client->request(Request, &Err);
+  ASSERT_TRUE(R.has_value()) << Err;
+  EXPECT_EQ(R->str("type"), "error");
+  EXPECT_NE(R->str("message").find("conv3d"), std::string::npos)
+      << R->dump();
 }
 
 /// The acceptance criterion: two concurrently connected clients compiling
@@ -1567,8 +1772,7 @@ TEST_F(ServerTest, DroppedConnectionFailsPendingTicketsAndLaterRequests) {
   ::close(Listener);
 
   // The pending future fails with the transport error, promptly.
-  ASSERT_EQ(H->Fut.wait_for(std::chrono::seconds(5)),
-            std::future_status::ready);
+  ASSERT_FALSE(Client.wait(*H, &Err).has_value());
   EXPECT_FALSE(Client.wait(*H, &Err).has_value());
   EXPECT_EQ(Err, "server closed the connection");
   EXPECT_EQ(countNotReady({*H}), 0u);
@@ -1591,6 +1795,122 @@ TEST_F(ServerTest, DroppedConnectionFailsPendingTicketsAndLaterRequests) {
   EXPECT_TRUE(Client.connected());
   ASSERT_TRUE(Client.hello("mayfly-again", 0, &Err).has_value()) << Err;
   EXPECT_TRUE(Client.connected());
+}
+
+/// The client reads while it writes: a burst of warm submissions whose
+/// requests (about 1.7 MB) and replies (about 1 MB: a submitted reply and
+/// a result per layer) each overflow a socket's buffers. A write that
+/// only waited for room would deadlock against a server blocked sending
+/// replies nobody reads.
+TEST_F(ServerTest, BurstWhoseRepliesOverflowBothSocketBuffersResolves) {
+  startServer();
+  auto Client = makeClient("flood");
+  std::string Err;
+  ConvLayer Warm = makeResnet18().Convs[4];
+  ASSERT_TRUE(Client->compileConv("x86", Warm, {}, &Err).has_value()) << Err;
+
+  Model Burst;
+  Burst.Name = "flood";
+  Burst.Convs.assign(4096, Warm);
+  std::optional<std::vector<CompileClient::AsyncHandle>> Handles =
+      Client->submitModelLayers("x86", Burst, {}, &Err);
+  ASSERT_TRUE(Handles.has_value()) << Err;
+  ASSERT_EQ(Handles->size(), Burst.Convs.size());
+  std::set<uint64_t> Tickets;
+  for (const CompileClient::AsyncHandle &H : *Handles) {
+    std::optional<CompileClient::CompileResult> R = Client->wait(H, &Err);
+    ASSERT_TRUE(R.has_value()) << Err;
+    EXPECT_TRUE(R->Cached);
+    Tickets.insert(H.Ticket);
+  }
+  EXPECT_EQ(Tickets.size(), Burst.Convs.size());
+  EXPECT_TRUE(Client->waitAll(&Err)) << Err;
+  EXPECT_TRUE(Client->connected());
+}
+
+/// wait() on a second thread while the first thread's blocking compile
+/// is in flight: one of them reads, the other is handed its frame, and
+/// each gets its own result.
+TEST_F(ServerTest, WaitOnASecondThreadDuringABlockingCompile) {
+  ServerConfig Config;
+  Config.SessionCfg.Threads = 4;
+  startServer(std::move(Config));
+
+  std::promise<void> Gate;
+  std::vector<ConvLayer> Gated = syntheticLayers(2, 48);
+  GatedCompiles Blocked(Server->session(), Gate.get_future().share(), Gated,
+                        /*SecondsBase=*/600.0);
+  auto Client = makeClient("two-threads");
+  std::string Err;
+  std::optional<CompileClient::AsyncHandle> H =
+      Client->submitConv("x86", Gated[1], {}, &Err);
+  ASSERT_TRUE(H.has_value()) << Err;
+
+  std::optional<CompileClient::CompileResult> Waited;
+  std::string WaitErr;
+  std::thread Waiter([&] { Waited = Client->wait(*H, &WaitErr); });
+  // Both results stay gated until both calls are (very likely) blocked.
+  std::thread Opener([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    Gate.set_value();
+  });
+  std::optional<CompileClient::CompileResult> Blocking =
+      Client->compileConv("x86", Gated[0], {}, &Err);
+  Opener.join();
+  Waiter.join();
+  Blocked.join();
+  ASSERT_TRUE(Blocking.has_value()) << Err;
+  ASSERT_TRUE(Waited.has_value()) << WaitErr;
+  EXPECT_EQ(Blocking->Report.Seconds, 600.0);
+  EXPECT_EQ(Waited->Report.Seconds, 601.0);
+  EXPECT_TRUE(Waited->Cached);
+  EXPECT_EQ(Waited->Arrival, 1u);
+  EXPECT_TRUE(Client->connected());
+}
+
+/// Nothing reads on its own: the client reads as connected after the
+/// server hung up, until a wait() reads the close.
+TEST_F(ServerTest, ConnectedReadsFalseOnceAWaitSawTheServerClose) {
+  SocketPath = tempPath(".sock");
+  int Listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(Listener, 0);
+  sockaddr_un Addr;
+  ASSERT_TRUE(makeUnixSocketAddr(SocketPath, Addr, nullptr));
+  ASSERT_EQ(::bind(Listener, reinterpret_cast<sockaddr *>(&Addr),
+                   sizeof(Addr)),
+            0);
+  ASSERT_EQ(::listen(Listener, 1), 0);
+  // Grants ticket 9 for the one compile_async, then hangs up.
+  std::thread HangUp([&] {
+    int Conn = ::accept(Listener, nullptr, nullptr);
+    if (Conn < 0)
+      return;
+    FrameReader Reader(Conn);
+    std::string Frame;
+    if (Reader.next(Frame) == FrameStatus::Ok) {
+      Json Submitted = Json::object();
+      Submitted.set("type", "submitted");
+      Submitted.set("ticket", 9);
+      writeFrame(Conn, Submitted.dump());
+    }
+    ::close(Conn);
+  });
+
+  CompileClient Client;
+  std::string Err;
+  ASSERT_TRUE(Client.connect(SocketPath, &Err)) << Err;
+  std::optional<CompileClient::AsyncHandle> H =
+      Client.submitConv("x86", makeResnet18().Convs[0], {}, &Err);
+  HangUp.join();
+  ::close(Listener);
+  ASSERT_TRUE(H.has_value()) << Err;
+  EXPECT_TRUE(Client.connected());
+  EXPECT_FALSE(H->ready());
+
+  EXPECT_FALSE(Client.wait(*H, &Err).has_value());
+  EXPECT_EQ(Err, "server closed the connection");
+  EXPECT_FALSE(Client.connected());
+  EXPECT_TRUE(H->ready());
 }
 
 //===----------------------------------------------------------------------===//
