@@ -46,10 +46,9 @@ int main() {
 
   // --- Submit all, then join ---------------------------------------------
   Model Resnet = makeResnet18();
-  std::vector<CompileRequest> Requests;
+  std::vector<CompileJob> Jobs;
   for (const ConvLayer &L : Resnet.Convs)
-    Requests.emplace_back(Workload::conv2d(L), "x86");
-  std::vector<CompileJob> Jobs = Session.compileAllAsync(std::move(Requests));
+    Jobs.push_back(Session.compileAsync({Workload::conv2d(L), "x86"}));
   // ... this thread is free to price the graph, load weights, etc. ...
   double Total = 0;
   for (const CompileJob &Job : Jobs)

@@ -21,11 +21,9 @@ void prefetchModel(CompilerSession &Session, const TargetBackendRef &Backend,
   if (!Session.config().ParallelShapes)
     return;
   std::unordered_set<std::string> Seen;
-  std::vector<CompileRequest> Requests;
   for (const ConvLayer &L : M.Convs)
     if (Seen.insert(L.shapeKey()).second)
-      Requests.emplace_back(Workload::conv2d(L), Backend);
-  Session.compileAllAsync(std::move(Requests));
+      Session.compileAsync({Workload::conv2d(L), Backend});
 }
 
 } // namespace

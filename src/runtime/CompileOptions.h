@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The option block a CompileRequest carries alongside its Workload and
-/// target: tuning budget, cache policy, and batch-scheduling priority.
+/// target: the tuning budget and the tuner's search hints.
 /// Lives in its own dependency-free header so TargetBackend signatures can
 /// thread it down into the tuner without pulling in the request types.
 ///
@@ -17,26 +17,12 @@
 
 namespace unit {
 
-/// How a request interacts with the session's KernelCache.
-enum class CachePolicy {
-  Default, ///< Serve from cache; compile and insert on a miss.
-  Bypass,  ///< Compile fresh without reading or writing the cache.
-  Refresh, ///< Drop any existing entry, recompile, and re-insert.
-};
-
 struct CompileOptions {
   /// Tuning budget: cap on candidates the tuner scores; any value <= 0
   /// means the full space (the tuner's own convention). A capped request
   /// caches under a distinct key so a budgeted report can never shadow
   /// (or be shadowed by) a full-search one.
   int MaxCandidates = -1;
-
-  CachePolicy Policy = CachePolicy::Default;
-
-  /// Batch-scheduling hint: when several requests are submitted together
-  /// (compileAllAsync / compileModel), higher-priority requests enter the
-  /// pool queue first. Has no effect on a single request.
-  int Priority = 0;
 
   /// Early-exit pruning in the tuner: skip candidates whose admissible
   /// latency lower bound already exceeds the running best. The compiled

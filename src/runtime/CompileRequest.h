@@ -8,7 +8,7 @@
 /// The one shape every compilation takes: a CompileRequest bundles the
 /// Workload to compile, the TargetBackend to compile it for (resolvable
 /// from a string target id through the TargetRegistry), and the
-/// CompileOptions governing tuning budget / cache policy / batch priority.
+/// CompileOptions governing the tuning budget.
 /// CompilerSession::compile(request) runs it synchronously;
 /// compileAsync(request) returns a future-based CompileJob so callers
 /// overlap graph pricing with kernel tuning instead of blocking per layer.

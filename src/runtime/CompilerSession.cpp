@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
 #include <unordered_map>
 
 using namespace unit;
@@ -16,10 +15,7 @@ using namespace unit;
 CompilerSession::CompilerSession(SessionConfig ConfigIn)
     : Config(std::move(ConfigIn)),
       Cache(Config.CacheCapacity, Config.CacheCapacityBytes),
-      Pool(std::make_unique<ThreadPool>(Config.Threads)) {
-  if (Config.CacheTTLSeconds > 0 || Config.CacheClock)
-    Cache.setTTL(Config.CacheTTLSeconds, Config.CacheClock);
-}
+      Pool(std::make_unique<ThreadPool>(Config.Threads)) {}
 
 CompilerSession::~CompilerSession() = default;
 
@@ -57,8 +53,7 @@ CompileOptions CompilerSession::optionsWithSeed(const CompileOptions &Base,
 
 /// What the resolve step decided for one request.
 struct CompilerSession::Resolution {
-  /// MustCompute for a cold miss (the caller owns Ticket) and for Bypass
-  /// (no cache entry, so Ticket and Fut stay empty).
+  /// MustCompute for a cold miss: the caller owns Ticket.
   KernelCache::ResolveKind Kind = KernelCache::ResolveKind::MustCompute;
   std::shared_future<KernelReport> Fut;
   KernelCache::ComputeTicket Ticket;
@@ -78,27 +73,11 @@ struct CompilerSession::ColdResult {
 };
 
 CompilerSession::Resolution
-CompilerSession::resolve(const CompileRequest &Request, const std::string &Key,
-                         double T0, const JobCallback &Finish) {
+CompilerSession::resolve(const std::string &Key, double T0,
+                         const JobCallback &Finish) {
   Resolution R;
   obs::Span Span("cache_resolve");
   R.Ctx = obs::currentSpan();
-  switch (Request.Options.Policy) {
-  case CachePolicy::Bypass:
-    // Never touches the cache: always a fresh compile with no entry to
-    // publish through.
-    FreshDispatchesCount.fetch_add(1);
-    Span.annotate("outcome", "bypass");
-    return R;
-  case CachePolicy::Refresh:
-    // Ready entries are dropped and recompiled; an in-flight compile is
-    // left alone (it is fresh enough, and erasing it would break the
-    // single-flight invariant its winner relies on).
-    Cache.eraseReady(Key);
-    break;
-  case CachePolicy::Default:
-    break;
-  }
   // Registered only when the resolve joins an in-flight compile; fires on
   // the winner's thread once the entry resolves. A job with a Finish
   // callback owns one InFlight count, released here; the span must close
@@ -142,15 +121,13 @@ CompilerSession::compileCold(const CompileRequest &Request,
                              std::atomic<size_t> *FreshCounter) {
   ColdResult Out;
   // The fleet probe comes first: a same-fingerprint peer that already
-  // tuned this key hands the report over in milliseconds. Only Default
-  // asks; Refresh wants a local tune and Bypass has no entry to fill.
+  // tuned this key hands the report over in milliseconds.
   std::optional<KernelReport> Remote;
-  if (Request.Options.Policy == CachePolicy::Default)
-    if (ColdMissFetcher Fetch = missFetcher()) {
-      obs::Span PeerFetch("peer_fetch");
-      Remote = Fetch(Key);
-      PeerFetch.annotate("hit", Remote ? 1 : 0);
-    }
+  if (ColdMissFetcher Fetch = missFetcher()) {
+    obs::Span PeerFetch("peer_fetch");
+    Remote = Fetch(Key);
+    PeerFetch.annotate("hit", Remote ? 1 : 0);
+  }
   if (Remote) {
     Out.Report = std::move(*Remote);
   } else {
@@ -171,20 +148,18 @@ CompilerSession::compileCold(const CompileRequest &Request,
       Out.Error = std::current_exception();
     }
   }
-  if (Ticket) {
-    if (Out.Error) {
-      Cache.fail(Key, Ticket, Out.Error);
-    } else {
-      Transfer.record(Key, Out.Report.BestCandidateIndex);
-      {
-        obs::Span Fulfill("fulfill");
-        Cache.fulfill(Key, Ticket, Out.Report);
-      }
-      // Peer-served reports never announce, so the fleet cannot echo.
-      if (Out.Computed)
-        if (CompileObserver Notify = compileObserver())
-          Notify(Key, Out.Report);
+  if (Out.Error) {
+    Cache.fail(Key, Ticket, Out.Error);
+  } else {
+    Transfer.record(Key, Out.Report.BestCandidateIndex);
+    {
+      obs::Span Fulfill("fulfill");
+      Cache.fulfill(Key, Ticket, Out.Report);
     }
+    // Peer-served reports never announce, so the fleet cannot echo.
+    if (Out.Computed)
+      if (CompileObserver Notify = compileObserver())
+        Notify(Key, Out.Report);
   }
   // Any cold body is the cold path, a peer-served miss included.
   ColdLatencyHist.record(steadyNowSeconds() - T0);
@@ -197,7 +172,7 @@ KernelReport CompilerSession::compileKeyed(const CompileRequest &Request,
   double T0 = steadyNowSeconds();
   if (ComputedHere)
     *ComputedHere = false;
-  Resolution R = resolve(Request, Key, T0, /*Finish=*/nullptr);
+  Resolution R = resolve(Key, T0, /*Finish=*/nullptr);
   // Ready hits return at once; a join waits on this caller-owned thread
   // (the continuation records its latency on the winner's thread).
   if (R.Kind != KernelCache::ResolveKind::MustCompute)
@@ -244,7 +219,7 @@ CompileJob CompilerSession::dispatchAsync(CompileRequest Request,
   // Count the job before resolving: a registered continuation may fire
   // (and decrement) the instant the cache lock is released.
   InFlight.fetch_add(1);
-  Resolution R = resolve(Request, Key, T0, Finish);
+  Resolution R = resolve(Key, T0, Finish);
   switch (R.Kind) {
   case KernelCache::ResolveKind::Ready:
     // Warm hit: resolve inline on the submitting thread. A whole warm
@@ -263,28 +238,15 @@ CompileJob CompilerSession::dispatchAsync(CompileRequest Request,
     break;
   }
 
-  // A miss runs the cold body on a pool worker. A Bypass job has no cache
-  // entry, so a private promise backs its future.
-  std::shared_ptr<std::promise<KernelReport>> Done;
-  if (!R.Ticket) {
-    Done = std::make_shared<std::promise<KernelReport>>();
-    R.Fut = Done->get_future().share();
-  }
+  // A miss runs the cold body on a pool worker.
   std::shared_future<KernelReport> Fut = R.Fut;
   Pool->submit([this, Request = std::move(Request), Key, R = std::move(R),
-                Done, Finish = std::move(Finish), FreshCounter,
-                T0]() mutable {
+                Finish = std::move(Finish), FreshCounter, T0]() mutable {
     // Every span in this task closes before the jobFinished() at the
     // bottom, for the teardown reason given in resolve().
     {
       obs::Span CompileSpan("compile", R.Ctx);
       ColdResult Cold = compileCold(Request, Key, R.Ticket, T0, FreshCounter);
-      if (Done) {
-        if (Cold.Error)
-          Done->set_exception(Cold.Error);
-        else
-          Done->set_value(Cold.Report);
-      }
       if (Finish)
         Finish(Cold.Error ? nullptr : &Cold.Report, Cold.Error,
                Cold.Computed);
@@ -304,28 +266,6 @@ void CompilerSession::quiesce() {
   // before the notify — exact wakeup, no timed polling.
   std::unique_lock<std::mutex> Lock(QuiesceMu);
   QuiesceCv.wait(Lock, [this] { return InFlight.load() == 0; });
-}
-
-std::vector<CompileJob>
-CompilerSession::compileAllAsync(std::vector<CompileRequest> Requests) {
-  return compileAllAsyncCounted(std::move(Requests), nullptr);
-}
-
-std::vector<CompileJob>
-CompilerSession::compileAllAsyncCounted(std::vector<CompileRequest> Requests,
-                                        std::atomic<size_t> *FreshCounter) {
-  // Submit higher-priority requests first (stable: ties keep caller
-  // order), but hand the jobs back in the original order.
-  std::vector<size_t> Order(Requests.size());
-  std::iota(Order.begin(), Order.end(), size_t{0});
-  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
-    return Requests[A].Options.Priority > Requests[B].Options.Priority;
-  });
-  std::vector<CompileJob> Jobs(Requests.size());
-  for (size_t Slot : Order)
-    Jobs[Slot] =
-        dispatchAsync(std::move(Requests[Slot]), nullptr, FreshCounter);
-  return Jobs;
 }
 
 ModelCompileResult CompilerSession::compileModel(const Model &M,
@@ -357,17 +297,13 @@ CompilerSession::compileModel(const Model &M, const TargetBackend &Backend,
   Result.DistinctShapes = DistinctLayers.size();
 
   // Only entries that existed before this call count as hits; intra-model
-  // duplicates of a cold shape are deduplicated work, not cache hits. A
-  // refreshing compile is about to drop those entries (and a bypassing
-  // one ignores them), so both report zero.
-  if (Options.Policy == CachePolicy::Default)
-    for (const std::string &Key : Keys)
-      if (Cache.contains(Key))
-        ++Result.CacheHitLayers;
+  // duplicates of a cold shape are deduplicated work, not cache hits.
+  for (const std::string &Key : Keys)
+    if (Cache.contains(Key))
+      ++Result.CacheHitLayers;
 
-  // Compile every distinct shape into a local key -> report map — cache
-  // policy (including Bypass) is handled per request. Holding the
-  // reports locally keeps the per-layer fan-out independent of the
+  // Compile every distinct shape into a local key -> report map. Holding
+  // the reports locally keeps the per-layer fan-out independent of the
   // cache, so LRU caps smaller than the model and concurrent clear()s
   // can never force a mid-collection re-tune.
   std::unordered_map<std::string, KernelReport> Reports;
@@ -377,13 +313,13 @@ CompilerSession::compileModel(const Model &M, const TargetBackend &Backend,
     // Submit all, then join: distinct shapes tune concurrently on the
     // pool; while joining, this thread helps drain pending tasks so a
     // small pool still tunes caller+workers wide.
-    std::vector<CompileRequest> Requests;
-    Requests.reserve(DistinctLayers.size());
+    std::vector<CompileJob> Jobs;
+    Jobs.reserve(DistinctLayers.size());
     for (size_t LayerIndex : DistinctLayers)
-      Requests.emplace_back(Workload::conv2d(M.Convs[LayerIndex]), Borrowed,
-                            Options);
-    std::vector<CompileJob> Jobs =
-        compileAllAsyncCounted(std::move(Requests), &FreshCompiles);
+      Jobs.push_back(dispatchAsync(
+          CompileRequest(Workload::conv2d(M.Convs[LayerIndex]), Borrowed,
+                         Options),
+          nullptr, &FreshCompiles));
     // Join *every* job before any rethrow: in-flight tasks hold a
     // non-owning reference to the caller's backend, so unwinding while
     // they still run would dangle it.

@@ -11,7 +11,6 @@
 ///
 ///   compile(CompileRequest)       blocking
 ///   compileAsync(CompileRequest)  future-based CompileJob
-///   compileAllAsync(requests)     priority-ordered batch submission
 ///   compileModel(model, target)   submit every distinct layer, then join
 ///
 /// Every workload kind (conv2d / conv3d / dense-as-1x1 / raw op) flows
@@ -63,15 +62,6 @@ struct SessionConfig {
   /// (in-flight compiles are never evicted). Both caps may be set; each
   /// is enforced independently.
   size_t CacheCapacityBytes = 0;
-  /// Age-based cache expiry: ready entries older than this re-tune on
-  /// next use (KernelCache::setTTL); <= 0 = entries never expire. For
-  /// long-lived daemons whose machine stays fixed but whose operators
-  /// still want periodic re-tunes.
-  double CacheTTLSeconds = 0;
-  /// Clock the TTL is measured on; null = process steady clock. A test
-  /// hook — injecting a fake clock turns expiry tests into arithmetic
-  /// instead of sleeps.
-  KernelCache::ClockFn CacheClock;
 };
 
 /// Counters describing how the session has been resolving requests. The
@@ -84,8 +74,8 @@ struct SessionStats {
   /// Requests served by a ready cache entry, resolved inline on the
   /// calling thread with no pool task.
   uint64_t InlineReadyHits = 0;
-  /// Requests that won their key (or were Bypass) and so ran the cold
-  /// body: on a pool worker for async jobs, inline for blocking calls.
+  /// Requests that won their key and so ran the cold body: on a pool
+  /// worker for async jobs, inline for blocking calls.
   uint64_t FreshDispatches = 0;
   /// Cold compiles whose tuner search was seeded from the cached winner
   /// of a near-isomorphic key (transfer tuning, docs/TUNING.md). Seeding
@@ -110,10 +100,10 @@ struct ModelCompileResult {
 
 class CompilerSession {
 public:
-  /// Fleet hook: consulted by the winning thread of a cold Default-policy
-  /// compile before it tunes. Returning a report fulfills the in-flight
-  /// entry with it — callers observe a cache hit (Computed=false), no
-  /// tuner runs. See setColdMissFetcher.
+  /// Fleet hook: consulted by the winning thread of a cold compile before
+  /// it tunes. Returning a report fulfills the in-flight entry with it —
+  /// callers observe a cache hit (Computed=false), no tuner runs. See
+  /// setColdMissFetcher.
   using ColdMissFetcher =
       std::function<std::optional<KernelReport>(const std::string &Key)>;
   /// Fleet hook: fired after every successful fresh compile (never for
@@ -179,22 +169,21 @@ private:
   struct Resolution;
   struct ColdResult;
 
-  /// The one resolve step every entry point runs first: the Refresh
-  /// erase, the Bypass short-cut, the cache_resolve span, the
-  /// hit/join/miss counters and the warm histogram. A join registers a
-  /// continuation that records the join latency and, for async jobs,
-  /// fires \p Finish and releases the job's InFlight count; blocking
-  /// callers pass a null \p Finish and wait on the future themselves.
-  Resolution resolve(const CompileRequest &Request, const std::string &Key,
-                     double T0, const JobCallback &Finish);
+  /// The one resolve step every entry point runs first: the
+  /// cache_resolve span, the hit/join/miss counters and the warm
+  /// histogram. A join registers a continuation that records the join
+  /// latency and, for async jobs, fires \p Finish and releases the job's
+  /// InFlight count; blocking callers pass a null \p Finish and wait on
+  /// the future themselves.
+  Resolution resolve(const std::string &Key, double T0,
+                     const JobCallback &Finish);
 
   /// The one cold-compile body, run by whoever owns a miss: the peer
-  /// probe (Default policy), transfer-seeded codegen, then for cached
-  /// policies the transfer-index record, the fulfill/fail that publishes
-  /// the entry through \p Ticket and the observer; always the cold
-  /// histogram. Bypass passes an empty \p Ticket. \p FreshCounter, when
-  /// set, counts a successful local compile. Never throws: a backend
-  /// error comes back in ColdResult::Error.
+  /// probe, transfer-seeded codegen, the transfer-index record, the
+  /// fulfill/fail that publishes the entry through \p Ticket, the
+  /// observer and the cold histogram. \p FreshCounter, when set, counts
+  /// a successful local compile. Never throws: a backend error comes
+  /// back in ColdResult::Error.
   ColdResult compileCold(const CompileRequest &Request, const std::string &Key,
                          KernelCache::ComputeTicket &Ticket, double T0,
                          std::atomic<size_t> *FreshCounter);
@@ -214,10 +203,10 @@ private:
                                  const std::string &Key);
 
   /// The async entry point behind compileAsync, compileAsyncThen and
-  /// compileAllAsync: the same resolve step, but it never blocks a pool
-  /// thread — ready hits fire \p Finish inline on the submitting thread,
-  /// joins ride the continuation the winner drains, and only a miss (key
-  /// winner, or Bypass) submits a pool task running the cold body.
+  /// parallel compileModel: the same resolve step, but it never blocks a
+  /// pool thread — ready hits fire \p Finish inline on the submitting
+  /// thread, joins ride the continuation the winner drains, and only a
+  /// miss (the key's winner) submits a pool task running the cold body.
   /// \p Finish may be null (future-only callers). \p FreshCounter, when
   /// set, is incremented iff the job ran the compile itself: the
   /// race-free accounting compileModel aggregates into FreshCompiles.
@@ -238,9 +227,6 @@ private:
     std::lock_guard<std::mutex> Lock(HooksMu);
     return Observer;
   }
-  std::vector<CompileJob>
-  compileAllAsyncCounted(std::vector<CompileRequest> Requests,
-                         std::atomic<size_t> *FreshCounter);
 
 public:
   explicit CompilerSession(SessionConfig Config = {});
@@ -291,13 +277,11 @@ public:
   //===--------------------------------------------------------------------===//
 
   /// Installs \p Fetch as the cold-miss fetcher. The single-flight winner
-  /// of a cold Default-policy compile calls it (on its own thread — a
-  /// blocking network probe is fine) before invoking the tuner; a
-  /// returned report fulfills the entry as if it had been cached all
-  /// along, so every joined waiter resolves and "computed here" stays
-  /// false. Refresh compiles skip it by design — Refresh means "tune
-  /// *here*, now". The compile server wires PeerManager::fetchMissing in
-  /// here; pass nullptr to uninstall.
+  /// of a cold compile calls it (on its own thread — a blocking network
+  /// probe is fine) before invoking the tuner; a returned report fulfills
+  /// the entry as if it had been cached all along, so every joined waiter
+  /// resolves and "computed here" stays false. The compile server wires
+  /// PeerManager::fetchMissing in here; pass nullptr to uninstall.
   void setColdMissFetcher(ColdMissFetcher Fetch) {
     std::lock_guard<std::mutex> Lock(HooksMu);
     MissFetcher = std::move(Fetch);
@@ -317,7 +301,7 @@ public:
   // The unified compile surface
   //===--------------------------------------------------------------------===//
 
-  /// Compiles one request, honoring its cache policy and tuning budget.
+  /// Compiles one request under its tuning budget.
   /// \p ComputedHere, when non-null, reports whether this call ran a
   /// fresh compile (true) or was served by the cache — a ready entry or
   /// a single-flight join of a concurrent compile (false). Race-free,
@@ -340,10 +324,6 @@ public:
   /// the compile server's streaming mode — push results as they land
   /// while keeping thousands of tickets in flight over a small pool.
   CompileJob compileAsyncThen(CompileRequest Request, JobCallback OnDone);
-
-  /// Submits a batch, higher CompileOptions::Priority first; the returned
-  /// jobs are in the original request order.
-  std::vector<CompileJob> compileAllAsync(std::vector<CompileRequest> Requests);
 
   /// Compiles every conv layer of \p M by submitting all distinct shapes
   /// async and then joining ("submit all, then join") when the config

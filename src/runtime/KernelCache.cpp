@@ -3,7 +3,6 @@
 #include "runtime/KernelCache.h"
 
 #include "support/StringUtils.h"
-#include "support/Time.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -46,56 +45,6 @@ void KernelCache::accountLocked(const std::string &Key, Entry &E) {
   size_t Now = entryBytesLocked(Key, E);
   BytesResident += Now - E.AccountedBytes;
   E.AccountedBytes = Now;
-  // The TTL is measured from readiness, not insertion: an in-flight entry
-  // has no report to go stale, and the winner re-accounts on completion,
-  // which is exactly the moment the report starts aging.
-  if (E.ReadyAt < 0 && isReady(E.Fut))
-    E.ReadyAt = nowLocked();
-}
-
-double KernelCache::nowLocked() const {
-  return Clock ? Clock() : steadyNowSeconds();
-}
-
-bool KernelCache::expiredLocked(const Entry &E) const {
-  return TTLSeconds > 0 && E.ReadyAt >= 0 &&
-         nowLocked() - E.ReadyAt > TTLSeconds;
-}
-
-void KernelCache::setTTL(double Seconds, ClockFn ClockIn) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  TTLSeconds = Seconds;
-  if (ClockIn)
-    Clock = std::move(ClockIn);
-}
-
-double KernelCache::ttlSeconds() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return TTLSeconds;
-}
-
-size_t KernelCache::purgeExpired() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (TTLSeconds <= 0)
-    return 0;
-  // One clock reading for the whole sweep (the clock may be a caller-
-  // supplied std::function). Erase bookkeeping is inlined like
-  // enforceCapacityLocked's: eraseLocked would re-find by key and
-  // invalidate the iterator.
-  double Now = nowLocked();
-  size_t Dropped = 0;
-  for (auto It = Entries.begin(); It != Entries.end();) {
-    const Entry &E = It->second;
-    if (E.ReadyAt >= 0 && Now - E.ReadyAt > TTLSeconds) {
-      BytesResident -= E.AccountedBytes;
-      Lru.erase(E.LruIt);
-      It = Entries.erase(It);
-      ++Dropped;
-    } else {
-      ++It;
-    }
-  }
-  return Dropped;
 }
 
 KernelCache::Entry &
@@ -148,12 +97,6 @@ KernelCache::resolveThen(const std::string &Key, Waiter OnDone,
                          ComputeTicket *Ticket) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Entries.find(Key);
-  // An expired entry is a miss that still holds the slot: drop it so
-  // this caller becomes the winner of a fresh compile.
-  if (It != Entries.end() && expiredLocked(It->second)) {
-    eraseLocked(Key);
-    It = Entries.end();
-  }
   if (It == Entries.end()) {
     auto Promise = std::make_shared<std::promise<KernelReport>>();
     Entry &E = insertLocked(Key, Promise->get_future().share());
@@ -242,7 +185,7 @@ KernelCache::lookup(const std::string &Key) const {
   {
     std::lock_guard<std::mutex> Lock(Mu);
     auto It = Entries.find(Key);
-    if (It == Entries.end() || expiredLocked(It->second))
+    if (It == Entries.end())
       return std::nullopt;
     Fut = It->second.Fut;
     touchLocked(It->second);
@@ -265,20 +208,9 @@ void KernelCache::erase(const std::string &Key) {
   eraseLocked(Key);
 }
 
-void KernelCache::eraseReady(const std::string &Key) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Entries.find(Key);
-  if (It == Entries.end() || !isReady(It->second.Fut))
-    return;
-  BytesResident -= It->second.AccountedBytes;
-  Lru.erase(It->second.LruIt);
-  Entries.erase(It);
-}
-
 bool KernelCache::contains(const std::string &Key) const {
   std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Entries.find(Key);
-  return It != Entries.end() && !expiredLocked(It->second);
+  return Entries.count(Key) != 0;
 }
 
 size_t KernelCache::size() const {
@@ -362,8 +294,7 @@ KernelCache::exportReady(size_t MaxBytes,
   std::lock_guard<std::mutex> Lock(Mu);
   auto TakeLocked = [&](const std::string &Key) {
     auto It = Entries.find(Key);
-    if (It == Entries.end() || !isReady(It->second.Fut) ||
-        expiredLocked(It->second))
+    if (It == Entries.end() || !isReady(It->second.Fut))
       return true;
     KernelReport R = It->second.Fut.get();
     size_t Cost = WireBytes(Key, R);
@@ -428,8 +359,7 @@ size_t KernelCache::save(std::ostream &Out,
     Ready.reserve(Entries.size());
     for (const std::string &Key : Lru) {
       auto It = Entries.find(Key);
-      if (It == Entries.end() || !isReady(It->second.Fut) ||
-          expiredLocked(It->second))
+      if (It == Entries.end() || !isReady(It->second.Fut))
         continue;
       Ready.emplace_back(Key, It->second.Fut.get());
     }

@@ -29,14 +29,11 @@
 ///
 /// The cache is bounded (optionally) by an LRU entry cap and/or an LRU
 /// byte cap over the resident-byte accounting, both fixed at construction
-/// (SessionConfig::CacheCapacity / CacheCapacityBytes); expires
-/// (optionally) by age — setTTL() makes ready entries older than the TTL
-/// read as absent, so a long-lived daemon re-tunes them instead of
-/// serving stale reports forever; and persists to disk: save() writes the
-/// surviving ready entries under a caller-supplied fingerprint (machine
-/// parameters + format version), and load() rejects files whose
-/// fingerprint does not match byte-for-byte — stale or cross-machine
-/// entries never leak into a session.
+/// (SessionConfig::CacheCapacity / CacheCapacityBytes), and persists to
+/// disk: save() writes the surviving ready entries under a
+/// caller-supplied fingerprint (machine parameters + format version), and
+/// load() rejects files whose fingerprint does not match byte-for-byte —
+/// stale or cross-machine entries never leak into a session.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -94,9 +91,6 @@ public:
     friend class KernelCache;
     std::shared_ptr<std::promise<KernelReport>> Promise;
     std::shared_ptr<std::vector<Waiter>> Waiters;
-
-  public:
-    explicit operator bool() const { return Promise != nullptr; }
   };
 
   /// \p MaxEntries == 0 means unbounded; otherwise least-recently-used
@@ -115,8 +109,8 @@ public:
   /// \p FutOut themselves). \p FutOut, when non-null, always receives the
   /// entry's future. Ready and Joined count as hits, MustCompute as a miss.
   /// In-flight entries keep every existing invariant: never evicted by the
-  /// caps, never TTL-expired, and a failed compile erases the key before
-  /// the error is published, so the key stays retryable and never poisoned.
+  /// caps, and a failed compile erases the key before the error is
+  /// published, so the key stays retryable and never poisoned.
   ResolveKind resolveThen(const std::string &Key, Waiter OnDone,
                           std::shared_future<KernelReport> *FutOut,
                           ComputeTicket *Ticket);
@@ -147,13 +141,6 @@ public:
   /// Drops \p Key if present (no-op otherwise).
   void erase(const std::string &Key);
 
-  /// Drops \p Key only when its entry is ready. An in-flight entry stays:
-  /// removing it would let a second compile of the same key start, and
-  /// the winner's completion paths assume the entry is still theirs.
-  /// CachePolicy::Refresh uses this — a compile currently in flight is
-  /// fresh enough to serve as the refreshed result.
-  void eraseReady(const std::string &Key);
-
   bool contains(const std::string &Key) const;
   size_t size() const;
   void clear();
@@ -161,25 +148,6 @@ public:
   /// The constructor's caps (0 = unbounded).
   size_t capacity() const { return MaxEntries; }
   size_t byteCapacity() const { return MaxBytes; }
-
-  /// Wall-clock source for age-based expiry; injectable so TTL tests can
-  /// advance time deterministically instead of sleeping.
-  using ClockFn = std::function<double()>;
-
-  /// Age-based expiry: a ready entry older than \p Seconds (measured from
-  /// the moment its report became ready, or from load() for persisted
-  /// entries) reads as absent — lookup/contains say no, resolveThen drops
-  /// it and answers MustCompute, save() skips it. In-flight entries never
-  /// expire (their winner is still computing). \p Seconds <= 0 disables
-  /// expiry; \p Clock defaults to the process steady clock.
-  void setTTL(double Seconds, ClockFn Clock = {});
-  double ttlSeconds() const;
-
-  /// Erases every expired ready entry now (expiry is otherwise lazy — an
-  /// expired entry stays resident until its key is touched). Long-lived
-  /// daemons call this periodically so dead entries release their bytes.
-  /// Returns the number of entries dropped.
-  size_t purgeExpired();
 
   struct CacheStats {
     uint64_t Hits = 0;
@@ -228,9 +196,9 @@ public:
   };
 
   /// Snapshots ready entries, most-recently-used first. With \p Keys,
-  /// exports exactly those (absent, in-flight, and expired keys are
-  /// skipped — a fetch for an in-flight key misses rather than blocking
-  /// on the winner); without, a bulk export of everything ready.
+  /// exports exactly those (absent and in-flight keys are skipped — a
+  /// fetch for an in-flight key misses rather than blocking on the
+  /// winner); without, a bulk export of everything ready.
   /// \p MaxBytes (0 = unbounded) caps the summed approximate wire size
   /// (key + intrinsic name + fixed framing) so one reply frame stays
   /// under the protocol's frame bound. Export refreshes no recency and
@@ -294,9 +262,6 @@ private:
     /// added is what gets subtracted on erase, even across the
     /// in-flight -> ready size transition.
     size_t AccountedBytes = 0;
-    /// Clock reading when the report became ready; < 0 while in flight.
-    /// The TTL is measured against this.
-    double ReadyAt = -1;
     /// Continuations to drain when the in-flight compile resolves. Non-null
     /// exactly while in flight (resolveThen allocates it with the entry);
     /// ready entries drop it. Shared with the winner's ComputeTicket so a
@@ -323,11 +288,6 @@ private:
   void enforceCapacityLocked();
   /// Approximate bytes one entry keeps resident. Mu must be held.
   size_t entryBytesLocked(const std::string &Key, const Entry &E) const;
-  /// True when \p E is ready and older than the TTL. Mu must be held.
-  bool expiredLocked(const Entry &E) const;
-  /// The TTL clock reading (Clock when set, steady clock otherwise).
-  /// Mu must be held (Clock is caller-supplied mutable state).
-  double nowLocked() const;
 
   mutable std::mutex Mu;
   std::unordered_map<std::string, Entry> Entries;
@@ -336,8 +296,6 @@ private:
   mutable std::list<std::string> Lru;
   const size_t MaxEntries = 0;
   const size_t MaxBytes = 0;
-  double TTLSeconds = 0; ///< <= 0 = entries never expire.
-  ClockFn Clock;         ///< Null = steadyNowSeconds.
   /// Sum of every entry's AccountedBytes — the O(1) signal the byte cap
   /// is enforced against (bytesUsed()/stats() keep their exact walk).
   size_t BytesResident = 0;

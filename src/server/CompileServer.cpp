@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <thread>
@@ -730,7 +731,10 @@ Json CompileServer::handleHello(Connection &Conn, const Json &Request) {
   std::string Name = Request.str("client");
   if (!Name.empty())
     Conn.ClientName = Name;
-  int Cap = static_cast<int>(Request.integer("max_candidates", 0));
+  // A cap outside int range is no cap, never a wrapped one.
+  int64_t Requested = Request.integer("max_candidates", 0);
+  int Cap = Requested > 0 && Requested <= INT_MAX ? static_cast<int>(Requested)
+                                                  : 0;
   bool BudgetRejected = false;
   {
     std::lock_guard<std::mutex> Lock(StatsMu);
@@ -805,17 +809,17 @@ int CompileServer::effectiveBudget(const std::string &ClientName,
 }
 
 std::string CompileServer::finishCompile(Connection &Conn, double SubmitSeconds,
-                                        CachePolicy Policy, uint64_t Ticket,
+                                        uint64_t Ticket,
                                         const KernelReport *Report,
                                         uint64_t Layers, uint64_t FromCache,
                                         uint64_t Fresh,
                                         std::exception_ptr Error) {
   double Seconds = steadyNowSeconds() - SubmitSeconds;
-  // Dirty-flag for the persist thread: fresh kernels changed the cache
-  // (Bypass writes nothing). A failure ticks too: a failed compile_model
-  // may have cached the layers before the failing one, and a spurious
-  // tick costs one redundant save at most.
-  if (Policy != CachePolicy::Bypass && (Fresh > 0 || Error))
+  // Dirty-flag for the persist thread: fresh kernels changed the cache.
+  // A failure ticks too: a failed compile_model may have cached the
+  // layers before the failing one, and a spurious tick costs one
+  // redundant save at most.
+  if (Fresh > 0 || Error)
     CompilesSinceSave.fetch_add(1);
   // Single-kernel requests pass their report; compile_model passes none.
   const char *Kind = Error    ? "error"
@@ -913,10 +917,10 @@ Json CompileServer::handleCompile(Connection &Conn, const Json &Request) {
   } catch (...) {
     Error = std::current_exception();
   }
-  std::string Failure = finishCompile(
-      Conn, T0, Compile->Options.Policy, /*Ticket=*/0,
-      Error ? nullptr : &Report, /*Layers=*/1,
-      /*FromCache=*/!Error && !Computed, Computed, Error);
+  std::string Failure =
+      finishCompile(Conn, T0, /*Ticket=*/0, Error ? nullptr : &Report,
+                    /*Layers=*/1, /*FromCache=*/!Error && !Computed, Computed,
+                    Error);
   if (Error)
     return errorFrame(Request, Failure);
 
@@ -966,23 +970,21 @@ Json CompileServer::handleCompileAsync(Connection &Conn, const Json &Request) {
   queueReply(Conn, J);
 
   double T0 = steadyNowSeconds();
-  CachePolicy Policy = Compile->Options.Policy;
   Session->compileAsyncThen(
       std::move(*Compile),
-      [this, &Conn, Ticket, T0, Policy](const KernelReport *Report,
-                                        std::exception_ptr Error,
-                                        bool Computed) {
-        finishTicket(Conn, Ticket, T0, Policy, Report, Error, Computed);
+      [this, &Conn, Ticket, T0](const KernelReport *Report,
+                                std::exception_ptr Error, bool Computed) {
+        finishTicket(Conn, Ticket, T0, Report, Error, Computed);
       });
   return Json(); // Already queued.
 }
 
 void CompileServer::finishTicket(Connection &Conn, uint64_t Ticket,
-                                 double SubmitSeconds, CachePolicy Policy,
+                                 double SubmitSeconds,
                                  const KernelReport *Report,
                                  std::exception_ptr Error, bool Computed) {
-  std::string Failure = finishCompile(Conn, SubmitSeconds, Policy, Ticket,
-                                      Report, /*Layers=*/1,
+  std::string Failure = finishCompile(Conn, SubmitSeconds, Ticket, Report,
+                                      /*Layers=*/1,
                                       /*FromCache=*/Report && !Computed,
                                       Computed, Error);
   std::string Payload =
@@ -1035,8 +1037,8 @@ Json CompileServer::handleCompileModel(Connection &Conn, const Json &Request) {
   // FreshCompiles is race-free (from the compiles themselves), unlike
   // the probed hit count.
   std::string Failure = finishCompile(
-      Conn, T0, Options.Policy, /*Ticket=*/0, /*Report=*/nullptr,
-      M.Convs.size(), Result.CacheHitLayers, Result.FreshCompiles, Error);
+      Conn, T0, /*Ticket=*/0, /*Report=*/nullptr, M.Convs.size(),
+      Result.CacheHitLayers, Result.FreshCompiles, Error);
   if (Error)
     return errorFrame(Request, Failure);
 
@@ -1398,16 +1400,6 @@ void CompileServer::persistLoop() {
     ShutdownCv.wait_for(Lock, Interval);
     if (ShutdownRequested || Stopping.load())
       break; // stop() takes the final save after joining this thread.
-    // With a TTL configured, sweep expired entries on the same cadence —
-    // expiry is otherwise lazy, and a long-lived daemon should release
-    // dead entries' bytes even for keys nobody asks about again.
-    if (Session->cache().ttlSeconds() > 0) {
-      Lock.unlock();
-      Session->cache().purgeExpired();
-      Lock.lock();
-      if (ShutdownRequested || Stopping.load())
-        break;
-    }
     if (CompilesSinceSave.load() == 0)
       continue;
     Lock.unlock();

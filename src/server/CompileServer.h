@@ -12,10 +12,9 @@
 /// model one client already compiled is a pure cache hit for the next.
 /// The *session*, not a model, is the unit of deployment.
 ///
-/// Admission control: each compile request carries CompileOptions
-/// (priority orders batch submission inside the session pool), and each
-/// client may be capped to a per-client tuning budget at hello time; the
-/// server clamps every request's MaxCandidates to the client's cap and
+/// Admission control: each compile request carries CompileOptions, and
+/// each client may be capped to a per-client tuning budget at hello time;
+/// the server clamps every request's MaxCandidates to the client's cap and
 /// the server-wide cap, whichever is tighter.
 ///
 /// Streaming: compile_async answers with a ticket immediately and the
@@ -320,8 +319,8 @@ private:
   /// whichever thread resolves the job (see CompilerSession::JobCallback)
   /// and never touches the socket.
   void finishTicket(Connection &Conn, uint64_t Ticket, double SubmitSeconds,
-                    CachePolicy Policy, const KernelReport *Report,
-                    std::exception_ptr Error, bool Computed);
+                    const KernelReport *Report, std::exception_ptr Error,
+                    bool Computed);
 
   /// Clamps \p Requested through the client's and the server's budget
   /// caps (tightest positive cap wins; <= 0 stays "full space" only when
@@ -344,8 +343,8 @@ private:
   /// paths; \p Report is null for compile_model and on failure. Returns
   /// the failure's error-frame message, empty on success.
   std::string finishCompile(Connection &Conn, double SubmitSeconds,
-                            CachePolicy Policy, uint64_t Ticket,
-                            const KernelReport *Report, uint64_t Layers,
+                            uint64_t Ticket, const KernelReport *Report,
+                            uint64_t Layers,
                             uint64_t FromCache, uint64_t Fresh,
                             std::exception_ptr Error);
 

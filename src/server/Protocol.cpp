@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -559,8 +560,6 @@ Json unit::toJson(const KernelReport &R) {
 Json unit::toJson(const CompileOptions &O) {
   Json J = Json::object();
   J.set("max_candidates", O.MaxCandidates);
-  J.set("policy", cachePolicyName(O.Policy));
-  J.set("priority", O.Priority);
   return J;
 }
 
@@ -816,32 +815,9 @@ CompileOptions unit::optionsFromJson(const Json *J) {
   CompileOptions O;
   if (!J || !J->isObject())
     return O;
-  O.MaxCandidates = static_cast<int>(J->integer("max_candidates", -1));
-  O.Priority = static_cast<int>(J->integer("priority", 0));
-  if (std::optional<CachePolicy> P = cachePolicyFromName(J->str("policy")))
-    O.Policy = *P;
+  // A budget outside int range is the full space, never a wrapped cap.
+  int64_t Budget = J->integer("max_candidates", -1);
+  if (Budget >= INT_MIN && Budget <= INT_MAX)
+    O.MaxCandidates = static_cast<int>(Budget);
   return O;
-}
-
-const char *unit::cachePolicyName(CachePolicy P) {
-  switch (P) {
-  case CachePolicy::Default:
-    return "default";
-  case CachePolicy::Bypass:
-    return "bypass";
-  case CachePolicy::Refresh:
-    return "refresh";
-  }
-  return "default";
-}
-
-std::optional<CachePolicy>
-unit::cachePolicyFromName(const std::string &Name) {
-  if (Name == "default")
-    return CachePolicy::Default;
-  if (Name == "bypass")
-    return CachePolicy::Bypass;
-  if (Name == "refresh")
-    return CachePolicy::Refresh;
-  return std::nullopt;
 }

@@ -305,9 +305,6 @@ bool readIntField(const Json &Obj, const char *Key, int64_t Dflt,
 bool makeUnixSocketAddr(const std::string &Path, struct sockaddr_un &Addr,
                         std::string *Err);
 
-const char *cachePolicyName(CachePolicy P);
-std::optional<CachePolicy> cachePolicyFromName(const std::string &Name);
-
 } // namespace unit
 
 #endif // UNIT_SERVER_PROTOCOL_H

@@ -2,6 +2,8 @@
 
 #include "support/StringUtils.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -49,4 +51,46 @@ std::string unit::padRight(const std::string &S, size_t Width) {
   if (S.size() >= Width)
     return S;
   return S + std::string(Width - S.size(), ' ');
+}
+
+namespace {
+
+template <typename T>
+bool parseNumberImpl(std::string_view Text, T Min, T Max, T &Out,
+                     std::string &Err) {
+  const std::string Quoted = "'" + std::string(Text) + "'";
+  const char *End = Text.data() + Text.size();
+  T Value{};
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Value);
+  if (Text.empty())
+    Err = "empty value";
+  else if (Ec == std::errc::invalid_argument)
+    Err = Quoted + " is not a number";
+  else if (Ptr != End)
+    Err = "trailing characters in " + Quoted;
+  else if (Ec == std::errc() && !std::isfinite(static_cast<double>(Value)))
+    Err = Quoted + " is not a finite number";
+  else if (Ec != std::errc() || Value < Min || Value > Max)
+    Err = Min == T(0) && Text[0] == '-'
+              ? Quoted + " must not be negative"
+              : Quoted + formatStr(" is outside [%.17g, %.17g]",
+                                   static_cast<double>(Min),
+                                   static_cast<double>(Max));
+  else {
+    Out = Value;
+    return true;
+  }
+  return false;
+}
+
+} // namespace
+
+bool unit::parseNumber(std::string_view Text, int64_t Min, int64_t Max,
+                       int64_t &Out, std::string &Err) {
+  return parseNumberImpl(Text, Min, Max, Out, Err);
+}
+
+bool unit::parseNumber(std::string_view Text, double Min, double Max,
+                       double &Out, std::string &Err) {
+  return parseNumberImpl(Text, Min, Max, Out, Err);
 }

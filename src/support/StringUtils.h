@@ -6,7 +6,8 @@
 ///
 /// \file
 /// printf-style formatting into std::string plus join/pad helpers used by
-/// the IR printers and the benchmark tables.
+/// the IR printers and the benchmark tables, and the strict number parser
+/// behind the tools' numeric flags.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace unit {
@@ -35,6 +37,17 @@ std::string padLeft(const std::string &S, size_t Width);
 
 /// Right-pads \p S with spaces to \p Width characters.
 std::string padRight(const std::string &S, size_t Width);
+
+/// Parses all of \p Text as one decimal number in [\p Min, \p Max]: the
+/// integer overload takes digits only, the real one any finite decimal.
+/// Empty input, a leading '+' or space, trailing bytes, and values
+/// outside the range (a negative one included, when \p Min is 0) are
+/// rejected: the function returns false, leaves \p Out alone, and sets
+/// \p Err to the reason.
+bool parseNumber(std::string_view Text, int64_t Min, int64_t Max,
+                 int64_t &Out, std::string &Err);
+bool parseNumber(std::string_view Text, double Min, double Max, double &Out,
+                 std::string &Err);
 
 } // namespace unit
 

@@ -601,10 +601,9 @@ TEST(CompileAsync, BatchSubmissionMatchesBlockingReports) {
   SessionConfig C;
   C.Threads = 4;
   CompilerSession Par(C);
-  std::vector<CompileRequest> Requests;
+  std::vector<CompileJob> Jobs;
   for (const ConvLayer &L : Resnet.Convs)
-    Requests.emplace_back(Workload::conv2d(L), "x86");
-  std::vector<CompileJob> Jobs = Par.compileAllAsync(std::move(Requests));
+    Jobs.push_back(Par.compileAsync({Workload::conv2d(L), "x86"}));
   ASSERT_EQ(Jobs.size(), Expected.Layers.size());
   for (size_t I = 0; I < Jobs.size(); ++I) {
     const KernelReport &R = Jobs[I].get();
@@ -613,33 +612,6 @@ TEST(CompileAsync, BatchSubmissionMatchesBlockingReports) {
     EXPECT_EQ(R.BestCandidateIndex, Expected.Layers[I].BestCandidateIndex);
     EXPECT_EQ(R.IntrinsicName, Expected.Layers[I].IntrinsicName);
   }
-}
-
-TEST(CachePolicy, BypassNeverTouchesTheCache) {
-  CompilerSession Session(sequentialConfig());
-  auto Backend = std::make_shared<ProbeBackend>("bypass");
-  ConvLayer L{"c", 8, 8, 8, 8, 1, 1, 1, 0, 0, false};
-  CompileOptions Bypass;
-  Bypass.Policy = CachePolicy::Bypass;
-  Session.compile({Workload::conv2d(L), Backend, Bypass});
-  Session.compile({Workload::conv2d(L), Backend, Bypass});
-  EXPECT_EQ(Backend->Compiles.load(), 2);
-  EXPECT_EQ(Session.cache().size(), 0u);
-}
-
-TEST(CachePolicy, RefreshRecompilesAndReinserts) {
-  CompilerSession Session(sequentialConfig());
-  auto Backend = std::make_shared<ProbeBackend>("refresh");
-  ConvLayer L{"c", 8, 8, 8, 8, 1, 1, 1, 0, 0, false};
-  Session.compile({Workload::conv2d(L), Backend});
-  CompileOptions Refresh;
-  Refresh.Policy = CachePolicy::Refresh;
-  Session.compile({Workload::conv2d(L), Backend, Refresh});
-  EXPECT_EQ(Backend->Compiles.load(), 2);
-  EXPECT_EQ(Session.cache().size(), 1u);
-  // And the refreshed entry serves later default requests.
-  Session.compile({Workload::conv2d(L), Backend});
-  EXPECT_EQ(Backend->Compiles.load(), 2);
 }
 
 //===----------------------------------------------------------------------===//
@@ -692,10 +664,9 @@ struct ParityObservation {
   uint64_t Cold = 0, Warm = 0, Join = 0; ///< Latency histogram growth.
 };
 
-/// Sets up \p Case in a fresh session, then resolves one \p Policy request
-/// for the target layer through compile() or compileAsyncThen().
-ParityObservation observeParity(CachePolicy Policy, ParityCase Case,
-                                bool Async) {
+/// Sets up \p Case in a fresh session, then resolves one request for the
+/// target layer through compile() or compileAsyncThen().
+ParityObservation observeParity(ParityCase Case, bool Async) {
   SessionConfig C;
   C.Threads = 2;
   C.ParallelCandidates = false; // Keeps the scored count deterministic.
@@ -737,9 +708,7 @@ ParityObservation observeParity(CachePolicy Policy, ParityCase Case,
     break;
   }
 
-  CompileOptions Options;
-  Options.Policy = Policy;
-  CompileRequest Request(Workload::conv2d(Target), Backend, Options);
+  CompileRequest Request(Workload::conv2d(Target), Backend);
   uint64_t Seeds0 = Session.sessionStats().TransferSeeds;
   uint64_t Scored0 = tunerCandidatesScored();
   CompilerSession::LatencySnapshots L0 = Session.latencySnapshots();
@@ -765,13 +734,11 @@ ParityObservation observeParity(CachePolicy Policy, ParityCase Case,
     }
   };
   // A blocking join holds its caller until the gate opens, so the request
-  // runs on its own thread and the gate opens once the join registered
-  // (Bypass never touches the cache, so it never joins).
+  // runs on its own thread and the gate opens once the join registered.
   std::thread Caller(Resolve);
   if (Case == ParityCase::InFlightJoin) {
-    if (Policy != CachePolicy::Bypass)
-      while (Session.cache().stats().Hits == Hits0)
-        std::this_thread::yield();
+    while (Session.cache().stats().Hits == Hits0)
+      std::this_thread::yield();
     Gate.set_value();
   }
   Caller.join();
@@ -787,67 +754,58 @@ ParityObservation observeParity(CachePolicy Policy, ParityCase Case,
 }
 
 TEST(CompileParity, BlockingAndAsyncResolveEveryCaseAlike) {
-  for (CachePolicy Policy :
-       {CachePolicy::Default, CachePolicy::Refresh, CachePolicy::Bypass})
-    for (ParityCase Case :
-         {ParityCase::ReadyHit, ParityCase::InFlightJoin, ParityCase::Miss,
-          ParityCase::PeerServed, ParityCase::Throwing}) {
-      const char *PolicyNames[] = {"default", "bypass", "refresh"};
-      const char *CaseNames[] = {"ready-hit", "in-flight-join", "miss",
-                                 "peer-served", "throwing"};
-      SCOPED_TRACE(std::string(PolicyNames[static_cast<int>(Policy)]) + ", " +
-                   CaseNames[static_cast<int>(Case)]);
-      ParityObservation B = observeParity(Policy, Case, /*Async=*/false);
-      ParityObservation A = observeParity(Policy, Case, /*Async=*/true);
-      EXPECT_EQ(B.Threw, A.Threw);
-      EXPECT_EQ(B.Report.Seconds, A.Report.Seconds);
-      EXPECT_EQ(B.Report.Tensorized, A.Report.Tensorized);
-      EXPECT_EQ(B.Report.BestCandidateIndex, A.Report.BestCandidateIndex);
-      EXPECT_EQ(B.Report.CandidatesTried, A.Report.CandidatesTried);
-      EXPECT_EQ(B.Report.IntrinsicName, A.Report.IntrinsicName);
-      EXPECT_EQ(B.Computed, A.Computed);
-      EXPECT_EQ(B.Seeds, A.Seeds);
-      EXPECT_EQ(B.Scored, A.Scored);
-      EXPECT_EQ(B.Cold, A.Cold);
-      EXPECT_EQ(B.Warm, A.Warm);
-      EXPECT_EQ(B.Join, A.Join);
-      // One histogram sample per request; the join window also holds
-      // the gated winner's cold sample.
-      EXPECT_EQ(B.Cold + B.Warm + B.Join,
-                Case == ParityCase::InFlightJoin ? 2u : 1u);
-    }
+  for (ParityCase Case :
+       {ParityCase::ReadyHit, ParityCase::InFlightJoin, ParityCase::Miss,
+        ParityCase::PeerServed, ParityCase::Throwing}) {
+    const char *CaseNames[] = {"ready-hit", "in-flight-join", "miss",
+                               "peer-served", "throwing"};
+    SCOPED_TRACE(CaseNames[static_cast<int>(Case)]);
+    ParityObservation B = observeParity(Case, /*Async=*/false);
+    ParityObservation A = observeParity(Case, /*Async=*/true);
+    EXPECT_EQ(B.Threw, A.Threw);
+    EXPECT_EQ(B.Report.Seconds, A.Report.Seconds);
+    EXPECT_EQ(B.Report.Tensorized, A.Report.Tensorized);
+    EXPECT_EQ(B.Report.BestCandidateIndex, A.Report.BestCandidateIndex);
+    EXPECT_EQ(B.Report.CandidatesTried, A.Report.CandidatesTried);
+    EXPECT_EQ(B.Report.IntrinsicName, A.Report.IntrinsicName);
+    EXPECT_EQ(B.Computed, A.Computed);
+    EXPECT_EQ(B.Seeds, A.Seeds);
+    EXPECT_EQ(B.Scored, A.Scored);
+    EXPECT_EQ(B.Cold, A.Cold);
+    EXPECT_EQ(B.Warm, A.Warm);
+    EXPECT_EQ(B.Join, A.Join);
+    // One histogram sample per request; the join window also holds the
+    // gated winner's cold sample.
+    EXPECT_EQ(B.Cold + B.Warm + B.Join,
+              Case == ParityCase::InFlightJoin ? 2u : 1u);
+  }
 }
 
 TEST(CompileParity, CasesExerciseWhatTheyName) {
   ParityObservation Miss =
-      observeParity(CachePolicy::Default, ParityCase::Miss, false);
+      observeParity(ParityCase::Miss, false);
   EXPECT_TRUE(Miss.Computed);
   EXPECT_EQ(Miss.Seeds, 1u) << "the neighbor should seed the cold tune";
   EXPECT_EQ(Miss.Cold, 1u);
   ParityObservation Hit =
-      observeParity(CachePolicy::Default, ParityCase::ReadyHit, false);
+      observeParity(ParityCase::ReadyHit, false);
   EXPECT_FALSE(Hit.Computed);
   EXPECT_EQ(Hit.Scored, 0u);
   EXPECT_EQ(Hit.Warm, 1u);
   ParityObservation Join =
-      observeParity(CachePolicy::Default, ParityCase::InFlightJoin, false);
+      observeParity(ParityCase::InFlightJoin, false);
   EXPECT_FALSE(Join.Computed);
   EXPECT_EQ(Join.Join, 1u);
   ParityObservation Peer =
-      observeParity(CachePolicy::Default, ParityCase::PeerServed, false);
+      observeParity(ParityCase::PeerServed, false);
   EXPECT_FALSE(Peer.Computed);
   EXPECT_EQ(Peer.Report.IntrinsicName, "peer");
   EXPECT_EQ(Peer.Scored, 0u);
   EXPECT_EQ(Peer.Cold, 1u);
   ParityObservation Fail =
-      observeParity(CachePolicy::Default, ParityCase::Throwing, false);
+      observeParity(ParityCase::Throwing, false);
   EXPECT_TRUE(Fail.Threw);
   EXPECT_EQ(Fail.Cold, 1u);
-  // Bypass tunes like a miss, transfer seed included.
-  ParityObservation Bypass =
-      observeParity(CachePolicy::Bypass, ParityCase::ReadyHit, true);
-  EXPECT_TRUE(Bypass.Computed);
-  EXPECT_EQ(Bypass.Seeds, 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1082,108 +1040,6 @@ TEST(KernelCacheByteCap, SessionConfigByteCapIsApplied) {
 }
 
 //===----------------------------------------------------------------------===//
-// KernelCache: age-based expiry (TTL)
-//===----------------------------------------------------------------------===//
-
-TEST(KernelCacheTtl, ExpiredEntryReadsAsAbsentAndRecompiles) {
-  KernelCache Cache;
-  double Now = 1000.0;
-  Cache.setTTL(10.0, [&Now] { return Now; }); // Injectable clock: no sleeps.
-  KernelCache::ComputeTicket Ticket;
-  ASSERT_EQ(Cache.resolveThen("k", nullptr, nullptr, &Ticket),
-            KernelCache::ResolveKind::MustCompute);
-  Cache.fulfill("k", Ticket, reportOf(1));
-
-  // Within the TTL: every probe still hits. Age runs from readiness, not
-  // last use — the lookup here must not extend the entry's life.
-  Now += 9.0;
-  EXPECT_TRUE(Cache.contains("k"));
-  EXPECT_TRUE(Cache.lookup("k").has_value());
-  EXPECT_EQ(Cache.resolveThen("k", nullptr, nullptr, nullptr),
-            KernelCache::ResolveKind::Ready);
-
-  // 11 s after readiness: expired on every read path, resolve included.
-  Now += 2.0;
-  EXPECT_FALSE(Cache.contains("k"));
-  EXPECT_FALSE(Cache.lookup("k").has_value());
-  std::shared_future<KernelReport> Fresh;
-  ASSERT_EQ(Cache.resolveThen("k", nullptr, &Fresh, &Ticket),
-            KernelCache::ResolveKind::MustCompute);
-  Cache.fulfill("k", Ticket, reportOf(2));
-  EXPECT_EQ(Fresh.get().Seconds, 2.0);
-
-  // The recompile restarted the entry's clock.
-  Now += 9.0;
-  EXPECT_EQ(Cache.resolveThen("k", nullptr, nullptr, nullptr),
-            KernelCache::ResolveKind::Ready);
-}
-
-TEST(KernelCacheTtl, SaveSkipsExpiredAndPurgeReleasesThem) {
-  KernelCache Cache;
-  double Now = 0.0;
-  Cache.setTTL(5.0, [&Now] { return Now; });
-  Cache.insert("old", reportOf(1));
-  Now += 3.0;
-  Cache.insert("young", reportOf(2));
-  Now += 3.0; // "old" is 6 s past readiness (expired), "young" 3 s.
-
-  std::stringstream Stream;
-  EXPECT_EQ(Cache.save(Stream, "fp"), 1u); // Survivors only.
-
-  // Expiry is lazy: the dead entry stays resident until purged.
-  EXPECT_EQ(Cache.size(), 2u);
-  size_t BytesBefore = Cache.bytesUsed();
-  EXPECT_EQ(Cache.purgeExpired(), 1u);
-  EXPECT_EQ(Cache.size(), 1u);
-  EXPECT_LT(Cache.bytesUsed(), BytesBefore);
-  EXPECT_TRUE(Cache.contains("young"));
-  EXPECT_EQ(Cache.purgeExpired(), 0u);
-}
-
-TEST(KernelCacheTtl, InFlightEntriesNeverExpire) {
-  // An in-flight entry has no ready timestamp, so even a clock jump far
-  // past the TTL must not let a second winner start on its key — the
-  // single-flight invariant outranks freshness.
-  KernelCache Cache;
-  double Now = 0.0;
-  Cache.setTTL(1.0, [&Now] { return Now; });
-  KernelCache::ComputeTicket Ticket;
-  ASSERT_EQ(Cache.resolveThen("k", nullptr, nullptr, &Ticket),
-            KernelCache::ResolveKind::MustCompute);
-  Now = 100.0; // Far past the TTL while the compile is still in flight.
-  EXPECT_TRUE(Cache.contains("k"));
-  EXPECT_EQ(Cache.resolveThen("k", nullptr, nullptr, nullptr),
-            KernelCache::ResolveKind::Joined);
-  Cache.fulfill("k", Ticket, reportOf(1));
-  // Readiness stamped at Now=100: the entry is fresh from completion.
-  std::shared_future<KernelReport> Fut;
-  EXPECT_EQ(Cache.resolveThen("k", nullptr, &Fut, nullptr),
-            KernelCache::ResolveKind::Ready);
-  EXPECT_EQ(Fut.get().Seconds, 1.0);
-}
-
-TEST(KernelCacheTtl, SessionConfigTtlIsApplied) {
-  double Now = 0.0;
-  SessionConfig Config = sequentialConfig();
-  Config.CacheTTLSeconds = 60.0;
-  Config.CacheClock = [&Now] { return Now; };
-  CompilerSession Session(Config);
-  auto Backend = std::make_shared<ProbeBackend>("ttl");
-  ConvLayer L{"l", 8, 8, 8, 8, 1, 1, 1, 0, 0, false};
-
-  bool Computed = false;
-  Session.compile({Workload::conv2d(L), Backend}, &Computed);
-  EXPECT_TRUE(Computed);
-  Session.compile({Workload::conv2d(L), Backend}, &Computed);
-  EXPECT_FALSE(Computed); // Fresh entry: a hit.
-
-  Now += 61.0; // Aged out: the daemon re-tunes instead of serving stale.
-  Session.compile({Workload::conv2d(L), Backend}, &Computed);
-  EXPECT_TRUE(Computed);
-  EXPECT_EQ(Backend->Compiles.load(), 2);
-}
-
-//===----------------------------------------------------------------------===//
 // Cache persistence
 //===----------------------------------------------------------------------===//
 
@@ -1252,6 +1108,42 @@ TEST(CachePersistence, CorruptedFileRejectedCleanly) {
               KernelCache::LoadStatus::BadFormat);
     EXPECT_EQ(B.size(), 0u);
   }
+}
+
+TEST(CachePersistence, EveryTruncationAndBitFlipLoadsCleanly) {
+  // Mutation sweep over a saved two-entry file: a damaged load either
+  // merges at most what was saved or leaves the cache empty.
+  KernelReport R = reportOf(1.0 / 3.0);
+  R.Tensorized = true;
+  R.BestCandidateIndex = 7;
+  R.CandidatesTried = 42;
+  R.IntrinsicName = "vnni.vpdpbusd";
+  KernelCache A;
+  A.insert("x86|conv2d|key-one", R);
+  A.insert("x86|conv2d|key-two", reportOf(2));
+  std::stringstream Stream;
+  ASSERT_EQ(A.save(Stream, "fp-mutation"), 2u);
+  const std::string Bytes = Stream.str();
+
+  auto Load = [](const std::string &Mutant, const std::string &What) {
+    KernelCache B;
+    std::istringstream In(Mutant);
+    KernelCache::LoadResult Result = B.load(In, "fp-mutation");
+    EXPECT_EQ(Result.EntriesLoaded, B.size()) << What;
+    if (Result.Status == KernelCache::LoadStatus::Loaded)
+      EXPECT_LE(B.size(), 2u) << What;
+    else
+      EXPECT_EQ(B.size(), 0u) << What;
+  };
+  for (size_t Len = 0; Len < Bytes.size(); ++Len)
+    Load(Bytes.substr(0, Len), "truncated to " + std::to_string(Len));
+  for (size_t I = 0; I < Bytes.size(); ++I)
+    for (int Bit = 0; Bit < 8; ++Bit) {
+      std::string Mutant = Bytes;
+      Mutant[I] = static_cast<char>(Mutant[I] ^ (1 << Bit));
+      Load(Mutant, "bit " + std::to_string(Bit) + " of byte " +
+                       std::to_string(I) + " flipped");
+    }
 }
 
 TEST(CachePersistence, MissingFileReported) {

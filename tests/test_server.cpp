@@ -123,15 +123,11 @@ TEST(Json, WireBytesMatchThePinnedEncoding) {
             R"("out_c":256,"k_h":3,"k_w":3,"stride":2,"pad_h":1,"pad_w":0,)"
             R"("depthwise":true})");
 
-  const std::string Defaults =
-      R"({"max_candidates":-1,"policy":"default","priority":0})";
+  const std::string Defaults = R"({"max_candidates":-1})";
   EXPECT_EQ(toJson(CompileOptions{}).dump(), Defaults);
   CompileOptions O;
   O.MaxCandidates = 16;
-  O.Policy = CachePolicy::Bypass;
-  O.Priority = -3;
-  EXPECT_EQ(toJson(O).dump(),
-            R"({"max_candidates":16,"policy":"bypass","priority":-3})");
+  EXPECT_EQ(toJson(O).dump(), R"({"max_candidates":16})");
 
   KernelReport R;
   R.Seconds = 1.2345678901234567e-05;
@@ -355,8 +351,6 @@ std::vector<std::string> pinnedPayloads() {
   Dw.Depthwise = true;
   CompileOptions O;
   O.MaxCandidates = 16;
-  O.Policy = CachePolicy::Bypass;
-  O.Priority = -3;
   KernelReport R;
   R.Seconds = 1.2345678901234567e-05;
   R.Tensorized = true;
@@ -444,7 +438,7 @@ TEST(Json, EveryTruncationAndByteFlipOfThePinnedFramesFailsCleanly) {
           expectCleanParse(Flipped.substr(4));
       }
   }
-  EXPECT_EQ(Mutations, 9u * 1002u); // Nine per byte of the seven frames.
+  EXPECT_EQ(Mutations, 9u * 906u); // Nine per byte of the seven frames.
 }
 
 //===----------------------------------------------------------------------===//
@@ -976,6 +970,90 @@ TEST_F(ServerTest, ServerWideBudgetCapAppliesToEveryClient) {
       Client->compileConv("x86", L, Options, &Err);
   ASSERT_TRUE(R.has_value()) << Err;
   EXPECT_LE(R->Report.CandidatesTried, 2);
+}
+
+/// A blocking compile request for \p L with \p Options as the raw
+/// options object.
+Json compileRequest(const ConvLayer &L, Json Options) {
+  Json J = Json::object();
+  J.set("type", "compile");
+  J.set("target", "x86");
+  J.set("workload", toJson(L));
+  J.set("options", std::move(Options));
+  return J;
+}
+
+TEST_F(ServerTest, OptionsBudgetPastIntMaxSearchesTheFullSpace) {
+  // A budget past INT_MAX is the full space, not a wrapped cap:
+  // 4294967297 must not become a one-candidate search under a `|budget1`
+  // key, so the full-space entry serves it.
+  startServer();
+  ConvLayer L = makeResnet18().Convs[5];
+  auto Client = makeClient("huge-budget");
+  std::string Err;
+  std::optional<CompileClient::CompileResult> Full =
+      Client->compileConv("x86", L, {}, &Err);
+  ASSERT_TRUE(Full.has_value()) << Err;
+  ASSERT_GT(Full->Report.CandidatesTried, 1);
+
+  Json Options = Json::object();
+  Options.set("max_candidates", int64_t{4294967297});
+  std::optional<Json> Reply =
+      Client->request(compileRequest(L, std::move(Options)), &Err);
+  ASSERT_TRUE(Reply.has_value()) << Err;
+  ASSERT_EQ(Reply->str("type"), "result") << Reply->dump();
+  EXPECT_TRUE(Reply->boolean("cached"));
+  EXPECT_EQ(Reply->get("report")->integer("candidates_tried"),
+            Full->Report.CandidatesTried);
+}
+
+TEST_F(ServerTest, HelloCapPastIntMaxIsNoCap) {
+  // A hello cap past INT_MAX is no cap, not a wrapped one: neither
+  // 4294967296 (low word 0) nor 4294967297 (low word 1) clamps the search.
+  startServer();
+  ConvLayer L = makeResnet18().Convs[5];
+  std::string Err;
+  std::optional<CompileClient::CompileResult> Full =
+      makeClient("uncapped")->compileConv("x86", L, {}, &Err);
+  ASSERT_TRUE(Full.has_value()) << Err;
+  for (int64_t Cap : {int64_t{4294967296}, int64_t{4294967297}}) {
+    SCOPED_TRACE(Cap);
+    auto Client = makeClient("huge-cap");
+    Json Hello = Json::object();
+    Hello.set("type", "hello");
+    Hello.set("client", "huge-cap");
+    Hello.set("max_candidates", Cap);
+    std::optional<Json> Welcome = Client->request(Hello, &Err);
+    ASSERT_TRUE(Welcome.has_value()) << Err;
+    ASSERT_EQ(Welcome->str("type"), "welcome") << Welcome->dump();
+    std::optional<CompileClient::CompileResult> R =
+        Client->compileConv("x86", L, {}, &Err);
+    ASSERT_TRUE(R.has_value()) << Err;
+    EXPECT_TRUE(R->Cached);
+    EXPECT_EQ(R->Report.CandidatesTried, Full->Report.CandidatesTried);
+  }
+}
+
+TEST_F(ServerTest, OldStyleOptionsGetANormalResult) {
+  // The server ignores option keys it does not read, such as the
+  // `policy` and `priority` an older client still sends.
+  startServer();
+  ConvLayer L = makeResnet18().Convs[7];
+  auto Client = makeClient("old-style");
+  Json Options = Json::object();
+  Options.set("policy", "bypass");
+  Options.set("priority", 5);
+  std::string Err;
+  std::optional<Json> Reply =
+      Client->request(compileRequest(L, std::move(Options)), &Err);
+  ASSERT_TRUE(Reply.has_value()) << Err;
+  ASSERT_EQ(Reply->str("type"), "result") << Reply->dump();
+  EXPECT_FALSE(Reply->boolean("cached"));
+  std::optional<CompileClient::CompileResult> Again =
+      Client->compileConv("x86", L, {}, &Err);
+  ASSERT_TRUE(Again.has_value()) << Err;
+  EXPECT_TRUE(Again->Cached);
+  EXPECT_EQ(Reply->get("report")->dump(), toJson(Again->Report).dump());
 }
 
 TEST_F(ServerTest, StatsReportByteAccountedCacheAndPerClientLatency) {
@@ -2050,17 +2128,17 @@ TEST_F(ServerTest, StreamingErrorsAnswerWithErrorFramesAndServerSurvives) {
 //===----------------------------------------------------------------------===//
 
 /// A compile_async request frame for \p L, as a raw client would send it.
-Json compileAsyncRequest(const ConvLayer &L, CachePolicy Policy,
-                         int64_t Id = 0) {
+Json compileAsyncRequest(const ConvLayer &L, int64_t Id = 0,
+                         int MaxCandidates = -1) {
   Json J = Json::object();
   J.set("type", "compile_async");
   if (Id != 0)
     J.set("id", Id);
   J.set("target", "x86");
   J.set("workload", toJson(L));
-  Json Options = Json::object();
-  Options.set("policy", cachePolicyName(Policy));
-  J.set("options", std::move(Options));
+  CompileOptions Options;
+  Options.MaxCandidates = MaxCandidates;
+  J.set("options", toJson(Options));
   return J;
 }
 
@@ -2106,7 +2184,7 @@ TEST_F(ServerTest, StalledReaderDoesNotHoldJoinersOfTheSameKey) {
   // gated key.
   int Stalled = robustness::rawConnect(SocketPath);
   ASSERT_GE(Stalled, 0);
-  Json Join = compileAsyncRequest(Gated[0], CachePolicy::Default);
+  Json Join = compileAsyncRequest(Gated[0]);
   Join.set("id", std::string(1024, 'i'));
   std::string Burst;
   for (int I = 0; I < 4000; ++I)
@@ -2157,36 +2235,40 @@ TEST_F(ServerTest, StalledReaderDoesNotHoldJoinersOfTheSameKey) {
             Stats->get("streaming")->integer("tickets_issued"));
 }
 
-/// The pool-worker path: Bypass compiles always run on a worker, which
-/// fires the completion callback. Two stalled readers on a two-worker
-/// pool must not take both workers with them.
+/// The pool-worker path: every cold miss runs on a worker, which fires
+/// the completion callback. Two stalled readers on a two-worker pool must
+/// not take both workers with them.
 TEST_F(ServerTest, StalledReadersDoNotHoldPoolWorkers) {
   ServerConfig Config;
   Config.SessionCfg.Threads = 2;
   startServer(std::move(Config));
   ConvLayer L = syntheticLayers(1, 16)[0];
 
-  // A 1 KiB id in every request, echoed by its submitted reply, fills
-  // the server's socket buffer after about two hundred unread replies
-  // (as in the test above), however fast the compiles finish.
-  Json Compile = compileAsyncRequest(L, CachePolicy::Bypass);
-  Compile.set("id", std::string(1024, 'i'));
-  std::string Burst;
-  for (int I = 0; I < 4000; ++I)
-    appendFrame(Burst, Compile.dump());
+  // Every request carries its own tuning budget, which salts its cache
+  // key, so each one is a cold miss compiled on a pool worker. A 1 KiB
+  // id in every request, echoed by its submitted reply, fills the
+  // server's socket buffer after about two hundred unread replies (as in
+  // the test above), however fast the compiles finish.
+  int Budget = 0;
   int Stalled[2];
   for (int &Fd : Stalled) {
+    std::string Burst;
+    for (int I = 0; I < 4000; ++I) {
+      Json Compile = compileAsyncRequest(L, /*Id=*/0, ++Budget);
+      Compile.set("id", std::string(1024, 'i'));
+      appendFrame(Burst, Compile.dump());
+    }
     Fd = robustness::rawConnect(SocketPath);
     ASSERT_GE(Fd, 0);
     EXPECT_LT(sendUntilStalled(Fd, Burst, /*StallMillis=*/500), Burst.size());
   }
 
   auto Good = makeClient("well-behaved");
-  CompileOptions Bypass;
-  Bypass.Policy = CachePolicy::Bypass;
+  CompileOptions Fresh;
+  Fresh.MaxCandidates = ++Budget;
   std::string Err;
   std::optional<CompileClient::AsyncHandle> H =
-      Good->submitConv("x86", L, Bypass, &Err);
+      Good->submitConv("x86", L, Fresh, &Err);
   ASSERT_TRUE(H.has_value()) << Err;
   std::string WaitErr;
   std::future<std::optional<CompileClient::CompileResult>> Waited =
@@ -2200,6 +2282,12 @@ TEST_F(ServerTest, StalledReadersDoNotHoldPoolWorkers) {
   std::optional<CompileClient::CompileResult> R = Waited.get();
   ASSERT_TRUE(R.has_value()) << WaitErr;
   EXPECT_FALSE(R->Cached);
+  // Every request the server read was a cold miss: none resolved inline
+  // and none joined another's compile.
+  SessionStats S = Server->session().sessionStats();
+  EXPECT_EQ(S.InlineReadyHits, 0u);
+  EXPECT_EQ(S.ContinuationJoins, 0u);
+  EXPECT_GT(S.FreshDispatches, 100u);
 }
 
 /// stop() ends a connection whose client is connected but not reading.
@@ -2328,7 +2416,7 @@ TEST_F(ServerTest, PipelinedFramesKeepRequestOrderAndTicketOrder) {
   uint64_t Tickets = 0;
   auto Submit = [&](const ConvLayer &Layer) {
     ReplyTypes.push_back("submitted");
-    Json J = compileAsyncRequest(Layer, CachePolicy::Default,
+    Json J = compileAsyncRequest(Layer,
                                  static_cast<int64_t>(ReplyTypes.size()));
     appendFrame(Burst, J.dump());
     ++Tickets;
@@ -2395,8 +2483,7 @@ TEST_F(ServerTest, BurstLargerThanAReadChunkKeepsRequestOrder) {
   while (Burst.size() <= 2 * FrameReader::ChunkBytes) {
     ++Requests;
     const ConvLayer &L = Layers[static_cast<size_t>(Requests) % Layers.size()];
-    appendFrame(Burst,
-                compileAsyncRequest(L, CachePolicy::Default, Requests).dump());
+    appendFrame(Burst, compileAsyncRequest(L, Requests).dump());
   }
 
   int Fd = robustness::rawConnect(SocketPath);

@@ -160,6 +160,29 @@ TEST(SpecFile, TruncatedAndOversizeDocuments) {
   EXPECT_NE(Err.find("cannot read"), std::string::npos) << Err;
 }
 
+TEST(SpecFile, EveryTruncationAndBitFlipParsesCleanly) {
+  // Mutation sweep: parseSpecText touches no global state, so every
+  // damaged document runs in-process. (Machine overlays are not swept
+  // here: one that still parses would refit the process-wide specs.)
+  const std::string Text = readFileOrDie(repoPath("specs/fixed16-dma.json"));
+  auto Parse = [](const std::string &Mutant, const std::string &What) {
+    TargetSpec Spec;
+    std::string Err;
+    if (!parseSpecText(Mutant, Spec, &Err)) {
+      EXPECT_FALSE(Err.empty()) << What;
+    }
+  };
+  for (size_t Len = 0; Len < Text.size(); ++Len)
+    Parse(Text.substr(0, Len), "truncated to " + std::to_string(Len));
+  for (size_t I = 0; I < Text.size(); ++I)
+    for (int Bit = 0; Bit < 8; ++Bit) {
+      std::string Mutant = Text;
+      Mutant[I] = static_cast<char>(Mutant[I] ^ (1 << Bit));
+      Parse(Mutant, "bit " + std::to_string(Bit) + " of byte " +
+                        std::to_string(I) + " flipped");
+    }
+}
+
 TEST(SpecFile, Conv3dRejectedOnGpuEngine) {
   std::string Err;
   std::optional<Json> Doc = Json::parse(

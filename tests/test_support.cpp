@@ -83,6 +83,54 @@ TEST(StringUtils, Pad) {
   EXPECT_EQ(padLeft("xxxx", 3), "xxxx");
 }
 
+TEST(StringUtils, ParseNumberAcceptsOnlyAWholeInRangeNumber) {
+  int64_t I = 7;
+  std::string Err;
+  EXPECT_TRUE(parseNumber("0", 0, 1024, I, Err));
+  EXPECT_EQ(I, 0);
+  EXPECT_TRUE(parseNumber("1024", 0, 1024, I, Err));
+  EXPECT_EQ(I, 1024);
+  EXPECT_TRUE(parseNumber("-3", -5, 5, I, Err));
+  EXPECT_EQ(I, -3);
+
+  // Each rejection names its reason and leaves the output alone.
+  auto Rejects = [](const char *Text, int64_t Min, int64_t Max,
+                    const char *Reason) {
+    int64_t Out = 42;
+    std::string Why;
+    EXPECT_FALSE(parseNumber(Text, Min, Max, Out, Why)) << Text;
+    EXPECT_NE(Why.find(Reason), std::string::npos) << Text << ": " << Why;
+    EXPECT_EQ(Out, 42) << Text;
+  };
+  Rejects("", 0, 10, "empty");
+  Rejects("x", 0, 10, "not a number");
+  Rejects(" 8", 0, 10, "not a number");
+  Rejects("+8", 0, 10, "not a number");
+  Rejects("8x", 0, 10, "trailing");
+  Rejects("8 ", 0, 10, "trailing");
+  Rejects("1.5", 0, 10, "trailing");
+  Rejects("-1", 0, 10, "negative");
+  Rejects("-99999999999999999999", 0, 10, "negative");
+  Rejects("11", 0, 10, "outside [0, 10]");
+  Rejects("-6", -5, 5, "outside [-5, 5]");
+  Rejects("99999999999999999999", 0, INT64_MAX, "outside");
+  Rejects("4294967295", 0, 1024, "outside");
+
+  double D = 0;
+  EXPECT_TRUE(parseNumber("0.5", 0.0, 60.0, D, Err));
+  EXPECT_EQ(D, 0.5);
+  EXPECT_TRUE(parseNumber("30", 0.0, 60.0, D, Err));
+  EXPECT_EQ(D, 30.0);
+  EXPECT_TRUE(parseNumber("1e1", 0.0, 60.0, D, Err));
+  EXPECT_EQ(D, 10.0);
+  for (const char *Bad : {"", "nan", "inf", "-0.5", "61", "5s", "1e999"}) {
+    double Out = 3;
+    EXPECT_FALSE(parseNumber(Bad, 0.0, 60.0, Out, Err)) << Bad;
+    EXPECT_FALSE(Err.empty()) << Bad;
+    EXPECT_EQ(Out, 3) << Bad;
+  }
+}
+
 TEST(Table, RendersAligned) {
   Table T({"name", "value"});
   T.addRow({"a", "1"});

@@ -17,8 +17,10 @@
 
 #include "models/ModelZoo.h"
 #include "server/CompileClient.h"
+#include "support/StringUtils.h"
 #include "target/SpecFile.h" // MaxSpecFileBytes — client-side size cap.
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -65,7 +67,6 @@ void usage(const char *Argv0) {
       "                      F on the running server (repeatable; runs\n"
       "                      before any --model compile, so one invocation\n"
       "                      can register a target and compile on it)\n"
-      "  --priority N        batch priority for the compile\n"
       "  --expect-warm       exit 1 unless every layer was a cache hit\n"
       "  --list-targets      print the backends the server can compile for\n"
       "  --stats             print the server's stats message\n"
@@ -198,7 +199,8 @@ int main(int argc, char **argv) {
   std::vector<std::string> ModelNames;
   std::vector<std::string> SpecPaths;
   std::string TraceOutPath;
-  int Budget = 0, Priority = 0;
+  std::string Err;
+  int Budget = 0;
   bool WantStats = false, WantSave = false, WantShutdown = false,
        ExpectWarm = false, WantTargets = false, Async = false,
        WantMetrics = false, WantTrace = false;
@@ -219,9 +221,14 @@ int main(int argc, char **argv) {
       Secret = readSecretFile(NextValue());
     else if (Arg == "--client")
       ClientName = NextValue();
-    else if (Arg == "--budget")
-      Budget = std::atoi(NextValue());
-    else if (Arg == "--model")
+    else if (Arg == "--budget") {
+      int64_t Value = 0;
+      if (!parseNumber(NextValue(), 0, INT_MAX, Value, Err)) {
+        std::fprintf(stderr, "error: --budget: %s\n", Err.c_str());
+        return 2;
+      }
+      Budget = static_cast<int>(Value);
+    } else if (Arg == "--model")
       ModelNames.push_back(NextValue());
     else if (Arg == "--async")
       Async = true;
@@ -229,8 +236,6 @@ int main(int argc, char **argv) {
       TargetName = NextValue();
     else if (Arg == "--register-spec")
       SpecPaths.push_back(NextValue());
-    else if (Arg == "--priority")
-      Priority = std::atoi(NextValue());
     else if (Arg == "--expect-warm")
       ExpectWarm = true;
     else if (Arg == "--list-targets")
@@ -267,7 +272,6 @@ int main(int argc, char **argv) {
   }
 
   CompileClient Client;
-  std::string Err;
   if (!Client.connect(Endpoints, Secret, &Err) ||
       !Client.hello(ClientName, Budget, &Err)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
@@ -335,7 +339,6 @@ int main(int argc, char **argv) {
       Models.push_back(std::move(*M));
     }
     CompileOptions Options;
-    Options.Priority = Priority;
 
     size_t TotalLayers = 0, WarmLayers = 0;
     if (Async) {

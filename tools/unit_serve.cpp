@@ -8,20 +8,23 @@
 //   unit_serve --socket /tmp/unit.sock [--cache /var/tmp/unit.kc]
 //              [--persist-interval 30] [--threads N]
 //              [--max-candidates N] [--cache-capacity N]
-//              [--cache-bytes N] [--cache-ttl SEC]
+//              [--cache-bytes N]
 //              [--listen-tcp HOST:PORT --secret-file FILE]
 //              [--peer HOST:PORT]...
 //
 //===----------------------------------------------------------------------===//
 
 #include "server/CompileServer.h"
+#include "support/StringUtils.h"
 #include "target/MachineOverlay.h"
 #include "target/SpecFile.h"
 
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -32,6 +35,14 @@ namespace {
 volatile std::sig_atomic_t Interrupted = 0;
 
 void onSignal(int) { Interrupted = 1; }
+
+/// Upper bounds of the numeric flags. A pool far wider than any host's
+/// cores only costs threads; a persist interval is held to a year, well
+/// short of the ~292 years at which the persist thread's nanosecond
+/// steady-clock deadline overflows.
+constexpr int64_t MaxThreads = 1024;
+constexpr double MaxPersistSeconds = 365.0 * 24 * 3600;
+constexpr int64_t MaxCount = std::numeric_limits<int64_t>::max();
 
 void usage(const char *Argv0) {
   std::fprintf(
@@ -46,8 +57,6 @@ void usage(const char *Argv0) {
       "  --cache-capacity N       LRU entry cap (default unbounded)\n"
       "  --cache-bytes N          LRU byte cap over the cache's resident-\n"
       "                           byte accounting (default unbounded)\n"
-      "  --cache-ttl SEC          age out cached kernels after SEC seconds\n"
-      "                           (default: never expire)\n"
       "  --listen-tcp HOST:PORT   also listen on TCP (fleet serving; every\n"
       "                           connection must pass the shared-secret\n"
       "                           handshake; port 0 = OS-assigned)\n"
@@ -113,25 +122,35 @@ int main(int argc, char **argv) {
       }
       return argv[++I];
     };
+    // Numeric flags parse strictly: a rejected value exits before any
+    // server or pool is built.
+    auto NumberValue = [&](auto Min, auto Max) {
+      decltype(Min) Value{};
+      std::string Err;
+      if (!parseNumber(NextValue(), Min, Max, Value, Err)) {
+        std::fprintf(stderr, "error: %s: %s\n", Arg.c_str(), Err.c_str());
+        std::exit(2);
+      }
+      return Value;
+    };
     if (Arg == "--socket")
       Config.SocketPath = NextValue();
     else if (Arg == "--cache")
       Config.CacheFile = NextValue();
     else if (Arg == "--persist-interval")
-      Config.PersistIntervalSeconds = std::atof(NextValue());
+      Config.PersistIntervalSeconds = NumberValue(0.0, MaxPersistSeconds);
     else if (Arg == "--threads")
       Config.SessionCfg.Threads =
-          static_cast<unsigned>(std::atoi(NextValue()));
+          static_cast<unsigned>(NumberValue(int64_t{0}, MaxThreads));
     else if (Arg == "--max-candidates")
-      Config.MaxCandidatesCap = std::atoi(NextValue());
+      Config.MaxCandidatesCap =
+          static_cast<int>(NumberValue(int64_t{0}, int64_t{INT_MAX}));
     else if (Arg == "--cache-capacity")
       Config.SessionCfg.CacheCapacity =
-          static_cast<size_t>(std::atoll(NextValue()));
+          static_cast<size_t>(NumberValue(int64_t{0}, MaxCount));
     else if (Arg == "--cache-bytes")
       Config.SessionCfg.CacheCapacityBytes =
-          static_cast<size_t>(std::atoll(NextValue()));
-    else if (Arg == "--cache-ttl")
-      Config.SessionCfg.CacheTTLSeconds = std::atof(NextValue());
+          static_cast<size_t>(NumberValue(int64_t{0}, MaxCount));
     else if (Arg == "--listen-tcp")
       Config.TcpListen = NextValue();
     else if (Arg == "--secret-file")
@@ -145,7 +164,8 @@ int main(int argc, char **argv) {
     else if (Arg == "--trace-out")
       Config.TraceOutFile = NextValue();
     else if (Arg == "--slow-compile-ms")
-      Config.SlowCompileMillis = std::atof(NextValue());
+      Config.SlowCompileMillis =
+          NumberValue(0.0, std::numeric_limits<double>::max());
     else if (Arg == "--no-trace")
       Config.TraceEnabled = false;
     else if (Arg == "--help" || Arg == "-h") {
