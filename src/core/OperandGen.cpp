@@ -2,8 +2,8 @@
 
 #include "core/OperandGen.h"
 
-#include "core/LinearIndex.h"
 #include "ir/ExprUtil.h"
+#include "ir/LinearIndex.h"
 #include "support/ErrorHandling.h"
 #include "tir/Lower.h"
 
@@ -14,59 +14,66 @@ using namespace unit;
 
 namespace {
 
-/// One instruction axis as seen by one register's lane layout.
-struct LaneAxis {
-  IterVar InstrAxis;
-  int64_t LaneCoeff; ///< Stride in the register's lane order.
-  int64_t OpStride;  ///< Stride in the operation's flat buffer index.
-  bool OpDepends;    ///< Whether the operation access varies along it.
-};
-
-/// Recursively builds the flat index vector for one register, walking lane
-/// axes from slowest- to fastest-varying (\p Axes is sorted by LaneCoeff
-/// descending). Returns an i32 vector expression whose lane count is the
-/// product of the axis extents.
-ExprRef buildIndexVector(
-    const std::vector<LaneAxis> &Axes, size_t Depth, ExprRef Base,
-    std::vector<std::pair<IterVar, OperandAxisRole>> *Roles) {
-  if (Depth == Axes.size())
+/// Recursively builds the flat index vector for one register, walking the
+/// lane axes of \p Layout from slowest- to fastest-varying as \p Roles
+/// assigns them (not the contiguous form). Returns an i32 vector
+/// expression whose lane count is the product of the axis extents.
+ExprRef buildIndexVector(const RegisterLayout &Layout,
+                         const std::vector<int64_t> &OpStrides,
+                         const OperandRoles &Roles, size_t Depth,
+                         ExprRef Base) {
+  if (Depth == Layout.Axes.size())
     return Base;
-  const LaneAxis &Axis = Axes[Depth];
-  auto Extent = static_cast<unsigned>(Axis.InstrAxis->extent());
-  bool Last = Depth + 1 == Axes.size();
-
-  if (!Axis.OpDepends) {
+  auto Extent =
+      static_cast<unsigned>(Layout.Axes[Depth].InstrAxis->extent());
+  switch (Roles.PerAxis[Depth]) {
+  case OperandAxisRole::Broadcast: {
     // Tile-repeat broadcast: the same inner pattern fills every step of
     // this (slower-varying) axis.
-    ExprRef Inner = buildIndexVector(Axes, Depth + 1, Base, Roles);
-    if (Roles)
-      Roles->emplace_back(Axis.InstrAxis, OperandAxisRole::Broadcast);
+    ExprRef Inner =
+        buildIndexVector(Layout, OpStrides, Roles, Depth + 1, Base);
     if (Extent == 1)
       return Inner;
     return makeBroadcast(std::move(Inner), Extent);
   }
-
-  if (Last) {
+  case OperandAxisRole::Vectorize:
     // Fastest-varying depended axis: a strided vector access.
-    if (Roles)
-      Roles->emplace_back(Axis.InstrAxis, OperandAxisRole::Vectorize);
     if (Extent == 1)
       return Base;
-    return makeRamp(std::move(Base), Axis.OpStride, Extent);
+    return makeRamp(std::move(Base), OpStrides[Depth], Extent);
+  case OperandAxisRole::Unroll: {
+    // Interior depended axis: unroll and concatenate.
+    std::vector<ExprRef> Parts;
+    Parts.reserve(Extent);
+    for (unsigned T = 0; T < Extent; ++T) {
+      ExprRef Stepped =
+          Base + makeIntImm(static_cast<int64_t>(T) * OpStrides[Depth]);
+      Parts.push_back(buildIndexVector(Layout, OpStrides, Roles, Depth + 1,
+                                       std::move(Stepped)));
+    }
+    return makeConcat(std::move(Parts));
   }
+  }
+  unit_unreachable("unknown operand axis role");
+}
 
-  // Interior depended axis: unroll and concatenate.
-  if (Roles)
-    Roles->emplace_back(Axis.InstrAxis, OperandAxisRole::Unroll);
-  std::vector<ExprRef> Parts;
-  Parts.reserve(Extent);
-  for (unsigned T = 0; T < Extent; ++T) {
-    ExprRef Stepped =
-        Base + makeIntImm(static_cast<int64_t>(T) * Axis.OpStride);
-    Parts.push_back(buildIndexVector(Axes, Depth + 1, std::move(Stepped),
-                                     /*Roles=*/nullptr));
-  }
-  return makeConcat(std::move(Parts));
+/// The flat index vector of one register: one strided access when every
+/// axis vectorizes (the contiguous form), else the per-axis walk.
+ExprRef buildIndex(const RegisterLayout &Layout,
+                   const std::vector<int64_t> &OpStrides,
+                   const OperandRoles &Roles, const ExprRef &Base) {
+  bool Contiguous =
+      !Layout.Axes.empty() &&
+      std::all_of(Roles.PerAxis.begin(), Roles.PerAxis.end(),
+                  [](OperandAxisRole R) {
+                    return R == OperandAxisRole::Vectorize;
+                  });
+  if (!Contiguous)
+    return buildIndexVector(Layout, OpStrides, Roles, 0, Base);
+  if (Layout.Lanes == 1)
+    return Base;
+  return makeRamp(Base, OpStrides.back(),
+                  static_cast<unsigned>(Layout.Lanes));
 }
 
 /// The set of tile-inner loop variables of \p Plan.
@@ -77,82 +84,91 @@ std::set<const IterVarNode *> innerVarSet(const TensorizePlan &Plan) {
   return Out;
 }
 
-/// Sorts \p Axes by lane coefficient, slowest-varying first.
-void sortByLaneCoeff(std::vector<LaneAxis> &Axes) {
-  std::sort(Axes.begin(), Axes.end(),
-            [](const LaneAxis &A, const LaneAxis &B) {
-              return A.LaneCoeff > B.LaneCoeff;
-            });
-}
-
-/// When the operation access is *contiguous in lane order* — every lane
-/// axis is depended on and its buffer stride is proportional to its lane
-/// stride — the whole register fills with one strided vector access. This
-/// is what the paper's blocked data layouts (NCHW[x]c / KCRS[y]k[x]c,
-/// §V.C) buy: the register block is one load, not an unrolled gather.
-/// Returns null when the collapse does not apply.
-ExprRef tryContiguousCollapse(
-    const std::vector<LaneAxis> &Axes, const ExprRef &Base,
-    std::vector<std::pair<IterVar, OperandAxisRole>> *Roles) {
-  if (Axes.empty())
-    return nullptr;
-  int64_t ElemStride = Axes.back().OpStride;
-  if (ElemStride == 0)
-    return nullptr;
-  unsigned TotalLanes = 1;
-  for (const LaneAxis &Axis : Axes) {
-    if (!Axis.OpDepends)
-      return nullptr;
-    if (Axis.OpStride != ElemStride * Axis.LaneCoeff)
-      return nullptr;
-    TotalLanes *= static_cast<unsigned>(Axis.InstrAxis->extent());
-  }
-  if (Roles)
-    for (const LaneAxis &Axis : Axes)
-      Roles->emplace_back(Axis.InstrAxis, OperandAxisRole::Vectorize);
-  if (TotalLanes == 1)
-    return Base;
-  return makeRamp(Base, ElemStride, TotalLanes);
+/// The coefficient of each of \p Layout's tile-inner variables in \p OLI,
+/// in layout order.
+std::vector<int64_t> innerStrides(const TensorizePlan &Plan,
+                                  const RegisterLayout &Layout,
+                                  const LinearIndex &OLI) {
+  std::vector<int64_t> Strides;
+  Strides.reserve(Layout.Axes.size());
+  for (const LaneAxis &Axis : Layout.Axes)
+    Strides.push_back(
+        OLI.coeffOf(Plan.InnerVarOf.at(Axis.InstrAxis.get()).get()));
+  return Strides;
 }
 
 } // namespace
 
+OperandRoles unit::operandRoles(const RegisterLayout &Layout,
+                                const std::vector<int64_t> &OpStrides) {
+  assert(OpStrides.size() == Layout.Axes.size() && "one stride per axis");
+  const std::vector<LaneAxis> &Axes = Layout.Axes;
+  size_t N = Axes.size();
+  OperandRoles Out;
+
+  // When the operation access is *contiguous in lane order* — every lane
+  // axis is depended on and its buffer stride is proportional to its lane
+  // stride — the whole register fills with one strided vector access.
+  // This is what the paper's blocked data layouts (NCHW[x]c /
+  // KCRS[y]k[x]c, §V.C) buy: the register block is one load, not an
+  // unrolled gather.
+  bool Contiguous = N > 0 && OpStrides.back() != 0;
+  for (size_t D = 0; D < N && Contiguous; ++D)
+    Contiguous = OpStrides[D] == OpStrides.back() * Axes[D].LaneCoeff;
+  if (Contiguous) {
+    Out.PerAxis.assign(N, OperandAxisRole::Vectorize);
+    for (const LaneAxis &Axis : Axes)
+      Out.Recorded.emplace_back(Axis.InstrAxis, OperandAxisRole::Vectorize);
+    return Out;
+  }
+
+  // Otherwise axis by axis: broadcast where the access is invariant,
+  // vectorize the last axis, unroll the interior ones.
+  Out.PerAxis.reserve(N);
+  for (size_t D = 0; D < N; ++D)
+    Out.PerAxis.push_back(OpStrides[D] == 0 ? OperandAxisRole::Broadcast
+                          : D + 1 == N      ? OperandAxisRole::Vectorize
+                                            : OperandAxisRole::Unroll);
+
+  // The recorded roles stop at the first axis that is not broadcast: the
+  // unrolled parts below it are generated without recording.
+  size_t First = 0;
+  while (First < N && Out.PerAxis[First] == OperandAxisRole::Broadcast)
+    ++First;
+  if (First < N) {
+    Out.Recorded.emplace_back(Axes[First].InstrAxis, Out.PerAxis[First]);
+    if (Out.PerAxis[First] == OperandAxisRole::Unroll)
+      Out.Loads = Axes[First].InstrAxis->extent();
+  }
+  for (size_t D = First; D-- > 0;)
+    Out.Recorded.emplace_back(Axes[D].InstrAxis, OperandAxisRole::Broadcast);
+  return Out;
+}
+
 ExprRef unit::generateOutputIndex(const TensorizePlan &Plan,
                                   const VarSubst &Roots) {
   const ComputeOp &Op = *Plan.Sched->op();
-  const ComputeOp &Sem = *Plan.Match.Intrinsic->semantics();
-  const TensorRef &Out = Op.output();
+  const RegisterLayout &Layout = Plan.Match.Intrinsic->outputLayout();
 
   // Operation output flat index over final leaf variables.
   std::vector<ExprRef> OutIdx;
   for (const IterVar &Axis : Op.axes())
     OutIdx.push_back(Roots.at(Axis.get()));
-  ExprRef OutFlat = flattenIndex(Out, OutIdx);
+  ExprRef OutFlat = flattenIndex(Op.output(), OutIdx);
 
   LinearIndex OLI = analyzeLinear(OutFlat, innerVarSet(Plan));
   if (!OLI.Valid)
     reportFatalError("operand generation: output index is not affine in "
                      "the tensorized loops");
 
-  // Instruction output lane layout: identity access over its data-parallel
-  // axes, so lane coefficients are the semantics output tensor strides.
-  std::vector<int64_t> Strides = Sem.output()->strides();
-  std::vector<LaneAxis> Axes;
-  for (size_t D = 0; D < Sem.axes().size(); ++D) {
-    const IterVar &InstrAxis = Sem.axes()[D];
-    IterVar InnerVar = Plan.InnerVarOf.at(InstrAxis.get());
-    int64_t OpStride = OLI.coeffOf(InnerVar.get());
-    if (OpStride == 0)
+  std::vector<int64_t> OpStrides = innerStrides(Plan, Layout, OLI);
+  for (size_t D = 0; D < OpStrides.size(); ++D)
+    if (OpStrides[D] == 0)
       reportFatalError("operand generation: operation output does not vary "
                        "along instruction axis '" +
-                       InstrAxis->name() + "'");
-    Axes.push_back({InstrAxis, Strides[D], OpStride, /*OpDepends=*/true});
-  }
-  sortByLaneCoeff(Axes);
-  if (ExprRef Collapsed =
-          tryContiguousCollapse(Axes, OLI.Base, /*Roles=*/nullptr))
-    return Collapsed;
-  return buildIndexVector(Axes, 0, OLI.Base, /*Roles=*/nullptr);
+                       Layout.Axes[D].InstrAxis->name() + "'");
+  return buildIndex(Layout, OpStrides, operandRoles(Layout, OpStrides),
+                    OLI.Base);
 }
 
 OperandInfo unit::generateOperand(const TensorizePlan &Plan,
@@ -172,15 +188,8 @@ OperandInfo unit::generateOperand(const TensorizePlan &Plan,
     return Info;
   }
 
-  // Register lane layout from the instruction-side access.
-  std::set<const IterVarNode *> InstrAxesSet;
-  for (const IterVar &IV : Plan.Match.Intrinsic->semantics()->allAxes())
-    InstrAxesSet.insert(IV.get());
-  ExprRef InstrFlat =
-      flattenIndex(Binding.InstrLoad->Buf, Binding.InstrLoad->Indices);
-  LinearIndex ILI = analyzeLinear(InstrFlat, InstrAxesSet);
-  if (!ILI.Valid)
-    reportFatalError("operand generation: instruction access is not affine");
+  const RegisterLayout &Layout =
+      Plan.Match.Intrinsic->laneLayout(Binding.InstrLoad);
 
   // Operation-side flat index over final leaf variables.
   std::vector<ExprRef> OpIdx;
@@ -193,33 +202,15 @@ OperandInfo unit::generateOperand(const TensorizePlan &Plan,
     reportFatalError("operand generation: operation access is not affine in "
                      "the tensorized loops");
 
-  // Lane axes: every instruction axis the register layout depends on.
-  std::vector<LaneAxis> Axes;
-  int64_t ExpectedLanes = 1;
-  for (const auto &[IVNode, LaneCoeff] : ILI.Coeffs) {
-    IterVar InstrAxis;
-    for (const IterVar &IV : Plan.Match.Intrinsic->semantics()->allAxes())
-      if (IV.get() == IVNode)
-        InstrAxis = IV;
-    assert(InstrAxis && "lane coefficient for unknown instruction axis");
-    assert(LaneCoeff > 0 && "negative lane stride in instruction access");
-    IterVar InnerVar = Plan.InnerVarOf.at(IVNode);
-    int64_t OpStride = OLI.coeffOf(InnerVar.get());
-    Axes.push_back(
-        {InstrAxis, LaneCoeff, OpStride, /*OpDepends=*/OpStride != 0});
-    ExpectedLanes *= InstrAxis->extent();
-  }
-  sortByLaneCoeff(Axes);
-
-  ExprRef IdxVec = tryContiguousCollapse(Axes, OLI.Base, &Info.Roles);
-  if (!IdxVec)
-    IdxVec = buildIndexVector(Axes, 0, OLI.Base, &Info.Roles);
-  Info.Operand = makeVectorLoad(Binding.OpLoad->Buf, IdxVec);
+  std::vector<int64_t> OpStrides = innerStrides(Plan, Layout, OLI);
+  OperandRoles Roles = operandRoles(Layout, OpStrides);
+  Info.Operand = makeVectorLoad(Binding.OpLoad->Buf,
+                                buildIndex(Layout, OpStrides, Roles, OLI.Base));
+  Info.Roles = std::move(Roles.Recorded);
   if (static_cast<int64_t>(Info.Operand->dtype().lanes()) !=
       Binding.InstrTensor->numElements())
     reportFatalError("operand generation: lane count does not fill "
                      "register '" +
                      Binding.InstrTensor->name() + "'");
-  (void)ExpectedLanes;
   return Info;
 }

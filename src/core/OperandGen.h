@@ -18,7 +18,15 @@
 ///
 /// exactly the "c is a 16-lane vector; a vectorized by 4 and broadcast by
 /// 16; b vectorized by 4, unrolled and concatenated along ki" rules of
-/// paper Fig. 5(c).
+/// paper Fig. 5(c). When the access is contiguous in lane order, every
+/// axis vectorizes into one strided load instead.
+///
+/// The register side of the rule, the lane layout, belongs to the
+/// instruction and is computed once per TensorIntrinsic
+/// (TensorIntrinsic::laneLayout). The operation side is the access's
+/// stride along each mapped loop. operandRoles turns both into roles; the
+/// cost model (perf/CostModel.h) counts loads from the same roles, so its
+/// LoadsPerCall and the generated operands cannot disagree.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,12 +45,41 @@ enum class OperandAxisRole : uint8_t { Vectorize, Unroll, Broadcast };
 struct OperandInfo {
   TensorRef InstrTensor;
   ExprRef Operand; ///< The generated (vector) expression.
-  std::vector<std::pair<IterVar, OperandAxisRole>> Roles; ///< Instr axes.
+  /// Instruction axes and their roles, as far as the rule records them:
+  /// the first axis (slowest first) that is not broadcast, then the
+  /// broadcast axes before it (every axis, when all broadcast), innermost
+  /// first. Axes after the first
+  /// unrolled one are not listed, even when they unroll too, so a load
+  /// count taken from these roles counts only the first unrolled axis's
+  /// extent. A contiguous operand lists every axis as Vectorize. An
+  /// accumulator lists its data-parallel axes as Vectorize.
+  std::vector<std::pair<IterVar, OperandAxisRole>> Roles;
 };
+
+/// The roles of one register's lane axes.
+struct OperandRoles {
+  /// One role per axis of the layout, in layout order; the axis rule
+  /// above, or all Vectorize for a contiguous access.
+  std::vector<OperandAxisRole> PerAxis;
+  /// What OperandInfo::Roles records for them.
+  std::vector<std::pair<IterVar, OperandAxisRole>> Recorded;
+  /// Vector loads one call spends on the register: the product of the
+  /// recorded Unroll axes' extents.
+  int64_t Loads = 1;
+};
+
+/// The role rule shared by generateOperand and the cost model.
+/// \p OpStrides holds the operation's flat-index stride along each axis
+/// of \p Layout, in layout order (0 where the access is invariant).
+OperandRoles operandRoles(const RegisterLayout &Layout,
+                          const std::vector<int64_t> &OpStrides);
 
 /// Generates the operand expression for instruction register \p Binding.
 ///
-/// \p Plan supplies the mapping and tile-inner variables; \p Roots is the
+/// The register's lane layout is the instruction's own
+/// (TensorIntrinsic::laneLayout of \p Binding's InstrLoad), and its roles
+/// come from operandRoles. \p Plan supplies the mapping and tile-inner
+/// variables; \p Roots is the
 /// *final* schedule's root-axis bindings (outer loop variables remain
 /// symbolic, tile-inner variables are eliminated into lane patterns).
 /// For the accumulator register, pass the operation output access via

@@ -1,6 +1,6 @@
-//===- core/LinearIndex.cpp ------------------------------------------------===//
+//===- ir/LinearIndex.cpp --------------------------------------------------===//
 
-#include "core/LinearIndex.h"
+#include "ir/LinearIndex.h"
 
 #include "ir/ExprUtil.h"
 #include "support/ErrorHandling.h"
@@ -119,4 +119,23 @@ LinearIndex analyze(const ExprRef &E,
 LinearIndex unit::analyzeLinear(const ExprRef &E,
                                 const std::set<const IterVarNode *> &Targets) {
   return analyze(E, Targets);
+}
+
+LinearIndex
+unit::analyzeLinearCoeffs(const LoadNode *Load,
+                          const std::set<const IterVarNode *> &Targets) {
+  std::vector<int64_t> Strides = Load->Buf->strides();
+  LinearIndex Out;
+  for (size_t D = 0; D < Load->Indices.size(); ++D) {
+    LinearIndex Dim = analyze(Load->Indices[D], Targets);
+    if (!Dim.Valid)
+      return invalid();
+    for (const auto &[IV, C] : Dim.Coeffs) {
+      Out.Coeffs[IV] += C * Strides[D];
+      if (Out.Coeffs[IV] == 0)
+        Out.Coeffs.erase(IV);
+    }
+  }
+  Out.Valid = true;
+  return Out;
 }

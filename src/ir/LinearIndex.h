@@ -1,4 +1,4 @@
-//===- core/LinearIndex.h - Affine index analysis --------------------------===//
+//===- ir/LinearIndex.h - Affine index analysis ----------------------------===//
 //
 // Part of the UNIT reproduction (CGO 2021). MIT license.
 //
@@ -7,15 +7,17 @@
 /// \file
 /// Decomposes an index expression into `Base + sum(Coeff_v * v)` over a
 /// chosen set of target loop variables, leaving everything else symbolic in
-/// Base. The Inspector uses it to read access strides, and the Replacer
-/// uses it to derive each operand's vectorize/broadcast/unroll coefficients
-/// (the "loop variable ... and their coefficients in the index expression
-/// are exposed" interface of paper §III.C.2).
+/// Base. Each TensorIntrinsic reads its registers' lane strides with it,
+/// and the cost model and the Replacer read the operation's strides along
+/// the tensorized loops: the coefficients that give each operand its
+/// vectorize/broadcast/unroll roles (the "loop variable ... and their
+/// coefficients in the index expression are exposed" interface of paper
+/// §III.C.2).
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef UNIT_CORE_LINEARINDEX_H
-#define UNIT_CORE_LINEARINDEX_H
+#ifndef UNIT_IR_LINEARINDEX_H
+#define UNIT_IR_LINEARINDEX_H
 
 #include "ir/Expr.h"
 
@@ -44,6 +46,13 @@ struct LinearIndex {
 LinearIndex analyzeLinear(const ExprRef &E,
                           const std::set<const IterVarNode *> &Targets);
 
+/// The coefficients analyzeLinear reports for \p Load's row-major flat
+/// index (tir/Lower.h's flattenIndex), combined per dimension from the
+/// tensor strides without building the flat expression. Valid=false under
+/// the same condition; Base is left null.
+LinearIndex analyzeLinearCoeffs(const LoadNode *Load,
+                                const std::set<const IterVarNode *> &Targets);
+
 } // namespace unit
 
-#endif // UNIT_CORE_LINEARINDEX_H
+#endif // UNIT_IR_LINEARINDEX_H

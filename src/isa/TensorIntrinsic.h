@@ -18,6 +18,13 @@
 /// The attached cost numbers feed the analytic machine model that stands
 /// in for real hardware in this reproduction (see DESIGN.md).
 ///
+/// Each instruction also derives, once at construction, the lane layout of
+/// every register access in its semantics: which instruction axes the
+/// register's lanes vary along and with what stride. Operand generation
+/// (core/OperandGen.h) and the cost model's load count
+/// (perf/CostModel.h) both read these layouts instead of re-analyzing
+/// the semantics per use.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef UNIT_ISA_TENSORINTRINSIC_H
@@ -43,6 +50,23 @@ struct IntrinsicCost {
   double MacsPerInstr = 1.0;
 };
 
+/// One instruction axis a register's lanes vary along.
+struct LaneAxis {
+  IterVar InstrAxis;
+  int64_t LaneCoeff; ///< The axis's stride in the register's lane order.
+};
+
+/// Lane layout of one register access in an instruction's semantics (the
+/// "instruction side" of the operand rules of paper §III.C.2).
+struct RegisterLayout {
+  const LoadNode *Load = nullptr; ///< The semantics load described.
+  /// Every instruction axis the access depends on, slowest-varying first
+  /// (LaneCoeff descending; ties keep the semantics' axis order).
+  std::vector<LaneAxis> Axes;
+  /// Product of the axes' extents: the lanes one operand vector holds.
+  int64_t Lanes = 1;
+};
+
 /// One tensorized instruction: name, target id, DSL semantics, and costs.
 class TensorIntrinsic {
   std::string Name;          ///< Registry key, e.g. "vnni.vpdpbusd".
@@ -50,8 +74,12 @@ class TensorIntrinsic {
   std::string Target;        ///< Backend target id, e.g. "x86".
   ComputeOpRef Semantics;
   IntrinsicCost Cost;
+  std::vector<RegisterLayout> Layouts; ///< One per semantics load.
+  RegisterLayout OutputLayout;
 
 public:
+  /// Fatal-errors when a register access in \p Semantics is not affine in
+  /// the instruction's axes (no lane layout exists).
   TensorIntrinsic(std::string Name, std::string LLVMIntrinsic,
                   std::string Target, ComputeOpRef Semantics,
                   IntrinsicCost Cost);
@@ -69,6 +97,13 @@ public:
   /// True for += instructions whose accumulator register is the output
   /// register (Tensor Core, paper Fig. 4c).
   bool accumulatesInPlace() const { return Semantics->isInPlaceUpdate(); }
+
+  /// Lane layout of \p Load, a load node of this instruction's semantics
+  /// (an OperandBinding's InstrLoad).
+  const RegisterLayout &laneLayout(const LoadNode *Load) const;
+  /// Lane layout of the output register: the identity access over the
+  /// data-parallel axes (Load is null).
+  const RegisterLayout &outputLayout() const { return OutputLayout; }
 };
 
 using TensorIntrinsicRef = std::shared_ptr<const TensorIntrinsic>;

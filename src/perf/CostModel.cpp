@@ -3,6 +3,7 @@
 #include "perf/CostModel.h"
 
 #include "core/OperandGen.h"
+#include "ir/LinearIndex.h"
 #include "support/ErrorHandling.h"
 
 #include <algorithm>
@@ -60,24 +61,37 @@ KernelStats unit::analyzeTensorized(const TensorizePlan &Plan) {
     Stats.UsefulFraction *= static_cast<double>(R.Parent->extent()) / Padded;
   }
 
-  // Loads per invocation, from the operand-generation roles: a Broadcast
-  // or Vectorize axis costs one vector load, every Unroll axis multiplies
-  // the piece count. The accumulator stays register-resident across the
+  // Loads per invocation, from the operand-generation roles of each input
+  // register (core/OperandGen.h): the register's lane layout is the
+  // instruction's own, and the operation's stride along a lane axis is the
+  // coefficient of the op axis mapped to it — a tile-inner variable has
+  // coefficient 1 in its root axis whatever the schedule does to the
+  // outer loops. The accumulator stays register-resident across the
   // reduction, so it is not charged per call.
-  VarSubst Roots = S.rootBindings();
-  ExprRef OutIdx = generateOutputIndex(Plan, Roots);
-  double Loads = 0;
+  std::set<const IterVarNode *> MappedOpAxes;
+  for (const auto &[OpAxis, InstrAxis] : Plan.Match.Mapping.Pairs)
+    MappedOpAxes.insert(OpAxis.get());
+  int64_t Loads = 0;
   for (const OperandBinding &B : Plan.Match.Iso.Bindings) {
     if (B.IsAccumulator)
       continue;
-    OperandInfo Info = generateOperand(Plan, B, Roots, OutIdx);
-    double Pieces = 1;
-    for (const auto &[Axis, Role] : Info.Roles)
-      if (Role == OperandAxisRole::Unroll)
-        Pieces *= static_cast<double>(Axis->extent());
-    Loads += Pieces;
+    const RegisterLayout &Layout = Intr.laneLayout(B.InstrLoad);
+    if (Layout.Lanes != B.InstrTensor->numElements())
+      reportFatalError("operand generation: lane count does not fill "
+                       "register '" +
+                       B.InstrTensor->name() + "'");
+    LinearIndex OLI = analyzeLinearCoeffs(B.OpLoad, MappedOpAxes);
+    if (!OLI.Valid)
+      reportFatalError("operand generation: operation access is not affine "
+                       "in the tensorized loops");
+    std::vector<int64_t> OpStrides;
+    OpStrides.reserve(Layout.Axes.size());
+    for (const LaneAxis &Axis : Layout.Axes)
+      OpStrides.push_back(OLI.coeffOf(
+          Plan.Match.Mapping.opAxisFor(Axis.InstrAxis.get()).get()));
+    Loads += operandRoles(Layout, OpStrides).Loads;
   }
-  Stats.LoadsPerCall = std::max(1.0, Loads);
+  Stats.LoadsPerCall = std::max(1.0, static_cast<double>(Loads));
 
   // Memory footprints.
   auto FootprintBytes = [](const TensorRef &T) {

@@ -51,6 +51,15 @@ struct KernelStats {
 /// reorganized plan, and derives every candidate's stats from that by
 /// extent arithmetic; codegen and the vendor baselines call it on built
 /// plans.
+///
+/// LoadsPerCall is a function of the match alone: each input register's
+/// lane layout comes from the instruction (TensorIntrinsic::laneLayout),
+/// the operation's stride along each lane axis from the coefficient of
+/// the mapped op axis in the operation's own access, and the count from
+/// the same role rule the Replacer's operand generation applies
+/// (operandRoles, core/OperandGen.h). No operand expression is built.
+/// Fatal-errors, as operand generation would, when a register's lane
+/// axes do not fill it or an access is not affine in the mapped axes.
 KernelStats analyzeTensorized(const TensorizePlan &Plan);
 
 /// Fills the SIMD-fallback fields for a non-tensorized ComputeOp.

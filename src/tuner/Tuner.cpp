@@ -9,6 +9,7 @@
 #include "support/Time.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -194,84 +195,106 @@ int64_t foldSplit(KernelStats &S, int64_t Extent, int64_t Factor) {
 /// The exact stats analyzeTensorized(buildCpuPlan(Op, Match, Pair))
 /// reports, without building the plan: replays buildCpuPlan's unroll
 /// splits and fuse prefix on the extents, then multiplies the loop
-/// extents in the built schedule's leaf order.
+/// extents in the built schedule's leaf order. Allocates nothing: the
+/// unroll tiles sit in a fixed array, since every tile at least halves
+/// the budget and an int64 budget therefore tiles at most 64 loops.
 KernelStats cpuPairStats(const SearchContext &Ctx, const CpuTuningPair &Pair) {
   KernelStats S = Ctx.Base;
-  // Second breaking point: unroll tiles, innermost loop first.
-  std::vector<int64_t> Dp = Ctx.Dp;
-  std::vector<int64_t> Tiles(Dp.size(), 1); // Inner extent per DP loop.
+  const std::vector<int64_t> &Dp = Ctx.Dp;
+  // Second breaking point: unroll tiles, innermost loop first. Tile T
+  // splits loop TileLoop[T] into TileOuter[T] x TileFactor[T]; the loop
+  // index falls as T grows.
+  std::array<size_t, 64> TileLoop;
+  std::array<int64_t, 64> TileOuter, TileFactor;
+  size_t NumTiles = 0;
   int64_t Budget = std::max<int64_t>(1, Pair.UnrollFactor);
-  for (int I = static_cast<int>(Dp.size()) - 1; I >= 0 && Budget > 1; --I) {
+  for (size_t I = Dp.size(); I-- > 0 && Budget > 1;) {
     int64_t Factor = chooseUnrollFactor(Budget, Dp[I]);
     if (Factor <= 1)
       continue;
-    Dp[I] = foldSplit(S, Dp[I], Factor);
-    Tiles[I] = Factor;
+    assert(NumTiles < TileLoop.size() && "tile count past the budget bound");
+    TileLoop[NumTiles] = I;
+    TileOuter[NumTiles] = foldSplit(S, Dp[I], Factor);
+    TileFactor[NumTiles++] = Factor;
     Budget = (Budget + Factor - 1) / Factor;
   }
+  // Loop I's extent after its unroll split.
+  auto OuterExtent = [&](size_t I) {
+    for (size_t T = 0; T < NumTiles; ++T)
+      if (TileLoop[T] == I)
+        return TileOuter[T];
+    return Dp[I];
+  };
   // First breaking point: the fused, parallel prefix.
   size_t Fused = 0;
   int64_t Prod = 1;
   if (!Dp.empty()) {
-    Prod = Dp[0];
+    Prod = OuterExtent(0);
     for (Fused = 1; Fused < Dp.size(); ++Fused) {
-      if (Prod * Dp[Fused] > Pair.ParallelLimit)
+      int64_t Next = OuterExtent(Fused);
+      if (Prod * Next > Pair.ParallelLimit)
         break;
-      Prod *= Dp[Fused];
+      Prod *= Next;
     }
   }
   // Leaf order: [parallel] [serial DP] [reduce] [unrolled DP] [inner].
   S.Calls = static_cast<double>(Prod);
   S.ParallelExtent = static_cast<double>(Prod);
   for (size_t I = Fused; I < Dp.size(); ++I)
-    S.Calls *= static_cast<double>(Dp[I]);
+    S.Calls *= static_cast<double>(OuterExtent(I));
   for (int64_t E : Ctx.Reduce)
     S.Calls *= static_cast<double>(E);
-  for (int64_t F : Tiles) {
-    S.Calls *= static_cast<double>(F);
-    S.Unroll *= static_cast<double>(F);
+  for (size_t T = NumTiles; T-- > 0;) { // Outermost tile first.
+    S.Calls *= static_cast<double>(TileFactor[T]);
+    S.Unroll *= static_cast<double>(TileFactor[T]);
   }
   return S;
 }
 
 /// GPU analog of cpuPairStats, replaying buildGpuPlan: the split-K split
 /// of the outermost reduce loop, then the p x p tiles of the two
-/// outermost data-parallel loops.
+/// outermost data-parallel loops. Only those three loops change, so their
+/// new extents live in locals.
 KernelStats gpuConfigStats(const SearchContext &Ctx,
                            const GpuTuningConfig &Config) {
   KernelStats S = Ctx.Base;
-  std::vector<int64_t> Dp = Ctx.Dp;
-  std::vector<int64_t> Reduce = Ctx.Reduce;
+  const std::vector<int64_t> &Dp = Ctx.Dp;
+  const std::vector<int64_t> &Reduce = Ctx.Reduce;
   int64_t Segments = 0; // No split-K loop.
+  // Reduce[0] after the split-K split.
+  int64_t FirstReduce = Reduce.empty() ? 0 : Reduce[0];
   if (Config.SplitK > 1 && !Reduce.empty()) {
     int64_t K = Reduce[0];
     int64_t Want = std::min(Config.SplitK, K);
     int64_t Factor = (K + Want - 1) / Want;
     Segments = foldSplit(S, K, Factor);
-    Reduce[0] = Factor;
+    FirstReduce = Factor;
   }
-  std::vector<int64_t> Tiles;
+  std::array<int64_t, 2> Block = {1, 1}; // Dp[0], Dp[1] after tiling.
+  std::array<int64_t, 2> Tiles = {1, 1};
   for (size_t I = 0; I < Dp.size() && I < 2; ++I) {
+    Block[I] = Dp[I];
     int64_t Factor = std::min(Config.P, Dp[I]);
     if (Factor <= 1)
       continue;
-    Dp[I] = foldSplit(S, Dp[I], Factor);
-    Tiles.push_back(Factor);
+    Block[I] = foldSplit(S, Dp[I], Factor);
+    Tiles[I] = Factor;
   }
   // Leaf order: [blocks x, y] [other DP] [split-K] [reduce] [tiles]
   // [inner].
   S.Calls = 1;
   for (size_t I = 0; I < Dp.size(); ++I) {
-    S.Calls *= static_cast<double>(Dp[I]);
+    double Extent = static_cast<double>(I < 2 ? Block[I] : Dp[I]);
+    S.Calls *= Extent;
     if (I < 2)
-      S.ParallelExtent *= static_cast<double>(Dp[I]);
+      S.ParallelExtent *= Extent;
   }
   if (Segments > 0) {
     S.Calls *= static_cast<double>(Segments);
     S.SplitK *= static_cast<double>(Segments);
   }
-  for (int64_t E : Reduce)
-    S.Calls *= static_cast<double>(E);
+  for (size_t I = 0; I < Reduce.size(); ++I)
+    S.Calls *= static_cast<double>(I == 0 ? FirstReduce : Reduce[I]);
   for (int64_t F : Tiles) {
     S.Calls *= static_cast<double>(F);
     S.Unroll *= static_cast<double>(F);

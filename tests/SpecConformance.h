@@ -22,7 +22,9 @@
 //      of every candidate is bit-identical to the cost model run on the
 //      candidate's built plan, and the winner's stats equal the rebuilt
 //      winner's. A spec whose operand layout makes a candidate's load
-//      count differ from the reorganized plan's fails here.
+//      count differ from the reorganized plan's fails here. The load
+//      count itself must equal the piece count of the operands the
+//      Replacer generates (checkLoadCountParity).
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,16 +32,21 @@
 #define UNIT_TESTS_SPECCONFORMANCE_H
 
 #include "core/Inspector.h"
+#include "core/OperandGen.h"
 #include "graph/Layout.h"
+#include "ir/ExprUtil.h"
+#include "ir/LinearIndex.h"
 #include "models/ModelZoo.h"
 #include "runtime/CompilerSession.h"
 #include "server/CompileClient.h"
 #include "target/SpecFile.h"
 #include "target/TargetRegistry.h"
+#include "tir/Lower.h"
 #include "tuner/Tuner.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <string>
@@ -290,13 +297,60 @@ inline void checkAnalyticScoring(const TargetSpec &Spec, const TunedView &View,
       Spec.Id + " winner");
 }
 
+/// The cost model's LoadsPerCall for \p View's reorganized plan equals
+/// the piece count of the operands the Replacer generates for it: the
+/// product of the Unroll extents in each input register's
+/// generateOperand Roles, summed over the registers. Both sides share
+/// operandRoles, so each recorded role is also checked against the
+/// operation's stride along its tile-inner loop, read from the access
+/// as the Replacer substitutes it: an axis is Broadcast exactly where the
+/// access is invariant. A role rule that is wrong for the count and the
+/// lowering alike fails there.
+inline void checkLoadCountParity(const TunedView &View,
+                                 const std::string &What) {
+  TensorizePlan Plan = reorganizeLoops(View.Op, View.Match);
+  VarSubst Roots = Plan.Sched->rootBindings();
+  ExprRef OutIdx = generateOutputIndex(Plan, Roots);
+  std::set<const IterVarNode *> InnerVars;
+  for (const auto &[InstrAxis, Inner] : Plan.InnerVarOf)
+    InnerVars.insert(Inner.get());
+  int64_t Pieces = 0;
+  for (const OperandBinding &B : Plan.Match.Iso.Bindings) {
+    if (B.IsAccumulator)
+      continue;
+    OperandInfo Info = generateOperand(Plan, B, Roots, OutIdx);
+    std::vector<ExprRef> Idx;
+    for (const ExprRef &I : B.OpLoad->Indices)
+      Idx.push_back(substitute(I, Roots));
+    LinearIndex OLI =
+        analyzeLinear(flattenIndex(B.OpLoad->Buf, Idx), InnerVars);
+    ASSERT_TRUE(OLI.Valid) << What;
+    int64_t Loads = 1;
+    for (const auto &[Axis, Role] : Info.Roles) {
+      bool Invariant =
+          OLI.coeffOf(Plan.InnerVarOf.at(Axis.get()).get()) == 0;
+      EXPECT_EQ(Role == OperandAxisRole::Broadcast, Invariant)
+          << What << ": register " << B.InstrTensor->name() << ", axis "
+          << Axis->name();
+      if (Role == OperandAxisRole::Unroll)
+        Loads *= Axis->extent();
+    }
+    Pieces += Loads;
+  }
+  EXPECT_EQ(analyzeTensorized(Plan).LoadsPerCall,
+            static_cast<double>(std::max<int64_t>(1, Pieces)))
+      << What;
+}
+
 /// Gauntlet stage 5: the analytic scoring over the zoo sample.
 inline void checkSpecAnalyticScoring(const TargetSpec &Spec,
                                      size_t SampleSize = 6) {
   AnalyticCoverage Coverage;
   for (const ConvLayer &L : sampleZooConvs(SampleSize))
-    for (const TunedView &View : tunedConvViews(Spec, L))
+    for (const TunedView &View : tunedConvViews(Spec, L)) {
       checkAnalyticScoring(Spec, View, Coverage);
+      checkLoadCountParity(View, Spec.Id + " " + L.Name);
+    }
   EXPECT_GT(Coverage.Searches, 0u) << Spec.Id;
 }
 

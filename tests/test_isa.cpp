@@ -1,6 +1,7 @@
 //===- tests/test_isa.cpp - Intrinsic registry and emulation tests --------===//
 
 #include "interp/Interp.h"
+#include "ir/ExprUtil.h"
 #include "isa/Intrinsics.h"
 #include "isa/TensorIntrinsic.h"
 #include "support/Random.h"
@@ -53,6 +54,44 @@ TEST(Intrinsic, SdotShape) {
   TensorIntrinsicRef I = IntrinsicRegistry::instance().lookup("arm.sdot");
   EXPECT_EQ(I->outputLanes(), 4);
   EXPECT_EQ(I->reduceWidth(), 4);
+}
+
+TEST(Intrinsic, LaneLayoutsComeFromTheSemantics) {
+  TensorIntrinsicRef I = IntrinsicRegistry::instance().lookup("vnni.vpdpbusd");
+  const ComputeOp &Sem = *I->semantics();
+  const IterVar &Lane = Sem.axes()[0];      // i, 16 lanes
+  const IterVar &Dot = Sem.reduceAxes()[0]; // j, 4-wide dot
+  for (const LoadNode *Load : collectLoads(Sem.body())) {
+    const RegisterLayout &L = I->laneLayout(Load);
+    EXPECT_EQ(L.Load, Load);
+    EXPECT_EQ(&I->laneLayout(Load), &L); // Stored, not recomputed.
+    if (Load->Buf == Sem.inputs()[2]) {  // c[i]
+      ASSERT_EQ(L.Axes.size(), 1u);
+      EXPECT_EQ(L.Axes[0].InstrAxis, Lane);
+      EXPECT_EQ(L.Lanes, 16);
+      continue;
+    }
+    // a[i*4+j] and b[i*4+j]: i is the slower axis.
+    ASSERT_EQ(L.Axes.size(), 2u);
+    EXPECT_EQ(L.Axes[0].InstrAxis, Lane);
+    EXPECT_EQ(L.Axes[0].LaneCoeff, 4);
+    EXPECT_EQ(L.Axes[1].InstrAxis, Dot);
+    EXPECT_EQ(L.Axes[1].LaneCoeff, 1);
+    EXPECT_EQ(L.Lanes, 64);
+  }
+  ASSERT_EQ(I->outputLayout().Axes.size(), 1u);
+  EXPECT_EQ(I->outputLayout().Axes[0].InstrAxis, Lane);
+  EXPECT_EQ(I->outputLayout().Lanes, 16);
+}
+
+TEST(Intrinsic, NonAffineRegisterAccessDies) {
+  IterVar Lane = makeAxis("i", 4);
+  TensorRef A = makeTensor("a", {2}, DataType::i32());
+  TensorRef D = makeTensor("d", {4}, DataType::i32());
+  ComputeOpRef Sem = ComputeOp::create(
+      "halve", D, {Lane}, makeLoad(A, {makeVar(Lane) / makeIntImm(2)}));
+  EXPECT_DEATH(TensorIntrinsic("t.halve", "t.halve", "t", Sem, {}),
+               "instruction access is not affine");
 }
 
 /// Emulates one vpdpbusd call through the interpreter and checks it

@@ -1,6 +1,6 @@
 //===- tests/test_linear_index.cpp - Affine index analysis tests ----------===//
 
-#include "core/LinearIndex.h"
+#include "ir/LinearIndex.h"
 #include "ir/ExprUtil.h"
 #include "ir/Printer.h"
 

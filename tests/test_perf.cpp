@@ -10,6 +10,7 @@
 
 #include "TestUtil.h"
 #include "core/Inspector.h"
+#include "core/OperandGen.h"
 #include "graph/Layout.h"
 #include "graph/Quantize.h"
 #include "perf/CostModel.h"
@@ -186,6 +187,51 @@ TEST(AnalyzeTensorized, ImperfectTunerSplitSetsGuards) {
   KernelStats S = analyzeTensorized(Plan);
   EXPECT_TRUE(S.HasResidueGuards);
   EXPECT_LT(S.UsefulFraction, 1.0);
+}
+
+/// A three-axis register layout p(2) x q(3) x r(4), lane strides 12, 4, 1.
+RegisterLayout threeAxisLayout() {
+  RegisterLayout L;
+  L.Axes = {{makeAxis("p", 2), 12}, {makeAxis("q", 3), 4},
+            {makeAxis("r", 4), 1}};
+  L.Lanes = 24;
+  return L;
+}
+
+std::vector<OperandAxisRole> recordedRoles(const OperandRoles &R) {
+  std::vector<OperandAxisRole> Out;
+  for (const auto &[Axis, Role] : R.Recorded)
+    Out.push_back(Role);
+  return Out;
+}
+
+TEST(OperandRoles, RecordNothingPastTheFirstUnrolledAxis) {
+  RegisterLayout L = threeAxisLayout();
+  using R = OperandAxisRole;
+  // Two depended interior axes: both unroll, but only p is recorded, so
+  // the load count is p's extent, not p x q. Goldens depend on this.
+  OperandRoles Gather = operandRoles(L, {100, 10, 7});
+  EXPECT_EQ(Gather.PerAxis,
+            (std::vector<R>{R::Unroll, R::Unroll, R::Vectorize}));
+  ASSERT_EQ(Gather.Recorded.size(), 1u);
+  EXPECT_EQ(Gather.Recorded[0].first, L.Axes[0].InstrAxis);
+  EXPECT_EQ(Gather.Loads, 2);
+  // Broadcast axes before the first unrolled one follow it, innermost
+  // first.
+  OperandRoles Tiled = operandRoles(L, {0, 10, 7});
+  EXPECT_EQ(recordedRoles(Tiled), (std::vector<R>{R::Unroll, R::Broadcast}));
+  EXPECT_EQ(Tiled.Recorded[0].first, L.Axes[1].InstrAxis);
+  EXPECT_EQ(Tiled.Loads, 3);
+  OperandRoles Splat = operandRoles(L, {0, 0, 0});
+  EXPECT_EQ(recordedRoles(Splat),
+            (std::vector<R>{R::Broadcast, R::Broadcast, R::Broadcast}));
+  EXPECT_EQ(Splat.Recorded[0].first, L.Axes[2].InstrAxis);
+  EXPECT_EQ(Splat.Loads, 1);
+  // Contiguous in lane order (strides 2 x lane strides): one load.
+  OperandRoles Block = operandRoles(L, {24, 8, 2});
+  EXPECT_EQ(recordedRoles(Block),
+            (std::vector<R>{R::Vectorize, R::Vectorize, R::Vectorize}));
+  EXPECT_EQ(Block.Loads, 1);
 }
 
 TEST(SimdFallback, WideningFactorScalesLatency) {

@@ -351,6 +351,21 @@ TEST(TunerAnalyticParity, EveryCandidateScoresLikeItsBuiltPlan) {
   EXPECT_LT(Coverage.Guarded, Coverage.Candidates);
 }
 
+TEST(TunerAnalyticParity, LoadCountMatchesTheGeneratedOperands) {
+  std::vector<ConvLayer> Layers = parityLayers();
+  size_t Views = 0;
+  for (const TargetSpec &Spec : parityTargets()) {
+    SCOPED_TRACE(Spec.Id);
+    size_t Before = Views;
+    for (const ConvLayer &L : Layers)
+      for (const TunedView &View : tunedConvViews(Spec, L)) {
+        checkLoadCountParity(View, Spec.Id + " " + L.Name);
+        ++Views;
+      }
+    EXPECT_GT(Views, Before + Layers.size() / 2);
+  }
+}
+
 TEST(TunerAnalyticParity, SeededAndPrunedSearchesMatchTheOldSearch) {
   size_t Searches = 0, Pruned = 0;
   for (const TargetSpec &Spec : parityTargets()) {
