@@ -6,7 +6,6 @@
 #include "support/ErrorHandling.h"
 
 #include <algorithm>
-#include <set>
 
 using namespace unit;
 
@@ -26,40 +25,28 @@ IterVar AxisMapping::instrAxisFor(const IterVarNode *OpAxis) const {
 
 namespace {
 
-/// Set of loop variables appearing in a load's index expressions.
-std::set<const IterVarNode *> varSetOfLoad(const LoadNode *Load) {
-  std::set<const IterVarNode *> Out;
+/// True if \p IV appears in one of \p Load's index expressions.
+bool loadMentions(const LoadNode *Load, const IterVarNode *IV) {
   for (const ExprRef &Idx : Load->Indices)
-    for (const IterVar &IV : collectVars(Idx))
-      Out.insert(IV.get());
-  return Out;
+    for (const IterVar &V : collectVars(Idx))
+      if (V.get() == IV)
+        return true;
+  return false;
 }
 
-/// Distinct loop variables in a load's index expressions, in order.
-std::vector<IterVar> collectLoadVars(const LoadNode *Load) {
-  std::vector<IterVar> Out;
-  for (const ExprRef &Idx : Load->Indices)
-    for (const IterVar &IV : collectVars(Idx))
-      if (std::find(Out.begin(), Out.end(), IV) == Out.end())
-        Out.push_back(IV);
-  return Out;
-}
-
-/// The feasibility test of paper §III.B.2: for every bound operand pair
-/// (u = op access, v = instruction access), S'(u) ⊆ S(v) where
-/// S'(u) = { f(x) | x in S(u) ∩ A }.
-bool mappingFeasible(const AxisMapping &Mapping, const IsoResult &Iso) {
+/// The feasibility test of paper §III.B.2 for one pair f(OpAxis) =
+/// InstrAxis: for every bound operand pair (u = op access, v =
+/// instruction access), OpAxis in S(u) implies InstrAxis in S(v).
+/// S'(u) ⊆ S(v), where S'(u) = { f(x) | x in S(u) ∩ A }, holds for a
+/// mapping exactly when it holds for each of its pairs.
+bool pairFeasible(const IterVar &OpAxis, const IterVar &InstrAxis,
+                  const IsoResult &Iso) {
   for (const OperandBinding &B : Iso.Bindings) {
     if (B.IsAccumulator)
       continue; // The accumulator aliases the output; checked by shape.
-    std::set<const IterVarNode *> SV = varSetOfLoad(B.InstrLoad);
-    for (const IterVar &OpVar : collectLoadVars(B.OpLoad)) {
-      IterVar InstrVar = Mapping.instrAxisFor(OpVar.get());
-      if (!InstrVar)
-        continue; // Not in A: stays an outer loop; broadcast handles it.
-      if (!SV.count(InstrVar.get()))
-        return false; // One register lane would need several addresses.
-    }
+    if (loadMentions(B.OpLoad, OpAxis.get()) &&
+        !loadMentions(B.InstrLoad, InstrAxis.get()))
+      return false; // One register lane would need several addresses.
   }
   return true;
 }
@@ -68,16 +55,15 @@ bool mappingFeasible(const AxisMapping &Mapping, const IsoResult &Iso) {
 ///
 /// \p InstrAxes lists the instruction axes still to assign; \p Candidates
 /// lists, per instruction axis, the op axes that qualify (same annotation,
-/// perfect tiling), pre-sorted innermost-first. Feasible complete mappings
-/// are appended to \p Out (bounded enumeration; shapes make this tiny).
+/// perfect tiling, a feasible pair), pre-sorted innermost-first. Every
+/// complete mapping of distinct op axes is feasible and appended to
+/// \p Out (bounded enumeration; shapes make this tiny).
 void enumerate(const std::vector<IterVar> &InstrAxes, size_t Depth,
                const std::vector<std::vector<IterVar>> &Candidates,
                std::vector<std::pair<IterVar, IterVar>> &Current,
-               const IsoResult &Iso, std::vector<AxisMapping> &Out) {
+               std::vector<AxisMapping> &Out) {
   if (Depth == InstrAxes.size()) {
-    AxisMapping M{Current};
-    if (mappingFeasible(M, Iso))
-      Out.push_back(std::move(M));
+    Out.push_back(AxisMapping{Current});
     return;
   }
   const IterVar &InstrAxis = InstrAxes[Depth];
@@ -88,7 +74,7 @@ void enumerate(const std::vector<IterVar> &InstrAxes, size_t Depth,
     if (Used)
       continue;
     Current.emplace_back(OpAxis, InstrAxis);
-    enumerate(InstrAxes, Depth + 1, Candidates, Current, Iso, Out);
+    enumerate(InstrAxes, Depth + 1, Candidates, Current, Out);
     Current.pop_back();
   }
 }
@@ -141,9 +127,20 @@ std::optional<MatchResult> unit::inspect(const ComputeOpRef &Op,
     Candidates.push_back(std::move(C));
   }
 
+  // The pair test of every candidate, once: a mapping is feasible exactly
+  // when all of its pairs are.
+  for (size_t I = 0; I < InstrAxes.size(); ++I) {
+    std::vector<IterVar> &C = Candidates[I];
+    C.erase(std::remove_if(C.begin(), C.end(),
+                           [&](const IterVar &OpAxis) {
+                             return !pairFeasible(OpAxis, InstrAxes[I], Iso);
+                           }),
+            C.end());
+  }
+
   std::vector<AxisMapping> Feasible;
   std::vector<std::pair<IterVar, IterVar>> Current;
-  enumerate(InstrAxes, 0, Candidates, Current, Iso, Feasible);
+  enumerate(InstrAxes, 0, Candidates, Current, Feasible);
   if (Feasible.empty())
     return Fail("no feasible loop mapping (S'(u) ⊆ S(v) fails everywhere)");
 

@@ -76,27 +76,6 @@ ExprRef buildIndex(const RegisterLayout &Layout,
                   static_cast<unsigned>(Layout.Lanes));
 }
 
-/// The set of tile-inner loop variables of \p Plan.
-std::set<const IterVarNode *> innerVarSet(const TensorizePlan &Plan) {
-  std::set<const IterVarNode *> Out;
-  for (const auto &[InstrAxis, Inner] : Plan.InnerVarOf)
-    Out.insert(Inner.get());
-  return Out;
-}
-
-/// The coefficient of each of \p Layout's tile-inner variables in \p OLI,
-/// in layout order.
-std::vector<int64_t> innerStrides(const TensorizePlan &Plan,
-                                  const RegisterLayout &Layout,
-                                  const LinearIndex &OLI) {
-  std::vector<int64_t> Strides;
-  Strides.reserve(Layout.Axes.size());
-  for (const LaneAxis &Axis : Layout.Axes)
-    Strides.push_back(
-        OLI.coeffOf(Plan.InnerVarOf.at(Axis.InstrAxis.get()).get()));
-  return Strides;
-}
-
 } // namespace
 
 OperandRoles unit::operandRoles(const RegisterLayout &Layout,
@@ -145,35 +124,49 @@ OperandRoles unit::operandRoles(const RegisterLayout &Layout,
   return Out;
 }
 
+std::vector<int64_t> unit::opLaneStrides(const AxisMapping &Mapping,
+                                         const RegisterLayout &Layout,
+                                         const LoadNode *OpLoad) {
+  std::set<const IterVarNode *> MappedOpAxes;
+  for (const auto &[OpAxis, InstrAxis] : Mapping.Pairs)
+    MappedOpAxes.insert(OpAxis.get());
+  LinearIndex OLI = analyzeLinearCoeffs(OpLoad, MappedOpAxes);
+  if (!OLI.Valid)
+    reportFatalError("operand generation: operation access is not affine in "
+                     "the tensorized loops");
+  std::vector<int64_t> Strides;
+  Strides.reserve(Layout.Axes.size());
+  for (const LaneAxis &Axis : Layout.Axes)
+    Strides.push_back(
+        OLI.coeffOf(Mapping.opAxisFor(Axis.InstrAxis.get()).get()));
+  return Strides;
+}
+
 ExprRef unit::generateOutputIndex(const TensorizePlan &Plan,
-                                  const VarSubst &Roots) {
+                                  const VarSubst &Origin) {
   const ComputeOp &Op = *Plan.Sched->op();
   const RegisterLayout &Layout = Plan.Match.Intrinsic->outputLayout();
 
-  // Operation output flat index over final leaf variables.
-  std::vector<ExprRef> OutIdx;
-  for (const IterVar &Axis : Op.axes())
-    OutIdx.push_back(Roots.at(Axis.get()));
-  ExprRef OutFlat = flattenIndex(Op.output(), OutIdx);
-
-  LinearIndex OLI = analyzeLinear(OutFlat, innerVarSet(Plan));
-  if (!OLI.Valid)
-    reportFatalError("operand generation: output index is not affine in "
-                     "the tensorized loops");
-
-  std::vector<int64_t> OpStrides = innerStrides(Plan, Layout, OLI);
+  std::vector<ExprRef> Axes, AtOrigin;
+  for (const IterVar &Axis : Op.axes()) {
+    Axes.push_back(makeVar(Axis));
+    AtOrigin.push_back(Origin.at(Axis.get()));
+  }
+  ExprRef Access = makeLoad(Op.output(), std::move(Axes));
+  std::vector<int64_t> OpStrides =
+      opLaneStrides(Plan.Match.Mapping, Layout, cast<LoadNode>(Access));
   for (size_t D = 0; D < OpStrides.size(); ++D)
     if (OpStrides[D] == 0)
       reportFatalError("operand generation: operation output does not vary "
                        "along instruction axis '" +
                        Layout.Axes[D].InstrAxis->name() + "'");
   return buildIndex(Layout, OpStrides, operandRoles(Layout, OpStrides),
-                    OLI.Base);
+                    flattenIndex(Op.output(), AtOrigin));
 }
 
 OperandInfo unit::generateOperand(const TensorizePlan &Plan,
                                   const OperandBinding &Binding,
-                                  const VarSubst &Roots,
+                                  const VarSubst &Origin,
                                   const ExprRef &AccumIndex) {
   OperandInfo Info;
   Info.InstrTensor = Binding.InstrTensor;
@@ -188,24 +181,20 @@ OperandInfo unit::generateOperand(const TensorizePlan &Plan,
     return Info;
   }
 
+  const LoadNode *OpLoad = Binding.OpLoad;
   const RegisterLayout &Layout =
       Plan.Match.Intrinsic->laneLayout(Binding.InstrLoad);
-
-  // Operation-side flat index over final leaf variables.
-  std::vector<ExprRef> OpIdx;
-  OpIdx.reserve(Binding.OpLoad->Indices.size());
-  for (const ExprRef &I : Binding.OpLoad->Indices)
-    OpIdx.push_back(substitute(I, Roots));
-  ExprRef OpFlat = flattenIndex(Binding.OpLoad->Buf, OpIdx);
-  LinearIndex OLI = analyzeLinear(OpFlat, innerVarSet(Plan));
-  if (!OLI.Valid)
-    reportFatalError("operand generation: operation access is not affine in "
-                     "the tensorized loops");
-
-  std::vector<int64_t> OpStrides = innerStrides(Plan, Layout, OLI);
+  std::vector<int64_t> OpStrides =
+      opLaneStrides(Plan.Match.Mapping, Layout, OpLoad);
   OperandRoles Roles = operandRoles(Layout, OpStrides);
-  Info.Operand = makeVectorLoad(Binding.OpLoad->Buf,
-                                buildIndex(Layout, OpStrides, Roles, OLI.Base));
+
+  std::vector<ExprRef> AtOrigin;
+  AtOrigin.reserve(OpLoad->Indices.size());
+  for (const ExprRef &I : OpLoad->Indices)
+    AtOrigin.push_back(substitute(I, Origin));
+  ExprRef Base = flattenIndex(OpLoad->Buf, AtOrigin);
+  Info.Operand = makeVectorLoad(OpLoad->Buf,
+                                buildIndex(Layout, OpStrides, Roles, Base));
   Info.Roles = std::move(Roles.Recorded);
   if (static_cast<int64_t>(Info.Operand->dtype().lanes()) !=
       Binding.InstrTensor->numElements())

@@ -24,9 +24,12 @@
 /// The register side of the rule, the lane layout, belongs to the
 /// instruction and is computed once per TensorIntrinsic
 /// (TensorIntrinsic::laneLayout). The operation side is the access's
-/// stride along each mapped loop. operandRoles turns both into roles; the
-/// cost model (perf/CostModel.h) counts loads from the same roles, so its
-/// LoadsPerCall and the generated operands cannot disagree.
+/// stride along each mapped loop, read from the match (opLaneStrides).
+/// operandRoles turns both into roles; the cost model (perf/CostModel.h)
+/// counts loads from the same strides and roles, so its LoadsPerCall and
+/// the generated operands cannot disagree. Only the base index of an
+/// operand depends on the schedule: the access flattened at the tile
+/// origin.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,6 +71,17 @@ struct OperandRoles {
   int64_t Loads = 1;
 };
 
+/// The operation's flat-index stride along each axis of \p Layout, in
+/// layout order: the coefficient, in \p OpLoad's row-major flat index, of
+/// the operation axis \p Mapping maps to that instruction axis (0 where
+/// the access is invariant). A tile-inner loop has coefficient 1 in its
+/// root axis whatever the schedule does to the outer loops, so this is
+/// also the access's stride along the tile-inner loop. Fatal-errors when
+/// \p OpLoad is not affine in the mapped axes.
+std::vector<int64_t> opLaneStrides(const AxisMapping &Mapping,
+                                   const RegisterLayout &Layout,
+                                   const LoadNode *OpLoad);
+
 /// The role rule shared by generateOperand and the cost model.
 /// \p OpStrides holds the operation's flat-index stride along each axis
 /// of \p Layout, in layout order (0 where the access is invariant).
@@ -77,21 +91,23 @@ OperandRoles operandRoles(const RegisterLayout &Layout,
 /// Generates the operand expression for instruction register \p Binding.
 ///
 /// The register's lane layout is the instruction's own
-/// (TensorIntrinsic::laneLayout of \p Binding's InstrLoad), and its roles
-/// come from operandRoles. \p Plan supplies the mapping and tile-inner
-/// variables; \p Roots is the
-/// *final* schedule's root-axis bindings (outer loop variables remain
-/// symbolic, tile-inner variables are eliminated into lane patterns).
-/// For the accumulator register, pass the operation output access via
-/// \p AccumIndex (the flat vector index into the output buffer).
+/// (TensorIntrinsic::laneLayout of \p Binding's InstrLoad), its strides
+/// come from opLaneStrides and its roles from operandRoles. \p Origin is
+/// the final schedule's root-axis bindings at the tile origin:
+/// Schedule::resolve with every tile-inner loop of \p Plan bound to 0
+/// (outer loop variables stay symbolic). The operation access flattened
+/// under it is the operand's base index. For the accumulator register,
+/// pass the operation output access via \p AccumIndex (the flat vector
+/// index into the output buffer).
 OperandInfo generateOperand(const TensorizePlan &Plan,
                             const OperandBinding &Binding,
-                            const VarSubst &Roots, const ExprRef &AccumIndex);
+                            const VarSubst &Origin, const ExprRef &AccumIndex);
 
 /// Generates the flat vector index of the operation's *output* region
 /// covered by one instruction call (lane order = instruction output
-/// layout). Also used as the accumulator access.
-ExprRef generateOutputIndex(const TensorizePlan &Plan, const VarSubst &Roots);
+/// layout), from the same tile-origin bindings \p Origin. Also used as
+/// the accumulator access.
+ExprRef generateOutputIndex(const TensorizePlan &Plan, const VarSubst &Origin);
 
 } // namespace unit
 

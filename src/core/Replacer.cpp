@@ -44,8 +44,14 @@ StmtRef unit::replaceTensorized(const StmtRef &Lowered,
   const TensorIntrinsic &Intr = *Plan.Match.Intrinsic;
   const ComputeOp &Sem = *Intr.semantics();
 
-  VarSubst Roots = S.rootBindings();
-  ExprRef OutIdx = generateOutputIndex(Plan, Roots);
+  // Resolve the schedule at the tile origin, every tile-inner loop 0: the
+  // accesses flatten to their operands' base indices there, and the
+  // residue guards only read outer loops.
+  VarSubst Origin;
+  for (const auto &[InstrAxis, Inner] : Plan.InnerVarOf)
+    Origin[Inner.get()] = makeIntImm(0);
+  Schedule::Resolution Resolved = S.resolve(Origin);
+  ExprRef OutIdx = generateOutputIndex(Plan, Resolved.Roots);
 
   // Register operands in the semantics' input order (the convention the
   // interpreter's emulation expects, interp/Interp.cpp).
@@ -55,7 +61,7 @@ StmtRef unit::replaceTensorized(const StmtRef &Lowered,
     if (!B)
       reportFatalError("replacer: no binding for instruction register '" +
                        InstrInput->name() + "'");
-    OperandInfo Info = generateOperand(Plan, *B, Roots, OutIdx);
+    OperandInfo Info = generateOperand(Plan, *B, Resolved.Roots, OutIdx);
     Args.push_back(Info.Operand);
   }
   if (Intr.accumulatesInPlace())
@@ -68,7 +74,7 @@ StmtRef unit::replaceTensorized(const StmtRef &Lowered,
   StmtRef Replacement = makeStore(Op.output(), OutIdx, std::move(Call));
 
   // Outer imperfect splits guard whole instruction tiles.
-  for (const ExprRef &Pred : S.residuePredicates()) {
+  for (const ExprRef &Pred : Resolved.Guards) {
     ExprRef Guard = makeCall("likely", CallKind::Pure, {Pred},
                              DataType::i32());
     Replacement = makeIfThenElse(std::move(Guard), std::move(Replacement));

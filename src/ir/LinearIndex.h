@@ -8,11 +8,13 @@
 /// Decomposes an index expression into `Base + sum(Coeff_v * v)` over a
 /// chosen set of target loop variables, leaving everything else symbolic in
 /// Base. Each TensorIntrinsic reads its registers' lane strides with it,
-/// and the cost model and the Replacer read the operation's strides along
-/// the tensorized loops: the coefficients that give each operand its
+/// and operand generation and the cost model read the operation's strides
+/// along the mapped op axes: the coefficients that give each operand its
 /// vectorize/broadcast/unroll roles (the "loop variable ... and their
 /// coefficients in the index expression are exposed" interface of paper
-/// §III.C.2).
+/// §III.C.2). Both read coefficients only (analyzeLinearCoeffs); the
+/// full decomposition with its Base serves tests as an independent
+/// oracle over lowered index expressions.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -3,7 +3,6 @@
 #include "perf/CostModel.h"
 
 #include "core/OperandGen.h"
-#include "ir/LinearIndex.h"
 #include "support/ErrorHandling.h"
 
 #include <algorithm>
@@ -11,14 +10,51 @@
 
 using namespace unit;
 
-KernelStats unit::analyzeTensorized(const TensorizePlan &Plan) {
-  const Schedule &S = *Plan.Sched;
-  const ComputeOp &Op = *S.op();
-  const TensorIntrinsic &Intr = *Plan.Match.Intrinsic;
-
+KernelStats unit::analyzeMatch(const ComputeOp &Op, const MatchResult &Match) {
+  const TensorIntrinsic &Intr = *Match.Intrinsic;
   KernelStats Stats;
   Stats.Cost = Intr.cost();
   Stats.MacsPerCall = Intr.cost().MacsPerInstr;
+
+  // Loads per invocation, from the operand-generation strides and roles
+  // of each input register (core/OperandGen.h). The accumulator stays
+  // register-resident across the reduction, so it is not charged per
+  // call.
+  int64_t Loads = 0;
+  for (const OperandBinding &B : Match.Iso.Bindings) {
+    if (B.IsAccumulator)
+      continue;
+    const RegisterLayout &Layout = Intr.laneLayout(B.InstrLoad);
+    if (Layout.Lanes != B.InstrTensor->numElements())
+      reportFatalError("operand generation: lane count does not fill "
+                       "register '" +
+                       B.InstrTensor->name() + "'");
+    Loads += operandRoles(Layout, opLaneStrides(Match.Mapping, Layout,
+                                                B.OpLoad))
+                 .Loads;
+  }
+  Stats.LoadsPerCall = std::max(1.0, static_cast<double>(Loads));
+
+  // Memory footprints.
+  auto FootprintBytes = [](const TensorRef &T) {
+    return static_cast<double>(T->numElements()) * T->dtype().lanesBytes();
+  };
+  Stats.OutputBytes = FootprintBytes(Op.output());
+  const std::vector<TensorRef> &Inputs = Op.inputs();
+  for (size_t I = 0; I < Inputs.size(); ++I) {
+    // Convention: the last reduce-only operand acts like weights; a 2-input
+    // MAC op has activations first, weights second.
+    if (I + 1 == Inputs.size() && Inputs.size() >= 2)
+      Stats.WeightBytes += FootprintBytes(Inputs[I]);
+    else
+      Stats.InputBytes += FootprintBytes(Inputs[I]);
+  }
+  return Stats;
+}
+
+KernelStats unit::analyzeTensorized(const TensorizePlan &Plan) {
+  const Schedule &S = *Plan.Sched;
+  KernelStats Stats = analyzeMatch(*S.op(), Plan.Match);
 
   // Walk the leaves, skipping the tensorized inner loops (they are covered
   // by one instruction invocation).
@@ -59,53 +95,6 @@ KernelStats unit::analyzeTensorized(const TensorizePlan &Plan) {
     double Padded =
         static_cast<double>(R.Outer->extent()) * static_cast<double>(R.Factor);
     Stats.UsefulFraction *= static_cast<double>(R.Parent->extent()) / Padded;
-  }
-
-  // Loads per invocation, from the operand-generation roles of each input
-  // register (core/OperandGen.h): the register's lane layout is the
-  // instruction's own, and the operation's stride along a lane axis is the
-  // coefficient of the op axis mapped to it — a tile-inner variable has
-  // coefficient 1 in its root axis whatever the schedule does to the
-  // outer loops. The accumulator stays register-resident across the
-  // reduction, so it is not charged per call.
-  std::set<const IterVarNode *> MappedOpAxes;
-  for (const auto &[OpAxis, InstrAxis] : Plan.Match.Mapping.Pairs)
-    MappedOpAxes.insert(OpAxis.get());
-  int64_t Loads = 0;
-  for (const OperandBinding &B : Plan.Match.Iso.Bindings) {
-    if (B.IsAccumulator)
-      continue;
-    const RegisterLayout &Layout = Intr.laneLayout(B.InstrLoad);
-    if (Layout.Lanes != B.InstrTensor->numElements())
-      reportFatalError("operand generation: lane count does not fill "
-                       "register '" +
-                       B.InstrTensor->name() + "'");
-    LinearIndex OLI = analyzeLinearCoeffs(B.OpLoad, MappedOpAxes);
-    if (!OLI.Valid)
-      reportFatalError("operand generation: operation access is not affine "
-                       "in the tensorized loops");
-    std::vector<int64_t> OpStrides;
-    OpStrides.reserve(Layout.Axes.size());
-    for (const LaneAxis &Axis : Layout.Axes)
-      OpStrides.push_back(OLI.coeffOf(
-          Plan.Match.Mapping.opAxisFor(Axis.InstrAxis.get()).get()));
-    Loads += operandRoles(Layout, OpStrides).Loads;
-  }
-  Stats.LoadsPerCall = std::max(1.0, static_cast<double>(Loads));
-
-  // Memory footprints.
-  auto FootprintBytes = [](const TensorRef &T) {
-    return static_cast<double>(T->numElements()) * T->dtype().lanesBytes();
-  };
-  Stats.OutputBytes = FootprintBytes(Op.output());
-  const std::vector<TensorRef> &Inputs = Op.inputs();
-  for (size_t I = 0; I < Inputs.size(); ++I) {
-    // Convention: the last reduce-only operand acts like weights; a 2-input
-    // MAC op has activations first, weights second.
-    if (I + 1 == Inputs.size() && Inputs.size() >= 2)
-      Stats.WeightBytes += FootprintBytes(Inputs[I]);
-    else
-      Stats.InputBytes += FootprintBytes(Inputs[I]);
   }
   return Stats;
 }

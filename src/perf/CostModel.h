@@ -46,20 +46,28 @@ struct KernelStats {
   double WideningFactor = 1; ///< Extra instructions per MAC (no-DOT NEON).
 };
 
-/// Extracts stats from a tensorized plan's current schedule (no lowering
-/// involved). The Tuner calls it once per search, on the Rewriter's
-/// reorganized plan, and derives every candidate's stats from that by
-/// extent arithmetic; codegen and the vendor baselines call it on built
-/// plans.
+/// The stats a tensorized kernel owes to the operation and the match
+/// alone, whatever its schedule: the instruction cost, MacsPerCall,
+/// LoadsPerCall and the memory footprints. Calls and the schedule
+/// structure fields keep their defaults; analyzeTensorized fills them
+/// from a plan, the Tuner from extent arithmetic.
 ///
-/// LoadsPerCall is a function of the match alone: each input register's
-/// lane layout comes from the instruction (TensorIntrinsic::laneLayout),
-/// the operation's stride along each lane axis from the coefficient of
-/// the mapped op axis in the operation's own access, and the count from
-/// the same role rule the Replacer's operand generation applies
-/// (operandRoles, core/OperandGen.h). No operand expression is built.
-/// Fatal-errors, as operand generation would, when a register's lane
-/// axes do not fill it or an access is not affine in the mapped axes.
+/// LoadsPerCall: each input register's lane layout comes from the
+/// instruction (TensorIntrinsic::laneLayout), the operation's stride along
+/// each lane axis from the coefficient of the mapped op axis in the
+/// operation's own access (opLaneStrides), and the count from the same
+/// role rule the Replacer's operand generation applies (operandRoles,
+/// core/OperandGen.h). No operand expression is built. Fatal-errors, as
+/// operand generation would, when a register's lane axes do not fill it
+/// or an access is not affine in the mapped axes.
+KernelStats analyzeMatch(const ComputeOp &Op, const MatchResult &Match);
+
+/// analyzeMatch of the plan's operation and match, plus what the plan's
+/// current schedule adds (no lowering involved): the call count and the
+/// unroll, parallel and split-K extents of its outer loops, and the
+/// residue guards and padding of its imperfect splits. Codegen and the
+/// vendor baselines call it on built plans; the Tuner prices candidates
+/// without building them (tuner/Tuner.h).
 KernelStats analyzeTensorized(const TensorizePlan &Plan);
 
 /// Fills the SIMD-fallback fields for a non-tensorized ComputeOp.

@@ -81,7 +81,7 @@ IterVar Schedule::fuse(const IterVar &Outer, const IterVar &Inner) {
       Outer->extent() * Inner->extent(), Outer->kind());
   *OuterIt = Fused;
   Leaves.erase(OuterIt + 1);
-  Fuses.push_back({Outer, Inner, Fused});
+  Fuses.push_back({Outer, Inner, Fused, Splits.size()});
   return Fused;
 }
 
@@ -140,76 +140,37 @@ Schedule::pragmas(const IterVar &IV) const {
              : It->second;
 }
 
-/// Resolves the value of every IterVar ever mentioned (leaves and interior
-/// nodes of the split/fuse tree) as expressions over leaf variables. Runs a
-/// fixpoint because relations may be recorded in any order relative to each
-/// other (a split of a fused loop, a fuse of split products, ...).
-static VarSubst resolveAllValues(const std::vector<IterVar> &Leaves,
-                                 const std::vector<Schedule::SplitRel> &Splits,
-                                 const std::vector<Schedule::FuseRel> &Fuses) {
-  VarSubst Values;
+Schedule::Resolution Schedule::resolve(const VarSubst &LeafValues) const {
+  // Every IterVar is made by one relation and consumed by at most one
+  // later one, so walking the relations newest first meets each
+  // relation's products already resolved.
+  VarSubst Values = LeafValues;
   for (const IterVar &Leaf : Leaves)
-    Values[Leaf.get()] = makeVar(Leaf);
-
-  std::vector<bool> SplitDone(Splits.size(), false);
-  std::vector<bool> FuseDone(Fuses.size(), false);
-  bool Progress = true;
-  while (Progress) {
-    Progress = false;
-    for (size_t I = 0; I < Splits.size(); ++I) {
-      if (SplitDone[I])
-        continue;
-      const Schedule::SplitRel &R = Splits[I];
-      auto OuterIt = Values.find(R.Outer.get());
-      auto InnerIt = Values.find(R.Inner.get());
-      if (OuterIt == Values.end() || InnerIt == Values.end())
-        continue;
-      Values[R.Parent.get()] =
-          OuterIt->second * makeIntImm(R.Factor) + InnerIt->second;
-      SplitDone[I] = true;
-      Progress = true;
-    }
-    for (size_t I = 0; I < Fuses.size(); ++I) {
-      if (FuseDone[I])
-        continue;
-      const Schedule::FuseRel &R = Fuses[I];
-      auto FusedIt = Values.find(R.Fused.get());
-      if (FusedIt == Values.end())
-        continue;
+    Values.emplace(Leaf.get(), makeVar(Leaf));
+  Resolution Out;
+  size_t S = Splits.size(), F = Fuses.size();
+  while (S > 0 || F > 0) {
+    if (F > 0 && Fuses[F - 1].SplitsBefore >= S) {
+      const FuseRel &R = Fuses[--F];
+      const ExprRef &Fused = Values.at(R.Fused.get());
       ExprRef InnerExtent = makeIntImm(R.Inner->extent());
-      Values[R.Outer.get()] = FusedIt->second / InnerExtent;
-      Values[R.Inner.get()] = FusedIt->second % InnerExtent;
-      FuseDone[I] = true;
-      Progress = true;
-    }
-  }
-  return Values;
-}
-
-VarSubst Schedule::rootBindings() const {
-  VarSubst Values = resolveAllValues(Leaves, Splits, Fuses);
-  VarSubst Roots;
-  for (const IterVar &IV : Op->allAxes()) {
-    auto It = Values.find(IV.get());
-    assert(It != Values.end() && "unresolved root axis");
-    Roots[IV.get()] = It->second;
-  }
-  return Roots;
-}
-
-std::vector<ExprRef> Schedule::residuePredicates() const {
-  VarSubst Values = resolveAllValues(Leaves, Splits, Fuses);
-  std::vector<ExprRef> Preds;
-  for (const SplitRel &R : Splits) {
-    if (!R.NeedsGuard)
+      Values[R.Outer.get()] = Fused / InnerExtent;
+      Values[R.Inner.get()] = Fused % InnerExtent;
       continue;
-    auto It = Values.find(R.Parent.get());
-    assert(It != Values.end() && "unresolved guarded parent");
-    // `parent < extent`, encoded as a Pure builtin call; the lowering wraps
-    // it in `likely(...)` to mirror TVM's residue guards.
-    Preds.push_back(makeCall("lt", CallKind::Pure,
-                             {It->second, makeIntImm(R.Parent->extent())},
-                             DataType::i32()));
+    }
+    const SplitRel &R = Splits[--S];
+    ExprRef Parent = Values.at(R.Outer.get()) * makeIntImm(R.Factor) +
+                     Values.at(R.Inner.get());
+    // `parent < extent`, encoded as a Pure builtin call; lowering wraps it
+    // in `likely(...)` to mirror TVM's residue guards.
+    if (R.NeedsGuard)
+      Out.Guards.push_back(makeCall("lt", CallKind::Pure,
+                                    {Parent, makeIntImm(R.Parent->extent())},
+                                    DataType::i32()));
+    Values[R.Parent.get()] = std::move(Parent);
   }
-  return Preds;
+  std::reverse(Out.Guards.begin(), Out.Guards.end());
+  for (const IterVar &IV : Op->allAxes())
+    Out.Roots[IV.get()] = Values.at(IV.get());
+  return Out;
 }

@@ -59,6 +59,14 @@ public:
   /// One fuse record: adjacent (Outer, Inner) became Fused.
   struct FuseRel {
     IterVar Outer, Inner, Fused;
+    size_t SplitsBefore; ///< Splits recorded before this fuse.
+  };
+
+  /// The root axes and residue guards of one resolution (resolve).
+  struct Resolution {
+    VarSubst Roots; ///< Each root axis's value over the leaf values.
+    /// `parent < extent` for every imperfect split, in split order.
+    std::vector<ExprRef> Guards;
   };
 
 private:
@@ -110,13 +118,13 @@ public:
   std::vector<std::pair<std::string, std::string>>
   pragmas(const IterVar &IV) const;
 
-  /// Reconstructs each *root* axis value as an expression over leaf loop
-  /// variables (walking split/fuse relations in reverse).
-  VarSubst rootBindings() const;
-
-  /// Residue-guard predicates (`root < extent`) for every imperfect split,
-  /// already expressed over leaf variables.
-  std::vector<ExprRef> residuePredicates() const;
+  /// Reconstructs each *root* axis value, and the residue-guard predicate
+  /// (`parent < extent`) of every imperfect split, as expressions over the
+  /// leaf loops, in one walk over the split/fuse relations in reverse
+  /// order of creation. A leaf's value is its own variable unless
+  /// \p LeafValues binds it: the Replacer binds the tile-inner loops to 0
+  /// to read the tile origin.
+  Resolution resolve(const VarSubst &LeafValues = {}) const;
 
   /// True if \p IV currently is a leaf.
   bool isLeaf(const IterVar &IV) const;

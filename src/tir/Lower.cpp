@@ -82,7 +82,8 @@ StmtRef unit::lower(const Schedule &S) {
   const ComputeOp &Op = *S.op();
   const TensorRef &Out = Op.output();
 
-  VarSubst Roots = S.rootBindings();
+  Schedule::Resolution Resolved = S.resolve();
+  const VarSubst &Roots = Resolved.Roots;
   FlattenMutator Flatten;
 
   // Output flat index in terms of leaf variables.
@@ -106,12 +107,9 @@ StmtRef unit::lower(const Schedule &S) {
   StmtRef Body = makeStore(Out, OutFlat, std::move(StoreValue));
 
   // Residue guards around the store, wrapped in `likely`.
-  for (const ExprRef &Pred : S.residuePredicates()) {
-    ExprRef Guard = makeCall("likely", CallKind::Pure,
-                             {Flatten.mutate(substitute(Pred, Roots))},
+  for (const ExprRef &Pred : Resolved.Guards) {
+    ExprRef Guard = makeCall("likely", CallKind::Pure, {Pred},
                              DataType::i32());
-    // Predicates are already in leaf terms; substitution is a no-op but
-    // keeps the invariant obvious.
     Body = makeIfThenElse(std::move(Guard), std::move(Body));
   }
 

@@ -146,33 +146,34 @@ std::atomic<uint64_t> SeededTotal{0};
 /// reply. Process-wide like the counters above.
 obs::LatencyHistogram CandidateCostHist;
 
-/// What every candidate of one search shares, gathered from one
-/// reorganizeLoops pass: the outer loop extents the plan builders split
-/// and fuse, and the stats of the reorganized plan itself. The plan
-/// builders only split, fuse, reorder and annotate those outer loops, so
-/// a candidate's stats follow from its tuning knobs by integer
-/// arithmetic on the extents (cpuPairStats, gpuConfigStats). The
-/// instruction cost, the footprints and LoadsPerCall carry over from
-/// Base unchanged: operand roles read only the coefficients of the
-/// tile-inner variables, and no candidate touches those loops.
+/// What every candidate of one search shares, read from the operation
+/// and the match: the outer loop extents the plan builders split and
+/// fuse, and the match's stats. The Rewriter tiles each mapped op axis
+/// by its instruction extent, which the Inspector guarantees divides it,
+/// so the reorganized plan's outer loops are the op axes, in allAxes()
+/// order, each divided by its mapped instruction extent, and carry no
+/// residue guard. The plan builders only split, fuse, reorder and
+/// annotate those outer loops, so a candidate's stats follow from its
+/// tuning knobs by integer arithmetic on the extents (cpuPairStats,
+/// gpuConfigStats). The instruction cost, the footprints and
+/// LoadsPerCall carry over from Base unchanged: operand roles read only
+/// the strides along the tile-inner loops, and no candidate touches
+/// those loops.
 struct SearchContext {
-  std::vector<int64_t> Dp;     ///< OuterDataParallel extents, plan order.
-  std::vector<int64_t> Reduce; ///< OuterReduce extents, plan order.
-  /// analyzeTensorized of the reorganized plan: also the residue guards
-  /// and padding of the Rewriter's own splits, which come first in the
-  /// split order analyzeTensorized folds.
-  KernelStats Base;
+  std::vector<int64_t> Dp;     ///< Outer data-parallel extents.
+  std::vector<int64_t> Reduce; ///< Outer reduce extents.
+  KernelStats Base;            ///< analyzeMatch of the search.
 };
 
 SearchContext makeSearchContext(const ComputeOpRef &Op,
                                 const MatchResult &Match) {
   SearchContext Ctx;
-  TensorizePlan Plan = reorganizeLoops(Op, Match);
-  for (const IterVar &IV : Plan.OuterDataParallel)
-    Ctx.Dp.push_back(IV->extent());
-  for (const IterVar &IV : Plan.OuterReduce)
-    Ctx.Reduce.push_back(IV->extent());
-  Ctx.Base = analyzeTensorized(Plan);
+  for (const IterVar &IV : Op->allAxes()) {
+    IterVar InstrAxis = Match.Mapping.instrAxisFor(IV.get());
+    int64_t Extent = IV->extent() / (InstrAxis ? InstrAxis->extent() : 1);
+    (IV->isReduce() ? Ctx.Reduce : Ctx.Dp).push_back(Extent);
+  }
+  Ctx.Base = analyzeMatch(*Op, Match);
   return Ctx;
 }
 

@@ -24,7 +24,8 @@
 //      winner's. A spec whose operand layout makes a candidate's load
 //      count differ from the reorganized plan's fails here. The load
 //      count itself must equal the piece count of the operands the
-//      Replacer generates (checkLoadCountParity).
+//      Replacer generates, with every role checked against strides the
+//      check derives on its own (checkLoadCountParity).
 //
 //===----------------------------------------------------------------------===//
 
@@ -71,6 +72,21 @@ inline std::vector<ConvLayer> sampleZooConvs(size_t Count,
   for (size_t I = 0; I < Count; ++I)
     Out.push_back(All[Pick(Rng)]);
   return Out;
+}
+
+/// The ids of the seven shipped targets: the five builtins and the two
+/// spec files under specs/, which this registers (again) first.
+inline std::vector<std::string> shippedTargetIds() {
+  for (const char *File :
+       {"specs/fixed16-dma.json", "specs/nvgpu-wmma-s8.json"}) {
+    std::string Err;
+    EXPECT_NE(registerSpecFile(std::string(UNIT_REPO_ROOT) + "/" + File,
+                               &Err),
+              nullptr)
+        << Err;
+  }
+  return {"x86",     "arm",         "nvgpu",   "x86-amx",
+          "arm-sve", "fixed16-dma", "nvgpu-s8"};
 }
 
 /// Gauntlet stage 1: the hash-preserving JSON round-trip.
@@ -300,31 +316,45 @@ inline void checkAnalyticScoring(const TargetSpec &Spec, const TunedView &View,
 /// The cost model's LoadsPerCall for \p View's reorganized plan equals
 /// the piece count of the operands the Replacer generates for it: the
 /// product of the Unroll extents in each input register's
-/// generateOperand Roles, summed over the registers. Both sides share
-/// operandRoles, so each recorded role is also checked against the
-/// operation's stride along its tile-inner loop, read from the access
-/// as the Replacer substitutes it: an axis is Broadcast exactly where the
-/// access is invariant. A role rule that is wrong for the count and the
-/// lowering alike fails there.
+/// generateOperand Roles, summed over the registers. The strides behind
+/// those roles are derived here independently of the shared coefficient
+/// rule (opLaneStrides): the access substituted with the plan's root
+/// bindings, flattened, and decomposed by analyzeLinear over the
+/// tile-inner loops. Each recorded role is Broadcast exactly where that
+/// access is invariant, and the roles equal operandRoles of those
+/// strides, so a coefficient rule that is wrong for the count and the
+/// lowering alike fails here.
 inline void checkLoadCountParity(const TunedView &View,
                                  const std::string &What) {
   TensorizePlan Plan = reorganizeLoops(View.Op, View.Match);
-  VarSubst Roots = Plan.Sched->rootBindings();
-  ExprRef OutIdx = generateOutputIndex(Plan, Roots);
+  VarSubst Roots = Plan.Sched->resolve().Roots;
+  VarSubst Origin;
   std::set<const IterVarNode *> InnerVars;
-  for (const auto &[InstrAxis, Inner] : Plan.InnerVarOf)
+  for (const auto &[InstrAxis, Inner] : Plan.InnerVarOf) {
+    Origin[Inner.get()] = makeIntImm(0);
     InnerVars.insert(Inner.get());
+  }
+  VarSubst AtOrigin = Plan.Sched->resolve(Origin).Roots;
+  ExprRef OutIdx = generateOutputIndex(Plan, AtOrigin);
   int64_t Pieces = 0;
   for (const OperandBinding &B : Plan.Match.Iso.Bindings) {
     if (B.IsAccumulator)
       continue;
-    OperandInfo Info = generateOperand(Plan, B, Roots, OutIdx);
+    OperandInfo Info = generateOperand(Plan, B, AtOrigin, OutIdx);
     std::vector<ExprRef> Idx;
     for (const ExprRef &I : B.OpLoad->Indices)
       Idx.push_back(substitute(I, Roots));
     LinearIndex OLI =
         analyzeLinear(flattenIndex(B.OpLoad->Buf, Idx), InnerVars);
     ASSERT_TRUE(OLI.Valid) << What;
+    const RegisterLayout &Layout =
+        Plan.Match.Intrinsic->laneLayout(B.InstrLoad);
+    std::vector<int64_t> Strides;
+    for (const LaneAxis &Axis : Layout.Axes)
+      Strides.push_back(
+          OLI.coeffOf(Plan.InnerVarOf.at(Axis.InstrAxis.get()).get()));
+    EXPECT_TRUE(Info.Roles == operandRoles(Layout, Strides).Recorded)
+        << What << ": register " << B.InstrTensor->name();
     int64_t Loads = 1;
     for (const auto &[Axis, Role] : Info.Roles) {
       bool Invariant =

@@ -1,9 +1,13 @@
 //===- tests/test_inspector.cpp - Applicability detection tests -----------===//
 
+#include "SpecConformance.h"
 #include "TestUtil.h"
 #include "core/Inspector.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <set>
 
 using namespace unit;
 using namespace unit::testutil;
@@ -177,6 +181,158 @@ TEST(Inspector, NarrowChannelCountFallsToNarrowVnni) {
   std::vector<MatchResult> WideMs = inspectTarget(Wide.Op, "x86");
   ASSERT_FALSE(WideMs.empty());
   EXPECT_EQ(WideMs.front().Intrinsic->name(), "vnni.vpdpbusd");
+}
+
+} // namespace
+
+namespace {
+
+/// The loop variables of \p Load's index expressions.
+std::set<const IterVarNode *> loadVars(const LoadNode *Load) {
+  std::set<const IterVarNode *> Out;
+  for (const ExprRef &Idx : Load->Indices)
+    for (const IterVar &IV : collectVars(Idx))
+      Out.insert(IV.get());
+  return Out;
+}
+
+/// Brute-force array-access isomorphism (paper §III.B.2): every
+/// assignment of distinct op axes to the instruction axes, instruction
+/// axes in semantics order and op axes innermost-first, that respects
+/// annotation and tiling, kept when the whole mapping satisfies
+/// S'(u) ⊆ S(v) for every non-accumulator binding. \p NoHost is set when
+/// some instruction axis has no op axis of its annotation and tiling.
+std::vector<AxisMapping> bruteForceMappings(const ComputeOp &Op,
+                                            const TensorIntrinsic &Intr,
+                                            const IsoResult &Iso,
+                                            bool &NoHost) {
+  std::vector<IterVar> InstrAxes = Intr.semantics()->allAxes();
+  std::vector<IterVar> OpAxes = Op.allAxes();
+  std::reverse(OpAxes.begin(), OpAxes.end());
+  auto Hosts = [](const IterVar &OpAxis, const IterVar &InstrAxis) {
+    return OpAxis->kind() == InstrAxis->kind() &&
+           OpAxis->extent() % InstrAxis->extent() == 0;
+  };
+  NoHost = false;
+  for (const IterVar &InstrAxis : InstrAxes)
+    NoHost |= std::none_of(OpAxes.begin(), OpAxes.end(), [&](const IterVar &A) {
+      return Hosts(A, InstrAxis);
+    });
+  auto Feasible = [&](const AxisMapping &M) {
+    for (const OperandBinding &B : Iso.Bindings) {
+      if (B.IsAccumulator)
+        continue;
+      std::set<const IterVarNode *> SV = loadVars(B.InstrLoad);
+      for (const IterVarNode *OpVar : loadVars(B.OpLoad))
+        if (IterVar InstrVar = M.instrAxisFor(OpVar))
+          if (!SV.count(InstrVar.get()))
+            return false;
+    }
+    return true;
+  };
+  std::vector<AxisMapping> Out;
+  std::vector<std::pair<IterVar, IterVar>> Current;
+  std::function<void(size_t)> Walk = [&](size_t Depth) {
+    if (Depth == InstrAxes.size()) {
+      if (Feasible(AxisMapping{Current}))
+        Out.push_back(AxisMapping{Current});
+      return;
+    }
+    for (const IterVar &OpAxis : OpAxes) {
+      bool Used = false;
+      for (const auto &[Assigned, _] : Current)
+        Used |= Assigned == OpAxis;
+      if (Used || !Hosts(OpAxis, InstrAxes[Depth]))
+        continue;
+      Current.emplace_back(OpAxis, InstrAxes[Depth]);
+      Walk(Depth + 1);
+      Current.pop_back();
+    }
+  };
+  Walk(0);
+  return Out;
+}
+
+TEST(Inspector, MappingsMatchTheBruteForceOracleOverTheZoo) {
+  // Every shipped instruction, and every op the shipped targets lay the
+  // distinct zoo convs out to.
+  std::vector<TensorIntrinsicRef> Intrs;
+  std::set<std::string> IntrNames;
+  std::vector<ComputeOpRef> Ops;
+  std::set<std::string> OpKeys;
+  auto AddOp = [&](const ComputeOpRef &Op) {
+    if (OpKeys.insert(canonicalComputeKey(*Op)).second)
+      Ops.push_back(Op);
+  };
+  for (const std::string &Id : shippedTargetIds()) {
+    for (const TensorIntrinsicRef &I :
+         TargetRegistry::instance().get(Id)->intrinsics())
+      if (IntrNames.insert(I->name()).second)
+        Intrs.push_back(I);
+    TargetSpec Spec = TargetRegistry::instance().specFor(Id);
+    const QuantScheme &Q = Spec.Scheme;
+    bool Cpu = Spec.Engine == TargetSpec::EngineKind::CpuDot;
+    for (const Model &M : paperModels())
+      for (const ConvLayer &L : M.Convs) {
+        if (L.Depthwise)
+          continue; // Never laid out: the backends price SIMD directly.
+        if (Cpu)
+          AddOp(buildDirectConvOp(L, Q.Activation, Q.Weight, Q.Accumulator,
+                                  Q.LaneMultiple, Q.ReduceMultiple)
+                    .Op);
+        else
+          for (bool Fuse : {true, false})
+            AddOp(buildConvAsGemmOp(L, Q.Activation, Q.Accumulator,
+                                    Q.LaneMultiple, Fuse)
+                      .Op);
+      }
+    if (Cpu && Spec.SupportsConv3d)
+      for (const Conv3dLayer &L : makeResnet18Conv3d())
+        AddOp(buildDirectConv3dOp(L, Q.Activation, Q.Weight, Q.Accumulator,
+                                  Q.LaneMultiple, Q.ReduceMultiple)
+                  .Op);
+  }
+  EXPECT_EQ(Intrs.size(), 12u);
+
+  size_t Matched = 0, WithAlternatives = 0, Infeasible = 0;
+  for (const ComputeOpRef &Op : Ops)
+    for (const TensorIntrinsicRef &Intr : Intrs) {
+      std::string Why;
+      std::optional<MatchResult> Got = inspect(Op, Intr, &Why);
+      IsoResult Iso = matchCompute(*Intr->semantics(), *Op);
+      if (!Iso.Matched ||
+          (Intr->accumulatesInPlace() &&
+           Intr->semantics()->output()->dtype() != Op->output()->dtype())) {
+        EXPECT_FALSE(Got.has_value()) << Intr->name() << " " << Op->name();
+        continue;
+      }
+      bool NoHost = false;
+      std::vector<AxisMapping> Want =
+          bruteForceMappings(*Op, *Intr, Iso, NoHost);
+      std::string What = Intr->name() + " on " + canonicalComputeKey(*Op);
+      if (NoHost || Want.empty()) {
+        ASSERT_FALSE(Got.has_value()) << What;
+        EXPECT_EQ(Why.rfind(NoHost ? "no operation axis can host"
+                                   : "no feasible loop mapping",
+                            0),
+                  0u)
+            << What << ": " << Why;
+        Infeasible += !NoHost;
+        continue;
+      }
+      ASSERT_TRUE(Got.has_value()) << What << ": " << Why;
+      std::vector<AxisMapping> All = {Got->Mapping};
+      All.insert(All.end(), Got->Alternatives.begin(),
+                 Got->Alternatives.end());
+      ASSERT_EQ(All.size(), Want.size()) << What;
+      for (size_t I = 0; I < Want.size(); ++I)
+        EXPECT_EQ(All[I].Pairs, Want[I].Pairs) << What << ", mapping " << I;
+      ++Matched;
+      WithAlternatives += !Got->Alternatives.empty();
+    }
+  EXPECT_GT(Matched, Ops.size() / 2);
+  EXPECT_GT(WithAlternatives, 0u);
+  EXPECT_GT(Infeasible, 0u);
 }
 
 } // namespace

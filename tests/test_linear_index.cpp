@@ -85,7 +85,7 @@ TEST(LinearIndex, DivisionOfNonTargetAllowed) {
 }
 
 TEST(LinearIndex, NestedSplitReconstruction) {
-  // The exact shape rootBindings produces: xo*16 + (xm*4 + xi).
+  // The exact shape Schedule::resolve produces: xo*16 + (xm*4 + xi).
   IterVar Xo = makeAxis("xo", 2), Xm = makeAxis("xm", 4), Xi = makeAxis("xi", 4);
   ExprRef E =
       makeVar(Xo) * makeIntImm(16) + (makeVar(Xm) * makeIntImm(4) + makeVar(Xi));

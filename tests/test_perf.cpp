@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SpecConformance.h"
 #include "TestUtil.h"
 #include "core/Inspector.h"
 #include "core/OperandGen.h"
@@ -187,6 +188,22 @@ TEST(AnalyzeTensorized, ImperfectTunerSplitSetsGuards) {
   KernelStats S = analyzeTensorized(Plan);
   EXPECT_TRUE(S.HasResidueGuards);
   EXPECT_LT(S.UsefulFraction, 1.0);
+}
+
+TEST(AnalyzeMatch, IsTheScheduleFreePartOfAnalyzeTensorized) {
+  // The match's stats equal the reorganized plan's in every field the
+  // schedule does not decide; the plan adds calls, and guards once the
+  // tuner splits imperfectly.
+  OpFixture F = makeConv2D(9, 9, 8, 16, 3, 3);
+  std::optional<MatchResult> M =
+      inspect(F.Op, IntrinsicRegistry::instance().lookup("vnni.vpdpbusd"));
+  ASSERT_TRUE(M);
+  KernelStats Match = analyzeMatch(*F.Op, *M);
+  KernelStats Plan = analyzeTensorized(reorganizeLoops(F.Op, *M));
+  EXPECT_EQ(Match.Calls, 0.0);
+  EXPECT_EQ(Plan.Calls, 7 * 7 * 1 * 3 * 3 * 2);
+  Match.Calls = Plan.Calls;
+  expectSameStats(Match, Plan, "vnni conv");
 }
 
 /// A three-axis register layout p(2) x q(3) x r(4), lane strides 12, 4, 1.

@@ -46,14 +46,14 @@ TEST(Schedule, ImperfectSplitRoundsUpAndGuards) {
   auto [Outer, Inner] = S.split(F.Op->axes()[0], 4);
   EXPECT_EQ(Outer->extent(), 3); // ceil(10/4)
   EXPECT_EQ(Inner->extent(), 4);
-  EXPECT_EQ(S.residuePredicates().size(), 1u);
+  EXPECT_EQ(S.resolve().Guards.size(), 1u);
 }
 
 TEST(Schedule, PerfectSplitNeedsNoGuard) {
   OpFixture F = makeMatmulU8I8(16, 16, 64);
   Schedule S(F.Op);
   S.split(F.Op->axes()[0], 4);
-  EXPECT_TRUE(S.residuePredicates().empty());
+  EXPECT_TRUE(S.resolve().Guards.empty());
 }
 
 TEST(Schedule, FuseAdjacent) {
@@ -76,36 +76,84 @@ TEST(Schedule, ReorderSubsetKeepsPositions) {
   EXPECT_EQ(S.leaves()[0], F.Op->axes()[0]);
 }
 
-TEST(Schedule, RootBindingsReconstructSplit) {
+TEST(Schedule, ResolveReconstructsSplit) {
   OpFixture F = makeMatmulU8I8(16, 16, 64);
   Schedule S(F.Op);
   IterVar I = F.Op->axes()[0];
   auto [Outer, Inner] = S.split(I, 4);
-  VarSubst Roots = S.rootBindings();
+  VarSubst Roots = S.resolve().Roots;
   EXPECT_EQ(exprToString(Roots.at(I.get())),
             Outer->name() + " * 4 + " + Inner->name());
 }
 
-TEST(Schedule, RootBindingsReconstructSplitOfSplit) {
+TEST(Schedule, ResolveReconstructsSplitOfSplit) {
   OpFixture F = makeMatmulU8I8(64, 16, 64);
   Schedule S(F.Op);
   IterVar I = F.Op->axes()[0];
   auto [Outer, Inner] = S.split(I, 16);
   auto [O2, I2] = S.split(Inner, 4);
-  VarSubst Roots = S.rootBindings();
+  VarSubst Roots = S.resolve().Roots;
   EXPECT_EQ(exprToString(Roots.at(I.get())),
             Outer->name() + " * 16 + (" + O2->name() + " * 4 + " +
                 I2->name() + ")");
 }
 
-TEST(Schedule, RootBindingsReconstructFuse) {
+TEST(Schedule, ResolveReconstructsFuse) {
   OpFixture F = makeMatmulU8I8(8, 4, 16);
   Schedule S(F.Op);
   IterVar I = F.Op->axes()[0], J = F.Op->axes()[1];
   IterVar Fused = S.fuse(I, J);
-  VarSubst Roots = S.rootBindings();
+  VarSubst Roots = S.resolve().Roots;
   EXPECT_EQ(exprToString(Roots.at(I.get())), Fused->name() + " / 4");
   EXPECT_EQ(exprToString(Roots.at(J.get())), Fused->name() + " % 4");
+}
+
+TEST(Schedule, ResolveWalksSplitsAndFusesInCreationOrder) {
+  // A fuse of split products, then a split of the fused loop, then an
+  // imperfect split: each relation reads values the later ones made.
+  OpFixture F = makeMatmulU8I8(8, 12, 16);
+  Schedule S(F.Op);
+  IterVar I = F.Op->axes()[0], J = F.Op->axes()[1];
+  auto [Io, Ii] = S.split(I, 2);
+  IterVar Fused = S.fuse(Ii, J);
+  auto [Fo, Fi] = S.split(Fused, 3);
+  auto [Oo, Oi] = S.split(Io, 3); // 4 % 3 != 0: guarded.
+  Schedule::Resolution R = S.resolve();
+  std::string FusedValue = Fo->name() + " * 3 + " + Fi->name();
+  EXPECT_EQ(exprToString(R.Roots.at(I.get())),
+            "(" + Oo->name() + " * 3 + " + Oi->name() + ") * 2 + (" +
+                FusedValue + ") / 12");
+  EXPECT_EQ(exprToString(R.Roots.at(J.get())), "(" + FusedValue + ") % 12");
+  ASSERT_EQ(R.Guards.size(), 1u);
+  EXPECT_EQ(exprToString(R.Guards[0]),
+            "lt(" + Oo->name() + " * 3 + " + Oi->name() + ", 4)");
+}
+
+TEST(Schedule, ResolveGuardsFollowSplitOrder) {
+  OpFixture F = makeMatmulU8I8(10, 14, 16);
+  Schedule S(F.Op);
+  auto [Jo, Ji] = S.split(F.Op->axes()[1], 4); // 14 % 4: first guard.
+  auto [Io, Ii] = S.split(F.Op->axes()[0], 3); // 10 % 3: second guard.
+  std::vector<ExprRef> Guards = S.resolve().Guards;
+  ASSERT_EQ(Guards.size(), 2u);
+  EXPECT_EQ(exprToString(Guards[0]),
+            "lt(" + Jo->name() + " * 4 + " + Ji->name() + ", 14)");
+  EXPECT_EQ(exprToString(Guards[1]),
+            "lt(" + Io->name() + " * 3 + " + Ii->name() + ", 10)");
+}
+
+TEST(Schedule, ResolveReadsBoundLeafValues) {
+  // Binding a tile-inner loop to 0 resolves the tile origin.
+  OpFixture F = makeMatmulU8I8(16, 16, 64);
+  Schedule S(F.Op);
+  IterVar I = F.Op->axes()[0];
+  auto [Outer, Inner] = S.split(I, 4);
+  VarSubst Origin;
+  Origin[Inner.get()] = makeIntImm(0);
+  Schedule::Resolution R = S.resolve(Origin);
+  EXPECT_EQ(exprToString(R.Roots.at(I.get())), Outer->name() + " * 4");
+  EXPECT_EQ(exprToString(R.Roots.at(F.Op->axes()[1].get())),
+            F.Op->axes()[1]->name());
 }
 
 TEST(Schedule, AnnotationsDefaultSerial) {

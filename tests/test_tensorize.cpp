@@ -6,11 +6,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SpecConformance.h"
 #include "TestUtil.h"
 #include "core/Pipeline.h"
 #include "tir/TIRPrinter.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <set>
 
 using namespace unit;
 using namespace unit::testutil;
@@ -264,6 +268,66 @@ TEST(Tensorize, NarrowVnniVariantsBitExact) {
         compileWithIntrinsic(F.Op, byName(Name));
     ASSERT_TRUE(K.has_value()) << Name;
     EXPECT_EQ(runToInts(F, K->TIR, 71), referenceInts(F, 71)) << Name;
+  }
+}
+
+} // namespace
+
+namespace {
+
+/// FNV-1a-64 over \p Text, continuing from \p Hash.
+uint64_t fnv1a64(const std::string &Text, uint64_t Hash) {
+  for (unsigned char C : Text) {
+    Hash ^= C;
+    Hash *= 1099511628211ull;
+  }
+  return Hash;
+}
+
+TEST(ReplacerOutput, ZooWinnersLowerToTheRecordedTIR) {
+  // The Replacer's output for the tuned winner of every distinct
+  // non-depthwise zoo conv (depthwise layers fall back to SIMD) on every
+  // builtin target and on both shipped spec files, one FNV-1a-64 per
+  // target over the printed TIR in zoo order. A change to operand
+  // generation, lowering or schedule resolution that moves one byte of
+  // one kernel moves its target's hash.
+  std::vector<ConvLayer> Layers;
+  std::set<std::string> Seen;
+  for (const Model &M : paperModels())
+    for (const ConvLayer &L : M.Convs)
+      if (!L.Depthwise && Seen.insert(L.shapeKey()).second)
+        Layers.push_back(L);
+
+  const std::map<std::string, uint64_t> Recorded = {
+      {"x86", 0x380507cf42d8a1f3ull},
+      {"arm", 0x7a02316736073b5dull},
+      {"nvgpu", 0xe6e18776ca6938ebull},
+      {"x86-amx", 0xbf8e47b685f1d60eull},
+      {"arm-sve", 0x1e89b91e8115561aull},
+      {"fixed16-dma", 0x2fa9007fea10c86aull},
+      {"nvgpu-s8", 0x728196c7b11ca01full},
+  };
+  for (const std::string &Id : shippedTargetIds()) {
+    TargetSpec Spec = TargetRegistry::instance().specFor(Id);
+    bool Cpu = Spec.Engine == TargetSpec::EngineKind::CpuDot;
+    uint64_t Hash = 14695981039346656037ull;
+    size_t Kernels = 0;
+    for (const ConvLayer &L : Layers)
+      for (const TunedView &View : tunedConvViews(Spec, L)) {
+        TunedKernel Tuned = Cpu ? tuneCpu(View.Op, View.Match, Spec.Cpu)
+                                : tuneGpu(View.Op, View.Match, Spec.Gpu);
+        ASSERT_GE(Tuned.BestCandidateIndex, 0) << Id << " " << L.Name;
+        auto Best = static_cast<size_t>(Tuned.BestCandidateIndex);
+        TensorizePlan Plan =
+            Cpu ? buildCpuPlan(View.Op, View.Match,
+                               defaultCpuTuningPairs()[Best])
+                : buildGpuPlan(View.Op, View.Match,
+                               defaultGpuTuningConfigs()[Best]);
+        Hash = fnv1a64(stmtToString(lowerPlan(Plan)) + "\n", Hash);
+        ++Kernels;
+      }
+    EXPECT_GT(Kernels, Layers.size() / 2) << Id;
+    EXPECT_EQ(Hash, Recorded.at(Id)) << Id << ": 0x" << std::hex << Hash;
   }
 }
 

@@ -87,14 +87,14 @@ TEST(BuildCpuPlan, DivisorPreferenceAvoidsGuards) {
   // Output width 14: budget 8 -> exact divisor 7 -> no residue guards.
   OpFixture F = makeConv2D(16, 16, 8, 16, 3, 3);
   TensorizePlan Plan = buildCpuPlan(F.Op, matchVnni(F.Op), {3000, 8});
-  EXPECT_TRUE(Plan.Sched->residuePredicates().empty());
+  EXPECT_TRUE(Plan.Sched->resolve().Guards.empty());
 }
 
 TEST(BuildCpuPlan, PrimeExtentGetsGuardedUnroll) {
   // Output width 17 (prime): no usable divisor, guarded split.
   OpFixture F = makeConv2D(19, 19, 8, 16, 3, 3);
   TensorizePlan Plan = buildCpuPlan(F.Op, matchVnni(F.Op), {3000, 8});
-  EXPECT_FALSE(Plan.Sched->residuePredicates().empty());
+  EXPECT_FALSE(Plan.Sched->resolve().Guards.empty());
 }
 
 TEST(BuildGpuPlan, BindsBlocksAndSplitK) {
