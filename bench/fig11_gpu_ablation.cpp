@@ -32,10 +32,12 @@ double kernelSeconds(const ConvLayer &L, bool Fuse, GpuTuningConfig Config,
   std::optional<MatchResult> Match = inspect(Laid.Op, Wmma);
   if (!Match)
     return 1e30;
-  TensorizePlan Plan = buildGpuPlan(Laid.Op, *Match, Config);
+  OuterLoops Loops = outerLoops(*Laid.Op, *Match);
+  KernelStats Stats = foldRecipe(gpuRecipe(Loops, Config), Loops,
+                                 analyzeMatch(*Laid.Op, *Match));
   double Rearrange = Laid.RearrangeBytes /
                      (Machine.DramBytesPerCycle * Machine.FreqGHz * 1e9);
-  return gpuLatencySeconds(analyzeTensorized(Plan), Machine) + Rearrange;
+  return gpuLatencySeconds(Stats, Machine) + Rearrange;
 }
 
 /// Split-K segment count for the paper's "split the reduction by 64".

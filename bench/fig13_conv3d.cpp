@@ -42,12 +42,14 @@ int main() {
     }
     // oneDNN-style fixed default blocking (JIT exact tails, no residue
     // guards) vs UNIT's tuned schedule, through the same cost model.
-    TensorizePlan Fixed =
-        buildCpuPlan(Laid.Op, Matches.front(), CpuTuningPair{1024, 4});
-    KernelStats FixedStats = analyzeTensorized(Fixed);
+    const MatchResult &Match = Matches.front();
+    OuterLoops Loops = outerLoops(*Laid.Op, Match);
+    KernelStats FixedStats =
+        foldRecipe(cpuRecipe(Loops, CpuTuningPair{1024, 4}), Loops,
+                   analyzeMatch(*Laid.Op, Match));
     FixedStats.HasResidueGuards = false;
     double Ref = cpuLatencySeconds(FixedStats, Machine);
-    double Unit = tuneCpu(Laid.Op, Matches.front(), Machine).LatencySeconds;
+    double Unit = tuneCpu(Laid.Op, Match, Machine).LatencySeconds;
     Rel.push_back(Ref / Unit);
     T.addRow({std::to_string(Idx++), fmtUs(Ref), fmtUs(Unit), "1.00",
               fmt2(Ref / Unit)});

@@ -3,61 +3,11 @@
 #include "baselines/TVMBaselines.h"
 
 #include "core/Inspector.h"
-#include "core/Rewriter.h"
 #include "target/TargetRegistry.h"
 
+#include <algorithm>
+
 using namespace unit;
-
-namespace {
-
-/// The hand-written TVM schedules unroll the output-width loop by a fixed
-/// factor (reg_n in TVM's x86/ARM int8 conv templates). Widths that do not
-/// divide the factor inherit `likely` residue guards — the per-shape
-/// rigidity UNIT's tuner avoids (paper §VI.A's 1.18x / §VI.C's 1.13x).
-TensorizePlan buildTvmManualPlan(const ComputeOpRef &Op,
-                                 const MatchResult &Match,
-                                 const CpuTuningPair &Pair) {
-  TensorizePlan Plan = reorganizeLoops(Op, Match);
-  Schedule &S = *Plan.Sched;
-
-  // Outer data-parallel loops of the blocked conv: x, y, ko (+ trivial
-  // remnants). Unroll the spatial y (OW) loop by the fixed factor.
-  std::vector<IterVar> RemainingDP = Plan.OuterDataParallel;
-  std::vector<IterVar> UnrollParts;
-  for (size_t I = 0; I < RemainingDP.size(); ++I) {
-    if (RemainingDP[I]->name() != "y")
-      continue;
-    int64_t Factor = std::min(Pair.UnrollFactor, RemainingDP[I]->extent());
-    if (Factor > 1) {
-      auto [Outer, Inner] = S.split(RemainingDP[I], Factor);
-      RemainingDP[I] = Outer;
-      UnrollParts.push_back(Inner);
-    }
-    break;
-  }
-
-  std::vector<IterVar> Order = RemainingDP;
-  Order.insert(Order.end(), Plan.OuterReduce.begin(), Plan.OuterReduce.end());
-  Order.insert(Order.end(), UnrollParts.begin(), UnrollParts.end());
-  S.reorder(Order);
-
-  if (!RemainingDP.empty()) {
-    IterVar Fused = RemainingDP[0];
-    int64_t Prod = Fused->extent();
-    for (size_t Next = 1; Next < RemainingDP.size(); ++Next) {
-      if (Prod * RemainingDP[Next]->extent() > Pair.ParallelLimit)
-        break;
-      Prod *= RemainingDP[Next]->extent();
-      Fused = S.fuse(Fused, RemainingDP[Next]);
-    }
-    S.parallel(Fused);
-  }
-  for (const IterVar &U : UnrollParts)
-    S.unroll(U);
-  return Plan;
-}
-
-} // namespace
 
 TvmManualEngine::TvmManualEngine(CpuMachine MachineIn,
                                  const std::string &TargetIn,
@@ -66,6 +16,30 @@ TvmManualEngine::TvmManualEngine(CpuMachine MachineIn,
     : Machine(std::move(MachineIn)), Target(TargetIn),
       Scheme(TargetRegistry::instance().get(TargetIn)->scheme()),
       FixedPair(FixedPairIn), SpatialUnroll(SpatialUnrollIn) {}
+
+LoopRecipe TvmManualEngine::recipe(const ComputeOp &Op,
+                                   const MatchResult &Match,
+                                   const OuterLoops &Loops) const {
+  if (!SpatialUnroll)
+    return cpuRecipe(Loops, FixedPair);
+  // The hand-written x86 schedule unrolls the output-width loop `y` by a
+  // fixed factor (reg_n in TVM's int8 conv templates): the outer loop
+  // that keeps the name, i.e. the first unmapped data-parallel axis `y`.
+  // Widths that do not divide the factor inherit `likely` residue guards
+  // — the per-shape rigidity UNIT's tuner avoids (paper §VI.A's 1.18x).
+  LoopRecipe R;
+  const std::vector<IterVar> &Axes = Op.axes();
+  for (size_t I = 0; I < Axes.size(); ++I) {
+    if (Axes[I]->name() != "y" || Match.Mapping.instrAxisFor(Axes[I].get()))
+      continue;
+    int64_t Factor = std::min(FixedPair.UnrollFactor, Loops.Dp[I]);
+    if (Factor > 1)
+      R.addSplit(LoopRecipe::SplitRole::UnrollTile, I, Factor);
+    break;
+  }
+  R.fuseParallelPrefix(Loops, FixedPair.ParallelLimit);
+  return R;
+}
 
 std::string TvmManualEngine::name() const {
   return "TVM-Manual (" + Target + ")";
@@ -97,11 +71,11 @@ double TvmManualEngine::convSeconds(const ConvLayer &Layer) {
       Seconds = simdLatencySeconds(Stats, Machine);
     } else {
       // One fixed manually-chosen blocking for every shape.
-      TensorizePlan Plan =
-          SpatialUnroll
-              ? buildTvmManualPlan(Laid.Op, Matches.front(), FixedPair)
-              : buildCpuPlan(Laid.Op, Matches.front(), FixedPair);
-      Seconds = cpuLatencySeconds(analyzeTensorized(Plan), Machine);
+      const MatchResult &Match = Matches.front();
+      OuterLoops Loops = outerLoops(*Laid.Op, Match);
+      KernelStats Stats = foldRecipe(recipe(*Laid.Op, Match, Loops), Loops,
+                                     analyzeMatch(*Laid.Op, Match));
+      Seconds = cpuLatencySeconds(Stats, Machine);
     }
   }
   Cache[Key] = Seconds;

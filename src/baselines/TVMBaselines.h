@@ -37,6 +37,12 @@ public:
   TvmManualEngine(CpuMachine Machine, const std::string &Target,
                   CpuTuningPair FixedPair, bool SpatialUnroll);
 
+  /// The fixed schedule this engine applies to \p Op, as a loop recipe
+  /// over \p Loops = outerLoops(Op, Match). convSeconds folds it; nothing
+  /// builds it.
+  LoopRecipe recipe(const ComputeOp &Op, const MatchResult &Match,
+                    const OuterLoops &Loops) const;
+
   std::string name() const override;
   double convSeconds(const ConvLayer &Layer) override;
   double perOpOverheadSeconds() const override { return 4e-6; }

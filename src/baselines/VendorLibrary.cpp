@@ -61,9 +61,10 @@ double OneDnnEngine::convSeconds(const ConvLayer &Layer) {
       // parallel chunks. The JIT's exact-width tails mean imperfect
       // shapes cost padding but no in-loop branches — the edge the paper
       // observes on workloads #1 and #4.
-      TensorizePlan Plan =
-          buildCpuPlan(Laid.Op, Matches.front(), CpuTuningPair{1024, 4});
-      KernelStats Stats = analyzeTensorized(Plan);
+      const MatchResult &Match = Matches.front();
+      OuterLoops Loops = outerLoops(*Laid.Op, Match);
+      KernelStats Stats = foldRecipe(cpuRecipe(Loops, CpuTuningPair{1024, 4}),
+                                     Loops, analyzeMatch(*Laid.Op, Match));
       Stats.HasResidueGuards = false;
       Seconds = cpuLatencySeconds(Stats, Machine);
     }
@@ -128,10 +129,12 @@ double CuDnnTensorCoreEngine::convSeconds(const ConvLayer &Layer) {
                                        /*FuseSpatial=*/false);
     std::optional<MatchResult> Match = inspect(Laid.Op, Wmma);
     if (Match) {
-      TensorizePlan Plan = buildGpuPlan(Laid.Op, *Match, GpuTuningConfig{2, 1});
+      OuterLoops Loops = outerLoops(*Laid.Op, *Match);
+      KernelStats Stats = foldRecipe(gpuRecipe(Loops, GpuTuningConfig{2, 1}),
+                                     Loops, analyzeMatch(*Laid.Op, *Match));
       // Hand-scheduled SASS pipelines run a little leaner than compiled
       // kernels of the same schedule shape.
-      Seconds = 0.85 * gpuLatencySeconds(analyzeTensorized(Plan), Machine);
+      Seconds = 0.85 * gpuLatencySeconds(Stats, Machine);
     } else {
       Seconds = gpuCudaCoreConvSeconds(Layer, Machine, 1.35);
     }

@@ -102,7 +102,7 @@ std::optional<MatchResult> unit::inspect(const ComputeOpRef &Op,
     return Fail("accumulator element type mismatch");
 
   // Step 2: array access isomorphism — enumerate loop mappings.
-  std::vector<IterVar> InstrAxes = Intr->semantics()->allAxes();
+  const std::vector<IterVar> &InstrAxes = Intr->semantics()->allAxes();
 
   // Candidates per instruction axis: op axes of the same annotation whose
   // extent the instruction extent tiles perfectly (the graph level pads

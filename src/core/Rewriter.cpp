@@ -19,9 +19,8 @@ TensorizePlan unit::reorganizeLoops(const ComputeOpRef &Op,
   // Tile every mapped operation axis by the instruction axis extent. The
   // Inspector guaranteed divisibility, so no residue guards appear here.
   for (const auto &[OpAxis, InstrAxis] : Match.Mapping.Pairs) {
-    auto [Outer, Inner] = S.split(OpAxis, InstrAxis->extent());
-    Plan.OuterVarOf[OpAxis.get()] = Outer;
-    Plan.InnerVarOf[InstrAxis.get()] = Inner;
+    Plan.InnerVarOf[InstrAxis.get()] =
+        S.split(OpAxis, InstrAxis->extent()).second;
   }
 
   // Inner loops in instruction order (data-parallel axes then reduce axes,

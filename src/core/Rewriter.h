@@ -31,8 +31,6 @@ struct TensorizePlan {
 
   /// Tile-inner loop per instruction axis (these form the pragma region).
   std::map<const IterVarNode *, IterVar> InnerVarOf;
-  /// Tile-outer loop per mapped operation axis.
-  std::map<const IterVarNode *, IterVar> OuterVarOf;
 
   /// Outer loops in leaf order, split by annotation kind.
   std::vector<IterVar> OuterDataParallel;

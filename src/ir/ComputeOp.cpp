@@ -48,6 +48,9 @@ ComputeOpRef ComputeOp::create(std::string Name, TensorRef Output,
 
   if (const auto *R = dyn_cast<ReduceNode>(Op->Body.get()))
     Op->ReduceAxes = R->Axes;
+  Op->AllAxes = Op->Axes;
+  Op->AllAxes.insert(Op->AllAxes.end(), Op->ReduceAxes.begin(),
+                     Op->ReduceAxes.end());
 
   // Every referenced variable must be a declared axis.
   std::vector<IterVar> Used = collectVars(Op->Body);
@@ -86,12 +89,6 @@ ComputeOpRef ComputeOp::create(std::string Name, TensorRef Output,
 
 const ReduceNode *ComputeOp::reduceRoot() const {
   return dyn_cast<ReduceNode>(Body.get());
-}
-
-std::vector<IterVar> ComputeOp::allAxes() const {
-  std::vector<IterVar> All = Axes;
-  All.insert(All.end(), ReduceAxes.begin(), ReduceAxes.end());
-  return All;
 }
 
 std::string ComputeOp::str() const {

@@ -34,6 +34,7 @@ class ComputeOp {
   TensorRef Output;
   std::vector<IterVar> Axes;       ///< Data-parallel axes, one per output dim.
   std::vector<IterVar> ReduceAxes; ///< From the Reduce root (if any).
+  std::vector<IterVar> AllAxes;    ///< Axes then ReduceAxes.
   ExprRef Body;
   bool InPlaceUpdate; ///< Accumulator register must alias the output (+=).
   std::vector<TensorRef> Inputs; ///< Distinct load sources, appearance order.
@@ -67,7 +68,7 @@ public:
   const ReduceNode *reduceRoot() const;
 
   /// All axes: data-parallel then reduce.
-  std::vector<IterVar> allAxes() const;
+  const std::vector<IterVar> &allAxes() const { return AllAxes; }
 
   /// Human-readable multi-line rendering.
   std::string str() const;

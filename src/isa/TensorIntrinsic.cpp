@@ -27,7 +27,7 @@ void finishLayout(RegisterLayout &Layout) {
 /// The lane layout of register access \p Load in \p Sem: the coefficient
 /// of every instruction axis in the load's flat index.
 RegisterLayout loadLayout(const ComputeOp &Sem, const LoadNode *Load) {
-  std::vector<IterVar> AllAxes = Sem.allAxes();
+  const std::vector<IterVar> &AllAxes = Sem.allAxes();
   std::set<const IterVarNode *> AxisSet;
   for (const IterVar &IV : AllAxes)
     AxisSet.insert(IV.get());

@@ -10,6 +10,41 @@
 
 using namespace unit;
 
+void KernelStats::foldLoop(int64_t Extent, ForKind Kind, bool IsReduce) {
+  double E = static_cast<double>(Extent);
+  Calls *= E;
+  switch (Kind) {
+  case ForKind::Unrolled:
+    Unroll *= E;
+    break;
+  case ForKind::Parallel:
+  case ForKind::GpuBlockX:
+  case ForKind::GpuBlockY:
+    ParallelExtent *= E;
+    break;
+  case ForKind::GpuThreadX:
+  case ForKind::GpuThreadY:
+    (IsReduce ? SplitK : ParallelExtent) *= E;
+    break;
+  case ForKind::Serial:
+  case ForKind::Vectorized:
+    break;
+  }
+}
+
+void KernelStats::foldSplit(int64_t Extent, int64_t Factor) {
+  if (Extent % Factor == 0)
+    return;
+  HasResidueGuards = true;
+  double Padded = static_cast<double>((Extent + Factor - 1) / Factor) *
+                  static_cast<double>(Factor);
+  UsefulFraction *= static_cast<double>(Extent) / Padded;
+}
+
+static double footprintBytes(const TensorRef &T) {
+  return static_cast<double>(T->numElements()) * T->dtype().lanesBytes();
+}
+
 KernelStats unit::analyzeMatch(const ComputeOp &Op, const MatchResult &Match) {
   const TensorIntrinsic &Intr = *Match.Intrinsic;
   KernelStats Stats;
@@ -36,18 +71,15 @@ KernelStats unit::analyzeMatch(const ComputeOp &Op, const MatchResult &Match) {
   Stats.LoadsPerCall = std::max(1.0, static_cast<double>(Loads));
 
   // Memory footprints.
-  auto FootprintBytes = [](const TensorRef &T) {
-    return static_cast<double>(T->numElements()) * T->dtype().lanesBytes();
-  };
-  Stats.OutputBytes = FootprintBytes(Op.output());
+  Stats.OutputBytes = footprintBytes(Op.output());
   const std::vector<TensorRef> &Inputs = Op.inputs();
   for (size_t I = 0; I < Inputs.size(); ++I) {
     // Convention: the last reduce-only operand acts like weights; a 2-input
     // MAC op has activations first, weights second.
     if (I + 1 == Inputs.size() && Inputs.size() >= 2)
-      Stats.WeightBytes += FootprintBytes(Inputs[I]);
+      Stats.WeightBytes += footprintBytes(Inputs[I]);
     else
-      Stats.InputBytes += FootprintBytes(Inputs[I]);
+      Stats.InputBytes += footprintBytes(Inputs[I]);
   }
   return Stats;
 }
@@ -59,43 +91,12 @@ KernelStats unit::analyzeTensorized(const TensorizePlan &Plan) {
   // Walk the leaves, skipping the tensorized inner loops (they are covered
   // by one instruction invocation).
   Stats.Calls = 1;
-  for (const IterVar &Leaf : S.leaves()) {
-    bool IsInner = std::find(Plan.InnerLoops.begin(), Plan.InnerLoops.end(),
-                             Leaf) != Plan.InnerLoops.end();
-    if (IsInner)
-      continue;
-    Stats.Calls *= static_cast<double>(Leaf->extent());
-    switch (S.annotation(Leaf)) {
-    case ForKind::Unrolled:
-      Stats.Unroll *= static_cast<double>(Leaf->extent());
-      break;
-    case ForKind::Parallel:
-    case ForKind::GpuBlockX:
-    case ForKind::GpuBlockY:
-      Stats.ParallelExtent *= static_cast<double>(Leaf->extent());
-      break;
-    case ForKind::GpuThreadX:
-    case ForKind::GpuThreadY:
-      if (Leaf->isReduce())
-        Stats.SplitK *= static_cast<double>(Leaf->extent());
-      else
-        Stats.ParallelExtent *= static_cast<double>(Leaf->extent());
-      break;
-    case ForKind::Serial:
-    case ForKind::Vectorized:
-      break;
-    }
-  }
-
-  // Residue guards and padding waste from imperfect splits.
-  for (const Schedule::SplitRel &R : S.splits()) {
-    if (!R.NeedsGuard)
-      continue;
-    Stats.HasResidueGuards = true;
-    double Padded =
-        static_cast<double>(R.Outer->extent()) * static_cast<double>(R.Factor);
-    Stats.UsefulFraction *= static_cast<double>(R.Parent->extent()) / Padded;
-  }
+  for (const IterVar &Leaf : S.leaves())
+    if (std::find(Plan.InnerLoops.begin(), Plan.InnerLoops.end(), Leaf) ==
+        Plan.InnerLoops.end())
+      Stats.foldLoop(Leaf->extent(), S.annotation(Leaf), Leaf->isReduce());
+  for (const Schedule::SplitRel &R : S.splits())
+    Stats.foldSplit(R.Parent->extent(), R.Factor);
   return Stats;
 }
 
@@ -112,12 +113,9 @@ KernelStats unit::analyzeSimdFallback(const ComputeOpRef &Op,
                             : Op->inputs().front()->dtype().lanesBytes();
   Stats.WideningFactor = WideningFactor;
   Stats.ParallelExtent = ParallelExtent;
-  auto FootprintBytes = [](const TensorRef &T) {
-    return static_cast<double>(T->numElements()) * T->dtype().lanesBytes();
-  };
-  Stats.OutputBytes = FootprintBytes(Op->output());
+  Stats.OutputBytes = footprintBytes(Op->output());
   for (const TensorRef &T : Op->inputs())
-    Stats.InputBytes += FootprintBytes(T);
+    Stats.InputBytes += footprintBytes(T);
   return Stats;
 }
 

@@ -44,6 +44,17 @@ struct KernelStats {
   double SimdMacs = 0;
   double SimdElemBytes = 1;
   double WideningFactor = 1; ///< Extra instructions per MAC (no-DOT NEON).
+
+  /// What one outer loop of a tensorized schedule adds: its extent
+  /// multiplies Calls, and by \p Kind also Unroll, ParallelExtent (CPU
+  /// parallel, GPU blocks, GPU threads over a data-parallel loop) or
+  /// SplitK (GPU threads over a reduce loop).
+  void foldLoop(int64_t Extent, ForKind Kind, bool IsReduce);
+  /// What splitting a loop of \p Extent by \p Factor adds: an imperfect
+  /// split sets HasResidueGuards and scales UsefulFraction by its padding
+  /// waste. Fold splits in split order: UsefulFraction is a
+  /// floating-point product.
+  void foldSplit(int64_t Extent, int64_t Factor);
 };
 
 /// The stats a tensorized kernel owes to the operation and the match
@@ -65,9 +76,9 @@ KernelStats analyzeMatch(const ComputeOp &Op, const MatchResult &Match);
 /// analyzeMatch of the plan's operation and match, plus what the plan's
 /// current schedule adds (no lowering involved): the call count and the
 /// unroll, parallel and split-K extents of its outer loops, and the
-/// residue guards and padding of its imperfect splits. Codegen and the
-/// vendor baselines call it on built plans; the Tuner prices candidates
-/// without building them (tuner/Tuner.h).
+/// residue guards and padding of its imperfect splits. Examples and tests
+/// call it on built plans; the Tuner and the baselines fold loop recipes
+/// instead of building them (tuner/LoopRecipe.h).
 KernelStats analyzeTensorized(const TensorizePlan &Plan);
 
 /// Fills the SIMD-fallback fields for a non-tensorized ComputeOp.

@@ -5,10 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Builds concrete tuned schedules from tuning-space candidates and
-/// searches the space against the cost model. The search scores each
-/// candidate from extent arithmetic and builds no schedule; callers that
-/// lower the winner rebuild its plan with buildCpuPlan/buildGpuPlan.
+/// Searches the tuning spaces against the cost model. Each candidate is
+/// one loop recipe (tuner/LoopRecipe.h), computed from the outer loop
+/// extents by cpuRecipe/gpuRecipe. The search scores foldRecipe of it and
+/// builds no schedule; callers that lower the winner rebuild its plan
+/// with buildCpuPlan/buildGpuPlan, which apply the same recipe. Since
+/// foldRecipe walks the applied plan's leaves and splits in the order
+/// analyzeTensorized does, through the same KernelStats fold steps, a
+/// candidate's score is bit-identical to pricing its built plan.
 /// Exposes per-stage latencies so the ablation benches (paper Figs. 10
 /// and 11) can report the incremental impact of Parallel / +Unroll /
 /// +Tune on CPU and Generic / +SplitK / +Tune on GPU.
@@ -19,8 +23,7 @@
 #define UNIT_TUNER_TUNER_H
 
 #include "obs/Histogram.h"
-#include "perf/CostModel.h"
-#include "tuner/TuningSpace.h"
+#include "tuner/LoopRecipe.h"
 
 #include <cstdint>
 #include <optional>
@@ -29,7 +32,7 @@ namespace unit {
 
 class ThreadPool;
 
-/// Applies the Fig. 7 CPU loop structure for one tuning pair:
+/// applyRecipe of cpuRecipe: the Fig. 7 CPU loop structure for one pair:
 /// outer data-parallel loops are fused while the fused extent stays below
 /// Pair.ParallelLimit and parallelized; the innermost data-parallel outer
 /// loops are tiled to Pair.UnrollFactor total, sunk below the reduction
@@ -37,10 +40,10 @@ class ThreadPool;
 TensorizePlan buildCpuPlan(const ComputeOpRef &Op, const MatchResult &Match,
                            const CpuTuningPair &Pair);
 
-/// Applies the Fig. 6 GPU structure for one config on a (matrix-shaped)
-/// operation: block-binds the two outermost data-parallel tile loops,
-/// keeps a PxP unrolled accumulator array, and splits the reduction into
-/// Config.SplitK thread-concurrent segments.
+/// applyRecipe of gpuRecipe: the Fig. 6 GPU structure for one config on a
+/// (matrix-shaped) operation: block-binds the two outermost data-parallel
+/// tile loops, keeps a PxP unrolled accumulator array, and splits the
+/// reduction into Config.SplitK thread-concurrent segments.
 TensorizePlan buildGpuPlan(const ComputeOpRef &Op, const MatchResult &Match,
                            const GpuTuningConfig &Config);
 

@@ -34,8 +34,8 @@ struct CpuTuningPair {
 /// The ordered CPU candidate list. The first entry is the (3000, 8)
 /// default the paper reports optimal for more than half the kernels; the
 /// rest are ordered so that ">95% of kernels reach optimum within the
-/// first 8 pairs" has a chance to hold.
-std::vector<CpuTuningPair> defaultCpuTuningPairs();
+/// first 8 pairs" has a chance to hold. Built once.
+const std::vector<CpuTuningPair> &defaultCpuTuningPairs();
 
 /// One GPU candidate.
 struct GpuTuningConfig {
@@ -46,8 +46,8 @@ struct GpuTuningConfig {
 };
 
 /// The ordered GPU candidate list; the first entry is the generic p=2,
-/// no-split configuration of paper §VI.B.
-std::vector<GpuTuningConfig> defaultGpuTuningConfigs();
+/// no-split configuration of paper §VI.B. Built once.
+const std::vector<GpuTuningConfig> &defaultGpuTuningConfigs();
 
 } // namespace unit
 

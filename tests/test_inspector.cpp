@@ -20,9 +20,6 @@ TensorIntrinsicRef vnni() {
 TensorIntrinsicRef wmma() {
   return IntrinsicRegistry::instance().lookup("wmma.m16n16k16.f16");
 }
-TensorIntrinsicRef sdot() {
-  return IntrinsicRegistry::instance().lookup("arm.sdot");
-}
 
 TEST(Inspector, ConvVNNIMapsKAndChannel) {
   OpFixture F = makeConv2D(8, 8, 8, 16, 3, 3);

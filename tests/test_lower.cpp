@@ -22,7 +22,7 @@ struct Walker : StmtVisitor {
     LoopNames.push_back(N->LoopVar->name());
     StmtVisitor::visitFor(N);
   }
-  void visitStore(const StoreNode *N) override { ++Stores; }
+  void visitStore(const StoreNode *) override { ++Stores; }
   void visitIfThenElse(const IfThenElseNode *N) override {
     ++Ifs;
     StmtVisitor::visitIfThenElse(N);

@@ -53,8 +53,9 @@ TEST(ModelZoo, ShapesAreInternallyConsistent) {
       EXPECT_GT(L.outH(), 0) << M.Name << "/" << L.Name;
       EXPECT_GT(L.outW(), 0) << M.Name << "/" << L.Name;
       EXPECT_GT(L.macs(), 0) << M.Name << "/" << L.Name;
-      if (L.Depthwise)
+      if (L.Depthwise) {
         EXPECT_EQ(L.InC, L.OutC) << M.Name << "/" << L.Name;
+      }
     }
   }
 }

@@ -1587,8 +1587,9 @@ TEST_F(ServerTest, StreamingStressCrossConnectionSingleFlight) {
     EXPECT_TRUE(Warm->Cached);
     for (size_t C = 0; C < Clients; ++C)
       for (size_t I = 0; I < PerClient; ++I)
-        if (Picked[C][I] == static_cast<int>(Pick))
+        if (Picked[C][I] == static_cast<int>(Pick)) {
           EXPECT_EQ(Results[C][I], Warm->Report.Seconds);
+        }
   }
 }
 
@@ -3071,9 +3072,10 @@ TEST_F(ServerTest, DumpTraceYieldsConnectedSpanTree) {
   // dump — one causal tree per request, no orphans.
   for (const Json &Ev : Events->items()) {
     int64_t Parent = Ev.get("args")->integer("parent");
-    if (Parent != 0)
+    if (Parent != 0) {
       EXPECT_TRUE(Ids.count(Parent))
           << Ev.str("name") << " orphaned parent " << Parent;
+    }
   }
   for (const char *Expected :
        {"request", "admission", "cache_resolve", "compile", "codegen",

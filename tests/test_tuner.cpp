@@ -2,6 +2,7 @@
 
 #include "SpecConformance.h"
 #include "TestUtil.h"
+#include "baselines/TVMBaselines.h"
 #include "core/Inspector.h"
 #include "core/Pipeline.h"
 #include "graph/Layout.h"
@@ -122,6 +123,22 @@ TEST(BuildGpuPlan, LoweredProgramStaysBitExact) {
     TensorizePlan Plan = buildGpuPlan(F.Op, matchWmma(F.Op), Config);
     StmtRef TIR = lowerPlan(Plan);
     EXPECT_EQ(runToFloats(F, TIR, 43), Ref) << Config.str();
+  }
+}
+
+TEST(TvmManualRecipe, LoweredProgramStaysBitExact) {
+  // The x86 recipe tiles the output-width loop y by 8: exactly for width
+  // 8, with a residue guard for width 11.
+  TvmManualEngine Vnni = makeTvmManualVnni(CpuMachine::cascadeLake());
+  for (int64_t W : {10, 13}) {
+    OpFixture F = makeConv2D(10, W, 8, 32, 3, 3);
+    std::vector<int64_t> Ref = referenceInts(F, 47);
+    MatchResult M = matchVnni(F.Op);
+    LoopRecipe Recipe = Vnni.recipe(*F.Op, M, outerLoops(*F.Op, M));
+    ASSERT_NE(Recipe.tileOf(/*y=*/1), nullptr) << W;
+    TensorizePlan Plan = applyRecipe(F.Op, M, Recipe);
+    EXPECT_EQ(Plan.Sched->resolve().Guards.empty(), W == 10) << W;
+    EXPECT_EQ(runToInts(F, lowerPlan(Plan), 47), Ref) << W;
   }
 }
 
@@ -351,6 +368,71 @@ TEST(TunerAnalyticParity, EveryCandidateScoresLikeItsBuiltPlan) {
   EXPECT_LT(Coverage.Guarded, Coverage.Candidates);
 }
 
+/// The fixed recipes the baselines score without building a schedule:
+/// the TVM-manual recipes (x86 with the spatial y tile, arm), oneDNN's
+/// default blocking and cuDNN's p = 2 implicit GEMM. Each folds to the
+/// stats of its applied plan, field by field.
+TEST(TunerAnalyticParity, BaselineRecipesFoldLikeTheirBuiltPlans) {
+  CpuMachine Machine = CpuMachine::cascadeLake();
+  TvmManualEngine Vnni = makeTvmManualVnni(Machine);
+  TvmManualEngine Dot = makeTvmManualDot(Machine);
+  TensorIntrinsicRef Wmma =
+      IntrinsicRegistry::instance().lookup("wmma.m16n16k16.f16");
+  size_t Checked = 0, Guarded = 0, SpatialTiles = 0;
+  auto Check = [&](const ComputeOpRef &Op, const MatchResult &M,
+                   const auto &MakeRecipe, const std::string &What) {
+    OuterLoops Loops = outerLoops(*Op, M);
+    LoopRecipe Recipe = MakeRecipe(Loops);
+    KernelStats Folded = foldRecipe(Recipe, Loops, analyzeMatch(*Op, M));
+    expectSameStats(Folded, analyzeTensorized(applyRecipe(Op, M, Recipe)),
+                    What);
+    ++Checked;
+    Guarded += Folded.HasResidueGuards;
+    return Recipe;
+  };
+  std::vector<ConvLayer> Layers = parityLayers();
+  for (const ConvLayer &L : Layers) {
+    for (const std::string Target : {"x86", "arm"}) {
+      const QuantScheme &Q = TargetRegistry::instance().get(Target)->scheme();
+      ComputeOpRef Op = buildDirectConvOp(L, Q.Activation, Q.Weight,
+                                          Q.Accumulator, Q.LaneMultiple,
+                                          Q.ReduceMultiple)
+                            .Op;
+      std::vector<MatchResult> Ms = inspectTarget(Op, Target);
+      if (Ms.empty())
+        continue;
+      const MatchResult &M = Ms.front();
+      const TvmManualEngine &Tvm = Target == "x86" ? Vnni : Dot;
+      LoopRecipe R = Check(
+          Op, M,
+          [&](const OuterLoops &Loops) { return Tvm.recipe(*Op, M, Loops); },
+          Tvm.name() + " " + L.Name);
+      SpatialTiles += Target == "x86" && R.begin() != R.end();
+      if (Target == "x86")
+        Check(
+            Op, M,
+            [](const OuterLoops &Loops) {
+              return cpuRecipe(Loops, CpuTuningPair{1024, 4});
+            },
+            "oneDNN " + L.Name);
+    }
+    ComputeOpRef Gemm = buildConvAsGemmOp(L, DataType::f16(), DataType::f32(),
+                                          16, /*FuseSpatial=*/false)
+                            .Op;
+    if (std::optional<MatchResult> M = inspect(Gemm, Wmma))
+      Check(
+          Gemm, *M,
+          [](const OuterLoops &Loops) {
+            return gpuRecipe(Loops, GpuTuningConfig{2, 1});
+          },
+          "cuDNN " + L.Name);
+  }
+  EXPECT_GT(Checked, 3 * Layers.size());
+  EXPECT_GT(SpatialTiles, 0u);
+  EXPECT_GT(Guarded, 0u);
+  EXPECT_LT(Guarded, Checked);
+}
+
 TEST(TunerAnalyticParity, LoadCountMatchesTheGeneratedOperands) {
   std::vector<ConvLayer> Layers = parityLayers();
   size_t Views = 0;
@@ -407,8 +489,9 @@ TEST(TunerAnalyticParity, PoolSearchPicksTheSameWinner) {
           EXPECT_EQ(Par.BestCandidateIndex, Seq.BestCandidateIndex);
           EXPECT_TRUE(sameBits(Par.LatencySeconds, Seq.LatencySeconds));
           expectSameStats(Par.Stats, Seq.Stats, Spec.Id);
-          if (!Prune)
+          if (!Prune) {
             EXPECT_EQ(Par.CandidateLatencies, Seq.CandidateLatencies);
+          }
         }
   }
 }
