@@ -34,12 +34,17 @@ int main() {
     return 1;
   }
 
+  // Each config is priced from its loop recipe folded over the match's
+  // stats: no schedule is built until one is lowered.
   GpuMachine Machine = GpuMachine::v100();
+  OuterLoops Loops = outerLoops(*Big, *Match);
+  KernelStats Base = analyzeMatch(*Big, *Match);
   Table T({"p", "splitK", "modeled-us"});
   for (int64_t P : {1, 2, 4})
     for (int64_t SplitK : {1, 4, 16, 64}) {
-      TensorizePlan Plan = buildGpuPlan(Big, *Match, {P, SplitK});
-      double Us = gpuLatencySeconds(analyzeTensorized(Plan), Machine) * 1e6;
+      KernelStats Stats =
+          foldRecipe(gpuRecipe(Loops, {P, SplitK}), Loops, Base);
+      double Us = gpuLatencySeconds(Stats, Machine) * 1e6;
       T.addRow({std::to_string(P), std::to_string(SplitK),
                 formatStr("%.1f", Us)});
     }

@@ -147,19 +147,22 @@ ExprRef unit::generateOutputIndex(const TensorizePlan &Plan,
   const ComputeOp &Op = *Plan.Sched->op();
   const RegisterLayout &Layout = Plan.Match.Intrinsic->outputLayout();
 
-  std::vector<ExprRef> Axes, AtOrigin;
-  for (const IterVar &Axis : Op.axes()) {
-    Axes.push_back(makeVar(Axis));
-    AtOrigin.push_back(Origin.at(Axis.get()));
-  }
-  ExprRef Access = makeLoad(Op.output(), std::move(Axes));
-  std::vector<int64_t> OpStrides =
-      opLaneStrides(Plan.Match.Mapping, Layout, cast<LoadNode>(Access));
-  for (size_t D = 0; D < OpStrides.size(); ++D)
-    if (OpStrides[D] == 0)
+  // The output access is the identity over Op.axes(), so a lane's stride
+  // is the output tensor's stride along the mapped axis.
+  const std::vector<IterVar> &Axes = Op.axes();
+  std::vector<int64_t> Strides = Op.output()->strides(), OpStrides;
+  for (const LaneAxis &Axis : Layout.Axes) {
+    auto It = std::find(Axes.begin(), Axes.end(),
+                        Plan.Match.Mapping.opAxisFor(Axis.InstrAxis.get()));
+    if (It == Axes.end())
       reportFatalError("operand generation: operation output does not vary "
                        "along instruction axis '" +
-                       Layout.Axes[D].InstrAxis->name() + "'");
+                       Axis.InstrAxis->name() + "'");
+    OpStrides.push_back(Strides[It - Axes.begin()]);
+  }
+  std::vector<ExprRef> AtOrigin;
+  for (const IterVar &Axis : Axes)
+    AtOrigin.push_back(Origin.at(Axis.get()));
   return buildIndex(Layout, OpStrides, operandRoles(Layout, OpStrides),
                     flattenIndex(Op.output(), AtOrigin));
 }

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The tensor-IR transformation of paper §IV.B step 3: replaces the loop
-/// nest under a `#pragma tensorize <intrinsic>` with a single vector store
-/// of the tensorized call, whose register operands come from the operand
-/// generation rules (OperandGen.h).
+/// The tensor-IR transformation of paper §IV.B step 3: fills the region
+/// lower() (tir/Lower.h) leaves empty under a `#pragma tensorize
+/// <intrinsic>` with a single vector store of the tensorized call, whose
+/// register operands come from the operand generation rules (OperandGen.h).
+/// It alone resolves a tensorized schedule: once, at the tile origin.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,8 +21,8 @@
 
 namespace unit {
 
-/// Rewrites every `tensorize` pragma region of \p Lowered that names
-/// \p Plan's intrinsic. Residue guards from outer imperfect splits are
+/// Replaces every `tensorize` pragma of \p Lowered that names \p Plan's
+/// intrinsic. Residue guards from outer imperfect splits are
 /// re-established around the replacement store.
 StmtRef replaceTensorized(const StmtRef &Lowered, const TensorizePlan &Plan);
 

@@ -7,6 +7,7 @@
 #include "tir/Lower.h"
 
 #include <cassert>
+#include <mutex>
 
 using namespace unit;
 
@@ -367,14 +368,19 @@ Value Interp::evalIntrinsic(const CallNode *Call) {
   }
   Inner.bind(Out, OutBuf.get());
 
-  // Interpret the instruction's own DSL semantics (cached lowering).
-  static std::map<const ComputeOp *, StmtRef> LoweredCache;
-  auto It = LoweredCache.find(&Sem);
-  if (It == LoweredCache.end()) {
-    Schedule S(Intr->semantics());
-    It = LoweredCache.emplace(&Sem, lower(S)).first;
+  // Interpret the instruction's own DSL semantics (cached lowering, keyed
+  // by an owning ref so no freed op's address is reused; locked).
+  static std::mutex CacheMu;
+  static std::map<ComputeOpRef, StmtRef> LoweredCache;
+  StmtRef Program;
+  {
+    std::lock_guard<std::mutex> Lock(CacheMu);
+    StmtRef &Slot = LoweredCache[Intr->semantics()];
+    if (!Slot)
+      Slot = lower(Schedule(Intr->semantics()));
+    Program = Slot;
   }
-  Inner.run(It->second);
+  Inner.run(Program);
 
   // Read back the output register.
   Value Result;

@@ -3,123 +3,86 @@
 #include "ir/LinearIndex.h"
 
 #include "ir/ExprUtil.h"
-#include "support/ErrorHandling.h"
+
+#include <optional>
 
 using namespace unit;
 
 namespace {
 
-/// Returns true if \p L has no target terms and a constant base.
-bool isPureConstant(const LinearIndex &L, int64_t *Value) {
-  if (!L.Coeffs.empty())
-    return false;
-  return matchConstInt(L.Base, Value);
-}
+/// One subexpression's coefficients, and the value its Base folds to when
+/// that Base would be an integer immediate under makeBinary's folding and
+/// identities: only a constant Base can scale a product.
+struct Term {
+  bool Valid = true;
+  std::optional<int64_t> Const;
+  std::map<const IterVarNode *, int64_t> Coeffs;
+};
 
-/// True if the expression mentions any target variable.
-bool mentionsTargets(const ExprRef &E,
-                     const std::set<const IterVarNode *> &Targets) {
-  for (const IterVar &IV : collectVars(E))
-    if (Targets.count(IV.get()))
-      return true;
-  return false;
-}
+Term invalid() { return Term{false, std::nullopt, {}}; }
 
-LinearIndex invalid() { return LinearIndex{}; }
-
-LinearIndex analyze(const ExprRef &E,
-                    const std::set<const IterVarNode *> &Targets) {
+Term analyze(const ExprRef &E, const std::set<const IterVarNode *> &Targets) {
   switch (E->kind()) {
-  case ExprNode::Kind::IntImm: {
-    LinearIndex L;
-    L.Valid = true;
-    L.Base = E;
-    return L;
-  }
+  case ExprNode::Kind::IntImm:
+    return Term{true, cast<IntImmNode>(E)->Value, {}};
   case ExprNode::Kind::Var: {
-    const auto *V = cast<VarNode>(E);
-    LinearIndex L;
-    L.Valid = true;
-    if (Targets.count(V->IV.get())) {
-      L.Base = makeIntImm(0);
-      L.Coeffs[V->IV.get()] = 1;
-    } else {
-      L.Base = E;
-    }
-    return L;
+    const IterVarNode *IV = cast<VarNode>(E)->IV.get();
+    if (!Targets.count(IV))
+      return Term{};
+    return Term{true, 0, {{IV, 1}}};
   }
   case ExprNode::Kind::Add:
-  case ExprNode::Kind::Sub: {
-    const auto *B = cast<BinaryNode>(E);
-    LinearIndex L = analyze(B->LHS, Targets);
-    LinearIndex R = analyze(B->RHS, Targets);
-    if (!L.Valid || !R.Valid)
-      return invalid();
-    bool Negate = E->kind() == ExprNode::Kind::Sub;
-    LinearIndex Out;
-    Out.Valid = true;
-    Out.Base = makeBinary(E->kind(), L.Base, R.Base);
-    Out.Coeffs = std::move(L.Coeffs);
-    for (const auto &[IV, C] : R.Coeffs) {
-      Out.Coeffs[IV] += Negate ? -C : C;
-      if (Out.Coeffs[IV] == 0)
-        Out.Coeffs.erase(IV);
-    }
-    return Out;
-  }
+  case ExprNode::Kind::Sub:
   case ExprNode::Kind::Mul: {
     const auto *B = cast<BinaryNode>(E);
-    LinearIndex L = analyze(B->LHS, Targets);
-    LinearIndex R = analyze(B->RHS, Targets);
+    Term L = analyze(B->LHS, Targets);
+    Term R = analyze(B->RHS, Targets);
     if (!L.Valid || !R.Valid)
       return invalid();
-    int64_t C;
-    if (isPureConstant(R, &C)) {
-      LinearIndex Out;
-      Out.Valid = true;
-      Out.Base = L.Base * makeIntImm(C);
-      for (const auto &[IV, K] : L.Coeffs)
-        if (K * C != 0)
-          Out.Coeffs[IV] = K * C;
-      return Out;
+    if (E->kind() != ExprNode::Kind::Mul) {
+      bool Negate = E->kind() == ExprNode::Kind::Sub;
+      // A Base folds only when both sides do: an identity with one
+      // constant side returns the other, symbolic side.
+      L.Const = L.Const && R.Const ? std::optional<int64_t>(
+                                         Negate ? *L.Const - *R.Const
+                                                : *L.Const + *R.Const)
+                                   : std::nullopt;
+      for (const auto &[IV, C] : R.Coeffs)
+        if ((L.Coeffs[IV] += Negate ? -C : C) == 0)
+          L.Coeffs.erase(IV);
+      return L;
     }
-    if (isPureConstant(L, &C)) {
-      LinearIndex Out;
-      Out.Valid = true;
-      Out.Base = makeIntImm(C) * R.Base;
-      for (const auto &[IV, K] : R.Coeffs)
-        if (K * C != 0)
-          Out.Coeffs[IV] = K * C;
-      return Out;
+    // Scale the side with terms by the pure constant on the other side;
+    // its Base times C folds when it is constant or C is 0 (`x * 0`).
+    bool RightConst = R.Coeffs.empty() && R.Const;
+    if (RightConst || (L.Coeffs.empty() && L.Const)) {
+      Term &T = RightConst ? L : R;
+      int64_t C = RightConst ? *R.Const : *L.Const;
+      T.Const = T.Const ? std::optional<int64_t>(*T.Const * C)
+                : C == 0 ? std::optional<int64_t>(0)
+                         : std::nullopt;
+      if (C == 0)
+        T.Coeffs.clear();
+      for (auto &[IV, K] : T.Coeffs)
+        K *= C;
+      return std::move(T);
     }
     // Symbolic * symbolic: fine only when target-free.
-    if (L.Coeffs.empty() && R.Coeffs.empty()) {
-      LinearIndex Out;
-      Out.Valid = true;
-      Out.Base = E;
-      return Out;
-    }
+    if (L.Coeffs.empty() && R.Coeffs.empty())
+      return Term{};
     return invalid();
   }
-  default: {
-    // Any other node is opaque: acceptable as pure base when it does not
-    // mention a target variable.
-    if (mentionsTargets(E, Targets))
-      return invalid();
-    LinearIndex L;
-    L.Valid = true;
-    L.Base = E;
-    return L;
-  }
+  default:
+    // Any other node is opaque: acceptable as a symbolic Base when it
+    // does not mention a target variable.
+    for (const IterVar &IV : collectVars(E))
+      if (Targets.count(IV.get()))
+        return invalid();
+    return Term{};
   }
 }
 
 } // namespace
-
-LinearIndex unit::analyzeLinear(const ExprRef &E,
-                                const std::set<const IterVarNode *> &Targets) {
-  return analyze(E, Targets);
-}
 
 LinearIndex
 unit::analyzeLinearCoeffs(const LoadNode *Load,
@@ -127,14 +90,12 @@ unit::analyzeLinearCoeffs(const LoadNode *Load,
   std::vector<int64_t> Strides = Load->Buf->strides();
   LinearIndex Out;
   for (size_t D = 0; D < Load->Indices.size(); ++D) {
-    LinearIndex Dim = analyze(Load->Indices[D], Targets);
+    Term Dim = analyze(Load->Indices[D], Targets);
     if (!Dim.Valid)
-      return invalid();
-    for (const auto &[IV, C] : Dim.Coeffs) {
-      Out.Coeffs[IV] += C * Strides[D];
-      if (Out.Coeffs[IV] == 0)
+      return LinearIndex{};
+    for (const auto &[IV, C] : Dim.Coeffs)
+      if ((Out.Coeffs[IV] += C * Strides[D]) == 0)
         Out.Coeffs.erase(IV);
-    }
   }
   Out.Valid = true;
   return Out;

@@ -5,16 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Decomposes an index expression into `Base + sum(Coeff_v * v)` over a
-/// chosen set of target loop variables, leaving everything else symbolic in
-/// Base. Each TensorIntrinsic reads its registers' lane strides with it,
-/// and operand generation and the cost model read the operation's strides
-/// along the mapped op axes: the coefficients that give each operand its
+/// Reads the coefficients of a load's flat index over a chosen set of
+/// target loop variables, as if it were decomposed into
+/// `Base + sum(Coeff_v * v)` with everything else symbolic in Base. Each
+/// TensorIntrinsic reads its registers' lane strides with it, and operand
+/// generation and the cost model read the operation's strides along the
+/// mapped op axes: the coefficients that give each operand its
 /// vectorize/broadcast/unroll roles (the "loop variable ... and their
 /// coefficients in the index expression are exposed" interface of paper
-/// §III.C.2). Both read coefficients only (analyzeLinearCoeffs); the
-/// full decomposition with its Base serves tests as an independent
-/// oracle over lowered index expressions.
+/// §III.C.2). The analysis is coefficient-only: it builds no expression,
+/// Base included. The full decomposition with its Base lives in the tests
+/// (tests/LinearIndexOracle.h), as an independent oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,10 +29,9 @@
 
 namespace unit {
 
-/// Result of affine decomposition over target variables.
+/// Coefficients of an affine index over target variables.
 struct LinearIndex {
   bool Valid = false;
-  ExprRef Base; ///< Expression free of every target variable.
   std::map<const IterVarNode *, int64_t> Coeffs; ///< Per-target coefficients.
 
   /// Coefficient of \p IV (0 when absent).
@@ -42,16 +42,11 @@ struct LinearIndex {
   bool dependsOn(const IterVarNode *IV) const { return coeffOf(IV) != 0; }
 };
 
-/// Decomposes \p E as Base + sum(Coeff_v * v) for v in \p Targets.
-/// Returns Valid=false when \p E is not affine in the targets (a target
-/// multiplied by a non-constant, or inside a division/modulo).
-LinearIndex analyzeLinear(const ExprRef &E,
-                          const std::set<const IterVarNode *> &Targets);
-
-/// The coefficients analyzeLinear reports for \p Load's row-major flat
-/// index (tir/Lower.h's flattenIndex), combined per dimension from the
-/// tensor strides without building the flat expression. Valid=false under
-/// the same condition; Base is left null.
+/// The coefficients of \p Load's row-major flat index (tir/Lower.h's
+/// flattenIndex) over \p Targets, combined per dimension from the tensor
+/// strides without building the flat expression. Valid=false when an
+/// index is not affine in the targets (a target multiplied by a
+/// non-constant, or inside a division/modulo).
 LinearIndex analyzeLinearCoeffs(const LoadNode *Load,
                                 const std::set<const IterVarNode *> &Targets);
 

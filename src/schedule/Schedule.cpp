@@ -132,12 +132,11 @@ ForKind Schedule::annotation(const IterVar &IV) const {
   return It == Annotations.end() ? ForKind::Serial : It->second;
 }
 
-std::vector<std::pair<std::string, std::string>>
+const std::vector<std::pair<std::string, std::string>> &
 Schedule::pragmas(const IterVar &IV) const {
+  static const std::vector<std::pair<std::string, std::string>> None;
   auto It = Pragmas.find(IV.get());
-  return It == Pragmas.end()
-             ? std::vector<std::pair<std::string, std::string>>{}
-             : It->second;
+  return It == Pragmas.end() ? None : It->second;
 }
 
 Schedule::Resolution Schedule::resolve(const VarSubst &LeafValues) const {

@@ -108,14 +108,15 @@ public:
   void annotate(const IterVar &IV, ForKind K);
 
   /// Attaches a pragma (e.g. {"tensorize", "<intrinsic name>"}) to a leaf;
-  /// lowering wraps the loop in a Pragma node for the Replacer to find.
+  /// lowering wraps the loop in a Pragma node (for `tensorize`, an empty
+  /// one in its place, which the Replacer fills).
   void pragma(const IterVar &IV, std::string Key, std::string Value);
 
   /// The annotation of a leaf (Serial when unset).
   ForKind annotation(const IterVar &IV) const;
 
   /// Pragmas attached to a leaf (empty when none).
-  std::vector<std::pair<std::string, std::string>>
+  const std::vector<std::pair<std::string, std::string>> &
   pragmas(const IterVar &IV) const;
 
   /// Reconstructs each *root* axis value, and the residue-guard predicate

@@ -5,7 +5,9 @@
 #include "ir/ExprVisitor.h"
 #include "support/ErrorHandling.h"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 
 using namespace unit;
 
@@ -17,12 +19,6 @@ ExprRef unit::flattenIndex(const TensorRef &Buf,
   for (size_t I = 0; I < Indices.size(); ++I)
     Flat = Flat + Indices[I] * makeIntImm(Strides[I]);
   return Flat;
-}
-
-ExprRef unit::flattenLoad(const LoadNode *Load) {
-  if (Load->Indices.size() == 1)
-    return makeVectorLoad(Load->Buf, Load->Indices.front());
-  return makeVectorLoad(Load->Buf, flattenIndex(Load->Buf, Load->Indices));
 }
 
 namespace {
@@ -76,12 +72,12 @@ ExprRef combinerIdentity(ReduceKind K, DataType DType) {
   unit_unreachable("unknown reduce kind");
 }
 
-} // namespace
-
-StmtRef unit::lower(const Schedule &S) {
+/// The scalar main-nest body: `out = combine(out, source)` (or the
+/// elementwise body) over the resolved root axes, inside its residue
+/// guards.
+StmtRef scalarBody(const Schedule &S) {
   const ComputeOp &Op = *S.op();
   const TensorRef &Out = Op.output();
-
   Schedule::Resolution Resolved = S.resolve();
   const VarSubst &Roots = Resolved.Roots;
   FlattenMutator Flatten;
@@ -92,11 +88,8 @@ StmtRef unit::lower(const Schedule &S) {
     OutIdx.push_back(Roots.at(Axis.get()));
   ExprRef OutFlat = flattenIndex(Out, OutIdx);
 
-  const ReduceNode *Reduce = Op.reduceRoot();
-
-  // --- Main nest body ---
   ExprRef StoreValue;
-  if (Reduce) {
+  if (const ReduceNode *Reduce = Op.reduceRoot()) {
     ExprRef Source = Flatten.mutate(substitute(Reduce->Source, Roots));
     ExprRef Current = makeVectorLoad(Out, OutFlat);
     StoreValue =
@@ -112,14 +105,45 @@ StmtRef unit::lower(const Schedule &S) {
                              DataType::i32());
     Body = makeIfThenElse(std::move(Guard), std::move(Body));
   }
+  return Body;
+}
 
-  // Wrap the leaf loops inside-out.
-  for (auto It = S.leaves().rbegin(), E = S.leaves().rend(); It != E; ++It) {
-    const IterVar &Leaf = *It;
-    Body = makeFor(Leaf, S.annotation(Leaf), std::move(Body));
+/// Wraps \p Body in \p Leaf's pragmas, first pragma innermost.
+StmtRef wrapPragmas(const Schedule &S, const IterVar &Leaf, StmtRef Body) {
+  for (const auto &[Key, Value] : S.pragmas(Leaf))
+    Body = makePragma(Key, Value, std::move(Body));
+  return Body;
+}
+
+} // namespace
+
+StmtRef unit::lower(const Schedule &S) {
+  const ComputeOp &Op = *S.op();
+  const TensorRef &Out = Op.output();
+  const std::vector<IterVar> &Leaves = S.leaves();
+  const ReduceNode *Reduce = Op.reduceRoot();
+
+  // --- Main nest ---
+  // It stops at the outermost tensorize leaf: the Replacer fills that
+  // pragma's region with the tensorized call, so no scalar body and no
+  // loop is built at or below it.
+  auto Stop = std::find_if(Leaves.begin(), Leaves.end(), [&](auto &Leaf) {
     for (const auto &[Key, Value] : S.pragmas(Leaf))
-      Body = makePragma(Key, Value, std::move(Body));
-  }
+      if (Key == "tensorize")
+        return true;
+    return false;
+  });
+  StmtRef Body =
+      Stop == Leaves.end()
+          ? scalarBody(S)
+          : wrapPragmas(S, *Stop,
+                        std::make_shared<SeqNode>(std::vector<StmtRef>{}));
+
+  // Wrap the leaf loops above it inside-out.
+  for (auto It = std::make_reverse_iterator(Stop); It != Leaves.rend();
+       ++It)
+    Body = wrapPragmas(S, *It, makeFor(*It, S.annotation(*It),
+                                      std::move(Body)));
 
   if (!Reduce || Op.isInPlaceUpdate())
     return Body;
@@ -128,7 +152,7 @@ StmtRef unit::lower(const Schedule &S) {
   // Loops directly over the root data-parallel axes; the init value is the
   // reduce's Init expression or the combiner identity.
   ExprRef InitValue = Reduce->Init
-                          ? Flatten.mutate(Reduce->Init)
+                          ? FlattenMutator().mutate(Reduce->Init)
                           : combinerIdentity(Reduce->RKind,
                                              Out->dtype());
   std::vector<ExprRef> InitIdx;

@@ -15,6 +15,11 @@
 ///     offsets, residue guards wrapped in `likely`, loop annotations and
 ///     pragmas materialized.
 ///
+/// The main nest stops at the outermost `#pragma tensorize` leaf, whose
+/// pragma gets an empty body: no loop, store or guard is built at or below
+/// it. verifyTIR rejects the result until the Replacer (core/Replacer.h)
+/// fills the region, as lowerPlan does.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef UNIT_TIR_LOWER_H
@@ -27,10 +32,6 @@ namespace unit {
 
 /// Lowers \p S to tensor IR. Fatal-errors on malformed schedules.
 StmtRef lower(const Schedule &S);
-
-/// Flattens one DSL-level multi-index load into a single row-major index.
-/// Exposed for the Replacer, which builds operand expressions directly.
-ExprRef flattenLoad(const LoadNode *Load);
 
 /// Row-major flat index expression for \p Buf with \p Indices.
 ExprRef flattenIndex(const TensorRef &Buf, const std::vector<ExprRef> &Indices);

@@ -71,6 +71,12 @@ public:
     InScope.erase(N->LoopVar.get());
   }
 
+  void visitPragma(const PragmaNode *N) override {
+    if (N->Key == "tensorize" && Error.empty())
+      Error = "tensorize region for '" + N->Value + "' was never replaced";
+    StmtVisitor::visitPragma(N);
+  }
+
   void visitStore(const StoreNode *N) override {
     if (!Error.empty())
       return;

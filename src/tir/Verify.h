@@ -8,6 +8,9 @@
 /// Validates the tensor IR constraints of paper §II.C.3: canonical loops
 /// with distinct variables, flattened restrict accesses, no Reduce nodes,
 /// every variable dominated by its loop, and lane-consistent vector stores.
+/// A `tensorize` pragma still present is an error: lower() leaves its
+/// region empty for the Replacer, so the program would compute nothing
+/// there.
 ///
 //===----------------------------------------------------------------------===//
 

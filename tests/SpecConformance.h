@@ -32,11 +32,11 @@
 #ifndef UNIT_TESTS_SPECCONFORMANCE_H
 #define UNIT_TESTS_SPECCONFORMANCE_H
 
+#include "LinearIndexOracle.h"
 #include "core/Inspector.h"
 #include "core/OperandGen.h"
 #include "graph/Layout.h"
 #include "ir/ExprUtil.h"
-#include "ir/LinearIndex.h"
 #include "models/ModelZoo.h"
 #include "runtime/CompilerSession.h"
 #include "server/CompileClient.h"
@@ -319,11 +319,11 @@ inline void checkAnalyticScoring(const TargetSpec &Spec, const TunedView &View,
 /// generateOperand Roles, summed over the registers. The strides behind
 /// those roles are derived here independently of the shared coefficient
 /// rule (opLaneStrides): the access substituted with the plan's root
-/// bindings, flattened, and decomposed by analyzeLinear over the
-/// tile-inner loops. Each recorded role is Broadcast exactly where that
-/// access is invariant, and the roles equal operandRoles of those
-/// strides, so a coefficient rule that is wrong for the count and the
-/// lowering alike fails here.
+/// bindings, flattened, and decomposed by the test-side analyzeLinear
+/// (LinearIndexOracle.h) over the tile-inner loops. Each recorded role
+/// is Broadcast exactly where that access is invariant, and the roles
+/// equal operandRoles of those strides, so a coefficient rule that is
+/// wrong for the count and the lowering alike fails here.
 inline void checkLoadCountParity(const TunedView &View,
                                  const std::string &What) {
   TensorizePlan Plan = reorganizeLoops(View.Op, View.Match);
@@ -344,7 +344,7 @@ inline void checkLoadCountParity(const TunedView &View,
     std::vector<ExprRef> Idx;
     for (const ExprRef &I : B.OpLoad->Indices)
       Idx.push_back(substitute(I, Roots));
-    LinearIndex OLI =
+    LinearDecomposition OLI =
         analyzeLinear(flattenIndex(B.OpLoad->Buf, Idx), InnerVars);
     ASSERT_TRUE(OLI.Valid) << What;
     const RegisterLayout &Layout =

@@ -1,10 +1,14 @@
 //===- tests/test_interp.cpp - Interpreter functional tests ---------------===//
 
 #include "TestUtil.h"
+#include "core/Pipeline.h"
 #include "interp/Interp.h"
 #include "tir/Lower.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 using namespace unit;
 using namespace unit::testutil;
@@ -184,6 +188,46 @@ TEST(Interp, ConcatLanes) {
   Value V = In.eval(makeConcat(
       {makeRamp(makeIntImm(0), 1, 2), makeRamp(makeIntImm(10), 1, 2)}));
   EXPECT_EQ(V.Ints, (std::vector<int64_t>{0, 1, 10, 11}));
+}
+
+TEST(Interp, ConcurrentTensorizedRunsAreBitExact) {
+  // Two threads interpret a VNNI-tensorized kernel at once, from a cold
+  // cache of lowered instruction semantics, which they then share.
+  OpFixture F = makeConv2D(6, 6, 8, 16, 3, 3);
+  std::optional<CompiledKernel> K = compileWithIntrinsic(
+      F.Op, IntrinsicRegistry::instance().lookup("vnni.vpdpbusd"));
+  ASSERT_TRUE(K.has_value());
+
+  constexpr int Threads = 2, Runs = 6;
+  std::vector<std::vector<int64_t>> Refs;
+  for (int T = 0; T < Threads; ++T) {
+    SplitMix64 Rng(40 + T);
+    Buffer A(F.Inputs[0]), B(F.Inputs[1]), C(F.Output);
+    A.fillRandom(Rng);
+    B.fillRandom(Rng);
+    runComputeOpReference(
+        F.Op, {{F.Inputs[0], &A}, {F.Inputs[1], &B}, {F.Output, &C}});
+    std::vector<int64_t> Out;
+    for (int64_t I = 0; I < C.size(); ++I)
+      Out.push_back(C.getInt(I));
+    Refs.push_back(std::move(Out));
+  }
+
+  std::atomic<int> Ready{0};
+  std::atomic<int> Mismatched{0};
+  std::vector<std::thread> Pool;
+  for (int T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      ++Ready;
+      while (Ready < Threads)
+        std::this_thread::yield();
+      for (int R = 0; R < Runs; ++R)
+        if (runToInts(F, K->TIR, 40 + T) != Refs[T])
+          ++Mismatched;
+    });
+  for (std::thread &T : Pool)
+    T.join();
+  EXPECT_EQ(Mismatched, 0);
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 //===- tests/test_lower.cpp - Lowering to tensor IR tests -----------------===//
 
 #include "TestUtil.h"
+#include "core/Pipeline.h"
 #include "tir/Lower.h"
 #include "tir/StmtVisitor.h"
 #include "tir/TIRPrinter.h"
@@ -32,6 +33,13 @@ struct Walker : StmtVisitor {
     StmtVisitor::visitPragma(N);
   }
 };
+
+/// The reorganized VNNI plan of \p F, as the Rewriter leaves it.
+TensorizePlan vnniPlan(const OpFixture &F) {
+  std::optional<MatchResult> M = inspect(
+      F.Op, IntrinsicRegistry::instance().lookup("vnni.vpdpbusd"));
+  return reorganizeLoops(F.Op, M.value());
+}
 
 TEST(Lower, ReductionEmitsInitAndMainNest) {
   OpFixture F = makeMatmulU8I8(4, 4, 8);
@@ -155,6 +163,63 @@ TEST(Lower, InPlaceUpdateSkipsInit) {
   Walker W;
   W.visit(L);
   EXPECT_EQ(W.Stores, 1);
+}
+
+TEST(Lower, TensorizeRegionIsLeftForTheReplacer) {
+  OpFixture F = makeConv2D(8, 8, 8, 16, 3, 3);
+  TensorizePlan Plan = vnniPlan(F);
+  // x has extent 6: a split by 4 leaves a residue, which a scalar
+  // lowering would guard.
+  Plan.Sched->split(F.Op->axes()[0], 4);
+  const Schedule &S = *Plan.Sched;
+  StmtRef L = lower(S);
+  ASSERT_TRUE(isa<SeqNode>(L));
+  const std::vector<StmtRef> &Parts = cast<SeqNode>(L)->Stmts;
+  ASSERT_EQ(Parts.size(), 2u);
+
+  // The init nest is the one every schedule of the op gets.
+  StmtRef Default = lower(Schedule(F.Op));
+  ASSERT_TRUE(isa<SeqNode>(Default));
+  EXPECT_EQ(stmtToString(Parts[0]),
+            stmtToString(cast<SeqNode>(Default)->Stmts[0]));
+
+  // The main nest: the loops above the pragma leaf around an empty
+  // region, with no store and no guard.
+  std::vector<std::string> Outer;
+  for (const IterVar &Leaf : S.leaves()) {
+    if (!S.pragmas(Leaf).empty())
+      break;
+    Outer.push_back(Leaf->name());
+  }
+  ASSERT_LT(Outer.size(), S.leaves().size());
+  Walker W;
+  W.visit(Parts[1]);
+  EXPECT_EQ(W.LoopNames, Outer);
+  EXPECT_EQ(W.Stores, 0);
+  EXPECT_EQ(W.Ifs, 0);
+  EXPECT_EQ(W.Pragmas, 1);
+  std::string Text = stmtToString(Parts[1]);
+  EXPECT_EQ(Text.substr(Text.rfind('\n', Text.size() - 2) + 1),
+            std::string(Outer.size() * 2, ' ') +
+                "#pragma tensorize vnni.vpdpbusd\n")
+      << Text;
+
+  // The Replacer fills the region and re-establishes the guard.
+  Walker Filled;
+  Filled.visit(lowerPlan(Plan));
+  EXPECT_EQ(Filled.Pragmas, 0);
+  EXPECT_EQ(Filled.Stores, 2);
+  EXPECT_EQ(Filled.Ifs, 1);
+}
+
+TEST(Verify, CatchesUnfilledTensorizeRegion) {
+  OpFixture F = makeConv2D(8, 8, 8, 16, 3, 3);
+  TensorizePlan Plan = vnniPlan(F);
+  VerifyResult R = verifyTIR(lower(*Plan.Sched));
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.Error.find("'vnni.vpdpbusd'"), std::string::npos) << R.Error;
+  R = verifyTIR(lowerPlan(Plan));
+  EXPECT_TRUE(R.ok()) << R.Error;
 }
 
 TEST(Verify, CatchesUnflattenedLoad) {

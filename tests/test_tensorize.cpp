@@ -284,6 +284,77 @@ uint64_t fnv1a64(const std::string &Text, uint64_t Hash) {
   return Hash;
 }
 
+/// The plan of \p View's tuned winner on \p Spec, as the backend builds
+/// it.
+TensorizePlan winnerPlan(const TargetSpec &Spec, const TunedView &View) {
+  bool Cpu = Spec.Engine == TargetSpec::EngineKind::CpuDot;
+  TunedKernel Tuned = Cpu ? tuneCpu(View.Op, View.Match, Spec.Cpu)
+                          : tuneGpu(View.Op, View.Match, Spec.Gpu);
+  EXPECT_GE(Tuned.BestCandidateIndex, 0) << Spec.Id;
+  auto Best = static_cast<size_t>(std::max(Tuned.BestCandidateIndex, 0));
+  return Cpu ? buildCpuPlan(View.Op, View.Match,
+                            defaultCpuTuningPairs()[Best])
+             : buildGpuPlan(View.Op, View.Match,
+                            defaultGpuTuningConfigs()[Best]);
+}
+
+/// Outputs of \p TIR that differ from runComputeOpReference of \p Op on
+/// the same seeded inputs. Float inputs are small integers, so every sum
+/// is exact in any order.
+int64_t mismatchesAgainstReference(const ComputeOpRef &Op,
+                                   const StmtRef &TIR, uint64_t Seed) {
+  SplitMix64 Rng(Seed);
+  std::vector<std::unique_ptr<Buffer>> Inputs;
+  std::vector<std::pair<TensorRef, Buffer *>> Bindings;
+  Interp In;
+  for (const TensorRef &T : Op->inputs()) {
+    Inputs.push_back(std::make_unique<Buffer>(T));
+    Buffer &B = *Inputs.back();
+    if (T->dtype().isFloat())
+      for (int64_t I = 0; I < B.size(); ++I)
+        B.setFloat(I, static_cast<double>(Rng.uniform(-4, 4)));
+    else
+      B.fillRandom(Rng);
+    In.bind(T, &B);
+    Bindings.emplace_back(T, &B);
+  }
+  Buffer Out(Op->output()), Ref(Op->output());
+  In.bind(Op->output(), &Out);
+  In.run(TIR);
+  Bindings.emplace_back(Op->output(), &Ref);
+  runComputeOpReference(Op, Bindings);
+  bool Float = Op->output()->dtype().isFloat();
+  int64_t Mismatches = 0;
+  for (int64_t I = 0; I < Out.size(); ++I)
+    Mismatches += Float ? Out.getFloat(I) != Ref.getFloat(I)
+                        : Out.getInt(I) != Ref.getInt(I);
+  return Mismatches;
+}
+
+TEST(Tensorize, TunedSmallConvsRunBitExactOnEveryShippedTarget) {
+  // The tuned winner of every view of two small convs on each shipped
+  // target, lowered through lowerPlan and interpreted. The 5x5 output of
+  // the first leaves a residue under the tiles the tuners pick, so some
+  // of the kernels run behind the Replacer's guards.
+  ConvLayer Residue{"small.3x3", 16, 7, 7, 16, 3, 3, 1, 0, 0, false};
+  ConvLayer Pointwise{"small.1x1", 32, 4, 4, 16, 1, 1, 1, 0, 0, false};
+  size_t Guarded = 0;
+  for (const std::string &Id : shippedTargetIds()) {
+    TargetSpec Spec = TargetRegistry::instance().specFor(Id);
+    size_t Kernels = 0;
+    for (const ConvLayer &L : {Residue, Pointwise})
+      for (const TunedView &View : tunedConvViews(Spec, L)) {
+        StmtRef TIR = lowerPlan(winnerPlan(Spec, View));
+        Guarded += stmtToString(TIR).find("likely(") != std::string::npos;
+        EXPECT_EQ(mismatchesAgainstReference(View.Op, TIR, 7 + Kernels), 0)
+            << Id << " " << L.Name << " " << View.Match.Intrinsic->name();
+        ++Kernels;
+      }
+    EXPECT_GT(Kernels, 0u) << Id;
+  }
+  EXPECT_GT(Guarded, 0u);
+}
+
 TEST(ReplacerOutput, ZooWinnersLowerToTheRecordedTIR) {
   // The Replacer's output for the tuned winner of every distinct
   // non-depthwise zoo conv (depthwise layers fall back to SIMD) on every
