@@ -3,9 +3,12 @@
 #include "core/Inspector.h"
 
 #include "ir/ExprUtil.h"
+#include "ir/LinearIndex.h"
 #include "support/ErrorHandling.h"
 
 #include <algorithm>
+#include <iterator>
+#include <set>
 
 using namespace unit;
 
@@ -147,9 +150,35 @@ std::optional<MatchResult> unit::inspect(const ComputeOpRef &Op,
   MatchResult Result;
   Result.Intrinsic = Intr;
   Result.Iso = std::move(Iso);
-  Result.Mapping = Feasible.front();
-  Result.Alternatives.assign(Feasible.begin() + 1, Feasible.end());
+  Result.Mapping = std::move(Feasible.front());
+  Result.Alternatives.assign(std::make_move_iterator(Feasible.begin() + 1),
+                             std::make_move_iterator(Feasible.end()));
+  // The strides of each input register under the chosen mapping, once per
+  // match: the cost model counts loads from them and operand generation
+  // builds the operands from them.
+  for (OperandBinding &B : Result.Iso.Bindings)
+    if (!B.IsAccumulator)
+      B.LaneStrides = opLaneStrides(
+          Result.Mapping, Intr->laneLayout(B.InstrLoad), B.OpLoad);
   return Result;
+}
+
+std::vector<int64_t> unit::opLaneStrides(const AxisMapping &Mapping,
+                                         const RegisterLayout &Layout,
+                                         const LoadNode *OpLoad) {
+  std::set<const IterVarNode *> MappedOpAxes;
+  for (const auto &[OpAxis, InstrAxis] : Mapping.Pairs)
+    MappedOpAxes.insert(OpAxis.get());
+  LinearIndex OLI = analyzeLinearCoeffs(OpLoad, MappedOpAxes);
+  if (!OLI.Valid)
+    reportFatalError("operand generation: operation access is not affine in "
+                     "the tensorized loops");
+  std::vector<int64_t> Strides;
+  Strides.reserve(Layout.Axes.size());
+  for (const LaneAxis &Axis : Layout.Axes)
+    Strides.push_back(
+        OLI.coeffOf(Mapping.opAxisFor(Axis.InstrAxis.get()).get()));
+  return Strides;
 }
 
 std::vector<MatchResult> unit::inspectTarget(const ComputeOpRef &Op,

@@ -45,13 +45,25 @@ struct AxisMapping {
   IterVar instrAxisFor(const IterVarNode *OpAxis) const;
 };
 
-/// A successful applicability result.
+/// A successful applicability result. Each input binding of Iso carries
+/// its LaneStrides under Mapping.
 struct MatchResult {
   TensorIntrinsicRef Intrinsic;
   IsoResult Iso;
   AxisMapping Mapping;                   ///< Greedy innermost-first choice.
   std::vector<AxisMapping> Alternatives; ///< Other feasible mappings.
 };
+
+/// The operation's flat-index stride along each axis of \p Layout, in
+/// layout order: the coefficient, in \p OpLoad's row-major flat index, of
+/// the operation axis \p Mapping maps to that instruction axis (0 where
+/// the access is invariant). A tile-inner loop has coefficient 1 in its
+/// root axis whatever the schedule does to the outer loops, so this is
+/// also the access's stride along the tile-inner loop. Fatal-errors when
+/// \p OpLoad is not affine in the mapped axes.
+std::vector<int64_t> opLaneStrides(const AxisMapping &Mapping,
+                                   const RegisterLayout &Layout,
+                                   const LoadNode *OpLoad);
 
 /// Inspects one (operation, instruction) pair. Returns std::nullopt with
 /// no side effects when inapplicable; \p WhyNot (optional) receives the

@@ -37,6 +37,11 @@ struct OperandBinding {
   /// own output (instruction init `c[i] +` matched against an identity
   /// init, or an in-place `+=` instruction).
   bool IsAccumulator = false;
+  /// The operation's flat-index stride along each lane axis of the
+  /// register, in lane-layout order: opLaneStrides (core/Inspector.h)
+  /// under the match's mapping, which inspect() records once per match.
+  /// Empty for the accumulator and before a mapping is chosen.
+  std::vector<int64_t> LaneStrides;
 };
 
 /// Result of the compute-isomorphism check.

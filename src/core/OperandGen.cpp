@@ -3,35 +3,60 @@
 #include "core/OperandGen.h"
 
 #include "ir/ExprUtil.h"
-#include "ir/LinearIndex.h"
 #include "support/ErrorHandling.h"
 #include "tir/Lower.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace unit;
 
 namespace {
 
-/// Recursively builds the flat index vector for one register, walking the
-/// lane axes of \p Layout from slowest- to fastest-varying as \p Roles
-/// assigns them (not the contiguous form). Returns an i32 vector
-/// expression whose lane count is the product of the axis extents.
+/// True when the access is *contiguous in lane order*: every lane axis is
+/// depended on and its buffer stride is proportional to its lane stride,
+/// so the whole register fills with one strided vector access. This is
+/// what the paper's blocked data layouts (NCHW[x]c / KCRS[y]k[x]c, §V.C)
+/// buy: the register block is one load, not an unrolled gather.
+bool isContiguous(const RegisterLayout &Layout,
+                  const std::vector<int64_t> &OpStrides) {
+  const std::vector<LaneAxis> &Axes = Layout.Axes;
+  if (OpStrides.size() != Axes.size())
+    reportFatalError("operand generation: no operation stride recorded for "
+                     "each lane axis (was the match built by inspect?)");
+  if (Axes.empty() || OpStrides.back() == 0)
+    return false;
+  for (size_t D = 0; D < Axes.size(); ++D)
+    if (OpStrides[D] != OpStrides.back() * Axes[D].LaneCoeff)
+      return false;
+  return true;
+}
+
+/// The role of lane axis \p D of a non-contiguous access: broadcast where
+/// the access is invariant, vectorize the last axis, unroll the interior
+/// ones.
+OperandAxisRole axisRole(const std::vector<int64_t> &OpStrides, size_t D) {
+  return OpStrides[D] == 0          ? OperandAxisRole::Broadcast
+         : D + 1 == OpStrides.size() ? OperandAxisRole::Vectorize
+                                     : OperandAxisRole::Unroll;
+}
+
+/// Recursively builds the flat index vector for one non-contiguous
+/// register, walking the lane axes of \p Layout from slowest- to
+/// fastest-varying with their axisRole. Returns an i32 vector expression
+/// whose lane count is the product of the axis extents.
 ExprRef buildIndexVector(const RegisterLayout &Layout,
-                         const std::vector<int64_t> &OpStrides,
-                         const OperandRoles &Roles, size_t Depth,
+                         const std::vector<int64_t> &OpStrides, size_t Depth,
                          ExprRef Base) {
   if (Depth == Layout.Axes.size())
     return Base;
   auto Extent =
       static_cast<unsigned>(Layout.Axes[Depth].InstrAxis->extent());
-  switch (Roles.PerAxis[Depth]) {
+  switch (axisRole(OpStrides, Depth)) {
   case OperandAxisRole::Broadcast: {
     // Tile-repeat broadcast: the same inner pattern fills every step of
     // this (slower-varying) axis.
     ExprRef Inner =
-        buildIndexVector(Layout, OpStrides, Roles, Depth + 1, Base);
+        buildIndexVector(Layout, OpStrides, Depth + 1, std::move(Base));
     if (Extent == 1)
       return Inner;
     return makeBroadcast(std::move(Inner), Extent);
@@ -48,7 +73,7 @@ ExprRef buildIndexVector(const RegisterLayout &Layout,
     for (unsigned T = 0; T < Extent; ++T) {
       ExprRef Stepped =
           Base + makeIntImm(static_cast<int64_t>(T) * OpStrides[Depth]);
-      Parts.push_back(buildIndexVector(Layout, OpStrides, Roles, Depth + 1,
+      Parts.push_back(buildIndexVector(Layout, OpStrides, Depth + 1,
                                        std::move(Stepped)));
     }
     return makeConcat(std::move(Parts));
@@ -57,22 +82,15 @@ ExprRef buildIndexVector(const RegisterLayout &Layout,
   unit_unreachable("unknown operand axis role");
 }
 
-/// The flat index vector of one register: one strided access when every
-/// axis vectorizes (the contiguous form), else the per-axis walk.
+/// The flat index vector of one register: one strided access when the
+/// access is contiguous, else the per-axis walk.
 ExprRef buildIndex(const RegisterLayout &Layout,
-                   const std::vector<int64_t> &OpStrides,
-                   const OperandRoles &Roles, const ExprRef &Base) {
-  bool Contiguous =
-      !Layout.Axes.empty() &&
-      std::all_of(Roles.PerAxis.begin(), Roles.PerAxis.end(),
-                  [](OperandAxisRole R) {
-                    return R == OperandAxisRole::Vectorize;
-                  });
-  if (!Contiguous)
-    return buildIndexVector(Layout, OpStrides, Roles, 0, Base);
+                   const std::vector<int64_t> &OpStrides, ExprRef Base) {
+  if (!isContiguous(Layout, OpStrides))
+    return buildIndexVector(Layout, OpStrides, 0, std::move(Base));
   if (Layout.Lanes == 1)
     return Base;
-  return makeRamp(Base, OpStrides.back(),
+  return makeRamp(std::move(Base), OpStrides.back(),
                   static_cast<unsigned>(Layout.Lanes));
 }
 
@@ -80,34 +98,19 @@ ExprRef buildIndex(const RegisterLayout &Layout,
 
 OperandRoles unit::operandRoles(const RegisterLayout &Layout,
                                 const std::vector<int64_t> &OpStrides) {
-  assert(OpStrides.size() == Layout.Axes.size() && "one stride per axis");
   const std::vector<LaneAxis> &Axes = Layout.Axes;
   size_t N = Axes.size();
   OperandRoles Out;
-
-  // When the operation access is *contiguous in lane order* — every lane
-  // axis is depended on and its buffer stride is proportional to its lane
-  // stride — the whole register fills with one strided vector access.
-  // This is what the paper's blocked data layouts (NCHW[x]c /
-  // KCRS[y]k[x]c, §V.C) buy: the register block is one load, not an
-  // unrolled gather.
-  bool Contiguous = N > 0 && OpStrides.back() != 0;
-  for (size_t D = 0; D < N && Contiguous; ++D)
-    Contiguous = OpStrides[D] == OpStrides.back() * Axes[D].LaneCoeff;
-  if (Contiguous) {
+  if (isContiguous(Layout, OpStrides)) {
     Out.PerAxis.assign(N, OperandAxisRole::Vectorize);
     for (const LaneAxis &Axis : Axes)
       Out.Recorded.emplace_back(Axis.InstrAxis, OperandAxisRole::Vectorize);
     return Out;
   }
 
-  // Otherwise axis by axis: broadcast where the access is invariant,
-  // vectorize the last axis, unroll the interior ones.
   Out.PerAxis.reserve(N);
   for (size_t D = 0; D < N; ++D)
-    Out.PerAxis.push_back(OpStrides[D] == 0 ? OperandAxisRole::Broadcast
-                          : D + 1 == N      ? OperandAxisRole::Vectorize
-                                            : OperandAxisRole::Unroll);
+    Out.PerAxis.push_back(axisRole(OpStrides, D));
 
   // The recorded roles stop at the first axis that is not broadcast: the
   // unrolled parts below it are generated without recording.
@@ -124,24 +127,6 @@ OperandRoles unit::operandRoles(const RegisterLayout &Layout,
   return Out;
 }
 
-std::vector<int64_t> unit::opLaneStrides(const AxisMapping &Mapping,
-                                         const RegisterLayout &Layout,
-                                         const LoadNode *OpLoad) {
-  std::set<const IterVarNode *> MappedOpAxes;
-  for (const auto &[OpAxis, InstrAxis] : Mapping.Pairs)
-    MappedOpAxes.insert(OpAxis.get());
-  LinearIndex OLI = analyzeLinearCoeffs(OpLoad, MappedOpAxes);
-  if (!OLI.Valid)
-    reportFatalError("operand generation: operation access is not affine in "
-                     "the tensorized loops");
-  std::vector<int64_t> Strides;
-  Strides.reserve(Layout.Axes.size());
-  for (const LaneAxis &Axis : Layout.Axes)
-    Strides.push_back(
-        OLI.coeffOf(Mapping.opAxisFor(Axis.InstrAxis.get()).get()));
-  return Strides;
-}
-
 ExprRef unit::generateOutputIndex(const TensorizePlan &Plan,
                                   const VarSubst &Origin) {
   const ComputeOp &Op = *Plan.Sched->op();
@@ -150,7 +135,9 @@ ExprRef unit::generateOutputIndex(const TensorizePlan &Plan,
   // The output access is the identity over Op.axes(), so a lane's stride
   // is the output tensor's stride along the mapped axis.
   const std::vector<IterVar> &Axes = Op.axes();
-  std::vector<int64_t> Strides = Op.output()->strides(), OpStrides;
+  const std::vector<int64_t> &Strides = Op.output()->strides();
+  std::vector<int64_t> OpStrides;
+  OpStrides.reserve(Layout.Axes.size());
   for (const LaneAxis &Axis : Layout.Axes) {
     auto It = std::find(Axes.begin(), Axes.end(),
                         Plan.Match.Mapping.opAxisFor(Axis.InstrAxis.get()));
@@ -160,11 +147,34 @@ ExprRef unit::generateOutputIndex(const TensorizePlan &Plan,
                        Axis.InstrAxis->name() + "'");
     OpStrides.push_back(Strides[It - Axes.begin()]);
   }
-  std::vector<ExprRef> AtOrigin;
-  for (const IterVar &Axis : Axes)
-    AtOrigin.push_back(Origin.at(Axis.get()));
-  return buildIndex(Layout, OpStrides, operandRoles(Layout, OpStrides),
-                    flattenIndex(Op.output(), AtOrigin));
+  return buildIndex(Layout, OpStrides,
+                    flattenIndexBy(Op.output(), [&](size_t I) {
+                      return Origin.at(Axes[I].get());
+                    }));
+}
+
+ExprRef unit::generateOperandExpr(const TensorizePlan &Plan,
+                                  const OperandBinding &Binding,
+                                  const VarSubst &Origin,
+                                  const ExprRef &AccumIndex) {
+  // The accumulator register is fed the operation's own output region.
+  if (Binding.IsAccumulator)
+    return makeVectorLoad(Plan.Sched->op()->output(), AccumIndex);
+
+  const LoadNode *OpLoad = Binding.OpLoad;
+  const RegisterLayout &Layout =
+      Plan.Match.Intrinsic->laneLayout(Binding.InstrLoad);
+  ExprRef Base = flattenIndexBy(OpLoad->Buf, [&](size_t I) {
+    return substitute(OpLoad->Indices[I], Origin);
+  });
+  ExprRef Operand = makeVectorLoad(
+      OpLoad->Buf, buildIndex(Layout, Binding.LaneStrides, std::move(Base)));
+  if (static_cast<int64_t>(Operand->dtype().lanes()) !=
+      Binding.InstrTensor->numElements())
+    reportFatalError("operand generation: lane count does not fill "
+                     "register '" +
+                     Binding.InstrTensor->name() + "'");
+  return Operand;
 }
 
 OperandInfo unit::generateOperand(const TensorizePlan &Plan,
@@ -173,36 +183,15 @@ OperandInfo unit::generateOperand(const TensorizePlan &Plan,
                                   const ExprRef &AccumIndex) {
   OperandInfo Info;
   Info.InstrTensor = Binding.InstrTensor;
-
+  Info.Operand = generateOperandExpr(Plan, Binding, Origin, AccumIndex);
   if (Binding.IsAccumulator) {
-    // The accumulator register is fed the operation's own output region.
-    Info.Operand =
-        makeVectorLoad(Plan.Sched->op()->output(), AccumIndex);
     for (const IterVar &InstrAxis :
          Plan.Match.Intrinsic->semantics()->axes())
       Info.Roles.emplace_back(InstrAxis, OperandAxisRole::Vectorize);
     return Info;
   }
-
-  const LoadNode *OpLoad = Binding.OpLoad;
-  const RegisterLayout &Layout =
-      Plan.Match.Intrinsic->laneLayout(Binding.InstrLoad);
-  std::vector<int64_t> OpStrides =
-      opLaneStrides(Plan.Match.Mapping, Layout, OpLoad);
-  OperandRoles Roles = operandRoles(Layout, OpStrides);
-
-  std::vector<ExprRef> AtOrigin;
-  AtOrigin.reserve(OpLoad->Indices.size());
-  for (const ExprRef &I : OpLoad->Indices)
-    AtOrigin.push_back(substitute(I, Origin));
-  ExprRef Base = flattenIndex(OpLoad->Buf, AtOrigin);
-  Info.Operand = makeVectorLoad(OpLoad->Buf,
-                                buildIndex(Layout, OpStrides, Roles, Base));
-  Info.Roles = std::move(Roles.Recorded);
-  if (static_cast<int64_t>(Info.Operand->dtype().lanes()) !=
-      Binding.InstrTensor->numElements())
-    reportFatalError("operand generation: lane count does not fill "
-                     "register '" +
-                     Binding.InstrTensor->name() + "'");
+  Info.Roles = operandRoles(Plan.Match.Intrinsic->laneLayout(Binding.InstrLoad),
+                            Binding.LaneStrides)
+                   .Recorded;
   return Info;
 }

@@ -24,7 +24,8 @@
 /// The register side of the rule, the lane layout, belongs to the
 /// instruction and is computed once per TensorIntrinsic
 /// (TensorIntrinsic::laneLayout). The operation side is the access's
-/// stride along each mapped loop, read from the match (opLaneStrides).
+/// stride along each mapped loop, which inspect() records on the match
+/// (OperandBinding::LaneStrides, from opLaneStrides).
 /// operandRoles turns both into roles; the cost model (perf/CostModel.h)
 /// counts loads from the same strides and roles, so its LoadsPerCall and
 /// the generated operands cannot disagree. Only the base index of an
@@ -71,17 +72,6 @@ struct OperandRoles {
   int64_t Loads = 1;
 };
 
-/// The operation's flat-index stride along each axis of \p Layout, in
-/// layout order: the coefficient, in \p OpLoad's row-major flat index, of
-/// the operation axis \p Mapping maps to that instruction axis (0 where
-/// the access is invariant). A tile-inner loop has coefficient 1 in its
-/// root axis whatever the schedule does to the outer loops, so this is
-/// also the access's stride along the tile-inner loop. Fatal-errors when
-/// \p OpLoad is not affine in the mapped axes.
-std::vector<int64_t> opLaneStrides(const AxisMapping &Mapping,
-                                   const RegisterLayout &Layout,
-                                   const LoadNode *OpLoad);
-
 /// The role rule shared by generateOperand and the cost model.
 /// \p OpStrides holds the operation's flat-index stride along each axis
 /// of \p Layout, in layout order (0 where the access is invariant).
@@ -92,14 +82,21 @@ OperandRoles operandRoles(const RegisterLayout &Layout,
 ///
 /// The register's lane layout is the instruction's own
 /// (TensorIntrinsic::laneLayout of \p Binding's InstrLoad), its strides
-/// come from opLaneStrides and its roles from operandRoles. \p Origin is
-/// the final schedule's root-axis bindings at the tile origin:
-/// Schedule::resolve with every tile-inner loop of \p Plan bound to 0
-/// (outer loop variables stay symbolic). The operation access flattened
-/// under it is the operand's base index. For the accumulator register,
-/// pass the operation output access via \p AccumIndex (the flat vector
-/// index into the output buffer).
+/// are the ones the match recorded (OperandBinding::LaneStrides) and its
+/// roles come from operandRoles. \p Origin is the final schedule's
+/// root-axis bindings at the tile origin: Schedule::resolve with every
+/// tile-inner loop of \p Plan bound to 0 (outer loop variables stay
+/// symbolic). The operation access flattened under it is the operand's
+/// base index. For the accumulator register, pass the operation output
+/// access via \p AccumIndex (the flat vector index into the output
+/// buffer).
 OperandInfo generateOperand(const TensorizePlan &Plan,
+                            const OperandBinding &Binding,
+                            const VarSubst &Origin, const ExprRef &AccumIndex);
+
+/// generateOperand's Operand alone, what the Replacer passes to the call:
+/// the same expression, with no role list built.
+ExprRef generateOperandExpr(const TensorizePlan &Plan,
                             const OperandBinding &Binding,
                             const VarSubst &Origin, const ExprRef &AccumIndex);
 

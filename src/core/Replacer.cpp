@@ -48,21 +48,22 @@ StmtRef unit::replaceTensorized(const StmtRef &Lowered,
   // accesses flatten to their operands' base indices there, and the
   // residue guards only read outer loops.
   VarSubst Origin;
+  Origin.reserve(Plan.InnerVarOf.size());
   for (const auto &[InstrAxis, Inner] : Plan.InnerVarOf)
-    Origin[Inner.get()] = makeIntImm(0);
+    Origin.emplace(Inner.get(), makeIntImm(0));
   Schedule::Resolution Resolved = S.resolve(Origin);
   ExprRef OutIdx = generateOutputIndex(Plan, Resolved.Roots);
 
   // Register operands in the semantics' input order (the convention the
   // interpreter's emulation expects, interp/Interp.cpp).
   std::vector<ExprRef> Args;
+  Args.reserve(Sem.inputs().size() + 1);
   for (const TensorRef &InstrInput : Sem.inputs()) {
     const OperandBinding *B = Plan.Match.Iso.bindingFor(InstrInput);
     if (!B)
       reportFatalError("replacer: no binding for instruction register '" +
                        InstrInput->name() + "'");
-    OperandInfo Info = generateOperand(Plan, *B, Resolved.Roots, OutIdx);
-    Args.push_back(Info.Operand);
+    Args.push_back(generateOperandExpr(Plan, *B, Resolved.Roots, OutIdx));
   }
   if (Intr.accumulatesInPlace())
     Args.push_back(makeVectorLoad(Op.output(), OutIdx));

@@ -13,19 +13,24 @@ TensorizePlan unit::reorganizeLoops(const ComputeOpRef &Op,
                                     const MatchResult &Match) {
   TensorizePlan Plan;
   Plan.Sched = std::make_shared<Schedule>(Op);
-  Plan.Match = Match;
+  Plan.Match.Intrinsic = Match.Intrinsic;
+  Plan.Match.Iso = Match.Iso;
+  Plan.Match.Mapping = Match.Mapping;
   Schedule &S = *Plan.Sched;
 
   // Tile every mapped operation axis by the instruction axis extent. The
   // Inspector guaranteed divisibility, so no residue guards appear here.
-  for (const auto &[OpAxis, InstrAxis] : Match.Mapping.Pairs) {
-    Plan.InnerVarOf[InstrAxis.get()] =
-        S.split(OpAxis, InstrAxis->extent()).second;
-  }
+  Plan.InnerVarOf.reserve(Match.Mapping.Pairs.size());
+  for (const auto &[OpAxis, InstrAxis] : Match.Mapping.Pairs)
+    Plan.InnerVarOf.emplace(InstrAxis.get(),
+                            S.split(OpAxis, InstrAxis->extent()).second);
 
   // Inner loops in instruction order (data-parallel axes then reduce axes,
   // i.e. the semantics ComputeOp's own order).
-  for (const IterVar &InstrAxis : Match.Intrinsic->semantics()->allAxes()) {
+  const std::vector<IterVar> &InstrAxes =
+      Match.Intrinsic->semantics()->allAxes();
+  Plan.InnerLoops.reserve(InstrAxes.size());
+  for (const IterVar &InstrAxis : InstrAxes) {
     auto It = Plan.InnerVarOf.find(InstrAxis.get());
     assert(It != Plan.InnerVarOf.end() && "unmapped instruction axis");
     Plan.InnerLoops.push_back(It->second);
@@ -34,22 +39,23 @@ TensorizePlan unit::reorganizeLoops(const ComputeOpRef &Op,
   // Outer loops: every current leaf that is not a tensorized inner loop,
   // preserving relative order, partitioned data-parallel before reduce so
   // the reduction nest wraps the tensorized instruction (Fig. 7a).
-  std::vector<IterVar> Others;
-  for (const IterVar &Leaf : S.leaves()) {
+  // Each op axis leaves exactly one outer loop.
+  const std::vector<IterVar> &Leaves = S.leaves();
+  Plan.OuterDataParallel.reserve(Op->axes().size());
+  Plan.OuterReduce.reserve(Op->reduceAxes().size());
+  for (const IterVar &Leaf : Leaves) {
     if (std::find(Plan.InnerLoops.begin(), Plan.InnerLoops.end(), Leaf) !=
         Plan.InnerLoops.end())
       continue;
-    Others.push_back(Leaf);
-  }
-  for (const IterVar &IV : Others) {
-    if (IV->isReduce())
-      Plan.OuterReduce.push_back(IV);
-    else
-      Plan.OuterDataParallel.push_back(IV);
+    (Leaf->isReduce() ? Plan.OuterReduce : Plan.OuterDataParallel)
+        .push_back(Leaf);
   }
 
   // Final leaf order.
-  std::vector<IterVar> Order = Plan.OuterDataParallel;
+  std::vector<IterVar> Order;
+  Order.reserve(Leaves.size());
+  Order.insert(Order.end(), Plan.OuterDataParallel.begin(),
+               Plan.OuterDataParallel.end());
   Order.insert(Order.end(), Plan.OuterReduce.begin(), Plan.OuterReduce.end());
   Order.insert(Order.end(), Plan.InnerLoops.begin(), Plan.InnerLoops.end());
   S.reorder(Order);

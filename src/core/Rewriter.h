@@ -19,7 +19,6 @@
 #include "core/Inspector.h"
 #include "schedule/Schedule.h"
 
-#include <map>
 #include <memory>
 
 namespace unit {
@@ -27,10 +26,12 @@ namespace unit {
 /// A reorganized schedule poised for instruction replacement.
 struct TensorizePlan {
   std::shared_ptr<Schedule> Sched; ///< Shared so the Tuner can keep refining.
+  /// The match the plan realizes, without its Alternatives: a plan is
+  /// built for one mapping and lowering reads only that one.
   MatchResult Match;
 
   /// Tile-inner loop per instruction axis (these form the pragma region).
-  std::map<const IterVarNode *, IterVar> InnerVarOf;
+  FlatMap<const IterVarNode *, IterVar> InnerVarOf;
 
   /// Outer loops in leaf order, split by annotation kind.
   std::vector<IterVar> OuterDataParallel;

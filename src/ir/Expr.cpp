@@ -22,8 +22,24 @@ IterVar unit::makeReduceAxis(std::string Name, int64_t Extent) {
                                        IterKind::Reduce);
 }
 
+/// The i32 immediates every caller shares. Index arithmetic builds the
+/// same few constants (0, 1, tile factors, small strides) again and again,
+/// and nodes are immutable, so one node per value serves them all.
+static constexpr int64_t MinSharedImm = -128, MaxSharedImm = 1024;
+
 ExprRef unit::makeIntImm(int64_t Value, DataType DType) {
   assert(DType.isIntegral() && "integer immediate needs an integral type");
+  if (DType == DataType::i32() && Value >= MinSharedImm &&
+      Value <= MaxSharedImm) {
+    static const std::vector<ExprRef> Shared = [] {
+      std::vector<ExprRef> Nodes;
+      Nodes.reserve(MaxSharedImm - MinSharedImm + 1);
+      for (int64_t V = MinSharedImm; V <= MaxSharedImm; ++V)
+        Nodes.push_back(std::make_shared<IntImmNode>(V, DataType::i32()));
+      return Nodes;
+    }();
+    return Shared[static_cast<size_t>(Value - MinSharedImm)];
+  }
   return std::make_shared<IntImmNode>(Value, DType);
 }
 

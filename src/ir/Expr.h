@@ -286,6 +286,8 @@ public:
 // Factory helpers
 //===----------------------------------------------------------------------===//
 
+/// An integer immediate. Small i32 values (-128 to 1024) come from one
+/// shared node per value; any other value or type gets a fresh node.
 ExprRef makeIntImm(int64_t Value, DataType DType = DataType::i32());
 ExprRef makeFloatImm(double Value, DataType DType = DataType::f32());
 ExprRef makeVar(const IterVar &IV);

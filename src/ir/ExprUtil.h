@@ -15,8 +15,8 @@
 #define UNIT_IR_EXPRUTIL_H
 
 #include "ir/Expr.h"
+#include "support/FlatMap.h"
 
-#include <map>
 #include <vector>
 
 namespace unit {
@@ -25,8 +25,9 @@ namespace unit {
 /// variables compare by IterVar identity and tensors by TensorNode identity.
 bool structuralEqual(const ExprRef &A, const ExprRef &B);
 
-/// Substitution map keyed by IterVar node identity.
-using VarSubst = std::map<const IterVarNode *, ExprRef>;
+/// Substitution map keyed by IterVar node identity: a flat table, since
+/// a schedule binds at most a few dozen loop variables.
+using VarSubst = FlatMap<const IterVarNode *, ExprRef>;
 
 /// Replaces every VarNode whose IterVar appears in \p Subst.
 ExprRef substitute(const ExprRef &E, const VarSubst &Subst);

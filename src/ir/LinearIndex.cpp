@@ -87,7 +87,7 @@ Term analyze(const ExprRef &E, const std::set<const IterVarNode *> &Targets) {
 LinearIndex
 unit::analyzeLinearCoeffs(const LoadNode *Load,
                           const std::set<const IterVarNode *> &Targets) {
-  std::vector<int64_t> Strides = Load->Buf->strides();
+  const std::vector<int64_t> &Strides = Load->Buf->strides();
   LinearIndex Out;
   for (size_t D = 0; D < Load->Indices.size(); ++D) {
     Term Dim = analyze(Load->Indices[D], Targets);

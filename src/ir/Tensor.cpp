@@ -10,10 +10,13 @@ using namespace unit;
 
 TensorNode::TensorNode(std::string Name, std::vector<int64_t> Shape,
                        DataType DType)
-    : Name(std::move(Name)), Shape(std::move(Shape)), DType(DType) {
+    : Name(std::move(Name)), Shape(std::move(Shape)),
+      Strides(this->Shape.size(), 1), DType(DType) {
   assert(DType.isScalar() && "tensor element type must be scalar");
   for ([[maybe_unused]] int64_t D : this->Shape)
     assert(D > 0 && "tensor dimensions must be positive");
+  for (size_t I = this->Shape.size(); I-- > 1;)
+    Strides[I - 1] = Strides[I] * this->Shape[I];
 }
 
 int64_t TensorNode::numElements() const {
@@ -21,13 +24,6 @@ int64_t TensorNode::numElements() const {
   for (int64_t D : Shape)
     N *= D;
   return N;
-}
-
-std::vector<int64_t> TensorNode::strides() const {
-  std::vector<int64_t> S(Shape.size(), 1);
-  for (int I = static_cast<int>(Shape.size()) - 2; I >= 0; --I)
-    S[I] = S[I + 1] * Shape[I + 1];
-  return S;
 }
 
 TensorRef unit::makeTensor(std::string Name, std::vector<int64_t> Shape,

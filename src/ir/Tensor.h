@@ -29,6 +29,7 @@ namespace unit {
 class TensorNode {
   std::string Name;
   std::vector<int64_t> Shape;
+  std::vector<int64_t> Strides; ///< Row-major, from Shape at construction.
   DataType DType;
 
 public:
@@ -45,7 +46,7 @@ public:
   int64_t numElements() const;
 
   /// Row-major element strides (innermost dimension has stride 1).
-  std::vector<int64_t> strides() const;
+  const std::vector<int64_t> &strides() const { return Strides; }
 };
 
 using TensorRef = std::shared_ptr<const TensorNode>;

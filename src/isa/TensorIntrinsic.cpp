@@ -49,7 +49,7 @@ RegisterLayout loadLayout(const ComputeOp &Sem, const LoadNode *Load) {
 /// The output register's layout: the identity access over the
 /// data-parallel axes, so the lane strides are the output tensor's.
 RegisterLayout identityOutputLayout(const ComputeOp &Sem) {
-  std::vector<int64_t> Strides = Sem.output()->strides();
+  const std::vector<int64_t> &Strides = Sem.output()->strides();
   RegisterLayout Layout;
   for (size_t D = 0; D < Sem.axes().size(); ++D)
     Layout.Axes.push_back({Sem.axes()[D], Strides[D]});

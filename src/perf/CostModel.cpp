@@ -51,10 +51,10 @@ KernelStats unit::analyzeMatch(const ComputeOp &Op, const MatchResult &Match) {
   Stats.Cost = Intr.cost();
   Stats.MacsPerCall = Intr.cost().MacsPerInstr;
 
-  // Loads per invocation, from the operand-generation strides and roles
-  // of each input register (core/OperandGen.h). The accumulator stays
-  // register-resident across the reduction, so it is not charged per
-  // call.
+  // Loads per invocation, from the strides the match recorded for each
+  // input register and the operand-generation roles (core/OperandGen.h).
+  // The accumulator stays register-resident across the reduction, so it
+  // is not charged per call.
   int64_t Loads = 0;
   for (const OperandBinding &B : Match.Iso.Bindings) {
     if (B.IsAccumulator)
@@ -64,9 +64,7 @@ KernelStats unit::analyzeMatch(const ComputeOp &Op, const MatchResult &Match) {
       reportFatalError("operand generation: lane count does not fill "
                        "register '" +
                        B.InstrTensor->name() + "'");
-    Loads += operandRoles(Layout, opLaneStrides(Match.Mapping, Layout,
-                                                B.OpLoad))
-                 .Loads;
+    Loads += operandRoles(Layout, B.LaneStrides).Loads;
   }
   Stats.LoadsPerCall = std::max(1.0, static_cast<double>(Loads));
 

@@ -34,7 +34,11 @@ const char *unit::forKindName(ForKind K) {
 
 Schedule::Schedule(ComputeOpRef OpIn) : Op(std::move(OpIn)) {
   assert(Op && "null ComputeOp");
-  Leaves = Op->allAxes();
+  // Room for about one split per root axis, the usual tiling.
+  const std::vector<IterVar> &Axes = Op->allAxes();
+  Leaves.reserve(2 * Axes.size());
+  Leaves.assign(Axes.begin(), Axes.end());
+  Splits.reserve(Axes.size());
 }
 
 bool Schedule::isLeaf(const IterVar &IV) const {
@@ -89,18 +93,19 @@ void Schedule::reorder(const std::vector<IterVar> &Order) {
   // Gather current positions of the listed leaves; the leaves then occupy
   // those same positions in the requested order (TVM semantics).
   std::vector<size_t> Positions;
+  Positions.reserve(Order.size());
   for (const IterVar &IV : Order) {
     auto It = std::find(Leaves.begin(), Leaves.end(), IV);
     if (It == Leaves.end())
       reportFatalError("reorder: '" + IV->name() + "' is not a leaf loop");
     Positions.push_back(static_cast<size_t>(It - Leaves.begin()));
   }
-  std::vector<size_t> Sorted = Positions;
-  std::sort(Sorted.begin(), Sorted.end());
-  if (std::adjacent_find(Sorted.begin(), Sorted.end()) != Sorted.end())
+  std::sort(Positions.begin(), Positions.end());
+  if (std::adjacent_find(Positions.begin(), Positions.end()) !=
+      Positions.end())
     reportFatalError("reorder: duplicate loop in order list");
   for (size_t I = 0; I < Order.size(); ++I)
-    Leaves[Sorted[I]] = Order[I];
+    Leaves[Positions[I]] = Order[I];
 }
 
 void Schedule::annotate(const IterVar &IV, ForKind K) {
@@ -142,19 +147,26 @@ Schedule::pragmas(const IterVar &IV) const {
 Schedule::Resolution Schedule::resolve(const VarSubst &LeafValues) const {
   // Every IterVar is made by one relation and consumed by at most one
   // later one, so walking the relations newest first meets each
-  // relation's products already resolved.
-  VarSubst Values = LeafValues;
+  // relation's products already resolved. Each leaf, each split's parent
+  // and each fuse's two inputs get one entry.
+  VarSubst Values;
+  Values.reserve(LeafValues.size() + Leaves.size() + Splits.size() +
+                 2 * Fuses.size());
+  for (const auto &[IV, Value] : LeafValues)
+    Values.emplace(IV, Value);
   for (const IterVar &Leaf : Leaves)
-    Values.emplace(Leaf.get(), makeVar(Leaf));
+    if (!Values.count(Leaf.get()))
+      Values.emplace(Leaf.get(), makeVar(Leaf));
   Resolution Out;
   size_t S = Splits.size(), F = Fuses.size();
   while (S > 0 || F > 0) {
     if (F > 0 && Fuses[F - 1].SplitsBefore >= S) {
       const FuseRel &R = Fuses[--F];
-      const ExprRef &Fused = Values.at(R.Fused.get());
+      // A copy: the inserts below may move the table's entries.
+      ExprRef Fused = Values.at(R.Fused.get());
       ExprRef InnerExtent = makeIntImm(R.Inner->extent());
       Values[R.Outer.get()] = Fused / InnerExtent;
-      Values[R.Inner.get()] = Fused % InnerExtent;
+      Values[R.Inner.get()] = std::move(Fused) % std::move(InnerExtent);
       continue;
     }
     const SplitRel &R = Splits[--S];
@@ -169,7 +181,10 @@ Schedule::Resolution Schedule::resolve(const VarSubst &LeafValues) const {
     Values[R.Parent.get()] = std::move(Parent);
   }
   std::reverse(Out.Guards.begin(), Out.Guards.end());
-  for (const IterVar &IV : Op->allAxes())
-    Out.Roots[IV.get()] = Values.at(IV.get());
+  const std::vector<IterVar> &Roots = Op->allAxes();
+  Out.Roots.reserve(Roots.size());
+  // Each root is read once, so its value moves out of the table.
+  for (const IterVar &IV : Roots)
+    Out.Roots.emplace(IV.get(), std::move(Values.at(IV.get())));
   return Out;
 }

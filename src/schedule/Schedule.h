@@ -22,7 +22,6 @@
 #include "ir/ComputeOp.h"
 #include "ir/ExprUtil.h"
 
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,8 +73,8 @@ private:
   std::vector<IterVar> Leaves;
   std::vector<SplitRel> Splits;
   std::vector<FuseRel> Fuses;
-  std::map<const IterVarNode *, ForKind> Annotations;
-  std::map<const IterVarNode *, std::vector<std::pair<std::string, std::string>>>
+  FlatMap<const IterVarNode *, ForKind> Annotations;
+  FlatMap<const IterVarNode *, std::vector<std::pair<std::string, std::string>>>
       Pragmas;
 
 public:

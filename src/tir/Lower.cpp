@@ -14,11 +14,7 @@ using namespace unit;
 ExprRef unit::flattenIndex(const TensorRef &Buf,
                            const std::vector<ExprRef> &Indices) {
   assert(Indices.size() == Buf->rank() && "rank mismatch in flatten");
-  std::vector<int64_t> Strides = Buf->strides();
-  ExprRef Flat = makeIntImm(0);
-  for (size_t I = 0; I < Indices.size(); ++I)
-    Flat = Flat + Indices[I] * makeIntImm(Strides[I]);
-  return Flat;
+  return flattenIndexBy(Buf, [&](size_t I) { return Indices[I]; });
 }
 
 namespace {
@@ -155,11 +151,9 @@ StmtRef unit::lower(const Schedule &S) {
                           ? FlattenMutator().mutate(Reduce->Init)
                           : combinerIdentity(Reduce->RKind,
                                              Out->dtype());
-  std::vector<ExprRef> InitIdx;
-  for (const IterVar &Axis : Op.axes())
-    InitIdx.push_back(makeVar(Axis));
-  StmtRef Init = makeStore(Out, flattenIndex(Out, InitIdx),
-                           std::move(InitValue));
+  StmtRef Init = makeStore(
+      Out, flattenIndexBy(Out, [&](size_t I) { return makeVar(Op.axes()[I]); }),
+      std::move(InitValue));
   for (auto It = Op.axes().rbegin(), E = Op.axes().rend(); It != E; ++It)
     Init = makeFor(*It, ForKind::Serial, std::move(Init));
 

@@ -36,6 +36,17 @@ StmtRef lower(const Schedule &S);
 /// Row-major flat index expression for \p Buf with \p Indices.
 ExprRef flattenIndex(const TensorRef &Buf, const std::vector<ExprRef> &Indices);
 
+/// flattenIndex over the indices \p IndexOf(0) .. IndexOf(rank - 1),
+/// each built as it is folded in: no index list is materialized.
+template <typename IndexFn>
+ExprRef flattenIndexBy(const TensorRef &Buf, IndexFn &&IndexOf) {
+  const std::vector<int64_t> &Strides = Buf->strides();
+  ExprRef Flat = makeIntImm(0);
+  for (size_t I = 0; I < Strides.size(); ++I)
+    Flat = std::move(Flat) + IndexOf(I) * makeIntImm(Strides[I]);
+  return Flat;
+}
+
 } // namespace unit
 
 #endif // UNIT_TIR_LOWER_H

@@ -5,7 +5,8 @@
 #include "ir/ExprVisitor.h"
 #include "tir/StmtVisitor.h"
 
-#include <set>
+#include <algorithm>
+#include <vector>
 
 using namespace unit;
 
@@ -14,14 +15,15 @@ namespace {
 /// Scans one embedded expression for violations.
 class ExprChecker : public ExprVisitor {
 public:
-  const std::set<const IterVarNode *> &InScope;
+  const std::vector<const IterVarNode *> &InScope;
   std::string Error;
 
-  explicit ExprChecker(const std::set<const IterVarNode *> &InScope)
+  explicit ExprChecker(const std::vector<const IterVarNode *> &InScope)
       : InScope(InScope) {}
 
   void visitVar(const VarNode *N) override {
-    if (!InScope.count(N->IV.get()))
+    if (std::find(InScope.begin(), InScope.end(), N->IV.get()) ==
+        InScope.end())
       Error = "loop variable '" + N->IV->name() +
               "' used outside its loop";
   }
@@ -38,10 +40,11 @@ public:
   }
 };
 
-/// Walks statements tracking loop scope.
+/// Walks statements tracking loop scope: the enclosing loops' variables,
+/// outermost first.
 class StmtChecker : public StmtVisitor {
 public:
-  std::set<const IterVarNode *> InScope;
+  std::vector<const IterVarNode *> InScope;
   std::string Error;
 
   void check(const ExprRef &E) {
@@ -62,13 +65,14 @@ public:
       Error = "loop '" + N->LoopVar->name() + "' has non-positive extent";
       return;
     }
-    if (InScope.count(N->LoopVar.get())) {
+    if (std::find(InScope.begin(), InScope.end(), N->LoopVar.get()) !=
+        InScope.end()) {
       Error = "loop variable '" + N->LoopVar->name() + "' shadowed";
       return;
     }
-    InScope.insert(N->LoopVar.get());
+    InScope.push_back(N->LoopVar.get());
     StmtVisitor::visitFor(N);
-    InScope.erase(N->LoopVar.get());
+    InScope.pop_back();
   }
 
   void visitPragma(const PragmaNode *N) override {
@@ -92,6 +96,7 @@ public:
 
 VerifyResult unit::verifyTIR(const StmtRef &S) {
   StmtChecker C;
+  C.InScope.reserve(16); // Deeper nests than this are rare.
   C.visit(S);
   return VerifyResult{C.Error};
 }

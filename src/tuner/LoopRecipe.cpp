@@ -11,6 +11,8 @@ using namespace unit;
 
 OuterLoops unit::outerLoops(const ComputeOp &Op, const MatchResult &Match) {
   OuterLoops Loops;
+  Loops.Dp.reserve(Op.axes().size());
+  Loops.Reduce.reserve(Op.reduceAxes().size());
   for (const IterVar &IV : Op.allAxes()) {
     IterVar InstrAxis = Match.Mapping.instrAxisFor(IV.get());
     int64_t Extent = IV->extent() / (InstrAxis ? InstrAxis->extent() : 1);
@@ -171,7 +173,9 @@ TensorizePlan unit::applyRecipe(const ComputeOpRef &Op,
   }
   Tiles.erase(std::remove(Tiles.begin(), Tiles.end(), nullptr), Tiles.end());
 
-  std::vector<IterVar> Order = Dp;
+  std::vector<IterVar> Order;
+  Order.reserve(S.leaves().size());
+  Order.insert(Order.end(), Dp.begin(), Dp.end());
   if (KSegments)
     Order.push_back(KSegments);
   Order.insert(Order.end(), Reduce.begin(), Reduce.end());

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 using namespace unit;
 
 namespace {
@@ -15,6 +18,23 @@ TEST(Expr, IntImm) {
   ASSERT_TRUE(isa<IntImmNode>(E));
   EXPECT_EQ(cast<IntImmNode>(E)->Value, 42);
   EXPECT_EQ(E->dtype(), DataType::i32());
+}
+
+TEST(Expr, SmallI32ImmediatesShareOneNode) {
+  // The table's values come back as one node each, ends included.
+  EXPECT_EQ(makeIntImm(0), makeIntImm(0));
+  EXPECT_EQ(makeIntImm(16), makeIntImm(16));
+  EXPECT_EQ(makeIntImm(-128), makeIntImm(-128));
+  EXPECT_EQ(makeIntImm(1024), makeIntImm(1024));
+  EXPECT_EQ(cast<IntImmNode>(makeIntImm(-7))->Value, -7);
+  // Other values, and the same values in other types, get fresh nodes.
+  EXPECT_NE(makeIntImm(1025), makeIntImm(1025));
+  EXPECT_NE(makeIntImm(-129), makeIntImm(-129));
+  EXPECT_NE(makeIntImm(4, DataType::i64()), makeIntImm(4, DataType::i64()));
+  ExprRef Byte = makeIntImm(4, DataType::i8());
+  EXPECT_NE(Byte, makeIntImm(4));
+  EXPECT_EQ(Byte->dtype(), DataType::i8());
+  EXPECT_EQ(cast<IntImmNode>(Byte)->Value, 4);
 }
 
 TEST(Expr, ConstantFolding) {
@@ -121,6 +141,33 @@ TEST(ExprUtil, Substitute) {
   ExprRef R = substitute(E, Subst);
   ASSERT_TRUE(isa<IntImmNode>(R));
   EXPECT_EQ(cast<IntImmNode>(R)->Value, 13);
+}
+
+TEST(ExprUtil, VarSubstKeepsTheMapInterface) {
+  IterVar I = makeAxis("i", 16), J = makeAxis("j", 4), K = makeAxis("k", 2);
+  VarSubst Subst;
+  EXPECT_TRUE(Subst.empty());
+  // operator[] inserts a missing key and finds a present one.
+  Subst[I.get()] = makeIntImm(3);
+  EXPECT_EQ(Subst.size(), 1u);
+  EXPECT_EQ(cast<IntImmNode>(Subst[I.get()])->Value, 3);
+  EXPECT_EQ(Subst.size(), 1u);
+  // emplace keeps the value of a present key.
+  auto [It, Inserted] = Subst.emplace(I.get(), makeIntImm(5));
+  EXPECT_FALSE(Inserted);
+  EXPECT_EQ(cast<IntImmNode>(It->second)->Value, 3);
+  EXPECT_TRUE(Subst.emplace(J.get(), makeVar(I)).second);
+  EXPECT_EQ(Subst.count(J.get()), 1u);
+  EXPECT_EQ(Subst.count(K.get()), 0u);
+  EXPECT_EQ(Subst.find(K.get()), Subst.end());
+  // at() reads a present key and throws on a missing one.
+  EXPECT_EQ(cast<VarNode>(Subst.at(J.get()))->IV, I);
+  EXPECT_THROW(Subst.at(K.get()), std::out_of_range);
+  // Iteration visits the entries in insertion order.
+  std::vector<const IterVarNode *> Keys;
+  for (const auto &[Key, Value] : Subst)
+    Keys.push_back(Key);
+  EXPECT_EQ(Keys, (std::vector<const IterVarNode *>{I.get(), J.get()}));
 }
 
 TEST(ExprUtil, CollectVarsInOrderDistinct) {

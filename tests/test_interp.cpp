@@ -1,13 +1,17 @@
 //===- tests/test_interp.cpp - Interpreter functional tests ---------------===//
 
+#include "SpecConformance.h"
 #include "TestUtil.h"
 #include "core/Pipeline.h"
 #include "interp/Interp.h"
+#include "models/ModelZoo.h"
 #include "tir/Lower.h"
+#include "tir/TIRPrinter.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 
 using namespace unit;
@@ -228,6 +232,58 @@ TEST(Interp, ConcurrentTensorizedRunsAreBitExact) {
   for (std::thread &T : Pool)
     T.join();
   EXPECT_EQ(Mismatched, 0);
+}
+
+TEST(Interp, ConcurrentLoweringsOfZooWinnersPrintTheSameTIR) {
+  // Two threads lower the same tuned plans at once: they read the plans,
+  // their schedules and matches, and share the small immediates every
+  // lowering hands out (makeIntImm), whose reference counts both threads
+  // move. Each thread must print exactly the TIR of a serial lowering.
+  std::vector<TensorizePlan> Plans;
+  std::vector<std::string> Serial;
+  for (const std::string Id : {"x86", "nvgpu"}) {
+    TargetSpec Spec = TargetRegistry::instance().specFor(Id);
+    bool Cpu = Spec.Engine == TargetSpec::EngineKind::CpuDot;
+    size_t Layers = 0;
+    for (const ConvLayer &L : makeResnet18().Convs) {
+      if (L.Depthwise || ++Layers > 4)
+        continue;
+      for (const TunedView &View : tunedConvViews(Spec, L)) {
+        TunedKernel Tuned = Cpu ? tuneCpu(View.Op, View.Match, Spec.Cpu)
+                                : tuneGpu(View.Op, View.Match, Spec.Gpu);
+        ASSERT_GE(Tuned.BestCandidateIndex, 0) << Id << " " << L.Name;
+        auto Best = static_cast<size_t>(Tuned.BestCandidateIndex);
+        Plans.push_back(Cpu ? buildCpuPlan(View.Op, View.Match,
+                                           defaultCpuTuningPairs()[Best])
+                            : buildGpuPlan(View.Op, View.Match,
+                                           defaultGpuTuningConfigs()[Best]));
+        Serial.push_back(stmtToString(lowerPlan(Plans.back())));
+      }
+    }
+  }
+  ASSERT_GE(Plans.size(), 8u);
+
+  constexpr int Threads = 2, Rounds = 3;
+  std::atomic<int> Ready{0};
+  std::vector<std::vector<std::string>> Printed(Threads);
+  std::vector<std::thread> Pool;
+  for (int T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      ++Ready;
+      while (Ready < Threads)
+        std::this_thread::yield();
+      for (int R = 0; R < Rounds; ++R)
+        for (const TensorizePlan &Plan : Plans)
+          Printed[T].push_back(stmtToString(lowerPlan(Plan)));
+    });
+  for (std::thread &T : Pool)
+    T.join();
+  for (int T = 0; T < Threads; ++T) {
+    ASSERT_EQ(Printed[T].size(), Rounds * Plans.size());
+    for (size_t I = 0; I < Printed[T].size(); ++I)
+      EXPECT_EQ(Printed[T][I], Serial[I % Plans.size()])
+          << "thread " << T << ", lowering " << I;
+  }
 }
 
 } // namespace
